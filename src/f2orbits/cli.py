@@ -150,6 +150,13 @@ def cmd_arf(args) -> int:
     return EXIT_OK
 
 
+def _worker_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="f2orbits",
@@ -163,8 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, required=n_required)
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--format", default="table", choices=["json", "csv", "table"])
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker count (default: available parallelism)")
+        p.add_argument("--threads", type=_worker_count, default=None,
+                       help="worker count, at least 1 (default: available parallelism)")
 
     p_census = sub.add_parser("census", help="enumerate a full census or one stratum")
     common(p_census)
@@ -180,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_graph.add_argument("--input", required=True)
     p_graph.add_argument("--out", default=None)
     p_graph.add_argument("--format", default="table", choices=["json", "csv", "table"])
-    p_graph.add_argument("--threads", type=int, default=None)
+    p_graph.add_argument("--threads", type=_worker_count, default=None,
+                         help="worker count, at least 1 (default: available parallelism)")
     p_graph.set_defaults(func=cmd_graph)
 
     p_pat = sub.add_parser("patterns", help="dump the invariant patterns as 0/1 grids")

@@ -21,7 +21,7 @@ import numpy as np
 from .f2la import (BilinearForm, F2Vector, QuadraticSpace,
                    value_counts_closed)
 from .orbits import (OrbitCensus, OrbitRecord, _bfs_component, _check_dim,
-                     _np_gens)
+                     _np_gens, _span_points)
 from .tri import HexGraph, hex_graph
 
 
@@ -124,7 +124,7 @@ def build(graph: Graph, basis_subset=None) -> LatticeSpec:
 def _closure_bitmap(spec: LatticeSpec) -> np.ndarray:
     """Visited map of the union of the basis vectors' orbits."""
     _check_dim(spec.state_dim)
-    gens = _np_gens([(c, f, 0) for c, f in spec.masked_generators()])
+    gens = _np_gens([(c, f, 0, 0) for c, f in spec.masked_generators()])
     visited = np.zeros(1 << spec.state_dim, dtype=np.uint8)
     for b in spec.basis_subset:
         if not visited[1 << b]:
@@ -149,7 +149,7 @@ def delta_closure(spec: LatticeSpec) -> DeltaClosure:
 
 
 def _is_single_orbit(spec: LatticeSpec, closure: np.ndarray) -> bool:
-    gens = _np_gens([(c, f, 0) for c, f in spec.masked_generators()])
+    gens = _np_gens([(c, f, 0, 0) for c, f in spec.masked_generators()])
     visited = np.zeros_like(closure)
     _bfs_component(1 << spec.basis_subset[0], gens, visited)
     return bool(np.array_equal(visited, closure))
@@ -175,20 +175,8 @@ def check_vanishing(spec: LatticeSpec) -> VanishingReport:
     orbit_ok = _is_single_orbit(spec, closure)
     dim = spec.state_dim
     states = np.flatnonzero(closure)
-    # incremental rank with early exit once the closure spans everything
-    echelon: list[int] = []
-    for s in states:
-        cur = int(s)
-        while cur:
-            p = cur.bit_length() - 1
-            hit = next((e for e in echelon if e.bit_length() - 1 == p), None)
-            if hit is None:
-                echelon.append(cur)
-                break
-            cur ^= hit
-        if len(echelon) == dim:
-            break
-    generates_ok = len(echelon) == dim
+    # the closure lies in span{e_b : b in B} and contains every e_b
+    generates_ok = len(spec.basis_subset) == dim
     if dim <= 1:
         pair_ok = True
     else:
@@ -273,7 +261,7 @@ def predict_census_nonspecial(spec: LatticeSpec) -> OrbitCensus:
     dim = spec.state_dim
     kappa = space.kappa
     kernel_masks = [g.bits for g in space.kernel]
-    kernel_points = sorted(_span(kernel_masks))
+    kernel_points = sorted(_span_points(kernel_masks))
     count0, count1 = value_counts_closed(space)
     k1 = sum(space.q_bits(p) for p in kernel_points)
     k0 = len(kernel_points) - k1
@@ -288,13 +276,6 @@ def predict_census_nonspecial(spec: LatticeSpec) -> OrbitCensus:
         raise AssertionError("nonspecial census must have 2^kappa + 2 orbits")
     return OrbitCensus(f"predicted nonspecial census: {spec.describe()}",
                        None, None, dim, 1 << dim, tuple(records))
-
-
-def _span(masks) -> list[int]:
-    out = [0]
-    for m in masks:
-        out += [x ^ m for x in out]
-    return out
 
 
 def _first_level_point(space: QuadraticSpace, kernel_set, value: int) -> int:

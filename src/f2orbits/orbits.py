@@ -3,14 +3,35 @@
 States are packed ints; every generator is a parity-conditioned XOR
 (condition mask, footprint mask, constant bit), which makes the orbit
 partition the connected components of an implicit undirected graph.  The
-engine runs a frontier BFS with a byte-per-state visited map, vectorized
-with numpy over frontier chunks.  Involutivity of the generators keeps
+engine runs a frontier BFS with a visited map of one tag per state (a
+byte while dim K < 8), vectorized with numpy over frontier chunks.  Involutivity of the generators keeps
 each expansion batch duplicate-free, so no sorting is ever needed.
 
-The two stratified action kinds are split into per-height affine
-subspaces and searched in compact coordinates chosen so that compact
-numeric order agrees with full-state order; per-stratum jobs are
-independent, which is where process-level parallelism comes from.
+The search runs on a quotient.  K, the common null space of the
+condition masks, acts by translations that commute with every
+generator: g(x + k) = g(x) + k.  So the action descends to V/K, taken
+as the section of states that are zero at the pivots of K's
+echelon-high basis, and every orbit of V lies over an orbit of V/K.
+V/K is split into strata by its own invariants (the functionals that
+vanish on every footprint and on K), each an affine subspace searched
+in compact coordinates whose numeric order agrees with state order.
+Strata are independent jobs, which is where process-level parallelism
+comes from.
+
+Each base state y carries a potential pot(y) in K, stored with the
+visited flag.  A generator's voltage is the K-component of its
+footprint, foot ^ reduce_K(foot): a tree edge y -> gy sets
+pot(gy) = pot(y) ^ voltage, and every other edge adds
+pot(y) ^ voltage ^ pot(gy) to a span S (Schreier generators from a
+spanning tree; Gross and Tucker, Topological Graph Theory, 1987,
+ch. 2, on voltage graphs).  A base orbit O' then lifts to
+2^(dim K - rank S) orbits of |O'| * 2^rank S states, one per coset
+c of S in K, and the representative of the one over c is the least
+reduce_S(section(y) ^ pot(y) ^ c) over y in O'.  Heights are read off
+the representatives.  With K = 0 (the second action) this is the plain
+search: no potentials, and the ascending seed of each orbit is its
+minimum.
+
 Censuses are merged by sorted reduction and are byte-identical for any
 worker count.
 """
@@ -24,12 +45,13 @@ from typing import Optional
 
 import numpy as np
 
-from .f2la import F2Vector, _nullspace, _parity, _rref
+from .f2la import F2Vector, _nullspace, _parity, _rank, _rref
 from .actions import ActionKind, ActionSpec, generator_masks, height_functionals
 
 ENUM_DIM_LIMIT = 28
 _CHUNK = 1 << 20
 _SMALL_ORBIT_LIMIT = 1 << 16
+_LIFT_CHUNK = 1 << 16
 
 
 class EnumerationGuardError(RuntimeError):
@@ -120,62 +142,101 @@ class OrbitCensus:
         return "\n".join(lines) + "\n"
 
 
-def _bfs_component(seed: int, gens, visited: np.ndarray) -> tuple[int, int]:
-    """Flood one component; returns (min state, size).  Marks visited."""
-    visited[seed] = 1
+def _tag_dtype(kdim: int):
+    """Smallest unsigned dtype holding a visited flag above kdim potential
+    bits (kdim <= 28 under the guard)."""
+    return np.uint8 if kdim < 8 else np.uint16 if kdim < 16 else np.uint32
+
+
+class _Span:
+    """A growing subspace of F2^dim, basis kept by descending pivot, fed arrays."""
+
+    def __init__(self, dim: int) -> None:
+        self.dim = dim
+        self.basis: list[int] = []
+
+    @property
+    def full(self) -> bool:
+        return len(self.basis) == self.dim
+
+    def absorb(self, values: np.ndarray) -> None:
+        values = values[values != 0]
+        for b in self.basis:
+            if not values.size:
+                return
+            values = values ^ ((values >> (b.bit_length() - 1)) & 1) * values.dtype.type(b)
+            values = values[values != 0]
+        while values.size:
+            v = int(values[0])
+            self.basis.append(v)
+            values = values ^ ((values >> (v.bit_length() - 1)) & 1) * values.dtype.type(v)
+            values = values[values != 0]
+        self.basis.sort(reverse=True)
+
+
+def _bfs_component(seed: int, gens, visited: np.ndarray, span: Optional[_Span] = None):
+    """Flood one component and mark it visited; returns (min, size, levels).
+
+    Without a span, visited holds 1 per state, the minimum state is
+    tracked and levels is None.  With a span (the lifted search), the tag
+    of a state is a flag bit above its K-potential: a fresh state takes
+    its parent's potential plus the generator's voltage, every other edge
+    x -> gx adds pot(x) ^ voltage ^ pot(gx) to the span until it is all
+    of K, and levels keeps every frontier with its potentials; the
+    minimum is left to the lift and reads as the seed.
+    """
+    lifted = span is not None
+    flag = visited.dtype.type(1 << span.dim) if lifted else 1
+    visited[seed] = flag
     frontier = np.array([seed], dtype=np.uint32)
+    pots = np.zeros(1, dtype=visited.dtype) if lifted else None
+    levels = [(frontier, pots)] if lifted else None
     size = 1
     low = seed
     while frontier.size:
-        parts = []
+        parts, pot_parts = [], []
         for start in range(0, frontier.size, _CHUNK):
             chunk = frontier[start:start + _CHUNK]
-            for cond, foot, const in gens:
+            cpots = pots[start:start + _CHUNK] if lifted else None
+            for cond, foot, const, volt in gens:
                 odd = ((np.bitwise_count(chunk & cond) ^ const) & np.uint8(1)).view(np.bool_)
                 moved = chunk[odd]
                 if not moved.size:
                     continue
                 moved ^= foot
-                fresh = moved[visited[moved] == 0]
+                if lifted:
+                    tags = visited[moved]
+                    new = tags == 0
+                    mpots = cpots[odd] ^ volt
+                    if not span.full:
+                        old = ~new
+                        span.absorb(mpots[old] ^ tags[old] ^ flag)
+                    fresh = moved[new]
+                else:
+                    fresh = moved[visited[moved] == 0]
                 if not fresh.size:
                     continue
-                visited[fresh] = 1
                 size += int(fresh.size)
-                m = int(fresh.min())
-                if m < low:
-                    low = m
                 parts.append(fresh)
+                if lifted:
+                    fpots = mpots[new]
+                    visited[fresh] = fpots | flag
+                    pot_parts.append(fpots)
+                else:
+                    visited[fresh] = 1
+                    m = int(fresh.min())
+                    if m < low:
+                        low = m
         frontier = np.concatenate(parts) if parts else np.empty(0, dtype=np.uint32)
-    return low, size
+        if lifted and frontier.size:
+            pots = np.concatenate(pot_parts)
+            levels.append((frontier, pots))
+    return low, size, levels
 
 
-def _np_gens(gens):
-    return [(np.uint32(c), np.uint32(f), np.uint8(b & 1)) for c, f, b in gens]
-
-
-def _census_masked(dim: int, gens) -> list[tuple[int, int]]:
-    """All components of the full 2^dim space, seeds scanned ascending.
-
-    Returns [(representative, size)] with representatives increasing; the
-    seed of each search is its orbit minimum because every smaller state
-    is already visited, and the explicit minimum from the flood confirms it.
-    """
-    total = 1 << dim
-    visited = np.zeros(total, dtype=np.uint8)
-    cgens = _np_gens(gens)
-    records = []
-    cursor = 0
-    while cursor < total:
-        step = int(visited[cursor:].argmin())
-        seed = cursor + step
-        if visited[seed]:
-            break
-        low, size = _bfs_component(seed, cgens, visited)
-        if low != seed:
-            raise AssertionError("ascending seed scan lost the orbit minimum")
-        records.append((seed, size))
-        cursor = seed + 1
-    return records
+def _np_gens(gens, tag=np.uint8):
+    """(condition, footprint, constant, voltage) tuples as numpy scalars."""
+    return [(np.uint32(c), np.uint32(f), np.uint8(b & 1), tag(v)) for c, f, b, v in gens]
 
 
 def _echelon_high(vectors: list[int]) -> tuple[list[int], list[int]]:
@@ -203,7 +264,7 @@ def _echelon_high(vectors: list[int]) -> tuple[list[int], list[int]]:
     return pivots, [by_pivot[p] for p in pivots]
 
 
-def _expand(compact_bits: int, basis: list[int]) -> int:
+def _expand(compact_bits: int, basis) -> int:
     out = 0
     s = 0
     while compact_bits:
@@ -214,68 +275,180 @@ def _expand(compact_bits: int, basis: list[int]) -> int:
     return out
 
 
-def _height_solver(functionals: list[int], dim: int):
-    """Pivot columns and marker rows for particular solutions of
-    parity(x & f_l) = h_l; the functionals must be independent."""
+def _gather(x: int, positions) -> int:
+    """The bits of x at the given positions, packed from bit 0."""
+    return sum((x >> p & 1) << s for s, p in enumerate(positions))
+
+
+def _reduce(x: int, basis) -> int:
+    """Clear x at the pivots of a reduced echelon-high basis: the least
+    element of the coset x + span(basis)."""
+    for b in basis:
+        if x >> (b.bit_length() - 1) & 1:
+            x ^= b
+    return x
+
+
+def _span_points(basis) -> list[int]:
+    """Every combination of the basis; bit s of the index selects basis[s]."""
+    out = [0]
+    for b in basis:
+        out += [x ^ b for x in out]
+    return out
+
+
+def _height_bits(x: int, functionals) -> int:
+    return sum(_parity(x & f) << l for l, f in enumerate(functionals))
+
+
+def _solve_heights(functionals: list[int], dim: int, height_bits: int) -> int:
+    """A state x with parity(x & f_l) = bit l of height_bits for every l;
+    the functionals must be independent."""
     aug = [f | (1 << (dim + l)) for l, f in enumerate(functionals)]
     red, pivots = _rref(aug, dim)
     if len(pivots) != len(functionals):
         raise AssertionError("height functionals are linearly dependent")
-    markers = [r >> dim for r in red]
-    return pivots, markers
+    x = 0
+    for row, p in zip(red, pivots):
+        if _parity((row >> dim) & height_bits):
+            x |= 1 << p
+    return x
+
+
+def _byte_tables(images) -> list[np.ndarray]:
+    """Lookup tables of the linear map sending bit s to images[s], one
+    table per input byte."""
+    return [np.array(_span_points(images[start:start + 8]), dtype=np.uint32)
+            for start in range(0, len(images), 8)]
+
+
+def _apply_tables(tables, values: np.ndarray) -> np.ndarray:
+    out = np.zeros(values.size, dtype=np.uint32)
+    for j, table in enumerate(tables):
+        out ^= table[(values >> (8 * j)) & 0xFF]
+    return out
 
 
 @dataclass(frozen=True)
 class _StratumJob:
-    height_bits: int
+    """One stratum of V/K, searched through its section in V.
+
+    The section holds the states that are zero at K's pivots.  Compact
+    bit s stands for basis[s] (pivot pivots[s]), so compact z is the
+    state offset ^ expand(z), and compact order agrees with state order.
+    gens are (condition, footprint, constant, voltage) in compact
+    coordinates; the voltage is the K-component of the footprint in
+    K-coordinates, where bit i of a potential stands for translations[i].
+    """
+
     compact_dim: int
-    gens: tuple[tuple[int, int, int], ...]
+    gens: tuple[tuple[int, int, int, int], ...]
     pivots: tuple[int, ...]
     basis: tuple[int, ...]
     offset: int
+    translations: tuple[int, ...]
 
 
-def _build_stratum_jobs(dim: int, gens, functionals: list[int]) -> list[_StratumJob]:
-    kernel = _nullspace(functionals, dim)
-    pivots, basis = _echelon_high(kernel)
-    hp, markers = _height_solver(functionals, dim)
-    jobs = []
-    for height_bits in range(1 << len(functionals)):
-        x = 0
-        for r, p in enumerate(hp):
-            if _parity(markers[r] & height_bits):
-                x |= 1 << p
-        for s, p in enumerate(pivots):
-            if x >> p & 1:
-                x ^= basis[s]
-        compact = []
-        for cond, foot in gens:
-            cc = 0
-            for s, b in enumerate(basis):
-                if _parity(b & cond):
-                    cc |= 1 << s
-            cf = 0
-            for s, p in enumerate(pivots):
-                if foot >> p & 1:
-                    cf |= 1 << s
-            if _expand(cf, basis) != foot:
-                raise AssertionError("generator footprint leaves the stratum")
-            compact.append((cc, cf, _parity(x & cond)))
-        jobs.append(_StratumJob(height_bits, len(basis), tuple(compact),
-                                tuple(pivots), tuple(basis), x))
-    return jobs
+def _stratum_job(dim: int, masks, functionals, translations,
+                 height_bits: int) -> _StratumJob:
+    """The job for the stratum where the functionals read height_bits.
+
+    translations is a reduced echelon-high basis of a subspace of K and
+    the functionals are invariant and vanish on it.
+    """
+    k_pivots = [k.bit_length() - 1 for k in translations]
+    rows = list(functionals) + [1 << p for p in k_pivots]
+    pivots, basis = _echelon_high(_nullspace(rows, dim))
+    offset = _reduce(_solve_heights(rows, dim, height_bits), basis)
+    gens = []
+    for cond, foot in masks:
+        cc = sum(_parity(b & cond) << s for s, b in enumerate(basis))
+        section_foot = _reduce(foot, translations)
+        cf = _gather(section_foot, pivots)
+        if _expand(cf, basis) != section_foot:
+            raise AssertionError("generator footprint leaves the stratum")
+        gens.append((cc, cf, _parity(offset & cond), _gather(foot, k_pivots)))
+    return _StratumJob(len(basis), tuple(gens), tuple(pivots), tuple(basis),
+                       offset, tuple(translations))
 
 
-def _run_stratum_job(job: _StratumJob) -> list[tuple[int, int, int]]:
-    basis = list(job.basis)
-    out = []
-    for rep_c, size in _census_masked(job.compact_dim, job.gens):
-        out.append((job.height_bits, job.offset ^ _expand(rep_c, basis), size))
-    return out
+def _build_stratum_jobs(dim: int, masks, functionals, translations) -> list[_StratumJob]:
+    return [_stratum_job(dim, masks, functionals, translations, h)
+            for h in range(1 << len(functionals))]
 
 
-def _stratified_census(dim, gens, functionals, workers) -> list[tuple[int, int, int]]:
-    jobs = _build_stratum_jobs(dim, gens, functionals)
+def _compact(job: _StratumJob, state: int) -> int:
+    """Compact coordinate of a section state of the job's stratum."""
+    z = _gather(state ^ job.offset, job.pivots)
+    if job.offset ^ _expand(z, job.basis) != state:
+        raise AssertionError("state does not lie in its computed stratum")
+    return z
+
+
+def _lift(job: _StratumJob, levels, cycles: list[int]) -> list[tuple[int, int]]:
+    """The orbits over one base orbit O', as (representative, size).
+
+    The cycle voltages span S in K.  There is one orbit per coset c of S
+    in K, with |O'| * 2^rank(S) states; its representative is the least
+    reduce_S(section(y) ^ pot(y) ^ c) over y in O', taken in chunks of
+    at most _LIFT_CHUNK (member, coset) pairs.
+    """
+    s_basis = _echelon_high([_expand(v, job.translations) for v in cycles])[1]
+    cosets = np.array(_span_points(
+        _echelon_high([_reduce(k, s_basis) for k in job.translations])[1]), dtype=np.uint32)
+    # section states are zero at K's pivots, among them S's, so reduce_S
+    # only acts on the potential
+    state_tables = _byte_tables(job.basis)
+    pot_tables = _byte_tables([_reduce(k, s_basis) for k in job.translations])
+    best = np.full(cosets.size, np.iinfo(np.uint32).max, dtype=np.uint32)
+    rows = max(1, _LIFT_CHUNK // cosets.size)
+    base_size = 0
+    for states, pots in levels:
+        base_size += states.size
+        for start in range(0, states.size, rows):
+            a = (_apply_tables(state_tables, states[start:start + rows])
+                 ^ _apply_tables(pot_tables, pots[start:start + rows]) ^ job.offset)
+            np.minimum(best, (a[:, None] ^ cosets).min(axis=0), out=best)
+    reps = [int(r) for r in best]
+    for rep in reps:
+        z = _compact(job, _reduce(rep, job.translations))
+        if not any(bool((states == z).any()) for states, _ in levels):
+            raise AssertionError("lifted representative leaves its base orbit")
+    size = base_size << len(s_basis)
+    return [(rep, size) for rep in reps]
+
+
+def _run_stratum_job(job: _StratumJob) -> list[tuple[int, int]]:
+    """Every orbit over the job's stratum, as (representative, size).
+
+    Seeds are scanned in ascending compact order.  Without translations
+    the seed is the orbit minimum, because every smaller state is already
+    visited, and the flood's explicit minimum confirms it; with them each
+    base orbit is lifted.
+    """
+    kdim = len(job.translations)
+    total = 1 << job.compact_dim
+    visited = np.zeros(total, dtype=_tag_dtype(kdim))
+    gens = _np_gens(job.gens, visited.dtype.type)
+    rows = []
+    cursor = 0
+    while cursor < total:
+        seed = cursor + int(visited[cursor:].argmin())
+        if visited[seed]:
+            break
+        span = _Span(kdim) if kdim else None
+        low, size, levels = _bfs_component(seed, gens, visited, span)
+        if span is None:
+            if low != seed:
+                raise AssertionError("ascending seed scan lost the orbit minimum")
+            rows.append((job.offset ^ _expand(seed, job.basis), size))
+        else:
+            rows.extend(_lift(job, levels, span.basis))
+        cursor = seed + 1
+    return rows
+
+
+def _run_jobs(jobs: list[_StratumJob], workers: int) -> list[tuple[int, int]]:
     if workers > 1 and len(jobs) > 1:
         import multiprocessing as mp
 
@@ -283,24 +456,27 @@ def _stratified_census(dim, gens, functionals, workers) -> list[tuple[int, int, 
             ctx = mp.get_context("fork")
         except ValueError:  # platforms without fork; jobs pickle fine either way
             ctx = mp.get_context()
-        with ctx.Pool(processes=workers) as pool:
+        with ctx.Pool(processes=min(workers, len(jobs))) as pool:
             chunks = pool.map(_run_stratum_job, jobs)
     else:
         chunks = [_run_stratum_job(j) for j in jobs]
-    rows = [row for chunk in chunks for row in chunk]
-    rows.sort()
-    return rows
+    return [row for chunk in chunks for row in chunk]
 
 
 def _default_workers() -> int:
-    return os.cpu_count() or 1
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
 
 
 def _family(spec):
     """(dim, masks, functionals, descriptor, n, kind) for a spec.
 
     Accepts an ActionSpec or any object exposing state_dim and
-    masked_generators() (graph lattices do).
+    masked_generators() (graph lattices do).  The functionals are the
+    height functionals that label records, empty when records carry no
+    height.
     """
     if isinstance(spec, ActionSpec):
         dim = spec.state_dim
@@ -314,28 +490,47 @@ def _family(spec):
     return dim, spec.masked_generators(), [], spec.describe(), None, None
 
 
+def _lift_plan(dim: int, masks, translations=None) -> tuple[tuple[int, ...], list[int]]:
+    """(translations, base functionals) of a search.
+
+    translations defaults to all of K, the common null space of the
+    condition masks; any basis of a subspace of K may be given instead,
+    and an empty one searches V itself.  The base functionals are the
+    invariants of V/K: they vanish on every footprint and on K.
+    """
+    if translations is None:
+        translations = _nullspace([cond for cond, _ in masks], dim)
+    translations = tuple(_echelon_high(list(translations))[1])
+    return translations, _nullspace([foot for _, foot in masks] + list(translations), dim)
+
+
+def _records(dim: int, functionals, rows) -> tuple[OrbitRecord, ...]:
+    """Records sorted by (height, representative), heights read off the
+    representatives."""
+    t = len(functionals)
+    keyed = sorted((_height_bits(rep, functionals), rep, size) for rep, size in rows)
+    return tuple(OrbitRecord(F2Vector(dim, rep), size,
+                             height=F2Vector(t, h) if t else None)
+                 for h, rep, size in keyed)
+
+
 def enumerate_orbits(spec, workers: Optional[int] = None) -> OrbitCensus:
     """Exact orbit census of the full state space of ``spec``.
 
-    Deterministic for any worker count: stratified kinds are merged by
-    sorted reduction, everything else runs as a single search.
+    Deterministic for any worker count: the strata of V/K are searched
+    independently and merged by sorted reduction.
     """
+    return _census(spec, workers)
+
+
+def _census(spec, workers: Optional[int] = None, translations=None) -> OrbitCensus:
+    """enumerate_orbits lifting through the given translations (see _lift_plan)."""
     dim, masks, functionals, descriptor, n, kind = _family(spec)
     _check_dim(dim)
-    workers = workers or _default_workers()
-    if functionals:
-        rows = _stratified_census(dim, masks, functionals, workers)
-        t = len(functionals)
-        records = tuple(
-            OrbitRecord(F2Vector(dim, rep), size, height=F2Vector(t, h))
-            for h, rep, size in rows)
-    else:
-        gens = [(c, f, 0) for c, f in masks]
-        records = tuple(
-            OrbitRecord(F2Vector(dim, rep), size)
-            for rep, size in _census_masked(dim, gens))
-    records = tuple(sorted(records, key=OrbitRecord.sort_key))
-    return OrbitCensus(descriptor, n, kind, dim, 1 << dim, records)
+    translations, base = _lift_plan(dim, masks, translations)
+    jobs = _build_stratum_jobs(dim, masks, base, translations)
+    rows = _run_jobs(jobs, workers or _default_workers())
+    return OrbitCensus(descriptor, n, kind, dim, 1 << dim, _records(dim, functionals, rows))
 
 
 def _stratum_spec_check(spec: ActionSpec, height: F2Vector) -> list[int]:
@@ -353,20 +548,31 @@ def enumerate_stratum(spec: ActionSpec, height: F2Vector,
                       workers: Optional[int] = None) -> OrbitCensus:
     """Census restricted to the stratum at the given height."""
     del workers  # a single stratum is one job
+    return _stratum_census(spec, height)
+
+
+def _stratum_census(spec: ActionSpec, height: F2Vector, translations=None) -> OrbitCensus:
+    """enumerate_stratum lifting through the given translations.
+
+    The base functionals lie in the span of the height functionals, so
+    the stratum sits inside one stratum of V/K; that one is lifted and
+    its orbits are filtered by height.
+    """
     functionals = _stratum_spec_check(spec, height)
     dim = spec.state_dim
     _check_dim(dim)
     masks = generator_masks(spec)
-    jobs = _build_stratum_jobs(dim, masks, functionals)
-    job = jobs[height.bits]
-    rows = _run_stratum_job(job)
-    rows.sort()
-    records = tuple(
-        OrbitRecord(F2Vector(dim, rep), size, height=F2Vector(height.dim, h))
-        for h, rep, size in rows)
+    translations, base = _lift_plan(dim, masks, translations)
+    if _rank(functionals + base, dim) != len(functionals):
+        raise AssertionError("a height stratum straddles several strata of V/K")
+    point = _solve_heights(functionals, dim, height.bits)
+    job = _stratum_job(dim, masks, base, translations, _height_bits(point, base))
+    rows = [(rep, size) for rep, size in _run_stratum_job(job)
+            if _height_bits(rep, functionals) == height.bits]
     return OrbitCensus(
         f"{spec.describe()}, height {height.to_string()}",
-        spec.n, spec.kind.value, dim, 1 << job.compact_dim, records)
+        spec.n, spec.kind.value, dim, 1 << (dim - len(functionals)),
+        _records(dim, functionals, rows))
 
 
 def _state_bits(state) -> int:
@@ -383,7 +589,7 @@ def orbit_of(spec, state) -> OrbitRecord:
 
     Small orbits are closed over a plain hash set; past the size limit,
     the search falls back to the vectorized engine on the state's stratum
-    (or the whole space when there is no height decomposition).
+    (the whole space when there is no height decomposition).
     """
     dim, masks, functionals, _, _, _ = _family(spec)
     _check_dim(dim)
@@ -401,33 +607,16 @@ def orbit_of(spec, state) -> OrbitRecord:
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
-    height = None
-    if functionals:
-        hbits = 0
-        for l, f in enumerate(functionals):
-            if _parity(start & f):
-                hbits |= 1 << l
-        height = F2Vector(len(functionals), hbits)
+    hbits = _height_bits(start, functionals)
+    height = F2Vector(len(functionals), hbits) if functionals else None
     if not frontier:
         return OrbitRecord(F2Vector(dim, min(seen)), len(seen), height=height)
-    # big orbit: rerun vectorized, in compact stratum coordinates when possible
-    if functionals:
-        job = _build_stratum_jobs(dim, masks, functionals)[height.bits]
-        basis = list(job.basis)
-        compact = 0
-        for s, p in enumerate(job.pivots):
-            if (start ^ job.offset) >> p & 1:
-                compact |= 1 << s
-        if job.offset ^ _expand(compact, basis) != start:
-            raise AssertionError("state does not lie in its computed stratum")
-        visited = np.zeros(1 << job.compact_dim, dtype=np.uint8)
-        low_c, size = _bfs_component(compact, _np_gens(job.gens), visited)
-        low = job.offset ^ _expand(low_c, basis)
-    else:
-        visited = np.zeros(1 << dim, dtype=np.uint8)
-        gens = [(c, f, 0) for c, f in masks]
-        low, size = _bfs_component(start, _np_gens(gens), visited)
-    return OrbitRecord(F2Vector(dim, low), size, height=height)
+    # big orbit: rerun vectorized in the compact coordinates of its stratum
+    job = _stratum_job(dim, masks, functionals, (), hbits)
+    visited = np.zeros(1 << job.compact_dim, dtype=np.uint8)
+    low, size, _ = _bfs_component(_compact(job, start), _np_gens(job.gens), visited)
+    return OrbitRecord(F2Vector(dim, job.offset ^ _expand(low, job.basis)), size,
+                       height=height)
 
 
 def attach_labels(census: OrbitCensus, labels: dict[int, str]) -> OrbitCensus:

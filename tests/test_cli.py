@@ -1,9 +1,11 @@
 """Command-line behavior: commands, formats, exit codes, determinism."""
 
 import json
+import os
 
 import pytest
 
+from f2orbits import orbits
 from f2orbits.cli import main
 from f2orbits.lattice import hex_lattice_graph
 
@@ -155,3 +157,27 @@ class TestDeterminism:
             assert code == 0
             blobs.add(out_file.read_bytes())
         assert len(blobs) == 1
+
+
+class TestThreads:
+    @pytest.mark.parametrize("threads", ["0", "-1", "two"])
+    @pytest.mark.parametrize("command", [
+        ["census", "--action", "first", "--n", "3"],
+        ["verify", "--action", "first", "--n", "3"],
+        ["graph", "--input", "unread.graph"],
+    ])
+    def test_rejects_non_positive_counts(self, capsys, command, threads):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--threads", threads])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
+    def test_default_follows_cpu_affinity(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert orbits._default_workers() == 1
+
+    def test_default_without_affinity_uses_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert orbits._default_workers() == 3

@@ -4,9 +4,10 @@ single-orbit query agrees with the full census on every path."""
 
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from f2orbits.f2la import _parity
+from f2orbits.f2la import _nullspace, _parity
 from f2orbits.lattice import Graph, build, hex_lattice_graph
 from f2orbits.orbits import enumerate_orbits, orbit_of
 
@@ -22,13 +23,9 @@ def small_lattices(draw):
     return build(graph, subset)
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_lattices())
-def test_census_is_a_partition_into_closed_classes(spec):
-    census = enumerate_orbits(spec, workers=1)
+def union_find_orbits(spec) -> list[tuple[int, int]]:
+    """(minimum, size) of every orbit, by union-find over the generator edges."""
     dim = spec.state_dim
-    assert sum(r.cardinality for r in census.records) == 1 << dim
-    # recover explicit orbits by union-find over the generator edges
     gens = spec.masked_generators()
     labels = list(range(1 << dim))
 
@@ -47,9 +44,59 @@ def test_census_is_a_partition_into_closed_classes(spec):
     classes = {}
     for x in range(1 << dim):
         classes.setdefault(find(x), []).append(x)
-    expected = sorted((min(v), len(v)) for v in classes.values())
+    return sorted((min(v), len(v)) for v in classes.values())
+
+
+def translation_dim(spec) -> int:
+    return len(_nullspace([cond for cond, _ in spec.masked_generators()], spec.state_dim))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_lattices())
+def test_census_is_a_partition_into_closed_classes(spec):
+    census = enumerate_orbits(spec, workers=1)
+    dim = spec.state_dim
+    assert sum(r.cardinality for r in census.records) == 1 << dim
+    # recover explicit orbits by union-find over the generator edges
+    expected = union_find_orbits(spec)
     got = sorted((r.representative.bits, r.cardinality) for r in census.records)
     assert got == expected
+
+
+@st.composite
+def lattices_with_translations(draw):
+    """A random graph plus a twin of vertex 0 (same neighbors, not adjacent
+    to it), so e_0 + e_twin commutes with every transvection: dim K >= 1."""
+    dim = draw(st.integers(min_value=1, max_value=8))
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    edges = [p for p in pairs if draw(st.booleans())]
+    edges += [(v, dim) for u, v in edges if u == 0]
+    graph = Graph.from_edge_list(dim + 1, edges)
+    subset_mask = draw(st.integers(min_value=1, max_value=(1 << (dim + 1)) - 1))
+    return build(graph, [v for v in range(dim + 1) if subset_mask >> v & 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattices_with_translations())
+def test_lifted_census_matches_union_find(spec):
+    assert translation_dim(spec) >= 1
+    census = enumerate_orbits(spec, workers=1)
+    got = sorted((r.representative.bits, r.cardinality) for r in census.records)
+    assert got == union_find_orbits(spec)
+
+
+def path_graph(v: int) -> Graph:
+    return Graph.from_edge_list(v, [(i, i + 1) for i in range(v - 1)])
+
+
+@pytest.mark.parametrize("spec", [build(path_graph(v)) for v in (1, 3, 5, 7, 9)]
+                         + [build(hex_lattice_graph(n)) for n in (3, 4, 5, 6)],
+                         ids=lambda spec: spec.describe())
+def test_lifted_lattices_match_union_find(spec):
+    assert translation_dim(spec) >= 1
+    census = enumerate_orbits(spec, workers=1)
+    got = sorted((r.representative.bits, r.cardinality) for r in census.records)
+    assert got == union_find_orbits(spec)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,10 +1,12 @@
 """Graph-driven transvection groups: closures, the lattice conditions,
 E6 detection, and the nonspecial census oracle."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from f2orbits.f2la import q_eval
-from f2orbits.lattice import (Graph, NonspecialityUnknown, build,
+from f2orbits.f2la import _rank, q_eval
+from f2orbits.lattice import (Graph, NonspecialityUnknown, _closure_bitmap, build,
                               check_vanishing, contains_e6, delta_closure,
                               e6_graph, hex_lattice_graph,
                               induced_basis_graph, parse_graph_file,
@@ -92,6 +94,24 @@ class TestCheckVanishing:
         spec = build(Graph.from_edge_list(3, [(0, 1)]), [0, 1])
         report = check_vanishing(spec)
         assert not report.generates_ok
+
+
+@st.composite
+def graphs_with_subsets(draw):
+    dim = draw(st.integers(min_value=1, max_value=9))
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    edges = [p for p in pairs if draw(st.booleans())]
+    subset_mask = draw(st.integers(min_value=1, max_value=(1 << dim) - 1))
+    return build(Graph.from_edge_list(dim, edges),
+                 [v for v in range(dim) if subset_mask >> v & 1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs_with_subsets())
+def test_generates_ok_is_the_rank_of_the_closure(spec):
+    states = [int(s) for s in np.flatnonzero(_closure_bitmap(spec))]
+    spans = _rank(states, spec.state_dim) == spec.state_dim
+    assert check_vanishing(spec).generates_ok == spans
 
 
 class TestE6Detection:

@@ -3,8 +3,10 @@ determinism, and the conjugate-count and transport cross-checks."""
 
 import pytest
 
+from f2orbits import orbits
 from f2orbits.f2la import F2Vector
-from f2orbits.actions import ActionKind, ActionSpec, height_first
+from f2orbits.actions import ActionKind, ActionSpec, generator_masks, height_first
+from f2orbits.lattice import build, hex_lattice_graph
 from f2orbits.orbits import (EnumerationGuardError, enumerate_orbits,
                              enumerate_stratum, orbit_of)
 from f2orbits.tri import TriMatrix, pattern_E, phi_star
@@ -156,3 +158,71 @@ class TestHeightZeroTransport:
             image = phi_star(TriMatrix.from_bits(n - 1, r.representative.bits))
             rec = orbit_of(ActionSpec(n, ActionKind.FIRST), image)
             assert rec.cardinality == r.cardinality
+
+
+class TestLiftCrossCheck:
+    """The lift through K against the unlifted search of the whole space
+    (an empty translation basis), byte for byte."""
+
+    @pytest.mark.parametrize("kind,dim_k", [
+        (ActionKind.FIRST, lambda n: n), (ActionKind.FIRST_CONJUGATE, lambda n: n),
+        (ActionKind.SECOND, lambda n: 0), (ActionKind.SECOND_CONJUGATE, lambda n: n // 2)])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_actions(self, kind, dim_k, n):
+        spec = ActionSpec(n, kind)
+        translations, _ = orbits._lift_plan(spec.state_dim, generator_masks(spec))
+        assert len(translations) == dim_k(n)
+        lifted = enumerate_orbits(spec, workers=1).to_json()
+        assert orbits._census(spec, 1, translations=()).to_json() == lifted
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_hex_lattices(self, n):
+        spec = build(hex_lattice_graph(n))
+        assert orbits._census(spec, 1, translations=()).to_json() == \
+            enumerate_orbits(spec, workers=1).to_json()
+
+    def test_every_first_n5_stratum(self):
+        spec = ActionSpec(5, ActionKind.FIRST)
+        for h in range(1 << 5):
+            height = F2Vector(5, h)
+            assert orbits._stratum_census(spec, height, translations=()).to_json() == \
+                enumerate_stratum(spec, height).to_json()
+
+    @pytest.mark.parametrize("kind", [ActionKind.FIRST, ActionKind.SECOND_CONJUGATE])
+    def test_part_of_k(self, kind):
+        # any subspace of K commutes with the action, so lifting through
+        # part of it gives the same census
+        spec = ActionSpec(6, kind)
+        translations, _ = orbits._lift_plan(spec.state_dim, generator_masks(spec))
+        assert orbits._census(spec, 1, translations=translations[:2]).to_json() == \
+            enumerate_orbits(spec, workers=1).to_json()
+
+    def test_lifted_jobs_search_the_quotient(self):
+        spec = ActionSpec(7, ActionKind.FIRST)
+        masks = generator_masks(spec)
+        translations, base = orbits._lift_plan(spec.state_dim, masks)
+        jobs = orbits._build_stratum_jobs(spec.state_dim, masks, base, translations)
+        assert [j.compact_dim for j in jobs] == [18] * 8
+
+
+class TestSingleJob:
+    def _count_jobs(self, monkeypatch):
+        built = []
+        real = orbits._stratum_job
+
+        def counting(*args):
+            built.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(orbits, "_stratum_job", counting)
+        return built
+
+    def test_enumerate_stratum_builds_one_job(self, monkeypatch):
+        built = self._count_jobs(monkeypatch)
+        enumerate_stratum(ActionSpec(6, ActionKind.FIRST), F2Vector(6, 5))
+        assert len(built) == 1
+
+    def test_orbit_of_builds_one_job(self, monkeypatch):
+        built = self._count_jobs(monkeypatch)
+        rec = orbit_of(ActionSpec(7, ActionKind.SECOND), TriMatrix.from_cells(6, [(1, 2)]))
+        assert rec.cardinality > 1 << 16 and len(built) == 1
