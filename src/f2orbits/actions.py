@@ -5,7 +5,8 @@ Every generator of every kind is a parity-conditioned XOR: it tests the
 parity of the state against a condition mask and, when odd, flips a
 footprint mask.  All four kinds are involutions.  The (condition,
 footprint) pairs are precomputed once per action and are what the orbit
-engine consumes; `apply` is the one-state reference path.
+engine consumes; `apply_bits` applies one to one packed state, and
+`apply` is its validating form on matrices.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .f2la import F2Vector, _parity
+from .f2la import F2Vector, _evaluate, _parity
 from .tri import TriMatrix, TriShape, hex_graph, pattern_E, pattern_Ptilde, pattern_R
 
 
@@ -125,17 +126,12 @@ def _masks_for(spec: ActionSpec) -> dict[Generator, tuple[int, int]]:
 
 def apply(spec: ActionSpec, g: Generator, m: TriMatrix) -> TriMatrix:
     """Apply one generator to one state."""
-    masks = _masks_for(spec)
-    if g not in masks:
+    if g not in _masks_for(spec):
         raise ValueError(f"generator {g} invalid for n={spec.n}")
     if m.shape.n != spec.state_order:
         raise ValueError(
             f"state has order {m.shape.n}, expected {spec.state_order} for {spec.kind.value}")
-    cond, foot = masks[g]
-    bits = m.bits
-    if _parity(bits & cond):
-        bits ^= foot
-    return TriMatrix(m.shape, F2Vector(m.data.dim, bits))
+    return TriMatrix(m.shape, F2Vector(m.data.dim, apply_bits(spec, g, m.bits)))
 
 
 def apply_bits(spec: ActionSpec, g: Generator, bits: int) -> int:
@@ -164,23 +160,14 @@ def height_functionals(spec: ActionSpec) -> list[int]:
 
 def height_first(m: TriMatrix) -> F2Vector:
     """Height of a state of the first action: bit i-1 holds (M, R_i)."""
-    n = m.n
-    bits = 0
-    for i in range(1, n + 1):
-        if _parity(m.bits & pattern_R(n, i).bits):
-            bits |= 1 << (i - 1)
-    return F2Vector(n, bits)
+    rows = height_functionals(ActionSpec(m.n, ActionKind.FIRST))
+    return F2Vector(len(rows), _evaluate(m.bits, rows))
 
 
 def height_second(m: TriMatrix) -> F2Vector:
     """Height of a state of the second action: bit i-1 holds (M, ~P_i)."""
-    n = m.n + 1
-    k = n // 2
-    bits = 0
-    for i in range(1, k + 1):
-        if _parity(m.bits & pattern_Ptilde(n, i).bits):
-            bits |= 1 << (i - 1)
-    return F2Vector(k, bits)
+    rows = height_functionals(ActionSpec(m.n + 1, ActionKind.SECOND))
+    return F2Vector(len(rows), _evaluate(m.bits, rows))
 
 
 def psi_height(h: F2Vector) -> F2Vector:

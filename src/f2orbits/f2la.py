@@ -5,6 +5,15 @@ coordinate i.  Alternating bilinear forms are stored row-wise, quadratic
 functions as (form, basis values), and everything downstream (kernels,
 symplectic bases, Arf invariants, transvections) is exact integer
 arithmetic.  All values are immutable after construction.
+
+This is the package's one linear-algebra layer.  Its single echelon
+convention is the reduced basis with each pivot at a vector's highest
+bit, in ascending pivot order (_echelon); rank, coset minima (_reduce),
+null spaces, particular solutions of parity equations (_solve) and span
+enumeration are built on it.  Linear maps are given by masks: _evaluate
+reads bit l as parity(x & rows[l]), and its transpose _combine sums the
+columns picked by the bits of x, on ints and, through byte lookup
+tables, on uint32 arrays.
 """
 
 from __future__ import annotations
@@ -133,12 +142,7 @@ class BilinearForm:
 
     def pairing_mask(self, x_bits: int) -> int:
         """Bit mask of the functional <x, .> for a packed vector x."""
-        acc = 0
-        while x_bits:
-            low = x_bits & -x_bits
-            acc ^= self.rows[low.bit_length() - 1]
-            x_bits ^= low
-        return acc
+        return _combine(x_bits, self.rows)
 
 
 def form_eval(f: BilinearForm, x: F2Vector, y: F2Vector) -> int:
@@ -157,46 +161,119 @@ def transvect(f: BilinearForm, delta: F2Vector, x: F2Vector) -> F2Vector:
     return x
 
 
-def _rref(rows, dim):
-    """Row-reduce int-packed rows over F2, lowest pivot column first.
+def _echelon(vectors) -> list[int]:
+    """Reduced echelon basis of span(vectors), in ascending pivot order.
 
-    Returns (reduced_rows, pivot_cols); reduced_rows[r] has its pivot at
-    pivot_cols[r] and zeros in every other pivot column.
+    Each basis vector has its pivot at its highest set bit, and no other
+    basis vector has that bit set.  The basis is unique to the span, and
+    z -> _combine(z, basis) is strictly increasing, so coordinates in it
+    keep the order of the vectors.
     """
-    work = list(rows)
-    pivots: list[int] = []
-    r = 0
-    for col in range(dim):
-        pivot = next((k for k in range(r, len(work)) if work[k] >> col & 1), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        for k in range(len(work)):
-            if k != r and work[k] >> col & 1:
-                work[k] ^= work[r]
-        pivots.append(col)
-        r += 1
-    return work[:r], pivots
-
-
-def _nullspace(rows, dim):
-    """Canonical basis of {x : parity(x & row) = 0 for every row}."""
-    reduced, pivots = _rref(rows, dim)
-    pivot_set = set(pivots)
-    basis = []
-    for col in range(dim):
-        if col in pivot_set:
-            continue
-        vec = 1 << col
-        for row, p in zip(reduced, pivots):
-            if row >> col & 1:
-                vec |= 1 << p
-        basis.append(vec)
-    return basis
+    by_pivot: dict[int, int] = {}
+    for v in vectors:
+        while v:
+            p = v.bit_length() - 1
+            if p not in by_pivot:
+                by_pivot[p] = v
+                break
+            v ^= by_pivot[p]
+    pivots = sorted(by_pivot)
+    for p in reversed(pivots):
+        for q in pivots:
+            if q > p and by_pivot[q] >> p & 1:
+                by_pivot[q] ^= by_pivot[p]
+    return [by_pivot[p] for p in pivots]
 
 
 def _rank(rows, dim) -> int:
-    return len(_rref(rows, dim)[1])
+    """Rank of the rows, vectors of F2^dim."""
+    return len(_echelon(rows))
+
+
+def _reduce(x: int, basis) -> int:
+    """Clear x at the pivots of a reduced echelon basis: the least
+    element of the coset x + span(basis)."""
+    for b in basis:
+        if x >> (b.bit_length() - 1) & 1:
+            x ^= b
+    return x
+
+
+def _nullspace(rows, dim) -> list[int]:
+    """Reduced echelon basis of {x in F2^dim : parity(x & row) = 0 for
+    every row}.
+
+    Each free column c of the rows' echelon form gives the solution with
+    bit c set, zero at the other free columns, and bit p set wherever the
+    row with pivot p has bit c.
+    """
+    basis = _echelon(rows)
+    pivots = {b.bit_length() - 1 for b in basis}
+    free = []
+    for c in range(dim):
+        if c not in pivots:
+            free.append(sum(1 << (b.bit_length() - 1) for b in basis if b >> c & 1) | 1 << c)
+    return _echelon(free)
+
+
+def _solve(rows, values: int) -> int:
+    """A state x with parity(x & rows[l]) = bit l of values for every l.
+
+    The echelon of row << t | 1 << l (t rows) keeps in its low bits which
+    rows make up each reduced row; x is the sum of the pivots of the
+    reduced rows whose makeup has odd parity against values.
+    """
+    t = len(rows)
+    tagged = _echelon([row << t | 1 << l for l, row in enumerate(rows)])
+    if any(v >> t == 0 for v in tagged):
+        raise ValueError("rows are linearly dependent")
+    x = 0
+    for v in tagged:
+        if _parity(v & values & ((1 << t) - 1)):
+            x |= 1 << (v.bit_length() - 1 - t)
+    return x
+
+
+def _span_points(basis) -> list[int]:
+    """Every combination of the basis; bit s of the index selects basis[s]."""
+    out = [0]
+    for b in basis:
+        out += [x ^ b for x in out]
+    return out
+
+
+def _evaluate(x: int, rows) -> int:
+    """The linear map with the given rows: bit l is parity(x & rows[l])."""
+    out = 0
+    for l, row in enumerate(rows):
+        out |= ((x & row).bit_count() & 1) << l
+    return out
+
+
+def _combine(x: int, cols) -> int:
+    """The linear map with the given columns: the sum of cols[s] over the
+    set bits s of x.  The transpose of _evaluate with the same masks."""
+    out = 0
+    while x:
+        low = x & -x
+        out ^= cols[low.bit_length() - 1]
+        x ^= low
+    return out
+
+
+def _byte_tables(cols) -> list[np.ndarray]:
+    """_combine on uint32 arrays, prepared: one lookup table of the
+    column sums per input byte."""
+    return [np.array(_span_points(cols[start:start + 8]), dtype=np.uint32)
+            for start in range(0, len(cols), 8)]
+
+
+def _apply_tables(tables, values: np.ndarray) -> np.ndarray:
+    """_combine of every entry of a uint32 array, through _byte_tables."""
+    out = np.zeros(values.size, dtype=np.uint32)
+    for j, table in enumerate(tables):
+        out ^= table[(values >> (8 * j)) & 0xFF]
+    return out
 
 
 def kernel_basis(f: BilinearForm) -> list[F2Vector]:
@@ -369,10 +446,7 @@ def value_counts_brute(s: QuadraticSpace) -> tuple[int, int]:
     x_low = np.arange(1 << low, dtype=np.uint32)
     ones = 0
     for h in range(1 << (d - low)):
-        mask = 0
-        for j in range(d - low):
-            if h >> j & 1:
-                mask ^= s.form.rows[low + j]
+        mask = _combine(h, s.form.rows[low:])
         q_high = s.q_bits(h << low)
         vals = q ^ _parity_u32(x_low & np.uint32(mask & low_mask)) ^ np.uint8(q_high)
         ones += int(np.count_nonzero(vals))

@@ -18,10 +18,9 @@ from typing import Optional
 
 import numpy as np
 
-from .f2la import (BilinearForm, F2Vector, QuadraticSpace,
+from .f2la import (BilinearForm, F2Vector, QuadraticSpace, _span_points,
                    value_counts_closed)
-from .orbits import (OrbitCensus, OrbitRecord, _bfs_component, _check_dim,
-                     _np_gens, _span_points)
+from .orbits import OrbitCensus, OrbitRecord, _bfs_component, _check_dim, _np_gens
 from .tri import HexGraph, hex_graph
 
 
@@ -121,15 +120,19 @@ def build(graph: Graph, basis_subset=None) -> LatticeSpec:
     return LatticeSpec(graph, subset)
 
 
-def _closure_bitmap(spec: LatticeSpec) -> np.ndarray:
-    """Visited map of the union of the basis vectors' orbits."""
+def _closure_bitmap(spec: LatticeSpec) -> tuple[np.ndarray, bool]:
+    """Visited map of the union of the basis vectors' orbits, and whether
+    that is one orbit: the flood from the first basis vector reaches
+    every other."""
     _check_dim(spec.state_dim)
     gens = _np_gens([(c, f, 0, 0) for c, f in spec.masked_generators()])
     visited = np.zeros(1 << spec.state_dim, dtype=np.uint8)
+    floods = 0
     for b in spec.basis_subset:
         if not visited[1 << b]:
             _bfs_component(1 << b, gens, visited)
-    return visited
+            floods += 1
+    return visited, floods == 1
 
 
 @dataclass(frozen=True)
@@ -141,18 +144,10 @@ class DeltaClosure:
 def delta_closure(spec: LatticeSpec) -> DeltaClosure:
     """The closure of the basis vertices under the transvection group,
     plus whether it forms a single orbit."""
-    visited = _closure_bitmap(spec)
+    visited, single = _closure_bitmap(spec)
     dim = spec.state_dim
-    single = _is_single_orbit(spec, visited)
     members = frozenset(F2Vector(dim, int(s)) for s in np.flatnonzero(visited))
     return DeltaClosure(members, single)
-
-
-def _is_single_orbit(spec: LatticeSpec, closure: np.ndarray) -> bool:
-    gens = _np_gens([(c, f, 0, 0) for c, f in spec.masked_generators()])
-    visited = np.zeros_like(closure)
-    _bfs_component(1 << spec.basis_subset[0], gens, visited)
-    return bool(np.array_equal(visited, closure))
 
 
 @dataclass(frozen=True)
@@ -171,8 +166,7 @@ class VanishingReport:
 def check_vanishing(spec: LatticeSpec) -> VanishingReport:
     """Check: the closure is one orbit, it spans the space, and it
     contains a non-orthogonal pair (vacuous in dimension 1)."""
-    closure = _closure_bitmap(spec)
-    orbit_ok = _is_single_orbit(spec, closure)
+    closure, orbit_ok = _closure_bitmap(spec)
     dim = spec.state_dim
     states = np.flatnonzero(closure)
     # the closure lies in span{e_b : b in B} and contains every e_b
@@ -291,7 +285,8 @@ def parse_graph_file(text: str) -> LatticeSpec:
     Line 1: ``V E``; then E lines ``u v`` (0-based vertex pairs); an
     optional final line ``B: u1 u2 ...`` selects the generating subset
     (default all vertices).  ``#`` starts a comment; blank lines are
-    ignored.
+    ignored.  A header whose 2^V states exceed the enumeration guard is
+    refused before any vertex is built.
     """
     tokens_per_line = []
     for raw in text.splitlines():
@@ -309,6 +304,7 @@ def parse_graph_file(text: str) -> LatticeSpec:
         raise ValueError(f"bad header {' '.join(header)!r}") from exc
     if v_count < 1 or e_count < 0:
         raise ValueError(f"bad sizes V={v_count} E={e_count}")
+    _check_dim(v_count)
     body = tokens_per_line[1:]
     subset = None
     if body and body[-1][0].rstrip(":").upper() == "B":

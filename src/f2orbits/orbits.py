@@ -33,7 +33,9 @@ search: no potentials, and the ascending seed of each orbit is its
 minimum.
 
 Censuses are merged by sorted reduction and are byte-identical for any
-worker count.
+worker count.  The linear algebra (echelon bases, null spaces, coset
+minima and the mask maps between compact and full coordinates) comes
+from f2la.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ from typing import Optional
 
 import numpy as np
 
-from .f2la import F2Vector, _nullspace, _parity, _rank, _rref
+from .f2la import (F2Vector, _apply_tables, _byte_tables, _combine, _echelon, _evaluate,
+                   _nullspace, _parity, _rank, _reduce, _solve, _span_points)
 from .actions import ActionKind, ActionSpec, generator_masks, height_functionals
 
 ENUM_DIM_LIMIT = 28
@@ -62,7 +65,7 @@ def _check_dim(dim: int) -> None:
     if dim > ENUM_DIM_LIMIT:
         raise EnumerationGuardError(
             f"state space 2^{dim} exceeds the enumeration guard 2^{ENUM_DIM_LIMIT} "
-            f"(visited map alone would need {(1 << dim) >> 20} MiB)")
+            f"(visited map alone would need 2^{dim - 20} MiB)")
 
 
 @dataclass(frozen=True)
@@ -149,7 +152,7 @@ def _tag_dtype(kdim: int):
 
 
 class _Span:
-    """A growing subspace of F2^dim, basis kept by descending pivot, fed arrays."""
+    """A growing subspace of F2^dim fed uint arrays; basis is its _echelon."""
 
     def __init__(self, dim: int) -> None:
         self.dim = dim
@@ -160,18 +163,15 @@ class _Span:
         return len(self.basis) == self.dim
 
     def absorb(self, values: np.ndarray) -> None:
+        """Add the values to the span: reduce them against the basis (an
+        array _reduce) and take in one survivor at a time."""
         values = values[values != 0]
-        for b in self.basis:
-            if not values.size:
-                return
-            values = values ^ ((values >> (b.bit_length() - 1)) & 1) * values.dtype.type(b)
-            values = values[values != 0]
         while values.size:
-            v = int(values[0])
-            self.basis.append(v)
-            values = values ^ ((values >> (v.bit_length() - 1)) & 1) * values.dtype.type(v)
+            for b in self.basis:
+                values = values ^ ((values >> (b.bit_length() - 1)) & 1) * values.dtype.type(b)
             values = values[values != 0]
-        self.basis.sort(reverse=True)
+            if values.size:
+                self.basis = _echelon(self.basis + [int(values[0])])
 
 
 def _bfs_component(seed: int, gens, visited: np.ndarray, span: Optional[_Span] = None):
@@ -239,103 +239,14 @@ def _np_gens(gens, tag=np.uint8):
     return [(np.uint32(c), np.uint32(f), np.uint8(b & 1), tag(v)) for c, f, b, v in gens]
 
 
-def _echelon_high(vectors: list[int]) -> tuple[list[int], list[int]]:
-    """Reduced echelon basis with pivots at highest set bits.
-
-    Returns (pivots, basis), both sorted by ascending pivot.  With the
-    offset cleared at the pivots, mapping compact bit s to basis[s] is
-    strictly monotone from compact ints to full states.
-    """
-    by_pivot: dict[int, int] = {}
-    for v in vectors:
-        cur = v
-        while cur:
-            p = cur.bit_length() - 1
-            if p in by_pivot:
-                cur ^= by_pivot[p]
-            else:
-                by_pivot[p] = cur
-                break
-    pivots = sorted(by_pivot)
-    for p in reversed(pivots):
-        for q in pivots:
-            if q != p and by_pivot[q] >> p & 1:
-                by_pivot[q] ^= by_pivot[p]
-    return pivots, [by_pivot[p] for p in pivots]
-
-
-def _expand(compact_bits: int, basis) -> int:
-    out = 0
-    s = 0
-    while compact_bits:
-        if compact_bits & 1:
-            out ^= basis[s]
-        compact_bits >>= 1
-        s += 1
-    return out
-
-
-def _gather(x: int, positions) -> int:
-    """The bits of x at the given positions, packed from bit 0."""
-    return sum((x >> p & 1) << s for s, p in enumerate(positions))
-
-
-def _reduce(x: int, basis) -> int:
-    """Clear x at the pivots of a reduced echelon-high basis: the least
-    element of the coset x + span(basis)."""
-    for b in basis:
-        if x >> (b.bit_length() - 1) & 1:
-            x ^= b
-    return x
-
-
-def _span_points(basis) -> list[int]:
-    """Every combination of the basis; bit s of the index selects basis[s]."""
-    out = [0]
-    for b in basis:
-        out += [x ^ b for x in out]
-    return out
-
-
-def _height_bits(x: int, functionals) -> int:
-    return sum(_parity(x & f) << l for l, f in enumerate(functionals))
-
-
-def _solve_heights(functionals: list[int], dim: int, height_bits: int) -> int:
-    """A state x with parity(x & f_l) = bit l of height_bits for every l;
-    the functionals must be independent."""
-    aug = [f | (1 << (dim + l)) for l, f in enumerate(functionals)]
-    red, pivots = _rref(aug, dim)
-    if len(pivots) != len(functionals):
-        raise AssertionError("height functionals are linearly dependent")
-    x = 0
-    for row, p in zip(red, pivots):
-        if _parity((row >> dim) & height_bits):
-            x |= 1 << p
-    return x
-
-
-def _byte_tables(images) -> list[np.ndarray]:
-    """Lookup tables of the linear map sending bit s to images[s], one
-    table per input byte."""
-    return [np.array(_span_points(images[start:start + 8]), dtype=np.uint32)
-            for start in range(0, len(images), 8)]
-
-
-def _apply_tables(tables, values: np.ndarray) -> np.ndarray:
-    out = np.zeros(values.size, dtype=np.uint32)
-    for j, table in enumerate(tables):
-        out ^= table[(values >> (8 * j)) & 0xFF]
-    return out
-
-
 @dataclass(frozen=True)
 class _StratumJob:
     """One stratum of V/K, searched through its section in V.
 
     The section holds the states that are zero at K's pivots.  Compact
-    bit s stands for basis[s] (pivot pivots[s]), so compact z is the
-    state offset ^ expand(z), and compact order agrees with state order.
+    bit s stands for basis[s], whose pivot bit is pivots[s], so compact z
+    is the state offset ^ _combine(z, basis), _evaluate(state ^ offset,
+    pivots) reads it back, and compact order agrees with state order.
     gens are (condition, footprint, constant, voltage) in compact
     coordinates; the voltage is the K-component of the footprint in
     K-coordinates, where bit i of a potential stands for translations[i].
@@ -356,18 +267,19 @@ def _stratum_job(dim: int, masks, functionals, translations,
     translations is a reduced echelon-high basis of a subspace of K and
     the functionals are invariant and vanish on it.
     """
-    k_pivots = [k.bit_length() - 1 for k in translations]
-    rows = list(functionals) + [1 << p for p in k_pivots]
-    pivots, basis = _echelon_high(_nullspace(rows, dim))
-    offset = _reduce(_solve_heights(rows, dim, height_bits), basis)
+    k_pivots = [1 << (k.bit_length() - 1) for k in translations]
+    rows = list(functionals) + k_pivots
+    basis = _nullspace(rows, dim)
+    pivots = [1 << (b.bit_length() - 1) for b in basis]
+    offset = _reduce(_solve(rows, height_bits), basis)
     gens = []
     for cond, foot in masks:
-        cc = sum(_parity(b & cond) << s for s, b in enumerate(basis))
         section_foot = _reduce(foot, translations)
-        cf = _gather(section_foot, pivots)
-        if _expand(cf, basis) != section_foot:
+        cf = _evaluate(section_foot, pivots)
+        if _combine(cf, basis) != section_foot:
             raise AssertionError("generator footprint leaves the stratum")
-        gens.append((cc, cf, _parity(offset & cond), _gather(foot, k_pivots)))
+        gens.append((_evaluate(cond, basis), cf, _parity(offset & cond),
+                     _evaluate(foot, k_pivots)))
     return _StratumJob(len(basis), tuple(gens), tuple(pivots), tuple(basis),
                        offset, tuple(translations))
 
@@ -379,8 +291,8 @@ def _build_stratum_jobs(dim: int, masks, functionals, translations) -> list[_Str
 
 def _compact(job: _StratumJob, state: int) -> int:
     """Compact coordinate of a section state of the job's stratum."""
-    z = _gather(state ^ job.offset, job.pivots)
-    if job.offset ^ _expand(z, job.basis) != state:
+    z = _evaluate(state ^ job.offset, job.pivots)
+    if job.offset ^ _combine(z, job.basis) != state:
         raise AssertionError("state does not lie in its computed stratum")
     return z
 
@@ -393,9 +305,9 @@ def _lift(job: _StratumJob, levels, cycles: list[int]) -> list[tuple[int, int]]:
     reduce_S(section(y) ^ pot(y) ^ c) over y in O', taken in chunks of
     at most _LIFT_CHUNK (member, coset) pairs.
     """
-    s_basis = _echelon_high([_expand(v, job.translations) for v in cycles])[1]
+    s_basis = _echelon([_combine(v, job.translations) for v in cycles])
     cosets = np.array(_span_points(
-        _echelon_high([_reduce(k, s_basis) for k in job.translations])[1]), dtype=np.uint32)
+        _echelon([_reduce(k, s_basis) for k in job.translations])), dtype=np.uint32)
     # section states are zero at K's pivots, among them S's, so reduce_S
     # only acts on the potential
     state_tables = _byte_tables(job.basis)
@@ -441,7 +353,7 @@ def _run_stratum_job(job: _StratumJob) -> list[tuple[int, int]]:
         if span is None:
             if low != seed:
                 raise AssertionError("ascending seed scan lost the orbit minimum")
-            rows.append((job.offset ^ _expand(seed, job.basis), size))
+            rows.append((job.offset ^ _combine(seed, job.basis), size))
         else:
             rows.extend(_lift(job, levels, span.basis))
         cursor = seed + 1
@@ -476,17 +388,17 @@ def _family(spec):
     Accepts an ActionSpec or any object exposing state_dim and
     masked_generators() (graph lattices do).  The functionals are the
     height functionals that label records, empty when records carry no
-    height.
+    height.  The guard runs before any mask is built.
     """
+    dim = spec.state_dim
+    _check_dim(dim)
     if isinstance(spec, ActionSpec):
-        dim = spec.state_dim
         masks = generator_masks(spec)
         if spec.kind in (ActionKind.FIRST, ActionKind.SECOND):
             functionals = height_functionals(spec)
         else:
             functionals = []
         return dim, masks, functionals, spec.describe(), spec.n, spec.kind.value
-    dim = spec.state_dim
     return dim, spec.masked_generators(), [], spec.describe(), None, None
 
 
@@ -500,7 +412,7 @@ def _lift_plan(dim: int, masks, translations=None) -> tuple[tuple[int, ...], lis
     """
     if translations is None:
         translations = _nullspace([cond for cond, _ in masks], dim)
-    translations = tuple(_echelon_high(list(translations))[1])
+    translations = tuple(_echelon(translations))
     return translations, _nullspace([foot for _, foot in masks] + list(translations), dim)
 
 
@@ -508,7 +420,7 @@ def _records(dim: int, functionals, rows) -> tuple[OrbitRecord, ...]:
     """Records sorted by (height, representative), heights read off the
     representatives."""
     t = len(functionals)
-    keyed = sorted((_height_bits(rep, functionals), rep, size) for rep, size in rows)
+    keyed = sorted((_evaluate(rep, functionals), rep, size) for rep, size in rows)
     return tuple(OrbitRecord(F2Vector(dim, rep), size,
                              height=F2Vector(t, h) if t else None)
                  for h, rep, size in keyed)
@@ -526,7 +438,6 @@ def enumerate_orbits(spec, workers: Optional[int] = None) -> OrbitCensus:
 def _census(spec, workers: Optional[int] = None, translations=None) -> OrbitCensus:
     """enumerate_orbits lifting through the given translations (see _lift_plan)."""
     dim, masks, functionals, descriptor, n, kind = _family(spec)
-    _check_dim(dim)
     translations, base = _lift_plan(dim, masks, translations)
     jobs = _build_stratum_jobs(dim, masks, base, translations)
     rows = _run_jobs(jobs, workers or _default_workers())
@@ -558,17 +469,17 @@ def _stratum_census(spec: ActionSpec, height: F2Vector, translations=None) -> Or
     the stratum sits inside one stratum of V/K; that one is lifted and
     its orbits are filtered by height.
     """
-    functionals = _stratum_spec_check(spec, height)
     dim = spec.state_dim
     _check_dim(dim)
+    functionals = _stratum_spec_check(spec, height)
     masks = generator_masks(spec)
     translations, base = _lift_plan(dim, masks, translations)
     if _rank(functionals + base, dim) != len(functionals):
         raise AssertionError("a height stratum straddles several strata of V/K")
-    point = _solve_heights(functionals, dim, height.bits)
-    job = _stratum_job(dim, masks, base, translations, _height_bits(point, base))
+    point = _solve(functionals, height.bits)
+    job = _stratum_job(dim, masks, base, translations, _evaluate(point, base))
     rows = [(rep, size) for rep, size in _run_stratum_job(job)
-            if _height_bits(rep, functionals) == height.bits]
+            if _evaluate(rep, functionals) == height.bits]
     return OrbitCensus(
         f"{spec.describe()}, height {height.to_string()}",
         spec.n, spec.kind.value, dim, 1 << (dim - len(functionals)),
@@ -592,7 +503,6 @@ def orbit_of(spec, state) -> OrbitRecord:
     (the whole space when there is no height decomposition).
     """
     dim, masks, functionals, _, _, _ = _family(spec)
-    _check_dim(dim)
     start = _state_bits(state)
     if not 0 <= start < (1 << dim):
         raise ValueError(f"state 0x{start:x} out of range for dim {dim}")
@@ -607,7 +517,7 @@ def orbit_of(spec, state) -> OrbitRecord:
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
-    hbits = _height_bits(start, functionals)
+    hbits = _evaluate(start, functionals)
     height = F2Vector(len(functionals), hbits) if functionals else None
     if not frontier:
         return OrbitRecord(F2Vector(dim, min(seen)), len(seen), height=height)
@@ -615,7 +525,7 @@ def orbit_of(spec, state) -> OrbitRecord:
     job = _stratum_job(dim, masks, functionals, (), hbits)
     visited = np.zeros(1 << job.compact_dim, dtype=np.uint8)
     low, size, _ = _bfs_component(_compact(job, start), _np_gens(job.gens), visited)
-    return OrbitRecord(F2Vector(dim, job.offset ^ _expand(low, job.basis)), size,
+    return OrbitRecord(F2Vector(dim, job.offset ^ _combine(low, job.basis)), size,
                        height=height)
 
 

@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .f2la import F2Vector, _nullspace, _rank
+from .f2la import F2Vector, _echelon, _evaluate, _nullspace
 
 
 @dataclass(frozen=True)
@@ -235,20 +235,15 @@ def _p_family(n: int) -> tuple[int, ...]:
     """Bit masks of the P patterns for order n, certified against the kernel.
 
     The literal construction is checked to span exactly the radical of the
-    neighbor form; if that ever failed, the canonical kernel basis would be
-    used instead, with a loud warning.
+    neighbor form (both spans reduce to the same canonical echelon basis);
+    if that ever failed, the canonical kernel basis would be used instead,
+    with a loud warning.
     """
     k = n // 2
     literal = [_pattern_P_literal(n, i).bits for i in range(1, k + 1)]
     graph = hex_graph(n)
-    dim = graph.vertex_count
-    kernel = _nullspace(graph.neighbor_masks, dim)
-    ok = (
-        len(kernel) == k
-        and _rank(literal, dim) == k
-        and all(_rank(kernel + [p], dim) == k for p in literal)
-    )
-    if ok:
+    kernel = _nullspace(graph.neighbor_masks, graph.vertex_count)
+    if len(kernel) == k and _echelon(literal) == kernel:
         return tuple(literal)
     warnings.warn(
         f"literal P patterns for n={n} do not span the neighbor-form kernel; "
@@ -324,29 +319,20 @@ def phi_star_masks(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def apply_masks(masks: tuple[int, ...], bits: int) -> int:
-    """Evaluate a linear map given as per-output-bit row masks."""
-    out = 0
-    for c, mask in enumerate(masks):
-        if (bits & mask).bit_count() & 1:
-            out |= 1 << c
-    return out
-
-
 def psi(m: TriMatrix) -> TriMatrix:
     """Order-lowering map: image entry (i, j) = m(i, j) + m(i+1, j+1)."""
-    return TriMatrix.from_bits(m.n - 1, apply_masks(psi_masks(m.n), m.bits))
+    return TriMatrix.from_bits(m.n - 1, _evaluate(m.bits, psi_masks(m.n)))
 
 
 def phi(mp: TriMatrix) -> TriMatrix:
     """2x2 block-sum map on the dual: image (i, j) sums the entries
     (i, j), (i, j+1), (i+1, j), (i+1, j+1), cells outside the shape
     contributing nothing."""
-    return TriMatrix.from_bits(mp.n - 1, apply_masks(phi_masks(mp.n), mp.bits))
+    return TriMatrix.from_bits(mp.n - 1, _evaluate(mp.bits, phi_masks(mp.n)))
 
 
 def phi_star(x: TriMatrix) -> TriMatrix:
     """The transpose of the block-sum map; injective, landing in the
     height-zero stratum of the first action."""
     n = x.n + 1
-    return TriMatrix.from_bits(n, apply_masks(phi_star_masks(n), x.bits))
+    return TriMatrix.from_bits(n, _evaluate(x.bits, phi_star_masks(n)))

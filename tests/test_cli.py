@@ -2,10 +2,11 @@
 
 import json
 import os
+import time
 
 import pytest
 
-from f2orbits import orbits
+from f2orbits import lattice, orbits
 from f2orbits.cli import main
 from f2orbits.lattice import hex_lattice_graph
 
@@ -66,6 +67,35 @@ class TestCensus:
         code, _, err = run(capsys, "census", "--action", "first", "--n", "4",
                            "--height", "01")
         assert code == 2
+
+
+class TestGuardsComeFirst:
+    """Oversize requests are refused from the size alone, before any
+    generator mask or vertex subset is built."""
+
+    @staticmethod
+    def _forbid(monkeypatch, owner, name):
+        def boom(*args, **kwargs):
+            raise AssertionError(f"{name} ran before the size guard")
+        monkeypatch.setattr(owner, name, boom)
+
+    def test_census_n300_refused_fast(self, capsys, monkeypatch):
+        self._forbid(monkeypatch, orbits, "generator_masks")
+        self._forbid(monkeypatch, orbits, "height_functionals")
+        t0 = time.perf_counter()
+        code, _, err = run(capsys, "census", "--action", "first", "--n", "300")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 3 and err.startswith("refused:") and "MiB" in err
+
+    def test_huge_graph_header_refused_fast(self, capsys, monkeypatch, tmp_path):
+        self._forbid(monkeypatch, lattice.LatticeSpec, "masked_generators")
+        self._forbid(monkeypatch, lattice, "build")
+        path = tmp_path / "huge.graph"
+        path.write_text("20000 0\n")
+        t0 = time.perf_counter()
+        code, _, err = run(capsys, "graph", "--input", str(path))
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 3 and err.startswith("refused:") and "MiB" in err
 
 
 class TestVerify:

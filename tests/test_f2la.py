@@ -3,7 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import numpy as np
+
 from f2orbits.f2la import (ArfClass, BilinearForm, F2Vector, QuadraticSpace,
+                           _apply_tables, _byte_tables, _combine, _echelon,
+                           _evaluate, _nullspace, _rank, _reduce, _solve,
                            arf, form_eval, kernel_basis, q_eval,
                            symplectic_reduce, transvect, value_counts_brute,
                            value_counts_closed)
@@ -220,3 +224,89 @@ class TestTransvect:
             assert form_eval(f, transvect(f, d, x), transvect(f, d, y)) == form_eval(f, x, y)
             if space.q_bits(d.bits) == 1:
                 assert q_eval(space, transvect(f, d, x)) == q_eval(space, x)
+
+
+@st.composite
+def vector_systems(draw, max_dim=10, max_rows=8):
+    dim = draw(st.integers(min_value=0, max_value=max_dim))
+    rows = draw(st.lists(st.integers(min_value=0, max_value=(1 << dim) - 1),
+                         max_size=max_rows))
+    return dim, rows
+
+
+def brute_span(vectors) -> set[int]:
+    points = {0}
+    for v in vectors:
+        points |= {p ^ v for p in points}
+    return points
+
+
+def is_reduced_echelon_high(basis) -> bool:
+    pivots = [b.bit_length() - 1 for b in basis]
+    if any(b == 0 for b in basis) or pivots != sorted(set(pivots)):
+        return False
+    return all(not b >> p & 1 for b in basis for p in pivots if p != b.bit_length() - 1)
+
+
+class TestLinearLayer:
+    """The echelon, null space, solve and mask maps against brute force."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(vector_systems())
+    def test_echelon_is_the_canonical_basis_of_the_span(self, system):
+        _, rows = system
+        basis = _echelon(rows)
+        assert is_reduced_echelon_high(basis)
+        assert brute_span(basis) == brute_span(rows)
+        assert len(brute_span(rows)) == 1 << _rank(rows, system[0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(vector_systems())
+    def test_nullspace_spans_exactly_the_solutions(self, system):
+        dim, rows = system
+        basis = _nullspace(rows, dim)
+        solutions = {x for x in range(1 << dim)
+                     if all((x & r).bit_count() % 2 == 0 for r in rows)}
+        # a reduced echelon-high basis is unique to its span, so this pins
+        # kernel_basis down exactly
+        assert is_reduced_echelon_high(basis)
+        assert brute_span(basis) == solutions
+        assert len(solutions) == 1 << len(basis)
+
+    @settings(max_examples=150, deadline=None)
+    @given(vector_systems(), st.integers(min_value=0, max_value=255))
+    def test_solve_meets_its_equations_or_refuses_dependent_rows(self, system, values):
+        _, rows = system
+        values &= (1 << len(rows)) - 1
+        if len(brute_span(rows)) < 1 << len(rows):
+            with pytest.raises(ValueError, match="dependent"):
+                _solve(rows, values)
+            return
+        x = _solve(rows, values)
+        assert all((x & r).bit_count() % 2 == values >> l & 1 for l, r in enumerate(rows))
+
+    @settings(max_examples=150, deadline=None)
+    @given(vector_systems(), st.integers(min_value=0, max_value=(1 << 10) - 1))
+    def test_reduce_is_the_coset_minimum(self, system, x):
+        dim, rows = system
+        x &= (1 << dim) - 1
+        assert _reduce(x, _echelon(rows)) == min(x ^ p for p in brute_span(rows))
+
+    @settings(max_examples=150, deadline=None)
+    @given(vector_systems(), st.integers(min_value=0), st.integers(min_value=0))
+    def test_evaluate_and_combine_are_transposes(self, system, x, y):
+        dim, rows = system
+        x &= (1 << dim) - 1
+        y &= (1 << len(rows)) - 1
+        image = _evaluate(x, rows)
+        assert image < 1 << len(rows)
+        assert (image & y).bit_count() % 2 == (x & _combine(y, rows)).bit_count() % 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=(1 << 32) - 1), max_size=20),
+           st.lists(st.integers(min_value=0), min_size=1, max_size=40))
+    def test_byte_tables_apply_combine_to_arrays(self, cols, values):
+        values = np.array([v & ((1 << len(cols)) - 1) for v in values], dtype=np.uint32)
+        out = _apply_tables(_byte_tables(cols), values)
+        assert out.dtype == np.uint32
+        assert [int(v) for v in out] == [_combine(int(v), cols) for v in values]

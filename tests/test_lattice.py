@@ -11,7 +11,7 @@ from f2orbits.lattice import (Graph, NonspecialityUnknown, _closure_bitmap, buil
                               e6_graph, hex_lattice_graph,
                               induced_basis_graph, parse_graph_file,
                               predict_census_nonspecial)
-from f2orbits.orbits import enumerate_orbits
+from f2orbits.orbits import enumerate_orbits, orbit_of
 
 
 def triangle() -> Graph:
@@ -69,6 +69,12 @@ class TestDeltaClosure:
         assert dc.single_orbit
         assert all((1 << b) in members for b in range(6))
 
+    def test_separate_fixed_basis_vectors(self):
+        # e0 and e2 are even against both conditions (e1 and 0): two fixed points
+        dc = delta_closure(build(Graph.from_edge_list(3, [(0, 1)]), [0, 2]))
+        assert sorted(v.bits for v in dc.vectors) == [1, 4]
+        assert dc.single_orbit is False
+
     def test_closure_stays_inside_q1(self):
         spec = build(hex_lattice_graph(4))
         space = spec.qspace
@@ -109,9 +115,17 @@ def graphs_with_subsets(draw):
 @settings(max_examples=80, deadline=None)
 @given(graphs_with_subsets())
 def test_generates_ok_is_the_rank_of_the_closure(spec):
-    states = [int(s) for s in np.flatnonzero(_closure_bitmap(spec))]
+    states = [int(s) for s in np.flatnonzero(_closure_bitmap(spec)[0])]
     spans = _rank(states, spec.state_dim) == spec.state_dim
     assert check_vanishing(spec).generates_ok == spans
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_with_subsets())
+def test_single_orbit_agrees_with_orbit_queries(spec):
+    reps = {orbit_of(spec, 1 << b).representative for b in spec.basis_subset}
+    assert delta_closure(spec).single_orbit is (len(reps) == 1)
+    assert check_vanishing(spec).orbit_ok is (len(reps) == 1)
 
 
 class TestE6Detection:

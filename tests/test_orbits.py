@@ -6,7 +6,7 @@ import pytest
 from f2orbits import orbits
 from f2orbits.f2la import F2Vector
 from f2orbits.actions import ActionKind, ActionSpec, generator_masks, height_first
-from f2orbits.lattice import build, hex_lattice_graph
+from f2orbits.lattice import Graph, LatticeSpec, build, hex_lattice_graph
 from f2orbits.orbits import (EnumerationGuardError, enumerate_orbits,
                              enumerate_stratum, orbit_of)
 from f2orbits.tri import TriMatrix, pattern_E, phi_star
@@ -114,6 +114,27 @@ class TestGuards:
     def test_guard_message_has_memory_estimate(self):
         with pytest.raises(EnumerationGuardError, match="MiB"):
             enumerate_orbits(ActionSpec(8, ActionKind.FIRST))
+
+    def test_estimate_is_a_power_of_two(self):
+        with pytest.raises(EnumerationGuardError, match=r"2\^45130 MiB\)$"):
+            enumerate_orbits(ActionSpec(300, ActionKind.FIRST))
+
+    def test_every_entry_point_guards_before_building(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("built before the size guard")
+        monkeypatch.setattr(orbits, "generator_masks", boom)
+        monkeypatch.setattr(orbits, "height_functionals", boom)
+        monkeypatch.setattr(LatticeSpec, "masked_generators", boom)
+        spec = ActionSpec(300, ActionKind.SECOND)
+        big_graph = build(Graph.from_edge_list(20000, []))
+        calls = [lambda: enumerate_orbits(spec),
+                 lambda: enumerate_stratum(spec, F2Vector(150, 0)),
+                 lambda: orbit_of(spec, 0),
+                 lambda: enumerate_orbits(big_graph),
+                 lambda: orbit_of(big_graph, 1)]
+        for call in calls:
+            with pytest.raises(EnumerationGuardError):
+                call()
 
 
 class TestDeterminism:
