@@ -26,6 +26,11 @@ EXIT_DIFF = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
 
+# Largest neighbor graph (order n-1 shape, n(n-1)/2 vertices) that
+# `patterns` and `arf` build, so n <= 64; their cost grows about
+# cubically in the vertex count.
+NEIGHBOR_GRAPH_LIMIT = 1 << 11
+
 
 def _census_table(census: OrbitCensus) -> str:
     rows = ["representative_hex  cardinality  height_bits  type_label"]
@@ -101,8 +106,21 @@ def cmd_graph(args) -> int:
     return EXIT_OK if same else EXIT_DIFF
 
 
+def _check_order(n: int) -> None:
+    """Refuse an order below 1 (exit 2) or one whose neighbor graph is
+    over NEIGHBOR_GRAPH_LIMIT (exit 3), before anything is built."""
+    if n < 1:
+        raise ValueError(f"need order n >= 1, got {n}")
+    vertices = n * (n - 1) // 2
+    if vertices > NEIGHBOR_GRAPH_LIMIT:
+        raise EnumerationGuardError(
+            f"the order-{n - 1} neighbor graph of n={n} has {vertices} vertices, "
+            f"over the limit {NEIGHBOR_GRAPH_LIMIT}")
+
+
 def cmd_patterns(args) -> int:
     n = args.n
+    _check_order(n)
     out = []
     for i in range(1, n + 1):
         out.append(f"E_{i} (n={n}):")
@@ -132,6 +150,7 @@ def cmd_patterns(args) -> int:
 
 def cmd_arf(args) -> int:
     n = args.n
+    _check_order(n)
     spec = build(hex_lattice_graph(n))
     space = spec.qspace
     cls = arf(space)

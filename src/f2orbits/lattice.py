@@ -11,6 +11,7 @@ group without enumerating it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -308,14 +309,12 @@ def parse_graph_file(text: str) -> LatticeSpec:
     body = tokens_per_line[1:]
     subset = None
     if body and body[-1][0].rstrip(":").upper() == "B":
-        bline = body.pop()
-        rest = bline[1:] if bline[0].upper() in ("B", "B:") else bline
-        if bline[0].upper() == "B" and rest and rest[0] == ":":
-            rest = rest[1:]
+        # the marker is B or b, then one optional colon, attached or alone
+        bline = " ".join(body.pop())
         try:
-            subset = [int(t) for t in rest]
+            subset = [int(t) for t in re.sub(r"^[Bb]( ?:)?( |$)", "", bline).split()]
         except ValueError as exc:
-            raise ValueError(f"bad subset line {' '.join(bline)!r}") from exc
+            raise ValueError(f"bad subset line {bline!r}") from exc
     if len(body) != e_count:
         raise ValueError(f"expected {e_count} edge lines, found {len(body)}")
     edges = []

@@ -4,8 +4,9 @@ States are packed ints; every generator is a parity-conditioned XOR
 (condition mask, footprint mask, constant bit), which makes the orbit
 partition the connected components of an implicit undirected graph.  The
 engine runs a frontier BFS with a visited map of one tag per state (a
-byte while dim K < 8), vectorized with numpy over frontier chunks.  Involutivity of the generators keeps
-each expansion batch duplicate-free, so no sorting is ever needed.
+byte while dim K < 8), vectorized with numpy over frontier chunks.
+Involutivity of the generators keeps each expansion batch
+duplicate-free, so no sorting is ever needed.
 
 The search runs on a quotient.  K, the common null space of the
 condition masks, acts by translations that commute with every
@@ -32,6 +33,10 @@ the representatives.  With K = 0 (the second action) this is the plain
 search: no potentials, and the ascending seed of each orbit is its
 minimum.
 
+Every query runs this one search: a census runs every stratum job of
+V/K, a height stratum the one job that holds it (filtered by height),
+and orbit_of floods the base orbit under its state, seeded with the
+state's K-component as potential, and lifts only the state's orbit.
 Censuses are merged by sorted reduction and are byte-identical for any
 worker count.  The linear algebra (echelon bases, null spaces, coset
 minima and the mask maps between compact and full coordinates) comes
@@ -53,7 +58,6 @@ from .actions import ActionKind, ActionSpec, generator_masks, height_functionals
 
 ENUM_DIM_LIMIT = 28
 _CHUNK = 1 << 20
-_SMALL_ORBIT_LIMIT = 1 << 16
 _LIFT_CHUNK = 1 << 16
 
 
@@ -174,22 +178,23 @@ class _Span:
                 self.basis = _echelon(self.basis + [int(values[0])])
 
 
-def _bfs_component(seed: int, gens, visited: np.ndarray, span: Optional[_Span] = None):
+def _bfs_component(seed: int, gens, visited: np.ndarray, span: Optional[_Span] = None,
+                   pot: int = 0):
     """Flood one component and mark it visited; returns (min, size, levels).
 
     Without a span, visited holds 1 per state, the minimum state is
     tracked and levels is None.  With a span (the lifted search), the tag
-    of a state is a flag bit above its K-potential: a fresh state takes
-    its parent's potential plus the generator's voltage, every other edge
-    x -> gx adds pot(x) ^ voltage ^ pot(gx) to the span until it is all
-    of K, and levels keeps every frontier with its potentials; the
-    minimum is left to the lift and reads as the seed.
+    of a state is a flag bit above its K-potential: the seed's is pot, a
+    fresh state takes its parent's potential plus the generator's
+    voltage, every other edge x -> gx adds pot(x) ^ voltage ^ pot(gx) to
+    the span until it is all of K, and levels keeps every frontier with
+    its potentials; the minimum is left to the lift and reads as the seed.
     """
     lifted = span is not None
     flag = visited.dtype.type(1 << span.dim) if lifted else 1
-    visited[seed] = flag
+    visited[seed] = flag | pot
     frontier = np.array([seed], dtype=np.uint32)
-    pots = np.zeros(1, dtype=visited.dtype) if lifted else None
+    pots = np.full(1, pot, dtype=visited.dtype) if lifted else None
     levels = [(frontier, pots)] if lifted else None
     size = 1
     low = seed
@@ -297,17 +302,20 @@ def _compact(job: _StratumJob, state: int) -> int:
     return z
 
 
-def _lift(job: _StratumJob, levels, cycles: list[int]) -> list[tuple[int, int]]:
+def _lift(job: _StratumJob, levels, cycles: list[int],
+          every: bool = True) -> list[tuple[int, int]]:
     """The orbits over one base orbit O', as (representative, size).
 
     The cycle voltages span S in K.  There is one orbit per coset c of S
     in K, with |O'| * 2^rank(S) states; its representative is the least
     reduce_S(section(y) ^ pot(y) ^ c) over y in O', taken in chunks of
-    at most _LIFT_CHUNK (member, coset) pairs.
+    at most _LIFT_CHUNK (member, coset) pairs, with c its coset minimum.
+    Unless every, only the orbit over coset 0 is computed: the one that
+    holds section(y) ^ pot(y).
     """
     s_basis = _echelon([_combine(v, job.translations) for v in cycles])
-    cosets = np.array(_span_points(
-        _echelon([_reduce(k, s_basis) for k in job.translations])), dtype=np.uint32)
+    cosets = np.array(_span_points(_echelon([_reduce(k, s_basis) for k in job.translations]))
+                      if every else [0], dtype=np.uint32)
     # section states are zero at K's pivots, among them S's, so reduce_S
     # only acts on the potential
     state_tables = _byte_tables(job.basis)
@@ -321,13 +329,39 @@ def _lift(job: _StratumJob, levels, cycles: list[int]) -> list[tuple[int, int]]:
             a = (_apply_tables(state_tables, states[start:start + rows])
                  ^ _apply_tables(pot_tables, pots[start:start + rows]) ^ job.offset)
             np.minimum(best, (a[:, None] ^ cosets).min(axis=0), out=best)
-    reps = [int(r) for r in best]
-    for rep in reps:
+    size = base_size << len(s_basis)
+    out = []
+    for rep in best.tolist():
         z = _compact(job, _reduce(rep, job.translations))
         if not any(bool((states == z).any()) for states, _ in levels):
             raise AssertionError("lifted representative leaves its base orbit")
-    size = base_size << len(s_basis)
-    return [(rep, size) for rep in reps]
+        out.append((rep, size))
+    return out
+
+
+def _search(job: _StratumJob):
+    """(visited, gens) for searching the job: an empty visited map with
+    room for the potentials, and the generators as numpy scalars."""
+    visited = np.zeros(1 << job.compact_dim, dtype=_tag_dtype(len(job.translations)))
+    return visited, _np_gens(job.gens, visited.dtype.type)
+
+
+def _component(job: _StratumJob, seed: int, visited, gens,
+               pot: Optional[int] = None) -> list[tuple[int, int]]:
+    """Flood the base orbit of compact seed and lift it: every orbit over
+    it as (representative, size), or with pot given as the seed's
+    K-potential, only the orbit that holds section(seed) ^ pot.
+
+    Without translations there is one orbit, and its representative is
+    the flood's minimum.
+    """
+    kdim = len(job.translations)
+    if not kdim:
+        low, size, _ = _bfs_component(seed, gens, visited)
+        return [(job.offset ^ _combine(low, job.basis), size)]
+    span = _Span(kdim)
+    _, _, levels = _bfs_component(seed, gens, visited, span, pot or 0)
+    return _lift(job, levels, span.basis, every=pot is None)
 
 
 def _run_stratum_job(job: _StratumJob) -> list[tuple[int, int]]:
@@ -335,27 +369,19 @@ def _run_stratum_job(job: _StratumJob) -> list[tuple[int, int]]:
 
     Seeds are scanned in ascending compact order.  Without translations
     the seed is the orbit minimum, because every smaller state is already
-    visited, and the flood's explicit minimum confirms it; with them each
-    base orbit is lifted.
+    visited, and the flood's explicit minimum confirms it.
     """
-    kdim = len(job.translations)
-    total = 1 << job.compact_dim
-    visited = np.zeros(total, dtype=_tag_dtype(kdim))
-    gens = _np_gens(job.gens, visited.dtype.type)
+    visited, gens = _search(job)
     rows = []
     cursor = 0
-    while cursor < total:
+    while cursor < visited.size:
         seed = cursor + int(visited[cursor:].argmin())
         if visited[seed]:
             break
-        span = _Span(kdim) if kdim else None
-        low, size, levels = _bfs_component(seed, gens, visited, span)
-        if span is None:
-            if low != seed:
-                raise AssertionError("ascending seed scan lost the orbit minimum")
-            rows.append((job.offset ^ _combine(seed, job.basis), size))
-        else:
-            rows.extend(_lift(job, levels, span.basis))
+        orbits = _component(job, seed, visited, gens)
+        if not job.translations and orbits[0][0] != job.offset ^ _combine(seed, job.basis):
+            raise AssertionError("ascending seed scan lost the orbit minimum")
+        rows.extend(orbits)
         cursor = seed + 1
     return rows
 
@@ -394,10 +420,8 @@ def _family(spec):
     _check_dim(dim)
     if isinstance(spec, ActionSpec):
         masks = generator_masks(spec)
-        if spec.kind in (ActionKind.FIRST, ActionKind.SECOND):
-            functionals = height_functionals(spec)
-        else:
-            functionals = []
+        functionals = (height_functionals(spec)
+                       if spec.kind in (ActionKind.FIRST, ActionKind.SECOND) else [])
         return dim, masks, functionals, spec.describe(), spec.n, spec.kind.value
     return dim, spec.masked_generators(), [], spec.describe(), None, None
 
@@ -435,55 +459,43 @@ def enumerate_orbits(spec, workers: Optional[int] = None) -> OrbitCensus:
     return _census(spec, workers)
 
 
-def _census(spec, workers: Optional[int] = None, translations=None) -> OrbitCensus:
-    """enumerate_orbits lifting through the given translations (see _lift_plan)."""
-    dim, masks, functionals, descriptor, n, kind = _family(spec)
-    translations, base = _lift_plan(dim, masks, translations)
-    jobs = _build_stratum_jobs(dim, masks, base, translations)
-    rows = _run_jobs(jobs, workers or _default_workers())
-    return OrbitCensus(descriptor, n, kind, dim, 1 << dim, _records(dim, functionals, rows))
-
-
-def _stratum_spec_check(spec: ActionSpec, height: F2Vector) -> list[int]:
-    functionals = height_functionals(spec)
-    if spec.kind not in (ActionKind.FIRST, ActionKind.SECOND):
-        raise ValueError(f"{spec.kind.value} has no height decomposition")
-    if height.dim != len(functionals):
-        raise ValueError(
-            f"height length {height.dim} does not match {len(functionals)} "
-            f"for {spec.kind.value}, n={spec.n}")
-    return functionals
-
-
 def enumerate_stratum(spec: ActionSpec, height: F2Vector,
                       workers: Optional[int] = None) -> OrbitCensus:
-    """Census restricted to the stratum at the given height."""
-    del workers  # a single stratum is one job
-    return _stratum_census(spec, height)
+    """Census restricted to the stratum at the given height.
 
-
-def _stratum_census(spec: ActionSpec, height: F2Vector, translations=None) -> OrbitCensus:
-    """enumerate_stratum lifting through the given translations.
-
-    The base functionals lie in the span of the height functionals, so
-    the stratum sits inside one stratum of V/K; that one is lifted and
-    its orbits are filtered by height.
+    The stratum lies in one stratum of V/K, which is searched and lifted
+    as one job; its orbits are filtered by height.
     """
-    dim = spec.state_dim
-    _check_dim(dim)
-    functionals = _stratum_spec_check(spec, height)
-    masks = generator_masks(spec)
+    return _census(spec, workers, height)
+
+
+def _census(spec, workers: Optional[int] = None, height: Optional[F2Vector] = None,
+            translations=None) -> OrbitCensus:
+    """The census of the whole space, or of one height stratum, lifting
+    through the given translations (see _lift_plan).
+
+    The base functionals lie in the span of the height functionals, so a
+    height stratum sits inside one stratum of V/K.
+    """
+    dim, masks, functionals, descriptor, n, kind = _family(spec)
+    t = len(functionals)
     translations, base = _lift_plan(dim, masks, translations)
-    if _rank(functionals + base, dim) != len(functionals):
-        raise AssertionError("a height stratum straddles several strata of V/K")
-    point = _solve(functionals, height.bits)
-    job = _stratum_job(dim, masks, base, translations, _evaluate(point, base))
-    rows = [(rep, size) for rep, size in _run_stratum_job(job)
-            if _evaluate(rep, functionals) == height.bits]
-    return OrbitCensus(
-        f"{spec.describe()}, height {height.to_string()}",
-        spec.n, spec.kind.value, dim, 1 << (dim - len(functionals)),
-        _records(dim, functionals, rows))
+    if height is None:
+        jobs, total = _build_stratum_jobs(dim, masks, base, translations), 1 << dim
+    else:
+        if not t:
+            raise ValueError(f"{kind or descriptor} has no height decomposition")
+        if height.dim != t:
+            raise ValueError(f"height length {height.dim} does not match {t} "
+                             f"for {kind}, n={n}")
+        if _rank(functionals + base, dim) != t:
+            raise AssertionError("a height stratum straddles several strata of V/K")
+        point = _solve(functionals, height.bits)
+        jobs = [_stratum_job(dim, masks, base, translations, _evaluate(point, base))]
+        total, descriptor = 1 << (dim - t), f"{descriptor}, height {height.to_string()}"
+    rows = [(rep, size) for rep, size in _run_jobs(jobs, workers or _default_workers())
+            if height is None or _evaluate(rep, functionals) == height.bits]
+    return OrbitCensus(descriptor, n, kind, dim, total, _records(dim, functionals, rows))
 
 
 def _state_bits(state) -> int:
@@ -496,37 +508,22 @@ def _state_bits(state) -> int:
 
 
 def orbit_of(spec, state) -> OrbitRecord:
-    """The orbit record containing ``state``.
+    """The orbit record containing ``state``, as the census reports it.
 
-    Small orbits are closed over a plain hash set; past the size limit,
-    the search falls back to the vectorized engine on the state's stratum
-    (the whole space when there is no height decomposition).
+    The one search of the census: the base orbit of the state's
+    projection to V/K is flooded in the job of its stratum, seeded with
+    the state's K-component as its potential, and only the orbit that
+    holds the state is lifted.
     """
     dim, masks, functionals, _, _, _ = _family(spec)
     start = _state_bits(state)
     if not 0 <= start < (1 << dim):
         raise ValueError(f"state 0x{start:x} out of range for dim {dim}")
-    seen = {start}
-    frontier = [start]
-    while frontier and len(seen) <= _SMALL_ORBIT_LIMIT:
-        nxt = []
-        for x in frontier:
-            for cond, foot in masks:
-                y = x ^ foot if _parity(x & cond) else x
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    hbits = _evaluate(start, functionals)
-    height = F2Vector(len(functionals), hbits) if functionals else None
-    if not frontier:
-        return OrbitRecord(F2Vector(dim, min(seen)), len(seen), height=height)
-    # big orbit: rerun vectorized in the compact coordinates of its stratum
-    job = _stratum_job(dim, masks, functionals, (), hbits)
-    visited = np.zeros(1 << job.compact_dim, dtype=np.uint8)
-    low, size, _ = _bfs_component(_compact(job, start), _np_gens(job.gens), visited)
-    return OrbitRecord(F2Vector(dim, job.offset ^ _combine(low, job.basis)), size,
-                       height=height)
+    translations, base = _lift_plan(dim, masks)
+    job = _stratum_job(dim, masks, base, translations, _evaluate(start, base))
+    seed = _compact(job, _reduce(start, translations))
+    pot = _evaluate(start, [1 << (k.bit_length() - 1) for k in translations])
+    return _records(dim, functionals, _component(job, seed, *_search(job), pot))[0]
 
 
 def attach_labels(census: OrbitCensus, labels: dict[int, str]) -> OrbitCensus:

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from f2orbits import lattice, orbits
+from f2orbits import cli, lattice, orbits
 from f2orbits.cli import main
 from f2orbits.lattice import hex_lattice_graph
 
@@ -97,6 +97,22 @@ class TestGuardsComeFirst:
         assert time.perf_counter() - t0 < 1.0
         assert code == 3 and err.startswith("refused:") and "MiB" in err
 
+    @pytest.mark.parametrize("command", ["patterns", "arf"])
+    @pytest.mark.parametrize("n", ["65", "150", "100000"])
+    def test_oversize_order_refused_fast(self, capsys, monkeypatch, command, n):
+        for name in ("pattern_E", "pattern_R", "pattern_P", "pattern_Ptilde",
+                     "hex_graph", "hex_lattice_graph", "build"):
+            self._forbid(monkeypatch, cli, name)
+        t0 = time.perf_counter()
+        code, _, err = run(capsys, command, "--n", n)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 3 and err.startswith("refused:") and "vertices" in err
+
+    def test_order_limit_is_the_vertex_limit(self):
+        cli._check_order(64)  # 2016 vertices
+        with pytest.raises(orbits.EnumerationGuardError):
+            cli._check_order(65)  # 2080 vertices
+
 
 class TestVerify:
     def test_first_n5_passes(self, capsys):
@@ -164,6 +180,11 @@ class TestPatterns:
         assert code == 0
         assert "P_4 " in out
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_nonpositive_order_is_a_usage_error(self, capsys, n):
+        code, out, err = run(capsys, "patterns", "--n", n)
+        assert code == 2 and out == "" and "n >= 1" in err
+
 
 class TestArf:
     @pytest.mark.parametrize("n,word", [(3, "Arf1"), (5, "Arf0"), (6, "KernelNonzero")])
@@ -174,6 +195,11 @@ class TestArf:
     def test_brute_match_reported(self, capsys):
         code, out, _ = run(capsys, "arf", "--n", "5")
         assert code == 0 and "(match)" in out
+
+    @pytest.mark.parametrize("n,least", [("0", 1), ("-3", 1), ("1", 2)])
+    def test_small_order_is_a_usage_error(self, capsys, n, least):
+        code, out, err = run(capsys, "arf", "--n", n)
+        assert code == 2 and out == "" and f"n >= {least}" in err
 
 
 class TestDeterminism:

@@ -3,6 +3,8 @@ into genuinely closed classes, representatives are minima, and the
 single-orbit query agrees with the full census on every path."""
 
 import json
+import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,8 +25,9 @@ def small_lattices(draw):
     return build(graph, subset)
 
 
-def union_find_orbits(spec) -> list[tuple[int, int]]:
-    """(minimum, size) of every orbit, by union-find over the generator edges."""
+def union_find_classes(spec) -> list[list[int]]:
+    """Every orbit as its ascending members, by union-find over the
+    generator edges."""
     dim = spec.state_dim
     gens = spec.masked_generators()
     labels = list(range(1 << dim))
@@ -44,7 +47,12 @@ def union_find_orbits(spec) -> list[tuple[int, int]]:
     classes = {}
     for x in range(1 << dim):
         classes.setdefault(find(x), []).append(x)
-    return sorted((min(v), len(v)) for v in classes.values())
+    return list(classes.values())
+
+
+def union_find_orbits(spec) -> list[tuple[int, int]]:
+    """(minimum, size) of every orbit, by union-find over the generator edges."""
+    return sorted((v[0], len(v)) for v in union_find_classes(spec))
 
 
 def translation_dim(spec) -> int:
@@ -110,9 +118,21 @@ def test_orbit_of_agrees_with_census(spec, raw_state):
     assert match[0].cardinality == rec.cardinality
 
 
+@settings(max_examples=60, deadline=None)
+@given(lattices_with_translations(), st.integers(min_value=0))
+def test_orbit_of_any_member_matches_union_find(spec, raw_state):
+    # every member of a lifted orbit, not only its representative, maps to
+    # its class: orbits over one base orbit share a size, so a wrong coset
+    # would show only in the representative
+    state = raw_state % (1 << spec.state_dim)
+    members = next(v for v in union_find_classes(spec) if state in v)
+    rec = orbit_of(spec, state)
+    assert (rec.representative.bits, rec.cardinality) == (members[0], len(members))
+
+
 def test_orbit_of_whole_space_fallback():
-    # the big orbit of this space exceeds the hash-set limit, forcing the
-    # vectorized whole-space path (lattices carry no height decomposition)
+    # a big orbit of a lattice (no height decomposition, dim K >= 1): the
+    # query floods its base orbit of V/K and lifts it
     spec = build(hex_lattice_graph(7))
     assert spec.state_dim == 21
     rec = orbit_of(spec, 1 << 9)
@@ -128,3 +148,32 @@ def test_lattice_census_json_has_null_action_fields():
     assert doc["n"] is None and doc["kind"] is None
     assert doc["total_states"] == 64
     assert all(o["height_bits"] is None for o in doc["orbits"])
+
+
+def generator_closure(spec, state: int) -> list[int]:
+    """The orbit of one state as its ascending members, by a set search
+    over the generator edges."""
+    seen, todo = {state}, [state]
+    while todo:
+        x = todo.pop()
+        for cond, foot in spec.masked_generators():
+            if _parity(x & cond) and x ^ foot not in seen:
+                seen.add(x ^ foot)
+                todo.append(x ^ foot)
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("subset", [[0], [4], [0, 1, 2], [3, 9, 17]])
+def test_orbit_of_small_orbit_under_large_translation_group(subset):
+    # 28 vertices and a few generators leave dim K >= 25: the query lifts
+    # only the state's own orbit, not one per coset of S in K
+    spec = build(hex_lattice_graph(8), subset)
+    assert spec.state_dim == 28 and translation_dim(spec) >= 28 - len(subset)
+    rng = random.Random(7)
+    states = [0, 1, (1 << 28) - 1] + [rng.getrandbits(28) for _ in range(20)]
+    t0 = time.perf_counter()
+    got = [orbit_of(spec, x) for x in states]
+    assert time.perf_counter() - t0 < 2.0
+    for x, rec in zip(states, got):
+        members = generator_closure(spec, x)
+        assert (rec.representative.bits, rec.cardinality) == (members[0], len(members))

@@ -11,7 +11,7 @@ from f2orbits.lattice import (Graph, NonspecialityUnknown, _closure_bitmap, buil
                               e6_graph, hex_lattice_graph,
                               induced_basis_graph, parse_graph_file,
                               predict_census_nonspecial)
-from f2orbits.orbits import enumerate_orbits, orbit_of
+from f2orbits.orbits import EnumerationGuardError, enumerate_orbits, orbit_of
 
 
 def triangle() -> Graph:
@@ -219,3 +219,26 @@ class TestGraphFile:
     def test_malformed_rejected(self, text):
         with pytest.raises(ValueError):
             parse_graph_file(text)
+
+
+def _parse_outcome(text):
+    try:
+        return parse_graph_file(text).basis_subset
+    except (ValueError, EnumerationGuardError) as exc:
+        return type(exc)
+
+
+_SOUP = st.one_of(st.integers(-3, 40).map(str), st.text(max_size=3),
+                  st.sampled_from(["B", "b", "B:", "b:", ":", "B::", "#", "0x1", "1e3",
+                                   "99999", "+2", "1_0", "B:0"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(_SOUP, max_size=4).map(" ".join), max_size=6),
+       st.lists(st.integers(-1, 3).map(str), max_size=4))
+def test_graph_file_token_soup(lines, vertices):
+    # anything else escaping is a parser bug: only these two may
+    _parse_outcome("\n".join(lines))
+    spellings = {_parse_outcome(f"3 1\n0 1\n{marker} {' '.join(vertices)}\n")
+                 for marker in ("B:", "B", "B :", "b:")}
+    assert len(spellings) == 1

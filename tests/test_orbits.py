@@ -96,8 +96,8 @@ class TestOrbitOf:
         assert rec.height is not None and rec.height.bits != 0
 
     def test_large_orbit_fallback(self):
-        # n=6 second: orbit of size 4096 exceeds the hash-set limit? it does not;
-        # force the vectorized path with the big first-action orbit instead
+        # the big first-action orbit: its query floods a whole base orbit of
+        # V/K and lifts it, and must agree with the stratum census
         spec = ActionSpec(6, ActionKind.FIRST)
         m = TriMatrix.from_cells(6, [(1, 2)])
         rec = orbit_of(spec, m)
@@ -206,7 +206,7 @@ class TestLiftCrossCheck:
         spec = ActionSpec(5, ActionKind.FIRST)
         for h in range(1 << 5):
             height = F2Vector(5, h)
-            assert orbits._stratum_census(spec, height, translations=()).to_json() == \
+            assert orbits._census(spec, 1, height, translations=()).to_json() == \
                 enumerate_stratum(spec, height).to_json()
 
     @pytest.mark.parametrize("kind", [ActionKind.FIRST, ActionKind.SECOND_CONJUGATE])
@@ -232,8 +232,8 @@ class TestSingleJob:
         real = orbits._stratum_job
 
         def counting(*args):
-            built.append(args[-1])
-            return real(*args)
+            built.append(real(*args))
+            return built[-1]
 
         monkeypatch.setattr(orbits, "_stratum_job", counting)
         return built
@@ -247,3 +247,10 @@ class TestSingleJob:
         built = self._count_jobs(monkeypatch)
         rec = orbit_of(ActionSpec(7, ActionKind.SECOND), TriMatrix.from_cells(6, [(1, 2)]))
         assert rec.cardinality > 1 << 16 and len(built) == 1
+
+    def test_orbit_of_searches_one_base_stratum(self, monkeypatch):
+        # first n=7, dim K = 7: the query searches the one 2^18 base stratum
+        # of V/K that holds the state, not its 2^21 height stratum of V
+        built = self._count_jobs(monkeypatch)
+        orbit_of(ActionSpec(7, ActionKind.FIRST), TriMatrix.from_cells(7, [(1, 2)]))
+        assert [j.compact_dim for j in built] == [18]
