@@ -6,7 +6,7 @@ and compares the predicted nonspecial census with exhaustive
 enumeration.  Run:  python demos/graph_lattices.py
 """
 
-from f2orbits import (Graph, build, check_vanishing, contains_e6,
+from f2orbits import (F2Vector, Graph, build, check_vanishing, contains_e6,
                       delta_closure, e6_graph, enumerate_orbits,
                       hex_lattice_graph, parse_graph_file,
                       predict_census_nonspecial)
@@ -15,7 +15,8 @@ from f2orbits.lattice import NonspecialityUnknown
 print("=== A triangle: the smallest interesting lattice ===")
 tri = build(Graph.from_edge_list(3, [(0, 1), (1, 2), (0, 2)]))
 dc = delta_closure(tri)
-print(f"closure of the basis vectors: {sorted(v.to_string() for v in dc.vectors)}")
+members = [F2Vector(tri.state_dim, s) for s in dc.vectors.tolist()]
+print(f"closure of the basis vectors: {sorted(v.to_string() for v in members)}")
 print(f"single orbit: {dc.single_orbit}")
 print(f"vanishing-lattice conditions: {check_vanishing(tri)}")
 print(f"induced E6: {contains_e6(tri.graph)} -> no census prediction licensed")

@@ -91,30 +91,24 @@ def _first_masks(spec: ActionSpec, g: Generator) -> tuple[int, int]:
     return cond, shape.mask_of(foot_cells)
 
 
-def _second_cells(spec: ActionSpec, g: Generator) -> tuple[int, int]:
-    graph = hex_graph(spec.n)
-    idx = graph.shape.index(g.i, g.j)
-    return 1 << idx, graph.neighbor_masks[idx]
-
-
 def generator_masks(spec: ActionSpec) -> list[tuple[int, int]]:
     """(condition, footprint) mask pairs, one per generator, in order.
 
     apply(g, M): if parity(M & condition) is odd, xor the footprint in.
     The conjugate kinds swap the two masks of their base kind.
     """
+    graph = None if spec.kind.is_first else hex_graph(spec.n)
     out = []
     for g in generators(spec):
-        if spec.kind.is_first:
+        if graph is None:
             cond, foot = _first_masks(spec, g)
             if spec.kind is ActionKind.FIRST_CONJUGATE:
                 cond, foot = foot, cond
         else:
-            single, neighbors = _second_cells(spec, g)
-            if spec.kind is ActionKind.SECOND:
-                cond, foot = single, neighbors
-            else:
-                cond, foot = neighbors, single
+            idx = graph.shape.index(g.i, g.j)
+            cond, foot = 1 << idx, graph.neighbor_masks[idx]
+            if spec.kind is ActionKind.SECOND_CONJUGATE:
+                cond, foot = foot, cond
         out.append((cond, foot))
     return out
 

@@ -121,34 +121,43 @@ def build(graph: Graph, basis_subset=None) -> LatticeSpec:
     return LatticeSpec(graph, subset)
 
 
-def _closure_bitmap(spec: LatticeSpec) -> tuple[np.ndarray, bool]:
-    """Visited map of the union of the basis vectors' orbits, and whether
-    that is one orbit: the flood from the first basis vector reaches
-    every other."""
+def _closure_bitmap(spec: LatticeSpec) -> np.ndarray:
+    """Visited map of the closure: the union of the basis vectors' orbits."""
     _check_dim(spec.state_dim)
     gens = _np_gens([(c, f, 0, 0) for c, f in spec.masked_generators()])
     visited = np.zeros(1 << spec.state_dim, dtype=np.uint8)
-    floods = 0
     for b in spec.basis_subset:
         if not visited[1 << b]:
             _bfs_component(1 << b, gens, visited)
-            floods += 1
-    return visited, floods == 1
+    return visited
+
+
+def _connected(graph: Graph) -> bool:
+    """Whether the graph is connected; the flood takes each vertex once."""
+    reached = todo = 1
+    while todo:
+        v = todo.bit_length() - 1
+        todo ^= 1 << v
+        fresh = graph.neighbor_masks[v] & ~reached
+        reached |= fresh
+        todo |= fresh
+    return reached == (1 << graph.vertex_count) - 1
 
 
 @dataclass(frozen=True)
 class DeltaClosure:
-    vectors: frozenset[F2Vector]
+    """The closure's packed states as a sorted, read-only ``np.uint32``
+    array, and whether they form a single orbit."""
+
+    vectors: np.ndarray
     single_orbit: bool
 
 
 def delta_closure(spec: LatticeSpec) -> DeltaClosure:
-    """The closure of the basis vertices under the transvection group,
-    plus whether it forms a single orbit."""
-    visited, single = _closure_bitmap(spec)
-    dim = spec.state_dim
-    members = frozenset(F2Vector(dim, int(s)) for s in np.flatnonzero(visited))
-    return DeltaClosure(members, single)
+    """The closure of the basis vertices under the transvection group."""
+    vectors = np.flatnonzero(_closure_bitmap(spec)).astype(np.uint32)
+    vectors.flags.writeable = False
+    return DeltaClosure(vectors, _connected(induced_basis_graph(spec)))
 
 
 @dataclass(frozen=True)
@@ -166,31 +175,19 @@ class VanishingReport:
 
 def check_vanishing(spec: LatticeSpec) -> VanishingReport:
     """Check: the closure is one orbit, it spans the space, and it
-    contains a non-orthogonal pair (vacuous in dimension 1)."""
-    closure, orbit_ok = _closure_bitmap(spec)
-    dim = spec.state_dim
-    states = np.flatnonzero(closure)
-    # the closure lies in span{e_b : b in B} and contains every e_b
-    generates_ok = len(spec.basis_subset) == dim
-    if dim <= 1:
-        pair_ok = True
-    else:
-        pair_ok = _has_coupled_pair(spec, states)
-    return VanishingReport(orbit_ok, generates_ok, pair_ok)
+    contains a non-orthogonal pair (vacuous in dimension 1).
 
-
-def _has_coupled_pair(spec: LatticeSpec, states: np.ndarray) -> bool:
-    # adjacent basis vertices couple; scan them first, then everything
-    for u, v in spec.graph.edges:
-        if u in spec.basis_subset and v in spec.basis_subset:
-            return True
-    form = spec.form
-    states32 = states.astype(np.uint32)
-    for s in states32:
-        mask = form.pairing_mask(int(s))
-        if mask and bool(np.any(np.bitwise_count(states32 & np.uint32(mask)) & 1)):
-            return True
-    return False
+    All three are read off the graph induced on B.  For adjacent b and
+    c, t_c takes e_b to e_b + e_c and t_b takes that to e_c, so one
+    component of B lies in one orbit; the orbit of e_b stays in the span
+    of its own component, so components give different orbits.  The
+    closure holds every e_b and lies in their span.  Without an edge
+    inside B every e_b is fixed and the closure is pairwise orthogonal.
+    """
+    basis_graph = induced_basis_graph(spec)
+    return VanishingReport(_connected(basis_graph),
+                           len(spec.basis_subset) == spec.state_dim,
+                           spec.state_dim <= 1 or bool(basis_graph.edges))
 
 
 def contains_e6(graph: Graph) -> bool:

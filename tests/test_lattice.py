@@ -1,11 +1,14 @@
 """Graph-driven transvection groups: closures, the lattice conditions,
 E6 detection, and the nonspecial census oracle."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from f2orbits.f2la import _rank, q_eval
+from f2orbits import lattice
+from f2orbits.f2la import _rank
 from f2orbits.lattice import (Graph, NonspecialityUnknown, _closure_bitmap, build,
                               check_vanishing, contains_e6, delta_closure,
                               e6_graph, hex_lattice_graph,
@@ -54,32 +57,32 @@ class TestDeltaClosure:
     def test_triangle(self):
         dc = delta_closure(build(triangle()))
         # exactly the six vectors where q = 1 (weights 1 and 2)
-        assert sorted(v.bits for v in dc.vectors) == [1, 2, 3, 4, 5, 6]
+        assert dc.vectors.tolist() == [1, 2, 3, 4, 5, 6]
         assert dc.single_orbit
 
     def test_single_vertex(self):
         dc = delta_closure(build(Graph.from_edge_list(1, [])))
-        assert sorted(v.bits for v in dc.vectors) == [1]
+        assert dc.vectors.tolist() == [1]
         assert dc.single_orbit
 
     def test_hex_n4_links_all_basis_vectors(self):
         spec = build(hex_lattice_graph(4))
         dc = delta_closure(spec)
-        members = {v.bits for v in dc.vectors}
+        members = set(dc.vectors.tolist())
         assert dc.single_orbit
         assert all((1 << b) in members for b in range(6))
 
     def test_separate_fixed_basis_vectors(self):
         # e0 and e2 are even against both conditions (e1 and 0): two fixed points
         dc = delta_closure(build(Graph.from_edge_list(3, [(0, 1)]), [0, 2]))
-        assert sorted(v.bits for v in dc.vectors) == [1, 4]
+        assert dc.vectors.tolist() == [1, 4]
         assert dc.single_orbit is False
 
     def test_closure_stays_inside_q1(self):
         spec = build(hex_lattice_graph(4))
         space = spec.qspace
-        for v in delta_closure(spec).vectors:
-            assert q_eval(space, v) == 1
+        for s in delta_closure(spec).vectors.tolist():
+            assert space.q_bits(s) == 1
 
 
 class TestCheckVanishing:
@@ -101,6 +104,16 @@ class TestCheckVanishing:
         report = check_vanishing(spec)
         assert not report.generates_ok
 
+    @pytest.mark.parametrize("n", range(9, 13))
+    def test_large_hex_families_without_a_flood(self, n, monkeypatch):
+        # 36 to 66 vertices: far past the enumeration guard
+        def boom(spec):
+            raise AssertionError("check_vanishing flooded the closure")
+        monkeypatch.setattr(lattice, "_closure_bitmap", boom)
+        start = time.perf_counter()
+        assert check_vanishing(build(hex_lattice_graph(n))).is_vanishing_lattice
+        assert time.perf_counter() - start < 1.0
+
 
 @st.composite
 def graphs_with_subsets(draw):
@@ -115,7 +128,7 @@ def graphs_with_subsets(draw):
 @settings(max_examples=80, deadline=None)
 @given(graphs_with_subsets())
 def test_generates_ok_is_the_rank_of_the_closure(spec):
-    states = [int(s) for s in np.flatnonzero(_closure_bitmap(spec)[0])]
+    states = [int(s) for s in np.flatnonzero(_closure_bitmap(spec))]
     spans = _rank(states, spec.state_dim) == spec.state_dim
     assert check_vanishing(spec).generates_ok == spans
 
@@ -126,6 +139,21 @@ def test_single_orbit_agrees_with_orbit_queries(spec):
     reps = {orbit_of(spec, 1 << b).representative for b in spec.basis_subset}
     assert delta_closure(spec).single_orbit is (len(reps) == 1)
     assert check_vanishing(spec).orbit_ok is (len(reps) == 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_with_subsets())
+def test_graph_conditions_match_the_closure(spec):
+    # the reference scan: some closure states s, t with <s, t> = 1
+    states = np.flatnonzero(_closure_bitmap(spec)).astype(np.uint32)
+    coupled = any(np.any(np.bitwise_count(states & np.uint32(spec.form.pairing_mask(int(s)))) & 1)
+                  for s in states)
+    assert check_vanishing(spec).pair_ok is (spec.state_dim <= 1 or coupled)
+    sizes = {}
+    for b in spec.basis_subset:
+        record = orbit_of(spec, 1 << b)
+        sizes[record.representative] = record.cardinality
+    assert len(delta_closure(spec).vectors) == sum(sizes.values())
 
 
 class TestE6Detection:

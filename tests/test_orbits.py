@@ -6,7 +6,7 @@ import pytest
 from f2orbits import orbits
 from f2orbits.f2la import F2Vector
 from f2orbits.actions import ActionKind, ActionSpec, generator_masks, height_first
-from f2orbits.lattice import Graph, LatticeSpec, build, hex_lattice_graph
+from f2orbits.lattice import Graph, LatticeSpec, build, delta_closure, hex_lattice_graph
 from f2orbits.orbits import (EnumerationGuardError, enumerate_orbits,
                              enumerate_stratum, orbit_of)
 from f2orbits.tri import TriMatrix, pattern_E, phi_star
@@ -131,7 +131,8 @@ class TestGuards:
                  lambda: enumerate_stratum(spec, F2Vector(150, 0)),
                  lambda: orbit_of(spec, 0),
                  lambda: enumerate_orbits(big_graph),
-                 lambda: orbit_of(big_graph, 1)]
+                 lambda: orbit_of(big_graph, 1),
+                 lambda: delta_closure(big_graph)]
         for call in calls:
             with pytest.raises(EnumerationGuardError):
                 call()
