@@ -58,6 +58,12 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
+def _status(text: str, out_path) -> None:
+    """A status line: on stdout beside an output file, on stderr when the
+    document itself goes to stdout."""
+    print(text, file=sys.stdout if out_path else sys.stderr)
+
+
 def cmd_census(args) -> int:
     spec = ActionSpec(args.n, ActionKind.parse(args.action))
     t0 = time.perf_counter()
@@ -68,7 +74,8 @@ def cmd_census(args) -> int:
         census = enumerate_orbits(spec, workers=args.threads)
     elapsed = time.perf_counter() - t0
     _emit(_render(census, args.format), args.out)
-    print(f"orbits={census.orbit_count} states={census.total_states} elapsed={elapsed:.2f}")
+    _status(f"orbits={census.orbit_count} states={census.total_states} elapsed={elapsed:.2f}",
+            args.out)
     return EXIT_OK
 
 
@@ -93,16 +100,17 @@ def cmd_graph(args) -> int:
     census = enumerate_orbits(spec, workers=args.threads)
     elapsed = time.perf_counter() - t0
     _emit(_render(census, args.format), args.out)
-    print(f"orbits={census.orbit_count} states={census.total_states} elapsed={elapsed:.2f}")
+    _status(f"orbits={census.orbit_count} states={census.total_states} elapsed={elapsed:.2f}",
+            args.out)
     try:
         pred = predict_census_nonspecial(spec)
-    except NonspecialityUnknown:
-        print("prediction: not licensed (no induced E6 in the generating subset's graph)")
+    except NonspecialityUnknown as exc:
+        _status(f"prediction: not licensed ({exc})", args.out)
         return EXIT_OK
     same = ([(r.representative.bits, r.cardinality) for r in pred.records]
             == [(r.representative.bits, r.cardinality) for r in census.records])
-    print(f"prediction: {pred.orbit_count} orbits (2^kappa+2); "
-          f"{'matches enumeration' if same else 'MISMATCH'}")
+    _status(f"prediction: {pred.orbit_count} orbits (2^kappa+2); "
+            f"{'matches enumeration' if same else 'MISMATCH'}", args.out)
     return EXIT_OK if same else EXIT_DIFF
 
 
@@ -182,32 +190,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Orbit censuses of transvection-style actions on F2 triangular spaces")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, action=True, n_required=True):
-        if action:
-            p.add_argument("--action", default="first",
-                           choices=[k.value for k in ActionKind])
-        p.add_argument("--n", type=int, required=n_required)
+    def common(p):
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--format", default="table", choices=["json", "csv", "table"])
         p.add_argument("--threads", type=_worker_count, default=None,
                        help="worker count, at least 1 (default: available parallelism)")
 
+    def action_spec(p):
+        p.add_argument("--action", default="first", choices=[k.value for k in ActionKind])
+        p.add_argument("--n", type=int, required=True)
+        common(p)
+
     p_census = sub.add_parser("census", help="enumerate a full census or one stratum")
-    common(p_census)
+    action_spec(p_census)
     p_census.add_argument("--height", default=None,
                           help="height bits (restricts to one stratum)")
     p_census.set_defaults(func=cmd_census)
 
     p_verify = sub.add_parser("verify", help="diff enumeration against the closed form")
-    common(p_verify)
+    action_spec(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_graph = sub.add_parser("graph", help="census of a transvection group from a graph file")
     p_graph.add_argument("--input", required=True)
-    p_graph.add_argument("--out", default=None)
-    p_graph.add_argument("--format", default="table", choices=["json", "csv", "table"])
-    p_graph.add_argument("--threads", type=_worker_count, default=None,
-                         help="worker count, at least 1 (default: available parallelism)")
+    common(p_graph)
     p_graph.set_defaults(func=cmd_graph)
 
     p_pat = sub.add_parser("patterns", help="dump the invariant patterns as 0/1 grids")

@@ -12,7 +12,7 @@ group without enumerating it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import combinations
 from typing import Optional
@@ -21,7 +21,7 @@ import numpy as np
 
 from .f2la import (BilinearForm, F2Vector, QuadraticSpace, _span_points,
                    value_counts_closed)
-from .orbits import OrbitCensus, OrbitRecord, _bfs_component, _check_dim, _np_gens
+from .orbits import OrbitCensus, OrbitRecord, _Span, _bfs_component, _check_dim, _np_gens
 from .tri import HexGraph, hex_graph
 
 
@@ -124,11 +124,11 @@ def build(graph: Graph, basis_subset=None) -> LatticeSpec:
 def _closure_bitmap(spec: LatticeSpec) -> np.ndarray:
     """Visited map of the closure: the union of the basis vectors' orbits."""
     _check_dim(spec.state_dim)
-    gens = _np_gens([(c, f, 0, 0) for c, f in spec.masked_generators()])
+    gens = _np_gens([(c, f, 0) for c, f in spec.masked_generators()])
     visited = np.zeros(1 << spec.state_dim, dtype=np.uint8)
     for b in spec.basis_subset:
         if not visited[1 << b]:
-            _bfs_component(1 << b, gens, visited)
+            _bfs_component(1 << b, gens, visited, _Span(0))
     return visited
 
 
@@ -233,22 +233,26 @@ def induced_basis_graph(spec: LatticeSpec) -> Graph:
 
 
 class NonspecialityUnknown(RuntimeError):
-    """The E6 sufficient condition failed; no census prediction is licensed."""
+    """The vanishing-lattice conditions or the E6 sufficient condition
+    failed; no census prediction is licensed."""
 
 
 def predict_census_nonspecial(spec: LatticeSpec) -> OrbitCensus:
     """Predicted census for a nonspecial transvection group.
 
-    Requires the E6 criterion on the graph of the generating subset.  The
-    orbits are the 2^kappa kernel points as singletons plus the two level
+    Requires a vanishing lattice (check_vanishing) and the E6 criterion
+    on the graph of the generating subset, the hypotheses under which the
+    group is nonspecial.  The orbits are the 2^kappa kernel points as singletons plus the two level
     sets of q off the kernel; the two big representatives are found by
     ascending scan, so the whole census is exactly comparable with the
     enumerated one.
     """
+    report = check_vanishing(spec)
+    if not report.is_vanishing_lattice:
+        failed = [f.name for f in fields(report) if not getattr(report, f.name)]
+        raise NonspecialityUnknown(f"not a vanishing lattice: {', '.join(failed)} false")
     if not contains_e6(induced_basis_graph(spec)):
-        raise NonspecialityUnknown(
-            "the generating subset's graph has no induced E6 tree; "
-            "nonspeciality is not established and no prediction is licensed")
+        raise NonspecialityUnknown("no induced E6 in the generating subset's graph")
     space = spec.qspace
     dim = spec.state_dim
     kappa = space.kappa

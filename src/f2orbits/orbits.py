@@ -3,9 +3,9 @@
 States are packed ints; every generator is a parity-conditioned XOR
 (condition mask, footprint mask, constant bit), which makes the orbit
 partition the connected components of an implicit undirected graph.  The
-engine runs a frontier BFS with a visited map of one tag per state (a
-byte while dim K < 8), vectorized with numpy over frontier chunks.
-Involutivity of the generators keeps each expansion batch
+engine runs a frontier BFS with a visited map of one tag per base
+state (a byte while dim K < 8), vectorized with numpy over frontier
+chunks.  Involutivity of the generators keeps each expansion batch
 duplicate-free, so no sorting is ever needed.
 
 The search runs on a quotient.  K, the common null space of the
@@ -19,19 +19,23 @@ in compact coordinates whose numeric order agrees with state order.
 Strata are independent jobs, which is where process-level parallelism
 comes from.
 
-Each base state y carries a potential pot(y) in K, stored with the
-visited flag.  A generator's voltage is the K-component of its
-footprint, foot ^ reduce_K(foot): a tree edge y -> gy sets
-pot(gy) = pot(y) ^ voltage, and every other edge adds
-pot(y) ^ voltage ^ pot(gy) to a span S (Schreier generators from a
-spanning tree; Gross and Tucker, Topological Graph Theory, 1987,
-ch. 2, on voltage graphs).  A base orbit O' then lifts to
-2^(dim K - rank S) orbits of |O'| * 2^rank S states, one per coset
+The search word of a base state y is pot(y) << compact_dim | y: its
+compact coordinates below its potential, a point of K in K-coordinates.
+A generator's voltage is the K-component of its footprint,
+foot ^ reduce_K(foot), and it sits above the compact footprint in the
+generator's footprint word, so one XOR moves a state and its potential
+together.  A tree edge y -> gy sets pot(gy) = pot(y) ^ voltage, and
+every other edge adds pot(y) ^ voltage ^ pot(gy) to a span S (Schreier
+generators from a spanning tree; Gross and Tucker, Topological Graph
+Theory, 1987, ch. 2, on voltage graphs).  A base orbit O' then lifts
+to 2^(dim K - rank S) orbits of |O'| * 2^rank S states, one per coset
 c of S in K, and the representative of the one over c is the least
-reduce_S(section(y) ^ pot(y) ^ c) over y in O'.  Heights are read off
-the representatives.  With K = 0 (the second action) this is the plain
-search: no potentials, and the ascending seed of each orbit is its
-minimum.
+reduce_S(section(y) ^ pot(y) ^ c) over y in O'.  Once S = K there is
+one orbit over O', represented by the section of the least state of
+O', and the flood stops keeping its words.  K = 0 (the second action) is the
+case S = K from the start: the words are compact states, and the
+ascending seed of each orbit is its minimum.  Heights are read off the
+representatives.
 
 Every query runs this one search: a census runs every stratum job of
 V/K, a height stratum the one job that holds it (filtered by height),
@@ -178,70 +182,57 @@ class _Span:
                 self.basis = _echelon(self.basis + [int(values[0])])
 
 
-def _bfs_component(seed: int, gens, visited: np.ndarray, span: Optional[_Span] = None,
-                   pot: int = 0):
-    """Flood one component and mark it visited; returns (min, size, levels).
+def _bfs_component(seed: int, gens, visited: np.ndarray, span: _Span):
+    """Flood one component and mark it visited; returns (low, size, levels).
 
-    Without a span, visited holds 1 per state, the minimum state is
-    tracked and levels is None.  With a span (the lifted search), the tag
-    of a state is a flag bit above its K-potential: the seed's is pot, a
-    fresh state takes its parent's potential plus the generator's
-    voltage, every other edge x -> gx adds pot(x) ^ voltage ^ pot(gx) to
-    the span until it is all of K, and levels keeps every frontier with
-    its potentials; the minimum is left to the lift and reads as the seed.
+    A search word is pot << compact_dim | z, for a compact state z of the
+    2^compact_dim visited map and its potential of span.dim bits.  The
+    tag of z is a flag bit above its potential, and an edge onto a tagged
+    z adds (word >> compact_dim) ^ tag ^ flag to the span S.  low is the
+    least z reached, size the number of z, and levels the frontier words
+    while S != K.  Once S = K (from the start when K = 0) potentials are
+    no longer read: tags are the flag alone and levels is None.
     """
-    lifted = span is not None
-    flag = visited.dtype.type(1 << span.dim) if lifted else 1
-    visited[seed] = flag | pot
+    shift = visited.size.bit_length() - 1
+    zmask = visited.size - 1
+    flag = visited.dtype.type(1 << span.dim)
+    low = seed & zmask
+    visited[low] = flag | (seed >> shift)
     frontier = np.array([seed], dtype=np.uint32)
-    pots = np.full(1, pot, dtype=visited.dtype) if lifted else None
-    levels = [(frontier, pots)] if lifted else None
+    levels = None if span.full else [frontier]
     size = 1
-    low = seed
     while frontier.size:
-        parts, pot_parts = [], []
+        parts = []
         for start in range(0, frontier.size, _CHUNK):
             chunk = frontier[start:start + _CHUNK]
-            cpots = pots[start:start + _CHUNK] if lifted else None
-            for cond, foot, const, volt in gens:
+            for cond, foot, const in gens:
                 odd = ((np.bitwise_count(chunk & cond) ^ const) & np.uint8(1)).view(np.bool_)
                 moved = chunk[odd]
                 if not moved.size:
                     continue
                 moved ^= foot
-                if lifted:
-                    tags = visited[moved]
-                    new = tags == 0
-                    mpots = cpots[odd] ^ volt
-                    if not span.full:
-                        old = ~new
-                        span.absorb(mpots[old] ^ tags[old] ^ flag)
-                    fresh = moved[new]
-                else:
-                    fresh = moved[visited[moved] == 0]
+                z = moved & zmask if span.dim else moved
+                tags = visited[z]
+                new = tags == 0
+                if not span.full:
+                    old = ~new
+                    span.absorb((moved[old] >> shift) ^ tags[old] ^ flag)
+                fresh = moved[new]
                 if not fresh.size:
                     continue
                 size += int(fresh.size)
                 parts.append(fresh)
-                if lifted:
-                    fpots = mpots[new]
-                    visited[fresh] = fpots | flag
-                    pot_parts.append(fpots)
-                else:
-                    visited[fresh] = 1
-                    m = int(fresh.min())
-                    if m < low:
-                        low = m
+                fresh_z = fresh & zmask if span.dim else fresh
+                visited[fresh_z] = flag if span.full else (fresh >> shift) | flag
+                low = min(low, int(fresh_z.min()))
         frontier = np.concatenate(parts) if parts else np.empty(0, dtype=np.uint32)
-        if lifted and frontier.size:
-            pots = np.concatenate(pot_parts)
-            levels.append((frontier, pots))
+        levels = None if span.full else levels + [frontier]
     return low, size, levels
 
 
-def _np_gens(gens, tag=np.uint8):
-    """(condition, footprint, constant, voltage) tuples as numpy scalars."""
-    return [(np.uint32(c), np.uint32(f), np.uint8(b & 1), tag(v)) for c, f, b, v in gens]
+def _np_gens(gens):
+    """(condition, footprint, constant) tuples as numpy scalars."""
+    return [(np.uint32(c), np.uint32(f), np.uint8(b & 1)) for c, f, b in gens]
 
 
 @dataclass(frozen=True)
@@ -252,13 +243,14 @@ class _StratumJob:
     bit s stands for basis[s], whose pivot bit is pivots[s], so compact z
     is the state offset ^ _combine(z, basis), _evaluate(state ^ offset,
     pivots) reads it back, and compact order agrees with state order.
-    gens are (condition, footprint, constant, voltage) in compact
-    coordinates; the voltage is the K-component of the footprint in
-    K-coordinates, where bit i of a potential stands for translations[i].
+    gens are (condition, footprint word, constant) on search words
+    pot << compact_dim | z: the footprint word is the generator's voltage
+    (the K-component of its footprint, where bit i of a potential stands
+    for translations[i]) above its compact footprint.
     """
 
     compact_dim: int
-    gens: tuple[tuple[int, int, int, int], ...]
+    gens: tuple[tuple[int, int, int], ...]
     pivots: tuple[int, ...]
     basis: tuple[int, ...]
     offset: int
@@ -270,21 +262,24 @@ def _stratum_job(dim: int, masks, functionals, translations,
     """The job for the stratum where the functionals read height_bits.
 
     translations is a reduced echelon-high basis of a subspace of K and
-    the functionals are invariant and vanish on it.
+    the functionals are invariant and vanish on it.  A search word
+    holds compact_dim + dim K bits, at most 32.
     """
     k_pivots = [1 << (k.bit_length() - 1) for k in translations]
     rows = list(functionals) + k_pivots
     basis = _nullspace(rows, dim)
     pivots = [1 << (b.bit_length() - 1) for b in basis]
     offset = _reduce(_solve(rows, height_bits), basis)
+    if len(basis) + len(translations) > 32:
+        raise AssertionError("search word exceeds 32 bits")
     gens = []
     for cond, foot in masks:
         section_foot = _reduce(foot, translations)
         cf = _evaluate(section_foot, pivots)
         if _combine(cf, basis) != section_foot:
             raise AssertionError("generator footprint leaves the stratum")
-        gens.append((_evaluate(cond, basis), cf, _parity(offset & cond),
-                     _evaluate(foot, k_pivots)))
+        gens.append((_evaluate(cond, basis),
+                     _evaluate(foot, k_pivots) << len(basis) | cf, _parity(offset & cond)))
     return _StratumJob(len(basis), tuple(gens), tuple(pivots), tuple(basis),
                        offset, tuple(translations))
 
@@ -302,40 +297,38 @@ def _compact(job: _StratumJob, state: int) -> int:
     return z
 
 
-def _lift(job: _StratumJob, levels, cycles: list[int],
+def _lift(job: _StratumJob, levels, size: int, cycles: list[int],
           every: bool = True) -> list[tuple[int, int]]:
-    """The orbits over one base orbit O', as (representative, size).
+    """The orbits over one base orbit O' of size states, as (representative,
+    size), from the search words pot(y) << compact_dim | y of O' in levels.
 
-    The cycle voltages span S in K.  There is one orbit per coset c of S
-    in K, with |O'| * 2^rank(S) states; its representative is the least
-    reduce_S(section(y) ^ pot(y) ^ c) over y in O', taken in chunks of
-    at most _LIFT_CHUNK (member, coset) pairs, with c its coset minimum.
-    Unless every, only the orbit over coset 0 is computed: the one that
-    holds section(y) ^ pot(y).
+    The cycle voltages span S, a proper subspace of K.  There is one
+    orbit per coset c of S in K, with |O'| * 2^rank(S) states; its
+    representative is the least reduce_S(section(y) ^ pot(y) ^ c) over y
+    in O', taken in chunks of at most _LIFT_CHUNK (member, coset) pairs,
+    with c its coset minimum.  Unless every, only the orbit over coset 0
+    is computed: the one that holds section(y) ^ pot(y).
     """
     s_basis = _echelon([_combine(v, job.translations) for v in cycles])
     cosets = np.array(_span_points(_echelon([_reduce(k, s_basis) for k in job.translations]))
                       if every else [0], dtype=np.uint32)
     # section states are zero at K's pivots, among them S's, so reduce_S
-    # only acts on the potential
-    state_tables = _byte_tables(job.basis)
-    pot_tables = _byte_tables([_reduce(k, s_basis) for k in job.translations])
+    # only acts on the potential: one table set maps a word to
+    # reduce_S(section(y) ^ pot(y)) ^ offset
+    tables = _byte_tables(list(job.basis) + [_reduce(k, s_basis) for k in job.translations])
     best = np.full(cosets.size, np.iinfo(np.uint32).max, dtype=np.uint32)
     rows = max(1, _LIFT_CHUNK // cosets.size)
-    base_size = 0
-    for states, pots in levels:
-        base_size += states.size
-        for start in range(0, states.size, rows):
-            a = (_apply_tables(state_tables, states[start:start + rows])
-                 ^ _apply_tables(pot_tables, pots[start:start + rows]) ^ job.offset)
+    for words in levels:
+        for start in range(0, words.size, rows):
+            a = _apply_tables(tables, words[start:start + rows]) ^ job.offset
             np.minimum(best, (a[:, None] ^ cosets).min(axis=0), out=best)
-    size = base_size << len(s_basis)
+    zmask = (1 << job.compact_dim) - 1
     out = []
     for rep in best.tolist():
         z = _compact(job, _reduce(rep, job.translations))
-        if not any(bool((states == z).any()) for states, _ in levels):
+        if not any(bool(((words & zmask) == z).any()) for words in levels):
             raise AssertionError("lifted representative leaves its base orbit")
-        out.append((rep, size))
+        out.append((rep, size << len(s_basis)))
     return out
 
 
@@ -343,33 +336,33 @@ def _search(job: _StratumJob):
     """(visited, gens) for searching the job: an empty visited map with
     room for the potentials, and the generators as numpy scalars."""
     visited = np.zeros(1 << job.compact_dim, dtype=_tag_dtype(len(job.translations)))
-    return visited, _np_gens(job.gens, visited.dtype.type)
+    return visited, _np_gens(job.gens)
 
 
 def _component(job: _StratumJob, seed: int, visited, gens,
-               pot: Optional[int] = None) -> list[tuple[int, int]]:
-    """Flood the base orbit of compact seed and lift it: every orbit over
-    it as (representative, size), or with pot given as the seed's
-    K-potential, only the orbit that holds section(seed) ^ pot.
+               every: bool = True) -> list[tuple[int, int]]:
+    """Flood the base orbit of the search word seed and lift it: every
+    orbit over it as (representative, size), or unless every, only the
+    orbit that holds the seed's state.
 
-    Without translations there is one orbit, and its representative is
-    the flood's minimum.
+    Once the cycle voltages span K, one orbit lies over the base orbit:
+    its representative is the section of the least compact state reached
+    and its size is |O'| * 2^dim K.
     """
-    kdim = len(job.translations)
-    if not kdim:
-        low, size, _ = _bfs_component(seed, gens, visited)
-        return [(job.offset ^ _combine(low, job.basis), size)]
-    span = _Span(kdim)
-    _, _, levels = _bfs_component(seed, gens, visited, span, pot or 0)
-    return _lift(job, levels, span.basis, every=pot is None)
+    span = _Span(len(job.translations))
+    low, size, levels = _bfs_component(seed, gens, visited, span)
+    if span.full:
+        return [(job.offset ^ _combine(low, job.basis), size << span.dim)]
+    return _lift(job, levels, size, span.basis, every)
 
 
 def _run_stratum_job(job: _StratumJob) -> list[tuple[int, int]]:
     """Every orbit over the job's stratum, as (representative, size).
 
-    Seeds are scanned in ascending compact order.  Without translations
-    the seed is the orbit minimum, because every smaller state is already
-    visited, and the flood's explicit minimum confirms it.
+    Seeds are scanned in ascending compact order, with potential 0.  The
+    seed is the minimum of its base orbit, because every smaller state is
+    already visited, so where one orbit lies over the base orbit (S = K,
+    always when K = 0) the flood's explicit minimum confirms it.
     """
     visited, gens = _search(job)
     rows = []
@@ -379,7 +372,7 @@ def _run_stratum_job(job: _StratumJob) -> list[tuple[int, int]]:
         if visited[seed]:
             break
         orbits = _component(job, seed, visited, gens)
-        if not job.translations and orbits[0][0] != job.offset ^ _combine(seed, job.basis):
+        if len(orbits) == 1 and orbits[0][0] != job.offset ^ _combine(seed, job.basis):
             raise AssertionError("ascending seed scan lost the orbit minimum")
         rows.extend(orbits)
         cursor = seed + 1
@@ -523,7 +516,8 @@ def orbit_of(spec, state) -> OrbitRecord:
     job = _stratum_job(dim, masks, base, translations, _evaluate(start, base))
     seed = _compact(job, _reduce(start, translations))
     pot = _evaluate(start, [1 << (k.bit_length() - 1) for k in translations])
-    return _records(dim, functionals, _component(job, seed, *_search(job), pot))[0]
+    word = pot << job.compact_dim | seed
+    return _records(dim, functionals, _component(job, word, *_search(job), every=False))[0]
 
 
 def attach_labels(census: OrbitCensus, labels: dict[int, str]) -> OrbitCensus:

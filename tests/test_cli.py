@@ -26,9 +26,9 @@ def write_hex_graph_file(path, n):
 
 class TestCensus:
     def test_first_n4_summary(self, capsys):
-        code, out, _ = run(capsys, "census", "--action", "first", "--n", "4")
+        code, _, err = run(capsys, "census", "--action", "first", "--n", "4")
         assert code == 0
-        assert "orbits=52" in out and "states=1024" in out
+        assert "orbits=52" in err and "states=1024" in err
 
     def test_second_n5_csv_has_six_rows(self, capsys, tmp_path):
         out_file = tmp_path / "census.csv"
@@ -49,14 +49,14 @@ class TestCensus:
         assert {"representative_hex", "cardinality", "height_bits"} <= set(doc["orbits"][0])
 
     def test_height_filter(self, capsys):
-        code, out, _ = run(capsys, "census", "--action", "first", "--n", "4",
+        code, _, err = run(capsys, "census", "--action", "first", "--n", "4",
                            "--height", "0000")
-        assert code == 0 and "states=64" in out
+        assert code == 0 and "states=64" in err
 
     def test_second_action_distinguished_height(self, capsys):
-        code, out, _ = run(capsys, "census", "--action", "second", "--n", "6",
+        code, _, err = run(capsys, "census", "--action", "second", "--n", "6",
                            "--height", "111")
-        assert code == 0 and "orbits=2" in out  # the two split orbits live here
+        assert code == 0 and "orbits=2" in err  # the two split orbits live here
 
     def test_guard_refusal_exit_3(self, capsys):
         code, _, err = run(capsys, "census", "--action", "first", "--n", "9")
@@ -138,16 +138,31 @@ class TestGraph:
     def test_hex4_prediction_matches(self, capsys, tmp_path):
         path = tmp_path / "h4.graph"
         write_hex_graph_file(path, 5)
-        code, out, _ = run(capsys, "graph", "--input", str(path))
+        code, _, err = run(capsys, "graph", "--input", str(path))
         assert code == 0
-        assert "orbits=6" in out and "matches enumeration" in out
+        assert "orbits=6" in err and "matches enumeration" in err
 
     def test_triangle_no_prediction(self, capsys, tmp_path):
         path = tmp_path / "tri.graph"
         path.write_text("3 3\n0 1\n1 2\n0 2\n")
-        code, out, _ = run(capsys, "graph", "--input", str(path))
+        code, _, err = run(capsys, "graph", "--input", str(path))
         assert code == 0
-        assert "orbits=3" in out and "not licensed" in out
+        assert "orbits=3" in err and "not licensed" in err
+
+    @pytest.mark.parametrize("text", [
+        "7 6\n0 1\n1 2\n2 3\n3 4\n2 5\n4 6\nB: 0 1 2 3 4 5\n",  # pendant off B
+        "7 5\n0 1\n1 2\n2 3\n3 4\n2 5\n",  # isolated vertex
+        "8 6\n0 1\n1 2\n2 3\n3 4\n2 5\n6 7\n",  # disjoint edge
+    ], ids=["pendant-off-B", "isolated-vertex", "disjoint-edge"])
+    def test_e6_outside_a_vanishing_lattice_is_not_licensed(self, capsys, tmp_path, text):
+        # each holds an induced E6 on B and enumerates 6 orbits, but B
+        # does not generate a vanishing lattice, so no prediction applies
+        path = tmp_path / "e6plus.graph"
+        path.write_text(text)
+        code, _, err = run(capsys, "graph", "--input", str(path))
+        assert code == 0
+        assert "orbits=6" in err and "not licensed (not a vanishing lattice" in err
+        assert "MISMATCH" not in err
 
     def test_malformed_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.graph"
@@ -213,6 +228,27 @@ class TestDeterminism:
             assert code == 0
             blobs.add(out_file.read_bytes())
         assert len(blobs) == 1
+
+
+class TestStdoutDocument:
+    """Without --out, stdout carries the document alone: status lines go
+    to stderr, so the JSON parses and its bytes repeat run to run."""
+
+    @pytest.mark.parametrize("command", [
+        ["census", "--action", "first", "--n", "4"],
+        ["census", "--action", "second", "--n", "5", "--height", "00"],
+        ["graph", "--input", "hex5.graph"],
+    ])
+    def test_json_on_stdout_parses_and_repeats(self, capsys, tmp_path, command):
+        write_hex_graph_file(tmp_path / "hex5.graph", 5)
+        argv = [str(tmp_path / a) if a.endswith(".graph") else a for a in command]
+        outs = []
+        for _ in range(2):
+            code, out, err = run(capsys, *argv, "--format", "json")
+            assert code == 0 and "orbits=" in err
+            json.loads(out)
+            outs.append(out.encode())
+        assert outs[0] == outs[1]
 
 
 class TestThreads:

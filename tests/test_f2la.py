@@ -1,5 +1,7 @@
 """Vectors, forms, quadratic functions, kernels, Arf."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -196,6 +198,19 @@ class TestValueCounts:
     def test_closed_equals_brute(self, data):
         space, _ = data
         assert value_counts_closed(space) == value_counts_brute(space)
+
+    def test_brute_above_the_low_split(self):
+        # dim 25 runs the high-part loop over bits 24 and up.  Vertex 24
+        # has edges into the low part and q(e_24) = 1, and with this seed
+        # the level sets differ in size, so dropping either the cross
+        # terms or q of the high part changes the counts
+        rng = random.Random(32)
+        edges = [(u, v) for u in range(25) for v in range(u + 1, 25) if rng.random() < 0.2]
+        edges += [(u, 24) for u in (0, 7, 23) if (u, 24) not in edges]
+        space = QuadraticSpace(BilinearForm.from_edges(25, edges), rng.getrandbits(25))
+        assert space.basis_values >> 24 & 1
+        c0, c1 = value_counts_closed(space)
+        assert c0 != c1 and value_counts_brute(space) == (c0, c1)
 
     def test_counts_sum_to_space(self):
         space = triangle_space()

@@ -218,6 +218,21 @@ class TestNonspecialOracle:
         with pytest.raises(NonspecialityUnknown):
             predict_census_nonspecial(build(triangle()))
 
+    @pytest.mark.parametrize("edges,vertices,subset,failed", [
+        ([(4, 6)], 7, range(6), "generates_ok"),  # a pendant edge off B
+        ([], 7, None, "orbit_ok"),  # an isolated vertex
+        ([(6, 7)], 8, None, "orbit_ok"),  # a disjoint edge
+    ], ids=["pendant-off-B", "isolated-vertex", "disjoint-edge"])
+    def test_refuses_outside_a_vanishing_lattice(self, edges, vertices, subset, failed):
+        # E6 is induced on B, but the theorem needs a vanishing lattice:
+        # these censuses have 6 orbits, not the 2^kappa + 2 predicted
+        graph = Graph.from_edge_list(vertices, list(e6_graph().edges) + edges)
+        spec = build(graph, subset)
+        assert contains_e6(induced_basis_graph(spec))
+        assert enumerate_orbits(spec, workers=1).orbit_count == 6
+        with pytest.raises(NonspecialityUnknown, match=f"vanishing lattice: {failed}"):
+            predict_census_nonspecial(spec)
+
     def test_subset_graph_is_what_matters(self):
         spec = build(hex_lattice_graph(5), [0, 1, 2])
         with pytest.raises(NonspecialityUnknown):
