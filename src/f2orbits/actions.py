@@ -3,7 +3,10 @@ families, plus stratum heights.
 
 Every generator of every kind is a parity-conditioned XOR: it tests the
 parity of the state against a condition mask and, when odd, flips a
-footprint mask.  All four kinds are involutions.  The (condition,
+footprint mask.  For the first action, g_ij tests the psi row of cell
+(i, j) and adds its phi row, the rows of the order-lowering maps of
+`tri`; for the second, it tests vertex (i, j) of the neighbor graph and
+adds its neighbors.  All four kinds are involutions.  The (condition,
 footprint) pairs are precomputed once per action and are what the orbit
 engine consumes; `apply_bits` applies one to one packed state, and
 `apply` is its validating form on matrices.
@@ -17,7 +20,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .f2la import F2Vector, _evaluate, _parity
-from .tri import TriMatrix, TriShape, hex_graph, pattern_E, pattern_Ptilde, pattern_R
+from .tri import (TriMatrix, TriShape, hex_graph, pattern_E, pattern_Ptilde, pattern_R,
+                  phi_masks, psi_masks)
 
 
 class Generator(NamedTuple):
@@ -81,36 +85,21 @@ def generators(spec: ActionSpec) -> list[Generator]:
     return [Generator(i, j) for i in range(1, spec.n) for j in range(i, spec.n)]
 
 
-def _first_masks(spec: ActionSpec, g: Generator) -> tuple[int, int]:
-    shape = spec.state_shape
-    i, j = g
-    cond = shape.mask_of([(i, j), (i + 1, j + 1)])
-    foot_cells = [(i, j), (i, j + 1), (i + 1, j + 1)]
-    if i < j:
-        foot_cells.append((i + 1, j))
-    return cond, shape.mask_of(foot_cells)
-
-
 def generator_masks(spec: ActionSpec) -> list[tuple[int, int]]:
     """(condition, footprint) mask pairs, one per generator, in order.
 
     apply(g, M): if parity(M & condition) is odd, xor the footprint in.
-    The conjugate kinds swap the two masks of their base kind.
+    Both families are indexed by the cells of the order n-1 shape, which
+    is the generator order.  The conjugate kinds swap the two masks of
+    their base kind.
     """
-    graph = None if spec.kind.is_first else hex_graph(spec.n)
-    out = []
-    for g in generators(spec):
-        if graph is None:
-            cond, foot = _first_masks(spec, g)
-            if spec.kind is ActionKind.FIRST_CONJUGATE:
-                cond, foot = foot, cond
-        else:
-            idx = graph.shape.index(g.i, g.j)
-            cond, foot = 1 << idx, graph.neighbor_masks[idx]
-            if spec.kind is ActionKind.SECOND_CONJUGATE:
-                cond, foot = foot, cond
-        out.append((cond, foot))
-    return out
+    if spec.kind.is_first:
+        pairs = list(zip(psi_masks(spec.n), phi_masks(spec.n))) if spec.n >= 2 else []
+    else:
+        pairs = [(1 << v, foot) for v, foot in enumerate(hex_graph(spec.n).neighbor_masks)]
+    if spec.kind in (ActionKind.FIRST_CONJUGATE, ActionKind.SECOND_CONJUGATE):
+        return [(foot, cond) for cond, foot in pairs]
+    return pairs
 
 
 @lru_cache(maxsize=None)

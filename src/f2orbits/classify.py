@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .f2la import F2Vector
-from .actions import ActionKind, ActionSpec
+from .actions import ActionKind, ActionSpec, height_functionals
 from .orbits import OrbitCensus, attach_labels, enumerate_orbits
 
 TRIVIAL = "trivial"
@@ -325,13 +325,14 @@ def verify(n: int, kind: ActionKind, workers: Optional[int] = None) -> VerifyRep
                               _multiset_str(obs_ms), exp_ms == obs_ms))
     layout_ok = True
     bad = ""
+    t = len(height_functionals(spec))
     observed_by_height = census.by_height()
     for h, rows in pred.by_height.items():
         exp = sorted(card for _, card in rows)
         obs = sorted(r.cardinality for r in observed_by_height.get(h, ()))
         if exp != obs:
             layout_ok = False
-            bad = f"height {h:0{len(bin(max(pred.by_height)))-2}b}: {obs} != {exp}"
+            bad = f"height {F2Vector(t, h).to_string()}: {obs} != {exp}"
             break
     checks.append(CheckResult("per-stratum layout", "match",
                               bad or "match", layout_ok))

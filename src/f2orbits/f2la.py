@@ -9,11 +9,12 @@ arithmetic.  All values are immutable after construction.
 This is the package's one linear-algebra layer.  Its single echelon
 convention is the reduced basis with each pivot at a vector's highest
 bit, in ascending pivot order (_echelon); rank, coset minima (_reduce),
-null spaces, particular solutions of parity equations (_solve) and span
-enumeration are built on it.  Linear maps are given by masks: _evaluate
-reads bit l as parity(x & rows[l]), and its transpose _combine sums the
-columns picked by the bits of x, on ints and, through byte lookup
-tables, on uint32 arrays.
+null spaces, particular solutions of parity equations (_solve), span
+enumeration and a span grown from uint arrays (_Span) are built on it.
+Linear maps are given by masks: _evaluate reads bit l as
+parity(x & rows[l]), and its transpose _combine sums the columns picked
+by the bits of x, on ints and, through byte lookup tables, on uint32
+arrays.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ BRUTE_DIM_LIMIT = 30
 
 def _parity(x: int) -> int:
     return x.bit_count() & 1
+
+
+def _parity_u32(arr: np.ndarray) -> np.ndarray:
+    return np.bitwise_count(arr) & np.uint8(1)
 
 
 @dataclass(frozen=True)
@@ -183,6 +188,29 @@ def _echelon(vectors) -> list[int]:
             if q > p and by_pivot[q] >> p & 1:
                 by_pivot[q] ^= by_pivot[p]
     return [by_pivot[p] for p in pivots]
+
+
+class _Span:
+    """A growing subspace of F2^dim fed uint arrays; basis is its _echelon."""
+
+    def __init__(self, dim: int) -> None:
+        self.dim = dim
+        self.basis: list[int] = []
+
+    @property
+    def full(self) -> bool:
+        return len(self.basis) == self.dim
+
+    def absorb(self, values: np.ndarray) -> None:
+        """Add the values to the span: reduce them against the basis (an
+        array _reduce) and take in one survivor at a time."""
+        values = values[values != 0]
+        while values.size:
+            for b in self.basis:
+                values = values ^ ((values >> (b.bit_length() - 1)) & 1) * values.dtype.type(b)
+            values = values[values != 0]
+            if values.size:
+                self.basis = _echelon(self.basis + [int(values[0])])
 
 
 def _rank(rows, dim) -> int:
@@ -417,10 +445,6 @@ def value_counts_closed(s: QuadraticSpace) -> tuple[int, int]:
     if cls is ArfClass.ARF1:
         return ((t - u) // 2, (t + u) // 2)
     return ((t + u) // 2, (t - u) // 2)
-
-
-def _parity_u32(arr: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(arr) & np.uint8(1)
 
 
 def value_counts_brute(s: QuadraticSpace) -> tuple[int, int]:

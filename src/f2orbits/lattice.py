@@ -21,7 +21,8 @@ import numpy as np
 
 from .f2la import (BilinearForm, F2Vector, QuadraticSpace, _span_points,
                    value_counts_closed)
-from .orbits import OrbitCensus, OrbitRecord, _Span, _bfs_component, _check_dim, _np_gens
+from .orbits import (OrbitCensus, OrbitRecord, _check_dim, _component, _search,
+                     _stratum_job)
 from .tri import HexGraph, hex_graph
 
 
@@ -122,13 +123,15 @@ def build(graph: Graph, basis_subset=None) -> LatticeSpec:
 
 
 def _closure_bitmap(spec: LatticeSpec) -> np.ndarray:
-    """Visited map of the closure: the union of the basis vectors' orbits."""
+    """Visited map of the closure: the union of the basis vectors' orbits,
+    flooded in the engine's job for the whole space, unlifted, whose
+    compact coordinates are the states themselves."""
     _check_dim(spec.state_dim)
-    gens = _np_gens([(c, f, 0) for c, f in spec.masked_generators()])
-    visited = np.zeros(1 << spec.state_dim, dtype=np.uint8)
+    job = _stratum_job(spec.state_dim, spec.masked_generators(), [], (), 0)
+    visited, gens = _search(job)
     for b in spec.basis_subset:
         if not visited[1 << b]:
-            _bfs_component(1 << b, gens, visited, _Span(0))
+            _component(job, 1 << b, visited, gens)
     return visited
 
 

@@ -56,8 +56,9 @@ from typing import Optional
 
 import numpy as np
 
-from .f2la import (F2Vector, _apply_tables, _byte_tables, _combine, _echelon, _evaluate,
-                   _nullspace, _parity, _rank, _reduce, _solve, _span_points)
+from .f2la import (F2Vector, _Span, _apply_tables, _byte_tables, _combine, _echelon,
+                   _evaluate, _nullspace, _parity, _parity_u32, _rank, _reduce, _solve,
+                   _span_points)
 from .actions import ActionKind, ActionSpec, generator_masks, height_functionals
 
 ENUM_DIM_LIMIT = 28
@@ -159,29 +160,6 @@ def _tag_dtype(kdim: int):
     return np.uint8 if kdim < 8 else np.uint16 if kdim < 16 else np.uint32
 
 
-class _Span:
-    """A growing subspace of F2^dim fed uint arrays; basis is its _echelon."""
-
-    def __init__(self, dim: int) -> None:
-        self.dim = dim
-        self.basis: list[int] = []
-
-    @property
-    def full(self) -> bool:
-        return len(self.basis) == self.dim
-
-    def absorb(self, values: np.ndarray) -> None:
-        """Add the values to the span: reduce them against the basis (an
-        array _reduce) and take in one survivor at a time."""
-        values = values[values != 0]
-        while values.size:
-            for b in self.basis:
-                values = values ^ ((values >> (b.bit_length() - 1)) & 1) * values.dtype.type(b)
-            values = values[values != 0]
-            if values.size:
-                self.basis = _echelon(self.basis + [int(values[0])])
-
-
 def _bfs_component(seed: int, gens, visited: np.ndarray, span: _Span):
     """Flood one component and mark it visited; returns (low, size, levels).
 
@@ -206,7 +184,7 @@ def _bfs_component(seed: int, gens, visited: np.ndarray, span: _Span):
         for start in range(0, frontier.size, _CHUNK):
             chunk = frontier[start:start + _CHUNK]
             for cond, foot, const in gens:
-                odd = ((np.bitwise_count(chunk & cond) ^ const) & np.uint8(1)).view(np.bool_)
+                odd = (_parity_u32(chunk & cond) ^ const).view(np.bool_)
                 moved = chunk[odd]
                 if not moved.size:
                     continue
@@ -228,11 +206,6 @@ def _bfs_component(seed: int, gens, visited: np.ndarray, span: _Span):
         frontier = np.concatenate(parts) if parts else np.empty(0, dtype=np.uint32)
         levels = None if span.full else levels + [frontier]
     return low, size, levels
-
-
-def _np_gens(gens):
-    """(condition, footprint, constant) tuples as numpy scalars."""
-    return [(np.uint32(c), np.uint32(f), np.uint8(b & 1)) for c, f, b in gens]
 
 
 @dataclass(frozen=True)
@@ -284,11 +257,6 @@ def _stratum_job(dim: int, masks, functionals, translations,
                        offset, tuple(translations))
 
 
-def _build_stratum_jobs(dim: int, masks, functionals, translations) -> list[_StratumJob]:
-    return [_stratum_job(dim, masks, functionals, translations, h)
-            for h in range(1 << len(functionals))]
-
-
 def _compact(job: _StratumJob, state: int) -> int:
     """Compact coordinate of a section state of the job's stratum."""
     z = _evaluate(state ^ job.offset, job.pivots)
@@ -334,9 +302,10 @@ def _lift(job: _StratumJob, levels, size: int, cycles: list[int],
 
 def _search(job: _StratumJob):
     """(visited, gens) for searching the job: an empty visited map with
-    room for the potentials, and the generators as numpy scalars."""
+    room for the potentials, and the generators' (condition, footprint
+    word, constant) as numpy scalars."""
     visited = np.zeros(1 << job.compact_dim, dtype=_tag_dtype(len(job.translations)))
-    return visited, _np_gens(job.gens)
+    return visited, [(np.uint32(c), np.uint32(f), np.uint8(b)) for c, f, b in job.gens]
 
 
 def _component(job: _StratumJob, seed: int, visited, gens,
@@ -474,7 +443,8 @@ def _census(spec, workers: Optional[int] = None, height: Optional[F2Vector] = No
     t = len(functionals)
     translations, base = _lift_plan(dim, masks, translations)
     if height is None:
-        jobs, total = _build_stratum_jobs(dim, masks, base, translations), 1 << dim
+        jobs = [_stratum_job(dim, masks, base, translations, h) for h in range(1 << len(base))]
+        total = 1 << dim
     else:
         if not t:
             raise ValueError(f"{kind or descriptor} has no height decomposition")
@@ -491,13 +461,19 @@ def _census(spec, workers: Optional[int] = None, height: Optional[F2Vector] = No
     return OrbitCensus(descriptor, n, kind, dim, total, _records(dim, functionals, rows))
 
 
-def _state_bits(state) -> int:
+def _state_bits(state, dim: int, descriptor: str) -> int:
+    """The packed state: an int in range, or a vector or matrix (which
+    holds its vector as data) of dimension dim."""
     if isinstance(state, int):
+        if not 0 <= state < (1 << dim):
+            raise ValueError(f"state 0x{state:x} out of range for dim {dim}")
         return state
-    bits = getattr(state, "bits", None)
-    if bits is None:
+    vector = getattr(state, "data", state)
+    if not isinstance(vector, F2Vector):
         raise TypeError(f"cannot read a state from {type(state).__name__}")
-    return bits
+    if vector.dim != dim:
+        raise ValueError(f"state has dimension {vector.dim}, expected {dim} for {descriptor}")
+    return vector.bits
 
 
 def orbit_of(spec, state) -> OrbitRecord:
@@ -506,12 +482,11 @@ def orbit_of(spec, state) -> OrbitRecord:
     The one search of the census: the base orbit of the state's
     projection to V/K is flooded in the job of its stratum, seeded with
     the state's K-component as its potential, and only the orbit that
-    holds the state is lifted.
+    holds the state is lifted.  A state is a packed int, an F2Vector or a
+    TriMatrix; one of another dimension than the space is refused.
     """
-    dim, masks, functionals, _, _, _ = _family(spec)
-    start = _state_bits(state)
-    if not 0 <= start < (1 << dim):
-        raise ValueError(f"state 0x{start:x} out of range for dim {dim}")
+    dim, masks, functionals, descriptor, _, _ = _family(spec)
+    start = _state_bits(state, dim, descriptor)
     translations, base = _lift_plan(dim, masks)
     job = _stratum_job(dim, masks, base, translations, _evaluate(start, base))
     seed = _compact(job, _reduce(start, translations))

@@ -4,7 +4,10 @@ the quotient maps between orders.
 Entries of an order-n space are the cells (i, j), 1 <= i <= j <= n
 (1-based everywhere, matching the usual matrix convention), flattened
 row-major into bit positions.  This flattening is the single authority
-for how matrices, patterns and search states line up.
+for how matrices, patterns and search states line up.  The rows of the
+order-lowering maps psi and phi, one per cell (i, j) of the order n-1
+shape, are also the generators of the first action: g_ij tests the psi
+row of (i, j) and adds its phi row.
 """
 
 from __future__ import annotations

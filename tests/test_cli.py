@@ -1,12 +1,16 @@
 """Command-line behavior: commands, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from f2orbits import cli, lattice, orbits
+from f2orbits import classify, cli, lattice, orbits
+from f2orbits.actions import ActionKind
 from f2orbits.cli import main
 from f2orbits.lattice import hex_lattice_graph
 
@@ -67,6 +71,14 @@ class TestCensus:
         code, _, err = run(capsys, "census", "--action", "first", "--n", "4",
                            "--height", "01")
         assert code == 2
+        assert err == "error: height length 2 does not match 4 for first, n=4\n"
+
+    @pytest.mark.parametrize("action", ["first-conj", "second-conj"])
+    def test_height_on_a_conjugate_exit_2(self, capsys, action):
+        code, out, err = run(capsys, "census", "--action", action, "--n", "4",
+                             "--height", "00")
+        assert code == 2 and out == ""
+        assert err == f"error: {action} has no height decomposition\n"
 
 
 class TestGuardsComeFirst:
@@ -132,6 +144,17 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--action", "second", "--n", "5",
                            "--format", "json")
         assert code == 0 and json.loads(out[:out.rindex("}") + 1])["passed"]
+
+    def test_failed_verification_exit_1(self, capsys, monkeypatch):
+        # one wrong stratum, at the height census output prints as 10000
+        real = classify.predict(5, ActionKind.FIRST)
+        by_height = dict(real.by_height)
+        by_height[1] = tuple((label, card + 1) for label, card in by_height[1])
+        monkeypatch.setattr(classify, "predict",
+                            lambda n, kind: replace(real, by_height=by_height))
+        code, out, _ = run(capsys, "verify", "--action", "first", "--n", "5")
+        assert code == 1 and out.endswith("FAIL\n")
+        assert "per-stratum layout: expected match, observed height 10000: " in out
 
 
 class TestGraph:
@@ -228,6 +251,21 @@ class TestDeterminism:
             assert code == 0
             blobs.add(out_file.read_bytes())
         assert len(blobs) == 1
+
+
+class TestReferenceBytes:
+    """The census bytes the benchmark gates on, pinned in the test suite."""
+
+    REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+    @pytest.mark.parametrize("action,n", [("first", 5), ("second", 6), ("first", 7)])
+    def test_census_json_sha256(self, capsys, tmp_path, action, n):
+        expected = json.loads(self.REFERENCE.read_text())["census_sha256"][f"{action}-{n}"]
+        out_file = tmp_path / "census.json"
+        code, _, _ = run(capsys, "census", "--action", action, "--n", str(n),
+                         "--format", "json", "--out", str(out_file))
+        assert code == 0
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == expected
 
 
 class TestStdoutDocument:

@@ -95,6 +95,20 @@ class TestOrbitOf:
         assert rec.cardinality == 256  # 2^(2k^2) with k=2
         assert rec.height is not None and rec.height.bits != 0
 
+    @pytest.mark.parametrize("spec,state", [
+        (ActionSpec(5, ActionKind.FIRST), TriMatrix.zeros(4)),
+        (ActionSpec(5, ActionKind.FIRST), F2Vector(3, 5)),
+        # the second action of n=5 acts on order 4
+        (ActionSpec(5, ActionKind.SECOND), TriMatrix.from_cells(5, [(1, 1)])),
+    ])
+    def test_state_of_another_dimension_is_refused(self, spec, state):
+        with pytest.raises(ValueError, match=f"expected {spec.state_dim} for"):
+            orbit_of(spec, state)
+
+    def test_int_state_out_of_range_is_refused(self):
+        with pytest.raises(ValueError, match="out of range for dim 15"):
+            orbit_of(ActionSpec(5, ActionKind.FIRST), 1 << 15)
+
     def test_large_orbit_fallback(self):
         # the big first-action orbit: its query floods a whole base orbit of
         # V/K and lifts it, and must agree with the stratum census
@@ -225,7 +239,8 @@ class TestLiftCrossCheck:
         spec = ActionSpec(7, ActionKind.FIRST)
         masks = generator_masks(spec)
         translations, base = orbits._lift_plan(spec.state_dim, masks)
-        jobs = orbits._build_stratum_jobs(spec.state_dim, masks, base, translations)
+        jobs = [orbits._stratum_job(spec.state_dim, masks, base, translations, h)
+                for h in range(1 << len(base))]
         assert [j.compact_dim for j in jobs] == [18] * 8
 
 
