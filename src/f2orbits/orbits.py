@@ -3,10 +3,15 @@
 States are packed ints; every generator is a parity-conditioned XOR
 (condition mask, footprint mask, constant bit), which makes the orbit
 partition the connected components of an implicit undirected graph.  The
-engine runs a frontier BFS with a visited map of one tag per base
-state (a byte while dim K < 8), vectorized with numpy over frontier
-chunks.  Involutivity of the generators keeps each expansion batch
-duplicate-free, so no sorting is ever needed.
+engine runs a frontier BFS, vectorized with numpy over frontier chunks.
+Involutivity of the generators keeps each expansion batch
+duplicate-free, so no sorting is ever needed.  The visited map holds one
+tag per base state (a byte while dim K < 8), or one bit per state when
+K = 0.  A bitset flood picks a step per level (direction-optimizing
+BFS): a level whose frontier holds at least as many states as the map
+has words steps every generator over the whole stratum with word-wide
+bit operations, and a smaller one gathers its moved states and tests
+them against the bitset.
 
 The search runs on a quotient.  K, the common null space of the
 condition masks, acts by translations that commute with every
@@ -160,6 +165,18 @@ def _tag_dtype(kdim: int):
     return np.uint8 if kdim < 8 else np.uint16 if kdim < 16 else np.uint32
 
 
+def _moves(frontier: np.ndarray, gens):
+    """Each generator's image of the frontier states it moves, one array
+    per (frontier chunk, generator)."""
+    for start in range(0, frontier.size, _CHUNK):
+        chunk = frontier[start:start + _CHUNK]
+        for cond, foot, const in gens:
+            moved = chunk[(_parity_u32(chunk & cond) ^ const).view(np.bool_)]
+            if moved.size:
+                moved ^= foot
+                yield moved
+
+
 def _bfs_component(seed: int, gens, visited: np.ndarray, span: _Span):
     """Flood one component and mark it visited; returns (low, size, levels).
 
@@ -168,9 +185,13 @@ def _bfs_component(seed: int, gens, visited: np.ndarray, span: _Span):
     tag of z is a flag bit above its potential, and an edge onto a tagged
     z adds (word >> compact_dim) ^ tag ^ flag to the span S.  low is the
     least z reached, size the number of z, and levels the frontier words
-    while S != K.  Once S = K (from the start when K = 0) potentials are
-    no longer read: tags are the flag alone and levels is None.
+    while S != K.  Once S = K potentials are no longer read: tags are the
+    flag alone and levels is None.  When K = 0 the map is one bit per
+    state and _bit_flood floods it: a level whose frontier holds at least
+    as many states as the map has words takes the dense step.
     """
+    if not span.dim:
+        return (*_bit_flood(seed, gens, visited), None)
     shift = visited.size.bit_length() - 1
     zmask = visited.size - 1
     flag = visited.dtype.type(1 << span.dim)
@@ -181,31 +202,145 @@ def _bfs_component(seed: int, gens, visited: np.ndarray, span: _Span):
     size = 1
     while frontier.size:
         parts = []
-        for start in range(0, frontier.size, _CHUNK):
-            chunk = frontier[start:start + _CHUNK]
-            for cond, foot, const in gens:
-                odd = (_parity_u32(chunk & cond) ^ const).view(np.bool_)
-                moved = chunk[odd]
-                if not moved.size:
-                    continue
-                moved ^= foot
-                z = moved & zmask if span.dim else moved
-                tags = visited[z]
-                new = tags == 0
-                if not span.full:
-                    old = ~new
-                    span.absorb((moved[old] >> shift) ^ tags[old] ^ flag)
-                fresh = moved[new]
-                if not fresh.size:
-                    continue
-                size += int(fresh.size)
-                parts.append(fresh)
-                fresh_z = fresh & zmask if span.dim else fresh
-                visited[fresh_z] = flag if span.full else (fresh >> shift) | flag
-                low = min(low, int(fresh_z.min()))
+        for moved in _moves(frontier, gens):
+            z = moved & zmask
+            tags = visited[z]
+            new = tags == 0
+            if not span.full:
+                old = ~new
+                span.absorb((moved[old] >> shift) ^ tags[old] ^ flag)
+            fresh = moved[new]
+            if not fresh.size:
+                continue
+            size += int(fresh.size)
+            parts.append(fresh)
+            fresh_z = fresh & zmask
+            visited[fresh_z] = flag if span.full else (fresh >> shift) | flag
+            low = min(low, int(fresh_z.min()))
         frontier = np.concatenate(parts) if parts else np.empty(0, dtype=np.uint32)
         levels = None if span.full else levels + [frontier]
     return low, size, levels
+
+
+# A K = 0 visited map is a bitset: bit z & 63 of word z >> 6 marks compact
+# state z.  _SWAP[s] holds the bits i of a word with bit s of i clear.
+_ONES = np.uint64(2**64 - 1)
+_SWAP = tuple(np.uint64(sum(1 << i for i in range(64) if not i >> s & 1)) for s in range(6))
+_UNPACK = 1 << 12
+
+
+def _bitset(states: np.ndarray, words: int) -> np.ndarray:
+    """The bitset of words uint64 words holding the given distinct states."""
+    out = np.zeros(words, dtype=np.uint64)
+    np.bitwise_or.at(out, states >> 6, np.uint64(1) << (states & 63))
+    return out
+
+
+def _members(bits: np.ndarray) -> np.ndarray:
+    """The states of a bitset, ascending, as uint32; the nonzero words are
+    unpacked _UNPACK at a time."""
+    nonzero = np.flatnonzero(bits)
+    parts = [np.empty(0, dtype=np.uint32)]
+    for start in range(0, nonzero.size, _UNPACK):
+        w = nonzero[start:start + _UNPACK]
+        unpacked = np.unpackbits(bits[w].astype("<u8").view(np.uint8), bitorder="little")
+        row, col = np.nonzero(unpacked.reshape(-1, 64))
+        parts.append((w[row] << 6 | col).astype(np.uint32))
+    return np.concatenate(parts)
+
+
+def _marked(visited: np.ndarray, z: int) -> bool:
+    """Whether compact state z is set in a bitset visited map."""
+    return bool(int(visited[z >> 6]) >> (z & 63) & 1)
+
+
+def _odd_words(cond: int, const: int, words: int) -> np.ndarray:
+    """The odd set of (cond, const) as a bitset of words words: bit i of
+    word w is parity((64 w + i) & cond) ^ const.  From the one state 0,
+    each bit j of the state index doubles the prefix, inverted where bit
+    j of cond is set: inside word 0 for j < 6, then across words."""
+    pattern = const
+    for j in range(6):
+        half = 1 << j
+        pattern |= (pattern ^ ((1 << half) - 1 if cond >> j & 1 else 0)) << half
+    out = np.empty(words, dtype=np.uint64)
+    out[0] = pattern
+    for j in range(words.bit_length() - 1):
+        half = 1 << j
+        np.bitwise_xor(out[:half], _ONES if cond >> 6 + j & 1 else np.uint64(0),
+                       out=out[half:2 * half])
+    return out
+
+
+def _p_foot(bits: np.ndarray, foot: int) -> np.ndarray:
+    """The bitset {i ^ foot : i in bits}: the words at w ^ (foot >> 6), by
+    flipping the axes of the word array reshaped to (2,) * (dim - 6), then
+    one delta swap inside every word per set bit s < 6 of foot."""
+    k = bits.size.bit_length() - 1
+    flips = tuple(k - 1 - j for j in range(k) if foot >> 6 + j & 1)
+    out = np.flip(bits.reshape((2,) * k), axis=flips).reshape(-1) if flips else bits.copy()
+    for s in range(6):
+        if foot >> s & 1:
+            m, t = _SWAP[s], np.uint64(1 << s)
+            moved = out >> t
+            moved &= m
+            out &= m
+            out <<= t
+            out |= moved
+    return out
+
+
+def _dense(count: int, words: int) -> bool:
+    """Whether a level of count frontier states takes the dense step over
+    a bitset of words words: at least as many states as words."""
+    return count >= words
+
+
+def _bit_flood(seed: int, gens, visited: np.ndarray) -> tuple[int, int]:
+    """Flood the component of compact state seed on a bitset visited map
+    and mark it; returns (low, size), its least state and its size.
+
+    Each level picks its step (Beamer, Asanovic and Patterson,
+    "Direction-optimizing breadth-first search", SC 2012).  A frontier
+    of fewer states than the map has words takes the sparse step: the
+    moved states are gathered and tested against the bitset.  A larger
+    one, held as a bitset, takes the dense step over the whole stratum:
+    new |= P_foot(frontier & odd) for every generator, whose odd set it
+    maps to itself because cond . foot is even, then new &= ~visited.
+    """
+    words = visited.size
+    visited[seed >> 6] |= np.uint64(1) << np.uint64(seed & 63)
+    # a level's states as uint32, or after a dense step its uint64 bitset
+    frontier = np.array([seed], dtype=np.uint32)
+    low, size, count = seed, 1, 1
+    while count:
+        if _dense(count, words):
+            bits = frontier if frontier.dtype == np.uint64 else _bitset(frontier, words)
+            frontier = np.zeros_like(visited)
+            for cond, foot, const in gens:
+                frontier |= _p_foot(bits & _odd_words(int(cond), int(const), words), int(foot))
+            frontier &= ~visited
+            visited |= frontier
+            count = int(np.bitwise_count(frontier).sum())
+            if count:
+                w = int((frontier != 0).argmax())
+                v = int(frontier[w])
+                low = min(low, w << 6 | (v & -v).bit_length() - 1)
+        else:
+            states = frontier if frontier.dtype == np.uint32 else _members(frontier)
+            parts = [np.empty(0, dtype=np.uint32)]
+            for moved in _moves(states, gens):
+                word = moved >> 6
+                bit = np.uint64(1) << (moved & 63)
+                new = (visited[word] & bit) == 0
+                np.bitwise_or.at(visited, word[new], bit[new])
+                parts.append(moved[new])
+            frontier = np.concatenate(parts)
+            count = int(frontier.size)
+            if count:
+                low = min(low, int(frontier.min()))
+        size += count
+    return low, size
 
 
 @dataclass(frozen=True)
@@ -301,11 +436,38 @@ def _lift(job: _StratumJob, levels, size: int, cycles: list[int],
 
 
 def _search(job: _StratumJob):
-    """(visited, gens) for searching the job: an empty visited map with
-    room for the potentials, and the generators' (condition, footprint
-    word, constant) as numpy scalars."""
-    visited = np.zeros(1 << job.compact_dim, dtype=_tag_dtype(len(job.translations)))
-    return visited, [(np.uint32(c), np.uint32(f), np.uint8(b)) for c, f, b in job.gens]
+    """(visited, gens) for searching the job: an empty visited map, and
+    the generators' (condition, footprint word, constant) as numpy
+    scalars.
+
+    With translations the map holds a tag per compact state, with room
+    for the potentials.  With none (K = 0) it is a bitset of
+    2^(compact_dim - 6) uint64 words, the only uint64 map, whose bits past
+    the last state (when compact_dim < 6) are set.
+    """
+    gens = [(np.uint32(c), np.uint32(f), np.uint8(b)) for c, f, b in job.gens]
+    if job.translations:
+        return np.zeros(1 << job.compact_dim, dtype=_tag_dtype(len(job.translations))), gens
+    visited = np.zeros(max(1, 1 << job.compact_dim >> 6), dtype=np.uint64)
+    if job.compact_dim < 6:
+        visited[0] = _ONES << np.uint64(1 << job.compact_dim)
+    return visited, gens
+
+
+def _first_unvisited(visited: np.ndarray, cursor: int) -> Optional[int]:
+    """The least unvisited compact state, or None, where every state
+    below cursor is visited."""
+    if visited.dtype != np.uint64:
+        if cursor >= visited.size:
+            return None
+        seed = cursor + int(visited[cursor:].argmin())
+        return None if visited[seed] else seed
+    w = cursor >> 6
+    if w >= visited.size:
+        return None
+    w += int((visited[w:] != _ONES).argmax())
+    v = int(visited[w])
+    return None if v == _ONES else w << 6 | (~v & v + 1).bit_length() - 1
 
 
 def _component(job: _StratumJob, seed: int, visited, gens,
@@ -335,16 +497,13 @@ def _run_stratum_job(job: _StratumJob) -> list[tuple[int, int]]:
     """
     visited, gens = _search(job)
     rows = []
-    cursor = 0
-    while cursor < visited.size:
-        seed = cursor + int(visited[cursor:].argmin())
-        if visited[seed]:
-            break
+    seed = _first_unvisited(visited, 0)
+    while seed is not None:
         orbits = _component(job, seed, visited, gens)
         if len(orbits) == 1 and orbits[0][0] != job.offset ^ _combine(seed, job.basis):
             raise AssertionError("ascending seed scan lost the orbit minimum")
         rows.extend(orbits)
-        cursor = seed + 1
+        seed = _first_unvisited(visited, seed + 1)
     return rows
 
 

@@ -191,6 +191,7 @@ class HexGraph:
         return self.neighbor_masks[idx].bit_count()
 
 
+@lru_cache(maxsize=None)
 def hex_graph(n: int) -> HexGraph:
     """The neighbor graph of the order n-1 shape (needs n >= 2)."""
     if n < 2:
