@@ -258,7 +258,7 @@ class VerifyReport:
 
     n: int
     kind: ActionKind
-    mode: str                     # "closed-form" or "observed"
+    mode: str                     # "closed-form", "observed" or "conjugate-count"
     checks: tuple[CheckResult, ...]
     census: OrbitCensus
 

@@ -21,8 +21,7 @@ import numpy as np
 
 from .f2la import (BilinearForm, F2Vector, QuadraticSpace, _span_points,
                    value_counts_closed)
-from .orbits import (OrbitCensus, OrbitRecord, _check_dim, _component, _marked, _search,
-                     _stratum_job)
+from .orbits import OrbitCensus, OrbitRecord, _check_dim, _closure
 from .tri import HexGraph, hex_graph
 
 
@@ -122,22 +121,6 @@ def build(graph: Graph, basis_subset=None) -> LatticeSpec:
     return LatticeSpec(graph, subset)
 
 
-def _closure_bitmap(spec: LatticeSpec) -> np.ndarray:
-    """One byte per state, nonzero on the closure: the union of the basis
-    vectors' orbits, flooded in the engine's job for the whole space,
-    unlifted, whose compact coordinates are the states themselves.  The
-    flood's bitset map is unpacked in little-endian bit order, so byte z
-    is bit z & 63 of word z >> 6."""
-    _check_dim(spec.state_dim)
-    job = _stratum_job(spec.state_dim, spec.masked_generators(), [], (), 0)
-    visited, gens = _search(job)
-    for b in spec.basis_subset:
-        if not _marked(visited, 1 << b):
-            _component(job, 1 << b, visited, gens)
-    bits = np.unpackbits(visited.astype("<u8").view(np.uint8), bitorder="little")
-    return bits[:1 << spec.state_dim]
-
-
 def _connected(graph: Graph) -> bool:
     """Whether the graph is connected; the flood takes each vertex once."""
     reached = todo = 1
@@ -161,7 +144,7 @@ class DeltaClosure:
 
 def delta_closure(spec: LatticeSpec) -> DeltaClosure:
     """The closure of the basis vertices under the transvection group."""
-    vectors = np.flatnonzero(_closure_bitmap(spec)).astype(np.uint32)
+    vectors = _closure(spec, (1 << b for b in spec.basis_subset))
     vectors.flags.writeable = False
     return DeltaClosure(vectors, _connected(induced_basis_graph(spec)))
 

@@ -178,27 +178,24 @@ def _moves(frontier: np.ndarray, gens):
 
 
 def _bfs_component(seed: int, gens, visited: np.ndarray, span: _Span):
-    """Flood one component and mark it visited; returns (low, size, levels).
+    """Flood one component on a tag map and mark it visited; returns (low,
+    size, levels).
 
     A search word is pot << compact_dim | z, for a compact state z of the
-    2^compact_dim visited map and its potential of span.dim bits.  The
-    tag of z is a flag bit above its potential, and an edge onto a tagged
-    z adds (word >> compact_dim) ^ tag ^ flag to the span S.  low is the
-    least z reached, size the number of z, and levels the frontier words
-    while S != K.  Once S = K potentials are no longer read: tags are the
-    flag alone and levels is None.  When K = 0 the map is one bit per
-    state and _bit_flood floods it: a level whose frontier holds at least
-    as many states as the map has words takes the dense step.
+    2^compact_dim visited map and its potential of span.dim > 0 bits.
+    The tag of z is a flag bit above its potential, and an edge onto a
+    tagged z adds (word >> compact_dim) ^ tag ^ flag to the span S.  low
+    is the least z reached, size the number of z, and levels the frontier
+    words while S != K.  Once S = K potentials are no longer read: tags
+    are the flag alone and levels is None.
     """
-    if not span.dim:
-        return (*_bit_flood(seed, gens, visited), None)
     shift = visited.size.bit_length() - 1
     zmask = visited.size - 1
     flag = visited.dtype.type(1 << span.dim)
     low = seed & zmask
     visited[low] = flag | (seed >> shift)
     frontier = np.array([seed], dtype=np.uint32)
-    levels = None if span.full else [frontier]
+    levels = [frontier]
     size = 1
     while frontier.size:
         parts = []
@@ -226,7 +223,7 @@ def _bfs_component(seed: int, gens, visited: np.ndarray, span: _Span):
 # state z.  _SWAP[s] holds the bits i of a word with bit s of i clear.
 _ONES = np.uint64(2**64 - 1)
 _SWAP = tuple(np.uint64(sum(1 << i for i in range(64) if not i >> s & 1)) for s in range(6))
-_UNPACK = 1 << 12
+_UNPACK = 1 << 10
 
 
 def _bitset(states: np.ndarray, words: int) -> np.ndarray:
@@ -237,21 +234,18 @@ def _bitset(states: np.ndarray, words: int) -> np.ndarray:
 
 
 def _members(bits: np.ndarray) -> np.ndarray:
-    """The states of a bitset, ascending, as uint32; the nonzero words are
-    unpacked _UNPACK at a time."""
+    """The states of a bitset, ascending, as uint32, written into one
+    array of its popcount; the nonzero words are unpacked _UNPACK at a
+    time."""
+    out = np.empty(int(np.bitwise_count(bits).sum()), dtype=np.uint32)
     nonzero = np.flatnonzero(bits)
-    parts = [np.empty(0, dtype=np.uint32)]
+    at = 0
     for start in range(0, nonzero.size, _UNPACK):
         w = nonzero[start:start + _UNPACK]
-        unpacked = np.unpackbits(bits[w].astype("<u8").view(np.uint8), bitorder="little")
-        row, col = np.nonzero(unpacked.reshape(-1, 64))
-        parts.append((w[row] << 6 | col).astype(np.uint32))
-    return np.concatenate(parts)
-
-
-def _marked(visited: np.ndarray, z: int) -> bool:
-    """Whether compact state z is set in a bitset visited map."""
-    return bool(int(visited[z >> 6]) >> (z & 63) & 1)
+        i = np.flatnonzero(np.unpackbits(bits[w].astype("<u8").view(np.uint8), bitorder="little"))
+        out[at:at + i.size] = w[i >> 6] << 6 | i & 63
+        at += i.size
+    return out
 
 
 def _odd_words(cond: int, const: int, words: int) -> np.ndarray:
@@ -292,8 +286,11 @@ def _p_foot(bits: np.ndarray, foot: int) -> np.ndarray:
 
 def _dense(count: int, words: int) -> bool:
     """Whether a level of count frontier states takes the dense step over
-    a bitset of words words: at least as many states as words."""
-    return count >= words
+    a bitset of words words: at least as many states as words, on a map
+    of at least 64 words (2^12 states).  On smaller maps a dense step's
+    fixed cost, a few numpy calls per generator, outweighs the gathers it
+    saves."""
+    return words >= 64 and count >= words
 
 
 def _bit_flood(seed: int, gens, visited: np.ndarray) -> tuple[int, int]:
@@ -481,7 +478,8 @@ def _component(job: _StratumJob, seed: int, visited, gens,
     and its size is |O'| * 2^dim K.
     """
     span = _Span(len(job.translations))
-    low, size, levels = _bfs_component(seed, gens, visited, span)
+    low, size, levels = (_bfs_component(seed, gens, visited, span) if span.dim
+                         else (*_bit_flood(seed, gens, visited), None))
     if span.full:
         return [(job.offset ^ _combine(low, job.basis), size << span.dim)]
     return _lift(job, levels, size, span.basis, every)
@@ -652,6 +650,23 @@ def orbit_of(spec, state) -> OrbitRecord:
     pot = _evaluate(start, [1 << (k.bit_length() - 1) for k in translations])
     word = pot << job.compact_dim | seed
     return _records(dim, functionals, _component(job, word, *_search(job), every=False))[0]
+
+
+def _closure(spec, seeds) -> np.ndarray:
+    """The union of the seed states' orbits, as sorted uint32 states.
+
+    The seeds are flooded unlifted on the bitset map of the job for the
+    whole space, whose compact coordinates are the states themselves.
+    The guard runs before any mask is built.
+    """
+    dim, masks, _, _, _, _ = _family(spec)
+    visited, gens = _search(_stratum_job(dim, masks, [], (), 0))
+    for seed in seeds:
+        if not int(visited[seed >> 6]) >> (seed & 63) & 1:
+            _bit_flood(seed, gens, visited)
+    if dim < 6:
+        visited[0] ^= _ONES << np.uint64(1 << dim)  # the bits past the last state
+    return _members(visited)
 
 
 def attach_labels(census: OrbitCensus, labels: dict[int, str]) -> OrbitCensus:

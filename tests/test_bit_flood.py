@@ -55,6 +55,15 @@ def test_sparse_dense_sparse_round_trip(case):
     assert np.array_equal(orbits._members(bits), states)
 
 
+def test_dense_steps_only_on_maps_of_64_words():
+    # below 2^12 states a dense step costs more than the gathers it saves
+    assert not orbits._dense(1000, 8)
+    assert not orbits._dense(63, 63)
+    assert not orbits._dense(63, 64)
+    assert orbits._dense(64, 64)
+    assert orbits._dense(1 << 20, 1 << 18)
+
+
 def k0_graph_lattices(count: int, max_dim: int, seed: int):
     """Seeded random graphs, B = every vertex, whose adjacency matrix is
     invertible over F2, so no translation commutes with the action."""

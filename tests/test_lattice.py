@@ -1,7 +1,9 @@
 """Graph-driven transvection groups: closures, the lattice conditions,
 E6 detection, and the nonspecial census oracle."""
 
+import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from f2orbits import lattice
 from f2orbits.f2la import _rank
-from f2orbits.lattice import (Graph, NonspecialityUnknown, _closure_bitmap, build,
+from f2orbits.lattice import (Graph, NonspecialityUnknown, _connected, build,
                               check_vanishing, contains_e6, delta_closure,
                               e6_graph, hex_lattice_graph,
                               induced_basis_graph, parse_graph_file,
@@ -84,6 +86,23 @@ class TestDeltaClosure:
         for s in delta_closure(spec).vectors.tolist():
             assert space.q_bits(s) == 1
 
+    def test_peak_memory_near_the_result(self):
+        # kappa = 0 on 22 vertices: about 2^21 closure states, 8 MiB of uint32
+        rng = random.Random(22)
+        while True:
+            edges = [(i, j) for i in range(22) for j in range(i + 1, 22) if rng.random() < 0.3]
+            spec = build(Graph.from_edge_list(22, edges))
+            if _connected(spec.graph) and spec.qspace.kappa == 0:
+                break
+        tracemalloc.start()
+        try:
+            dc = delta_closure(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dc.vectors.size >= 1 << 20
+        assert peak <= 14 << 20
+
 
 class TestCheckVanishing:
     @pytest.mark.parametrize("n", range(3, 8))
@@ -107,9 +126,9 @@ class TestCheckVanishing:
     @pytest.mark.parametrize("n", range(9, 13))
     def test_large_hex_families_without_a_flood(self, n, monkeypatch):
         # 36 to 66 vertices: far past the enumeration guard
-        def boom(spec):
+        def boom(spec, seeds):
             raise AssertionError("check_vanishing flooded the closure")
-        monkeypatch.setattr(lattice, "_closure_bitmap", boom)
+        monkeypatch.setattr(lattice, "_closure", boom)
         start = time.perf_counter()
         assert check_vanishing(build(hex_lattice_graph(n))).is_vanishing_lattice
         assert time.perf_counter() - start < 1.0
@@ -128,7 +147,7 @@ def graphs_with_subsets(draw):
 @settings(max_examples=80, deadline=None)
 @given(graphs_with_subsets())
 def test_generates_ok_is_the_rank_of_the_closure(spec):
-    states = [int(s) for s in np.flatnonzero(_closure_bitmap(spec))]
+    states = delta_closure(spec).vectors.tolist()
     spans = _rank(states, spec.state_dim) == spec.state_dim
     assert check_vanishing(spec).generates_ok == spans
 
@@ -145,7 +164,7 @@ def test_single_orbit_agrees_with_orbit_queries(spec):
 @given(graphs_with_subsets())
 def test_graph_conditions_match_the_closure(spec):
     # the reference scan: some closure states s, t with <s, t> = 1
-    states = np.flatnonzero(_closure_bitmap(spec)).astype(np.uint32)
+    states = delta_closure(spec).vectors
     coupled = any(np.any(np.bitwise_count(states & np.uint32(spec.form.pairing_mask(int(s)))) & 1)
                   for s in states)
     assert check_vanishing(spec).pair_ok is (spec.state_dim <= 1 or coupled)
