@@ -189,17 +189,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="f2orbits",
         description="Orbit censuses of transvection-style actions on F2 triangular spaces")
     sub = parser.add_subparsers(dest="command", required=True)
+    census_formats = ("json", "csv", "table")
 
-    def common(p):
+    def common(p, formats=census_formats):
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--format", default="table", choices=["json", "csv", "table"])
+        p.add_argument("--format", default="table", choices=formats)
         p.add_argument("--threads", type=_worker_count, default=None,
                        help="worker count, at least 1 (default: available parallelism)")
 
-    def action_spec(p):
+    def action_spec(p, formats=census_formats):
         p.add_argument("--action", default="first", choices=[k.value for k in ActionKind])
         p.add_argument("--n", type=int, required=True)
-        common(p)
+        common(p, formats)
 
     p_census = sub.add_parser("census", help="enumerate a full census or one stratum")
     action_spec(p_census)
@@ -208,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_census.set_defaults(func=cmd_census)
 
     p_verify = sub.add_parser("verify", help="diff enumeration against the closed form")
-    action_spec(p_verify)
+    action_spec(p_verify, ("json", "table"))
     p_verify.set_defaults(func=cmd_verify)
 
     p_graph = sub.add_parser("graph", help="census of a transvection group from a graph file")

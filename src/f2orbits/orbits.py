@@ -55,6 +55,7 @@ from f2la.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -619,9 +620,11 @@ def _census(spec, workers: Optional[int] = None, height: Optional[F2Vector] = No
 
 
 def _state_bits(state, dim: int, descriptor: str) -> int:
-    """The packed state: an int in range, or a vector or matrix (which
-    holds its vector as data) of dimension dim."""
-    if isinstance(state, int):
+    """The packed state: an integer in range (a Python int or a numpy
+    integer, such as an entry of delta_closure's vectors), or a vector or
+    matrix (which holds its vector as data) of dimension dim."""
+    if isinstance(state, numbers.Integral):
+        state = int(state)
         if not 0 <= state < (1 << dim):
             raise ValueError(f"state 0x{state:x} out of range for dim {dim}")
         return state
@@ -639,8 +642,8 @@ def orbit_of(spec, state) -> OrbitRecord:
     The one search of the census: the base orbit of the state's
     projection to V/K is flooded in the job of its stratum, seeded with
     the state's K-component as its potential, and only the orbit that
-    holds the state is lifted.  A state is a packed int, an F2Vector or a
-    TriMatrix; one of another dimension than the space is refused.
+    holds the state is lifted.  A state is a packed integer, an F2Vector
+    or a TriMatrix; one of another dimension than the space is refused.
     """
     dim, masks, functionals, descriptor, _, _ = _family(spec)
     start = _state_bits(state, dim, descriptor)

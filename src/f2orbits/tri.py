@@ -8,15 +8,20 @@ for how matrices, patterns and search states line up.  The rows of the
 order-lowering maps psi and phi, one per cell (i, j) of the order n-1
 shape, are also the generators of the first action: g_ij tests the psi
 row of (i, j) and adds its phi row.
+
+The patterns P_i and ~P_i are read off the radical of the neighbor form
+of the order n-1 shape: ~P_1, ..., ~P_{n//2} is its reduced echelon
+basis in descending pivot order.  Corner triangles plus every second
+hexagonal layer are what the P patterns look like, not how they are
+built; the tests hold that construction as a reference.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .f2la import F2Vector, _echelon, _evaluate, _nullspace
+from .f2la import F2Vector, _combine, _evaluate, _nullspace
 
 
 @dataclass(frozen=True)
@@ -199,85 +204,40 @@ def hex_graph(n: int) -> HexGraph:
     return HexGraph(TriShape(n - 1))
 
 
-def _chi(m: int, i: int, level: int, j_i: int):
-    """Cells of the level-th nested shape inside the order-m triangle.
-
-    Level 1 is the hexagon left after cutting the three corner i-triangles;
-    each further level peels one boundary layer.  Levels beyond j_i are
-    empty by convention.
-    """
-    if level > j_i:
-        return []
-    out = []
-    for a in range(1, m + 1):
-        for b in range(a, m + 1):
-            d1, d2, d3 = a - 1, b - a, m - b
-            if min(d1, d2, d3) >= level - 1 and min(d1 + d2, d1 + d3, d2 + d3) >= i + level - 1:
-                out.append((a, b))
-    return out
-
-
-def _pattern_P_literal(n: int, i: int) -> TriMatrix:
-    m = n - 1
-    k = n // 2
-    if i == k:
-        return TriMatrix.from_bits(m, (1 << TriShape(m).dim) - 1)
-    cells = set()
-    for a in range(1, m + 1):
-        for b in range(a, m + 1):
-            if b <= i or b - a >= m - i or a >= m - i + 1:
-                cells.add((a, b))  # the three corner triangles
-    j_i = min(i + 1, n - 2 * i - 1)
-    for j in range(1, j_i // 2 + 1):
-        layer = set(_chi(m, i, 2 * j, j_i)) - set(_chi(m, i, 2 * j + 1, j_i))
-        cells |= layer
-    return TriMatrix.from_cells(m, cells)
-
-
 @lru_cache(maxsize=None)
-def _p_family(n: int) -> tuple[int, ...]:
-    """Bit masks of the P patterns for order n, certified against the kernel.
-
-    The literal construction is checked to span exactly the radical of the
-    neighbor form (both spans reduce to the same canonical echelon basis);
-    if that ever failed, the canonical kernel basis would be used instead,
-    with a loud warning.
-    """
-    k = n // 2
-    literal = [_pattern_P_literal(n, i).bits for i in range(1, k + 1)]
+def _radical(n: int) -> tuple[int, ...]:
+    """The radical of the neighbor form of the order n-1 shape, dim n // 2:
+    its reduced echelon basis in descending pivot order, so that entry
+    i-1 is the bit mask of ~P_i."""
     graph = hex_graph(n)
-    kernel = _nullspace(graph.neighbor_masks, graph.vertex_count)
-    if len(kernel) == k and _echelon(literal) == kernel:
-        return tuple(literal)
-    warnings.warn(
-        f"literal P patterns for n={n} do not span the neighbor-form kernel; "
-        "falling back to the canonical echelon kernel basis",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    return tuple(kernel)
+    return tuple(reversed(_nullspace(graph.neighbor_masks, graph.vertex_count)))
+
+
+def _check_pattern_index(n: int, i: int) -> None:
+    if not 1 <= i <= n // 2:
+        raise ValueError(f"pattern index {i} out of range 1..{n // 2}")
 
 
 def pattern_P(n: int, i: int) -> TriMatrix:
-    """The i-th dual-invariant pattern on the order n-1 shape.
+    """The i-th dual-invariant pattern on the order n-1 shape: the sum of
+    ~P_1, ..., ~P_i.
 
-    Three corner i-triangles plus every second hexagonal layer of the
-    remaining shape; the k-th pattern is the full shape.
+    It looks like three corner i-triangles plus every second hexagonal
+    layer of the remaining shape, and the (n // 2)-th pattern is the full
+    shape (checked against that construction for n = 2..64).
     """
-    k = n // 2
-    if not 1 <= i <= k:
-        raise ValueError(f"pattern index {i} out of range 1..{k}")
-    return TriMatrix.from_bits(n - 1, _p_family(n)[i - 1])
+    _check_pattern_index(n, i)
+    bits = 0
+    for v in _radical(n)[:i]:
+        bits ^= v
+    return TriMatrix.from_bits(n - 1, bits)
 
 
-@lru_cache(maxsize=None)
 def pattern_Ptilde(n: int, i: int) -> TriMatrix:
-    """P_i + P_{i-1}, with P_0 = 0; an alternative basis of the same span."""
-    k = n // 2
-    if not 1 <= i <= k:
-        raise ValueError(f"pattern index {i} out of range 1..{k}")
-    p = pattern_P(n, i)
-    return p if i == 1 else p ^ pattern_P(n, i - 1)
+    """P_i + P_{i-1}, with P_0 = 0: the i-th vector of the radical's
+    reduced echelon basis, counted from the highest pivot down."""
+    _check_pattern_index(n, i)
+    return TriMatrix.from_bits(n - 1, _radical(n)[i - 1])
 
 
 @lru_cache(maxsize=None)
@@ -307,22 +267,6 @@ def phi_masks(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def phi_star_masks(n: int) -> tuple[int, ...]:
-    """Row masks of the transpose of the block-sum map under the standard
-    couplings: output cell (a, b) on the order-n shape sums the order n-1
-    cells (a, b), (a-1, b), (a, b-1), (a-1, b-1) that exist."""
-    if n < 2:
-        raise ValueError("order must be at least 2")
-    src = TriShape(n - 1)
-    out = []
-    for a, b in TriShape(n).cells:
-        cells = [c for c in ((a, b), (a - 1, b), (a, b - 1), (a - 1, b - 1))
-                 if src.contains(*c)]
-        out.append(src.mask_of(cells))
-    return tuple(out)
-
-
 def psi(m: TriMatrix) -> TriMatrix:
     """Order-lowering map: image entry (i, j) = m(i, j) + m(i+1, j+1)."""
     return TriMatrix.from_bits(m.n - 1, _evaluate(m.bits, psi_masks(m.n)))
@@ -338,5 +282,4 @@ def phi(mp: TriMatrix) -> TriMatrix:
 def phi_star(x: TriMatrix) -> TriMatrix:
     """The transpose of the block-sum map; injective, landing in the
     height-zero stratum of the first action."""
-    n = x.n + 1
-    return TriMatrix.from_bits(n, _evaluate(x.bits, phi_star_masks(n)))
+    return TriMatrix.from_bits(x.n + 1, _combine(x.bits, phi_masks(x.n + 1)))

@@ -145,6 +145,14 @@ class TestVerify:
                            "--format", "json")
         assert code == 0 and json.loads(out[:out.rindex("}") + 1])["passed"]
 
+    def test_csv_is_refused(self, capsys):
+        # a verification report has no csv form; argparse refuses it
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--action", "first", "--n", "3", "--format", "csv"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "--format" in captured.err
+
     def test_failed_verification_exit_1(self, capsys, monkeypatch):
         # one wrong stratum, at the height census output prints as 10000
         real = classify.predict(5, ActionKind.FIRST)

@@ -1,6 +1,7 @@
 """The enumeration engine: exact censuses, strata, partitioning,
 determinism, and the conjugate-count and transport cross-checks."""
 
+import numpy as np
 import pytest
 
 from f2orbits import orbits
@@ -108,6 +109,18 @@ class TestOrbitOf:
     def test_int_state_out_of_range_is_refused(self):
         with pytest.raises(ValueError, match="out of range for dim 15"):
             orbit_of(ActionSpec(5, ActionKind.FIRST), 1 << 15)
+
+    def test_closure_states_are_accepted(self):
+        # delta_closure returns numpy integers; each is a packed state
+        spec = build(hex_lattice_graph(5))
+        dc = delta_closure(spec)
+        records = {orbit_of(spec, s) for s in dc.vectors[::37]}
+        assert records == {orbit_of(spec, int(dc.vectors[0]))}
+        assert records.pop().cardinality == len(dc.vectors)
+        assert orbit_of(spec, np.int64(3)) == orbit_of(spec, 3)
+        for bad in (np.int64(-1), np.uint32(1 << 10)):
+            with pytest.raises(ValueError, match="out of range for dim 10"):
+                orbit_of(spec, bad)
 
     def test_large_orbit_fallback(self):
         # the big first-action orbit: its query floods a whole base orbit of

@@ -5,12 +5,50 @@ import random
 
 import pytest
 
-from f2orbits.f2la import BilinearForm, QuadraticSpace, _rank, q_eval
+from f2orbits.f2la import BilinearForm, QuadraticSpace, _echelon, _rank, q_eval
 from f2orbits.tri import (TriMatrix, TriShape, couple, hex_graph, pattern_E,
                           pattern_P, pattern_Ptilde, pattern_R, phi,
                           phi_masks, phi_star, psi, psi_masks)
 
 rng = random.Random(20240817)
+
+
+def hexagonal_layer_P(n: int, i: int) -> int:
+    """Bit mask of P_i built cell by cell on the order m = n-1 triangle:
+    the three corner i-triangles plus every second nested hexagonal layer
+    (level 1 is the hexagon left after cutting the corners, each further
+    level peels one boundary layer); the (n // 2)-th pattern is the full
+    shape."""
+    m = n - 1
+    shape = TriShape(m)
+    if i == n // 2:
+        return (1 << shape.dim) - 1
+    depth = min(i + 1, n - 2 * i - 1)
+
+    def level(a, b, lv):
+        d1, d2, d3 = a - 1, b - a, m - b
+        return (lv <= depth and min(d1, d2, d3) >= lv - 1
+                and min(d1 + d2, d1 + d3, d2 + d3) >= i + lv - 1)
+
+    cells = [(a, b) for a, b in shape.cells
+             if b <= i or b - a >= m - i or a >= m - i + 1
+             or any(level(a, b, 2 * j) and not level(a, b, 2 * j + 1)
+                    for j in range(1, depth // 2 + 1))]
+    return shape.mask_of(cells)
+
+
+def phi_star_four_cell(x: TriMatrix) -> int:
+    """The transpose of phi cell by cell: output cell (a, b) of the order
+    n shape sums the order n-1 cells (a, b), (a-1, b), (a, b-1),
+    (a-1, b-1) that exist."""
+    n = x.n + 1
+    cells = []
+    for a, b in TriShape(n).cells:
+        near = [c for c in ((a, b), (a - 1, b), (a, b - 1), (a - 1, b - 1))
+                if x.shape.contains(*c)]
+        if sum(x.get(*c) for c in near) & 1:
+            cells.append((a, b))
+    return TriShape(n).mask_of(cells)
 
 
 def neighbor_space(n: int) -> QuadraticSpace:
@@ -131,25 +169,21 @@ class TestPPatterns:
         else:
             assert vals == [1] * (k - 1) + [k % 2]
 
-    def test_kernel_fallback_warns_and_recovers(self, monkeypatch):
-        # sabotage the literal construction; the certified kernel basis must
-        # take over, loudly
-        import f2orbits.tri as tri_mod
-        tri_mod._p_family.cache_clear()
-        monkeypatch.setattr(
-            tri_mod, "_pattern_P_literal",
-            lambda n, i: TriMatrix.from_cells(n - 1, [(1, 2)]))
-        try:
-            with pytest.warns(RuntimeWarning, match="falling back"):
-                masks = tri_mod._p_family(5)
-            space = neighbor_space(5)
-            assert _rank(list(masks), space.dim) == 2
-            kernel_bits = [b.bits for b in space.kernel]
-            for p in masks:
-                assert _rank(kernel_bits + [p], space.dim) == 2
-        finally:
-            monkeypatch.undo()
-            tri_mod._p_family.cache_clear()
+    @pytest.mark.parametrize("n", range(2, 33))
+    def test_P_is_the_hexagonal_layer_construction(self, n):
+        for i in range(1, n // 2 + 1):
+            assert pattern_P(n, i).bits == hexagonal_layer_P(n, i), (n, i)
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_ptilde_is_the_radical_echelon_basis(self, n):
+        k = n // 2
+        pt = [pattern_Ptilde(n, i).bits for i in range(1, k + 1)]
+        pivots = [v.bit_length() - 1 for v in pt]
+        assert pivots == sorted(pivots, reverse=True) and len(set(pivots)) == k
+        for v in pt:
+            assert sum(w >> (v.bit_length() - 1) & 1 for w in pt) == 1  # reduced
+        assert _rank(pt, TriShape(n - 1).dim) == k
+        assert _echelon(pt) == pt[::-1] == [b.bits for b in neighbor_space(n).kernel]
 
 
 class TestMaps:
@@ -198,6 +232,14 @@ class TestMaps:
             y = phi_star(x)
             for i in range(1, n + 1):
                 assert couple(y, pattern_R(n, i)) == 0
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_phi_star_is_the_four_cell_rule(self, n):
+        shape = TriShape(n - 1)
+        xs = [TriMatrix.from_cells(n - 1, [c]) for c in shape.cells]
+        xs += [TriMatrix.from_bits(n - 1, rng.randrange(1 << shape.dim)) for _ in range(20)]
+        for x in xs:
+            assert phi_star(x).bits == phi_star_four_cell(x)
 
     def test_order_guard(self):
         with pytest.raises(ValueError):
