@@ -136,7 +136,7 @@ def cmd_patterns(args) -> int:
     for i in range(1, n + 1):
         out.append(f"R_{i} (n={n}):")
         out.append(pattern_R(n, i).grid())
-    if n >= 3:
+    if n >= 2:
         k = n // 2
         for i in range(1, k + 1):
             out.append(f"P_{i} (order {n - 1}):")

@@ -7,11 +7,13 @@ engine runs a frontier BFS, vectorized with numpy over frontier chunks.
 Involutivity of the generators keeps each expansion batch
 duplicate-free, so no sorting is ever needed.  The visited map holds one
 tag per base state (a byte while dim K < 8), or one bit per state when
-K = 0.  A bitset flood picks a step per level (direction-optimizing
-BFS): a level whose frontier holds at least as many states as the map
-has words steps every generator over the whole stratum with word-wide
-bit operations, and a smaller one gathers its moved states and tests
-them against the bitset.
+K = 0.  A bitset flood runs BFS levels that gather their moved states
+and test them against the bitset while its frontier is small; once the
+frontier holds a quarter as many states as the map has words, it
+finishes as a closure (after direction-optimizing BFS): one component
+bitset is swept in place, generator after generator, with word-wide bit
+operations over the whole stratum, until a sweep adds no state or the
+component fills what the map has left unvisited.
 
 The search runs on a quotient.  K, the common null space of the
 condition masks, acts by translations that commute with every
@@ -249,96 +251,119 @@ def _members(bits: np.ndarray) -> np.ndarray:
     return out
 
 
-def _odd_words(cond: int, const: int, words: int) -> np.ndarray:
-    """The odd set of (cond, const) as a bitset of words words: bit i of
-    word w is parity((64 w + i) & cond) ^ const.  From the one state 0,
-    each bit j of the state index doubles the prefix, inverted where bit
-    j of cond is set: inside word 0 for j < 6, then across words."""
+def _odd_words(cond: int, const: int, out: np.ndarray) -> np.ndarray:
+    """Write the odd set of (cond, const) into the bitset out and return
+    it: bit i of word w is parity((64 w + i) & cond) ^ const.  From the
+    one state 0, each bit j of the state index doubles the prefix,
+    inverted where bit j of cond is set: inside word 0 for j < 6, then
+    across words."""
     pattern = const
     for j in range(6):
         half = 1 << j
         pattern |= (pattern ^ ((1 << half) - 1 if cond >> j & 1 else 0)) << half
-    out = np.empty(words, dtype=np.uint64)
     out[0] = pattern
-    for j in range(words.bit_length() - 1):
+    for j in range(out.size.bit_length() - 1):
         half = 1 << j
         np.bitwise_xor(out[:half], _ONES if cond >> 6 + j & 1 else np.uint64(0),
                        out=out[half:2 * half])
     return out
 
 
-def _p_foot(bits: np.ndarray, foot: int) -> np.ndarray:
-    """The bitset {i ^ foot : i in bits}: the words at w ^ (foot >> 6), by
-    flipping the axes of the word array reshaped to (2,) * (dim - 6), then
-    one delta swap inside every word per set bit s < 6 of foot."""
+def _p_foot(bits: np.ndarray, foot: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Write the bitset {i ^ foot : i in bits} into out and return it:
+    the words at w ^ (foot >> 6), by flipping the axes of the word array
+    reshaped to (2,) * (dim - 6), then one delta swap inside every word
+    per set bit s < 6 of foot.  scratch, which may be bits itself, is
+    overwritten; out is neither."""
     k = bits.size.bit_length() - 1
     flips = tuple(k - 1 - j for j in range(k) if foot >> 6 + j & 1)
-    out = np.flip(bits.reshape((2,) * k), axis=flips).reshape(-1) if flips else bits.copy()
+    np.copyto(out.reshape((2,) * k), np.flip(bits.reshape((2,) * k), axis=flips))
     for s in range(6):
         if foot >> s & 1:
             m, t = _SWAP[s], np.uint64(1 << s)
-            moved = out >> t
-            moved &= m
+            np.right_shift(out, t, out=scratch)
+            scratch &= m
             out &= m
             out <<= t
-            out |= moved
+            out |= scratch
     return out
 
 
 def _dense(count: int, words: int) -> bool:
-    """Whether a level of count frontier states takes the dense step over
-    a bitset of words words: at least as many states as words, on a map
-    of at least 64 words (2^12 states).  On smaller maps a dense step's
-    fixed cost, a few numpy calls per generator, outweighs the gathers it
-    saves."""
-    return words >= 64 and count >= words
+    """Whether a flood whose frontier holds count states finishes as a
+    closure over a bitset of words words: at least a quarter as many
+    states as words, on a map of at least 64 words (2^12 states).  A
+    closure sweeps the whole map however small its component, and the
+    quarter lets at most 256 floods of one map close.  On smaller maps a
+    sweep's fixed cost, a few numpy calls per generator, outweighs the
+    gathers it saves."""
+    return words >= 64 and 4 * count >= words
 
 
 def _bit_flood(seed: int, gens, visited: np.ndarray) -> tuple[int, int]:
     """Flood the component of compact state seed on a bitset visited map
     and mark it; returns (low, size), its least state and its size.
 
-    Each level picks its step (Beamer, Asanovic and Patterson,
-    "Direction-optimizing breadth-first search", SC 2012).  A frontier
-    of fewer states than the map has words takes the sparse step: the
-    moved states are gathered and tested against the bitset.  A larger
-    one, held as a bitset, takes the dense step over the whole stratum:
-    new |= P_foot(frontier & odd) for every generator, whose odd set it
-    maps to itself because cond . foot is even, then new &= ~visited.
+    Small frontiers take sparse BFS levels: the moved states are
+    gathered and tested against the bitset.  Once _dense says the
+    frontier is big (after Beamer, Asanovic and Patterson,
+    "Direction-optimizing breadth-first search", SC 2012), the flood
+    ends as a closure: reached, the frontier's bitset, is swept in place
+    with reached |= P_foot(reached & odd) for one generator after
+    another, where P_foot maps the generator's odd set to itself because
+    cond . foot is even.  The generators are involutions, so the closure
+    of any nonempty part of a component is the whole component, in any
+    sweep order, and it holds nothing else; visited is only ORed with
+    reached at the end.  The sweeps stop when one adds no state, or as
+    soon as reached and the states visited before this flood cover the
+    map, which skips the confirming sweep of a stratum's last flood.
     """
     words = visited.size
     visited[seed >> 6] |= np.uint64(1) << np.uint64(seed & 63)
-    # a level's states as uint32, or after a dense step its uint64 bitset
     frontier = np.array([seed], dtype=np.uint32)
-    low, size, count = seed, 1, 1
-    while count:
-        if _dense(count, words):
-            bits = frontier if frontier.dtype == np.uint64 else _bitset(frontier, words)
-            frontier = np.zeros_like(visited)
-            for cond, foot, const in gens:
-                frontier |= _p_foot(bits & _odd_words(int(cond), int(const), words), int(foot))
-            frontier &= ~visited
-            visited |= frontier
-            count = int(np.bitwise_count(frontier).sum())
-            if count:
-                w = int((frontier != 0).argmax())
-                v = int(frontier[w])
-                low = min(low, w << 6 | (v & -v).bit_length() - 1)
-        else:
-            states = frontier if frontier.dtype == np.uint32 else _members(frontier)
-            parts = [np.empty(0, dtype=np.uint32)]
-            for moved in _moves(states, gens):
-                word = moved >> 6
-                bit = np.uint64(1) << (moved & 63)
-                new = (visited[word] & bit) == 0
-                np.bitwise_or.at(visited, word[new], bit[new])
-                parts.append(moved[new])
-            frontier = np.concatenate(parts)
-            count = int(frontier.size)
-            if count:
-                low = min(low, int(frontier.min()))
-        size += count
+    low, size = seed, 1
+    while frontier.size:
+        if _dense(frontier.size, words):
+            return _close(frontier, size, gens, visited)
+        parts = [np.empty(0, dtype=np.uint32)]
+        for moved in _moves(frontier, gens):
+            word = moved >> 6
+            bit = np.uint64(1) << (moved & 63)
+            new = (visited[word] & bit) == 0
+            np.bitwise_or.at(visited, word[new], bit[new])
+            parts.append(moved[new])
+        frontier = np.concatenate(parts)
+        if frontier.size:
+            low = min(low, int(frontier.min()))
+        size += frontier.size
     return low, size
+
+
+def _close(frontier: np.ndarray, size: int, gens, visited: np.ndarray) -> tuple[int, int]:
+    """The closure phase of _bit_flood, from a nonempty frontier of a
+    flood that has marked size states so far; marks the component and
+    returns (low, size).
+
+    Two scratch bitsets are allocated once, and every sweep step and
+    popcount writes into them or into reached.
+    """
+    words = visited.size
+    reached = _bitset(frontier, words)
+    odd, moved = np.empty_like(reached), np.empty_like(reached)
+    outside = int(np.bitwise_count(visited, out=moved).sum()) - size
+    count = frontier.size
+    while count + outside < 64 * words:
+        for cond, foot, const in gens:
+            np.bitwise_and(reached, _odd_words(int(cond), int(const), odd), out=odd)
+            reached |= _p_foot(odd, int(foot), moved, odd)
+        grown = int(np.bitwise_count(reached, out=moved).sum())
+        if grown == count:
+            break
+        count = grown
+    visited |= reached
+    w = int((reached != 0).argmax())
+    v = int(reached[w])
+    return w << 6 | (v & -v).bit_length() - 1, count
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
-"""The bitset flood of K = 0 searches: its word-level pieces, and byte
-equality of every query with each level forced dense or forced sparse."""
+"""The bitset flood of K = 0 searches: its word-level pieces, its
+closure phase against the union-find oracle, and byte equality of every
+query with the closure forced or the sparse levels forced."""
 
 import random
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,9 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from f2orbits import orbits
 from f2orbits.actions import ActionKind, ActionSpec, height_functionals
-from f2orbits.f2la import F2Vector, _nullspace, _parity
+from f2orbits.f2la import F2Vector, _evaluate, _nullspace, _parity
 from f2orbits.lattice import Graph, build, delta_closure
 from f2orbits.orbits import enumerate_orbits, enumerate_stratum, orbit_of
+from test_engine_properties import union_find_classes
 
 SMALL_SPECS = [ActionSpec(n, kind) for kind in ActionKind for n in range(2, 7)]
 
@@ -32,8 +36,13 @@ def bitset_states(draw):
 def test_p_foot_is_index_xor(case, foot):
     dim, states = case
     foot &= (1 << dim) - 1
-    moved = orbits._p_foot(orbits._bitset(states, words_for(dim)), foot)
-    assert orbits._members(moved).tolist() == sorted(int(s) ^ foot for s in states)
+    bits = orbits._bitset(states, words_for(dim))
+    out, scratch = np.empty_like(bits), np.empty_like(bits)
+    assert orbits._p_foot(bits, foot, out, scratch) is out
+    assert orbits._members(out).tolist() == sorted(int(s) ^ foot for s in states)
+    # scratch may be the input itself
+    assert orbits._members(orbits._p_foot(bits, foot, scratch, bits)).tolist() == \
+        orbits._members(out).tolist()
 
 
 @settings(max_examples=150, deadline=None)
@@ -42,7 +51,8 @@ def test_p_foot_is_index_xor(case, foot):
 def test_odd_words_follow_the_parity_rule(dim, cond, const):
     cond &= (1 << dim) - 1
     words = words_for(dim)
-    odd = orbits._members(orbits._odd_words(cond, const, words)).tolist()
+    out = np.full(words, 12345, dtype=np.uint64)
+    odd = orbits._members(orbits._odd_words(cond, const, out)).tolist()
     assert odd == [x for x in range(64 * words) if _parity(x & cond) ^ const]
 
 
@@ -56,12 +66,16 @@ def test_sparse_dense_sparse_round_trip(case):
 
 
 def test_dense_steps_only_on_maps_of_64_words():
-    # below 2^12 states a dense step costs more than the gathers it saves
+    # below 2^12 states a closure sweep costs more than the gathers it saves
     assert not orbits._dense(1000, 8)
     assert not orbits._dense(63, 63)
-    assert not orbits._dense(63, 64)
+    assert not orbits._dense(1 << 20, 63)
     assert orbits._dense(64, 64)
-    assert orbits._dense(1 << 20, 1 << 18)
+    # on larger maps a frontier of a quarter as many states as words
+    assert orbits._dense(16, 64)
+    assert not orbits._dense(15, 64)
+    assert orbits._dense(1 << 16, 1 << 18)
+    assert not orbits._dense((1 << 16) - 1, 1 << 18)
 
 
 def k0_graph_lattices(count: int, max_dim: int, seed: int):
@@ -83,6 +97,91 @@ K0_LATTICES = k0_graph_lattices(6, 14, seed=8)
 
 def test_k0_lattices_reach_the_largest_dim():
     assert max(spec.state_dim for spec in K0_LATTICES) >= 12
+
+
+def k0_job(spec):
+    """(job, classes) for a K = 0 search: the job of the height-0 base
+    stratum (for a lattice, the whole space), and its union-find classes
+    in compact coordinates, ascending by minimum."""
+    dim, masks, _, _, _, _ = orbits._family(spec)
+    translations, base = orbits._lift_plan(dim, masks)
+    assert not translations
+    job = orbits._stratum_job(dim, masks, base, translations, 0)
+    space = SimpleNamespace(state_dim=dim, masked_generators=lambda: masks)
+    classes = [[orbits._compact(job, x) for x in members]
+               for members in union_find_classes(space) if not _evaluate(members[0], base)]
+    return job, sorted(classes)
+
+
+K0_JOBS = [k0_job(ActionSpec(n, ActionKind.SECOND)) for n in range(4, 7)] + \
+    [k0_job(spec) for spec in K0_LATTICES]
+
+
+def marked(visited, job) -> set[int]:
+    """The states marked on a visited map of the job, past those an empty
+    map starts with."""
+    return set(orbits._members(visited).tolist()) - \
+        set(orbits._members(orbits._search(job)[0]).tolist())
+
+
+@pytest.fixture
+def all_dense(monkeypatch):
+    """Every bitset flood goes straight to its closure; yields a list
+    that counts the closure's generator steps."""
+    steps = []
+    p_foot = orbits._p_foot
+
+    def counted(*args):
+        steps.append(1)
+        return p_foot(*args)
+
+    monkeypatch.setattr(orbits, "_dense", lambda count, words: True)
+    monkeypatch.setattr(orbits, "_p_foot", counted)
+    yield steps
+
+
+@pytest.mark.parametrize("job,classes", K0_JOBS, ids=range(len(K0_JOBS)))
+def test_closure_marks_exactly_its_class(job, classes, all_dense):
+    assert len(classes) >= 2
+    visited, gens = orbits._search(job)
+    done = set()
+    for i, members in enumerate(classes):
+        all_dense.clear()
+        assert orbits._bit_flood(members[0], gens, visited) == (members[0], len(members))
+        shared = len(all_dense)
+        done |= set(members)
+        assert marked(visited, job) == done
+        # the same class on an empty map ends on the fixpoint exit
+        alone, _ = orbits._search(job)
+        all_dense.clear()
+        assert orbits._bit_flood(members[0], gens, alone) == (members[0], len(members))
+        assert marked(alone, job) == set(members)
+        assert len(all_dense) % len(gens) == 0
+        # the last class covers the map, which saves the confirming sweep
+        last = i == len(classes) - 1
+        assert shared == (len(all_dense) - len(gens) if last else len(all_dense))
+
+
+def test_closure_allocates_no_map_per_generator(monkeypatch):
+    spec = ActionSpec(7, ActionKind.SECOND)
+    dim, masks, _, _, _, _ = orbits._family(spec)
+    translations, base = orbits._lift_plan(dim, masks)
+    job = orbits._stratum_job(dim, masks, base, translations, 0)
+    visited, gens = orbits._search(job)
+    assert visited.size >= 1 << 12
+    seed = (1 << job.compact_dim) - 1
+    expected = orbits._bit_flood(seed, gens, orbits._search(job)[0])
+    assert expected[1] > 1 << 16
+    monkeypatch.setattr(orbits, "_dense", lambda count, words: True)
+    tracemalloc.start()
+    try:
+        got = orbits._bit_flood(seed, gens, visited)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expected
+    # reached, two scratch bitsets and the frontier
+    assert peak < 4 * visited.nbytes
 
 
 @pytest.fixture(scope="module")
@@ -108,8 +207,8 @@ def random_states(spec, count: int = 40):
 
 @pytest.fixture(params=[True, False], ids=["dense", "sparse"])
 def forced(request, monkeypatch):
-    """Every level of a bitset flood takes the dense step, or the sparse
-    one; yields the frontier sizes the switch was asked about."""
+    """Every bitset flood goes straight to its closure, or takes sparse
+    levels only; yields the frontier sizes the switch was asked about."""
     asked = []
 
     def switch(count, words):

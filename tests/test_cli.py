@@ -215,11 +215,15 @@ class TestPatterns:
         assert "P_1 " in out and "P_2 " in out and "~P_2 " in out
         assert "10 vertices" in out
 
-    def test_n2_only_e_and_r(self, capsys):
+    def test_n2_has_the_one_cell_patterns(self, capsys):
+        # n // 2 = 1: P_1 = ~P_1 is the one cell of the order-1 shape
         code, out, _ = run(capsys, "patterns", "--n", "2")
         assert code == 0
         assert "E_1 " in out and "R_2 " in out
-        assert "P_1" not in out
+        assert out.endswith("P_1 (order 1):\n 1\n~P_1 (order 1):\n 1\n"
+                            "neighbor graph of the order-1 shape: "
+                            "1 vertices, 0 edges (1 of degree 0)\n")
+        assert "P_2" not in out
 
     def test_n8_runs(self, capsys):
         code, out, _ = run(capsys, "patterns", "--n", "8")
