@@ -212,6 +212,28 @@ class _Span:
             if values.size:
                 self.basis = _echelon(self.basis + [int(values[0])])
 
+    def absorb_planes(self, planes: np.ndarray, scratch: np.ndarray) -> None:
+        """Add values held as bit-planes to the span: row j of the (dim,
+        words) uint64 array planes holds bit j of a value per bit
+        position.  The planes are reduced against the basis in place,
+        plane by plane, and one surviving position at a time is taken
+        in; scratch is a words-long uint64 buffer."""
+        while not self.full:
+            for b in self.basis:
+                p = b.bit_length() - 1
+                for j in range(self.dim):
+                    if j != p and b >> j & 1:
+                        planes[j] ^= planes[p]
+                planes[p] = 0
+            np.bitwise_or.reduce(planes, axis=0, out=scratch)
+            w = int(scratch.argmax())
+            bits = int(scratch[w])
+            if not bits:
+                return
+            i = (bits & -bits).bit_length() - 1
+            self.basis = _echelon(self.basis + [sum((int(planes[j, w]) >> i & 1) << j
+                                                    for j in range(self.dim))])
+
 
 def _rank(rows, dim) -> int:
     """Rank of the rows, vectors of F2^dim."""

@@ -2,18 +2,19 @@
 
 States are packed ints; every generator is a parity-conditioned XOR
 (condition mask, footprint mask, constant bit), which makes the orbit
-partition the connected components of an implicit undirected graph.  The
-engine runs a frontier BFS, vectorized with numpy over frontier chunks.
-Involutivity of the generators keeps each expansion batch
-duplicate-free, so no sorting is ever needed.  The visited map holds one
-tag per base state (a byte while dim K < 8), or one bit per state when
-K = 0.  A bitset flood runs BFS levels that gather their moved states
-and test them against the bitset while its frontier is small; once the
-frontier holds a quarter as many states as the map has words, it
-finishes as a closure (after direction-optimizing BFS): one component
-bitset is swept in place, generator after generator, with word-wide bit
-operations over the whole stratum, until a sweep adds no state or the
-component fills what the map has left unvisited.
+partition the connected components of an implicit undirected graph.
+Every search floods one component at a time on bitsets, one bit per
+compact state: a visited map, the component being lifted (reached), and
+one potential bit-plane per dimension of K (below).  While its frontier
+is small a flood runs BFS levels, vectorized with numpy over frontier
+chunks, that gather their moved states and test them against the
+visited bitset; involutivity of the generators keeps each expansion
+batch duplicate-free, so no sorting is ever needed.  Once the frontier
+holds a quarter as many states as the map has words, the flood finishes
+as a closure (after direction-optimizing BFS): reached and the planes
+are swept in place together, generator after generator, with word-wide
+bit operations over the whole stratum, until a sweep adds no state or
+the component fills what the map has left unvisited.
 
 The search runs on a quotient.  K, the common null space of the
 condition masks, acts by translations that commute with every
@@ -37,11 +38,12 @@ generators from a spanning tree; Gross and Tucker, Topological Graph
 Theory, 1987, ch. 2, on voltage graphs).  A base orbit O' then lifts
 to 2^(dim K - rank S) orbits of |O'| * 2^rank S states, one per coset
 c of S in K, and the representative of the one over c is the least
-reduce_S(section(y) ^ pot(y) ^ c) over y in O'.  Once S = K there is
-one orbit over O', represented by the section of the least state of
-O', and the flood stops keeping its words.  K = 0 (the second action) is the
-case S = K from the start: the words are compact states, and the
-ascending seed of each orbit is its minimum.  Heights are read off the
+reduce_S(section(y) ^ pot(y) ^ c) over y in O', read back from reached
+and the planes.  Once S = K there is one orbit over O', represented by
+the section of the least state of O', and the flood drops the planes
+and reached.  K = 0 (the second action) is the case of no planes, with
+S = K from the start: the words are compact states, and the ascending
+seed of each orbit is its minimum.  Heights are read off the
 representatives.
 
 Every query runs this one search: a census runs every stratum job of
@@ -162,12 +164,6 @@ class OrbitCensus:
         return "\n".join(lines) + "\n"
 
 
-def _tag_dtype(kdim: int):
-    """Smallest unsigned dtype holding a visited flag above kdim potential
-    bits (kdim <= 28 under the guard)."""
-    return np.uint8 if kdim < 8 else np.uint16 if kdim < 16 else np.uint32
-
-
 def _moves(frontier: np.ndarray, gens):
     """Each generator's image of the frontier states it moves, one array
     per (frontier chunk, generator)."""
@@ -180,60 +176,14 @@ def _moves(frontier: np.ndarray, gens):
                 yield moved
 
 
-def _bfs_component(seed: int, gens, visited: np.ndarray, span: _Span):
-    """Flood one component on a tag map and mark it visited; returns (low,
-    size, levels).
-
-    A search word is pot << compact_dim | z, for a compact state z of the
-    2^compact_dim visited map and its potential of span.dim > 0 bits.
-    The tag of z is a flag bit above its potential, and an edge onto a
-    tagged z adds (word >> compact_dim) ^ tag ^ flag to the span S.  low
-    is the least z reached, size the number of z, and levels the frontier
-    words while S != K.  Once S = K potentials are no longer read: tags
-    are the flag alone and levels is None.
-    """
-    shift = visited.size.bit_length() - 1
-    zmask = visited.size - 1
-    flag = visited.dtype.type(1 << span.dim)
-    low = seed & zmask
-    visited[low] = flag | (seed >> shift)
-    frontier = np.array([seed], dtype=np.uint32)
-    levels = [frontier]
-    size = 1
-    while frontier.size:
-        parts = []
-        for moved in _moves(frontier, gens):
-            z = moved & zmask
-            tags = visited[z]
-            new = tags == 0
-            if not span.full:
-                old = ~new
-                span.absorb((moved[old] >> shift) ^ tags[old] ^ flag)
-            fresh = moved[new]
-            if not fresh.size:
-                continue
-            size += int(fresh.size)
-            parts.append(fresh)
-            fresh_z = fresh & zmask
-            visited[fresh_z] = flag if span.full else (fresh >> shift) | flag
-            low = min(low, int(fresh_z.min()))
-        frontier = np.concatenate(parts) if parts else np.empty(0, dtype=np.uint32)
-        levels = None if span.full else levels + [frontier]
-    return low, size, levels
-
-
-# A K = 0 visited map is a bitset: bit z & 63 of word z >> 6 marks compact
-# state z.  _SWAP[s] holds the bits i of a word with bit s of i clear.
+# A bitset marks compact state z at bit z & 63 of word z >> 6.  _SWAP[s]
+# holds the bits i of a word with bit s of i clear; _BIT[j] is 1 << j.
 _ONES = np.uint64(2**64 - 1)
 _SWAP = tuple(np.uint64(sum(1 << i for i in range(64) if not i >> s & 1)) for s in range(6))
+_BIT = np.uint32(1) << np.arange(32, dtype=np.uint32)
+# _SPREAD[x] holds bit b of the byte x in its byte b
+_SPREAD = np.array([sum((x >> b & 1) << 8 * b for b in range(8)) for x in range(256)], dtype="<u8")
 _UNPACK = 1 << 10
-
-
-def _bitset(states: np.ndarray, words: int) -> np.ndarray:
-    """The bitset of words uint64 words holding the given distinct states."""
-    out = np.zeros(words, dtype=np.uint64)
-    np.bitwise_or.at(out, states >> 6, np.uint64(1) << (states & 63))
-    return out
 
 
 def _members(bits: np.ndarray) -> np.ndarray:
@@ -270,14 +220,15 @@ def _odd_words(cond: int, const: int, out: np.ndarray) -> np.ndarray:
 
 
 def _p_foot(bits: np.ndarray, foot: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Write the bitset {i ^ foot : i in bits} into out and return it:
-    the words at w ^ (foot >> 6), by flipping the axes of the word array
-    reshaped to (2,) * (dim - 6), then one delta swap inside every word
-    per set bit s < 6 of foot.  scratch, which may be bits itself, is
-    overwritten; out is neither."""
-    k = bits.size.bit_length() - 1
-    flips = tuple(k - 1 - j for j in range(k) if foot >> 6 + j & 1)
-    np.copyto(out.reshape((2,) * k), np.flip(bits.reshape((2,) * k), axis=flips))
+    """Write the bitset {i ^ foot : i in bits} into out and return it, for
+    every bitset along the last axis of bits: the words at w ^ (foot >> 6),
+    by flipping the axes of that axis reshaped to (2,) * log2(words),
+    then one delta swap inside every word per set bit s < 6 of foot.
+    scratch, which may be bits itself, is overwritten; out is neither."""
+    k = bits.shape[-1].bit_length() - 1
+    shape = bits.shape[:-1] + (2,) * k
+    flips = tuple(-1 - j for j in range(k) if foot >> 6 + j & 1)
+    np.copyto(out.reshape(shape), np.flip(bits.reshape(shape), axis=flips))
     for s in range(6):
         if foot >> s & 1:
             m, t = _SWAP[s], np.uint64(1 << s)
@@ -291,7 +242,7 @@ def _p_foot(bits: np.ndarray, foot: int, out: np.ndarray, scratch: np.ndarray) -
 
 def _dense(count: int, words: int) -> bool:
     """Whether a flood whose frontier holds count states finishes as a
-    closure over a bitset of words words: at least a quarter as many
+    closure over bitsets of words words: at least a quarter as many
     states as words, on a map of at least 64 words (2^12 states).  A
     closure sweeps the whole map however small its component, and the
     quarter lets at most 256 floods of one map close.  On smaller maps a
@@ -300,69 +251,181 @@ def _dense(count: int, words: int) -> bool:
     return words >= 64 and 4 * count >= words
 
 
-def _bit_flood(seed: int, gens, visited: np.ndarray) -> tuple[int, int]:
-    """Flood the component of compact state seed on a bitset visited map
-    and mark it; returns (low, size), its least state and its size.
+def _potentials(planes: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The potentials of the compact states z, as uint32: bit j is bit z
+    of planes[j].  The plane words are gathered for _LIFT_CHUNK states at
+    a time."""
+    out = np.empty(z.size, dtype=np.uint32)
+    for at in range(0, z.size, _LIFT_CHUNK):
+        part = z[at:at + _LIFT_CHUNK]
+        out[at:at + _LIFT_CHUNK] = _BIT[:len(planes)] @ (planes[:, part >> 6] >> (part & 63) & 1)
+    return out
+
+
+def _scatter(stack: np.ndarray, words: np.ndarray, shift: int) -> None:
+    """Mark the states z of the search words pot << shift | z in the
+    bitset stack[0], and set bit j of pot(z) in stack[1 + j]."""
+    z = words & (1 << shift) - 1
+    rows, i = np.nonzero((words >> shift << 1 | 1) & _BIT[:len(stack), None])
+    np.bitwise_or.at(stack, (rows, z[i] >> 6), np.uint64(1) << (z[i] & 63))
+
+
+def _flood(seed: int, gens, maps: np.ndarray, span: _Span, shift: int) -> tuple[int, int]:
+    """Flood the component of the search word seed = pot << shift | z on
+    maps and mark it visited; returns (low, size), its least compact
+    state and its size.
+
+    maps is _search's stack of bitsets over the compact states: visited,
+    the component reached, and one potential plane per dimension of K,
+    whose bit z is that bit of pot(z).  While the cycle voltages span
+    less than K, the states the flood reaches are also marked in reached
+    and scatter their potentials into the planes, and every edge onto a
+    state already reached feeds its cycle voltage, read from the planes,
+    to span.  When span fills, reached is cleared (_unmark) and only
+    visited is marked from then on.
 
     Small frontiers take sparse BFS levels: the moved states are
-    gathered and tested against the bitset.  Once _dense says the
-    frontier is big (after Beamer, Asanovic and Patterson,
-    "Direction-optimizing breadth-first search", SC 2012), the flood
-    ends as a closure: reached, the frontier's bitset, is swept in place
-    with reached |= P_foot(reached & odd) for one generator after
-    another, where P_foot maps the generator's odd set to itself because
-    cond . foot is even.  The generators are involutions, so the closure
+    gathered and tested against the bitset, one generator after another,
+    so each new state has one parent.  Once _dense says the frontier is
+    big (after Beamer, Asanovic and Patterson, "Direction-optimizing
+    breadth-first search", SC 2012), the flood ends as a closure
+    (_close).  On return reached holds the component while span is not
+    full, for _lift, and is empty otherwise.
+    """
+    zmask = (1 << shift) - 1
+    visited, stack = maps[0], maps[1:]
+    frontier = np.array([seed], dtype=np.uint32)
+    low, size = seed & zmask, 1
+    visited[low >> 6] |= np.uint64(1) << np.uint64(low & 63)
+    if not span.full:
+        _scatter(stack, frontier, shift)
+    while frontier.size:
+        if _dense(frontier.size, visited.size):
+            return _close(frontier, size, gens, maps, span, shift)
+        parts, old = [np.empty(0, dtype=np.uint32)], [np.empty(0, dtype=np.uint32)]
+        for moved in _moves(frontier, gens):
+            # with no planes the words are the states: no copy to mask
+            z = moved & zmask if span.dim else moved
+            word, bit = z >> 6, np.uint64(1) << (z & 63)
+            new = (visited[word] & bit) == 0
+            np.bitwise_or.at(visited, word[new], bit[new])
+            parts.append(moved[new])
+            if not span.full:
+                old.append(moved[~new])
+        frontier = np.concatenate(parts)
+        if not span.full:
+            # the level's new states first, so every edge of the level onto
+            # a visited state finds its potential
+            _scatter(stack, frontier, shift)
+            old = np.concatenate(old)
+            span.absorb((old >> shift) ^ _potentials(stack[1:], old & zmask))
+            if span.full:
+                _unmark(seed & zmask, gens, stack[0], zmask)
+        if frontier.size:
+            low = min(low, int((frontier & zmask).min()))
+        size += frontier.size
+    return low, size
+
+
+def _unmark(seed: int, gens, bits: np.ndarray, zmask: int) -> None:
+    """Clear the marked states of the bitset bits that marked states
+    connect to the marked compact state seed, by a sparse flood over
+    them: this costs what the levels that marked them cost, not a pass
+    over the map."""
+    bits[seed >> 6] ^= np.uint64(1) << np.uint64(seed & 63)
+    frontier = np.array([seed], dtype=np.uint32)
+    while frontier.size:
+        parts = [np.empty(0, dtype=np.uint32)]
+        for moved in _moves(frontier, gens):
+            moved &= zmask
+            word, bit = moved >> 6, np.uint64(1) << (moved & 63)
+            hit = (bits[word] & bit) != 0
+            np.bitwise_xor.at(bits, word[hit], bit[hit])
+            parts.append(moved[hit])
+        frontier = np.concatenate(parts)
+
+
+def _move(stack: np.ndarray, cond: int, foot: int, const: int, src: np.ndarray,
+          moved: np.ndarray) -> np.ndarray:
+    """P_foot(stack & odd) into moved, for every row of stack at once,
+    where odd is the odd set of (cond, const); src is scratch."""
+    np.bitwise_and(stack, _odd_words(cond, const, moved[0]), out=src)
+    return _p_foot(src, foot, moved, src)
+
+
+def _close(frontier: np.ndarray, size: int, gens, maps: np.ndarray, span: _Span,
+           shift: int) -> tuple[int, int]:
+    """The closure phase of _flood, from a nonempty frontier of a flood
+    that has marked size states so far; marks the component and returns
+    (low, size).
+
+    The closure runs on a stack of bitsets: reached, and below it the
+    potential planes while span is not full.  Without planes reached
+    starts as the frontier's bitset; with them it already holds every
+    state of the flood, with its potential.  A growth sweep moves the
+    whole stack by one generator after another, P_foot(stack & odd),
+    where P_foot maps the generator's odd set to itself because cond .
+    foot is even.  The fresh states P_foot(reached & odd) & ~reached take
+    the moved planes, flipped at the generator's voltage bits; reached
+    grows after every generator, so each state takes its potential from
+    exactly one parent.  The generators are involutions, so the closure
     of any nonempty part of a component is the whole component, in any
     sweep order, and it holds nothing else; visited is only ORed with
     reached at the end.  The sweeps stop when one adds no state, or as
     soon as reached and the states visited before this flood cover the
     map, which skips the confirming sweep of a stratum's last flood.
+    Growth sweeps check no cycle: with planes, one cycle sweep then
+    feeds pot(y) ^ voltage ^ pot(gy) of every edge to span (tree edges
+    give 0), and drops the planes once span is full.
+
+    The two scratch stacks are allocated once, and every sweep step and
+    popcount writes into them or into the stack.
     """
-    words = visited.size
-    visited[seed >> 6] |= np.uint64(1) << np.uint64(seed & 63)
-    frontier = np.array([seed], dtype=np.uint32)
-    low, size = seed, 1
-    while frontier.size:
-        if _dense(frontier.size, words):
-            return _close(frontier, size, gens, visited)
-        parts = [np.empty(0, dtype=np.uint32)]
-        for moved in _moves(frontier, gens):
-            word = moved >> 6
-            bit = np.uint64(1) << (moved & 63)
-            new = (visited[word] & bit) == 0
-            np.bitwise_or.at(visited, word[new], bit[new])
-            parts.append(moved[new])
-        frontier = np.concatenate(parts)
-        if frontier.size:
-            low = min(low, int(frontier.min()))
-        size += frontier.size
-    return low, size
-
-
-def _close(frontier: np.ndarray, size: int, gens, visited: np.ndarray) -> tuple[int, int]:
-    """The closure phase of _bit_flood, from a nonempty frontier of a
-    flood that has marked size states so far; marks the component and
-    returns (low, size).
-
-    Two scratch bitsets are allocated once, and every sweep step and
-    popcount writes into them or into reached.
-    """
-    words = visited.size
-    reached = _bitset(frontier, words)
-    odd, moved = np.empty_like(reached), np.empty_like(reached)
-    outside = int(np.bitwise_count(visited, out=moved).sum()) - size
-    count = frontier.size
-    while count + outside < 64 * words:
-        for cond, foot, const in gens:
-            np.bitwise_and(reached, _odd_words(int(cond), int(const), odd), out=odd)
-            reached |= _p_foot(odd, int(foot), moved, odd)
-        grown = int(np.bitwise_count(reached, out=moved).sum())
+    zmask = (1 << shift) - 1
+    visited = maps[0]
+    lifted = not span.full
+    stack = maps[1:] if lifted else maps[1:2]
+    reached = stack[0]
+    if not lifted:
+        z = frontier & zmask if span.dim else frontier
+        np.bitwise_or.at(reached, z >> 6, np.uint64(1) << (z & 63))
+    src, moved = np.empty_like(stack), np.empty_like(stack)
+    steps = [(int(c), int(f) & zmask, int(b),
+              [j for j in range(span.dim) if int(f) >> shift + j & 1]) for c, f, b in gens]
+    outside = int(np.bitwise_count(visited, out=moved[0]).sum()) - size
+    count = int(np.bitwise_count(reached, out=moved[0]).sum())
+    while count + outside < 64 * visited.size:
+        for cond, foot, const, volts in steps:
+            _move(stack, cond, foot, const, src, moved)
+            if lifted:
+                fresh = np.invert(reached, out=src[0])
+                fresh &= moved[0]
+                for j in volts:
+                    np.invert(moved[1 + j], out=moved[1 + j])
+                moved[1:] &= fresh
+                stack[1:] |= moved[1:]
+            reached |= moved[0]
+        grown = int(np.bitwise_count(reached, out=moved[0]).sum())
         if grown == count:
             break
         count = grown
+    for cond, foot, const, volts in steps if lifted else ():
+        # moved[0] is reached & odd again, and row 1 + j of moved holds
+        # bit j of pot(gy) at y
+        _move(stack, cond, foot, const, src, moved)
+        cycles = moved[1:]
+        cycles ^= stack[1:]
+        for j in volts:
+            np.invert(cycles[j], out=cycles[j])
+        cycles &= moved[0]
+        span.absorb_planes(cycles, src[0])
+        if span.full:
+            break
     visited |= reached
     w = int((reached != 0).argmax())
     v = int(reached[w])
+    if span.full:
+        reached.fill(0)
     return w << 6 | (v & -v).bit_length() - 1, count
 
 
@@ -423,10 +486,35 @@ def _compact(job: _StratumJob, state: int) -> int:
     return z
 
 
-def _lift(job: _StratumJob, levels, size: int, cycles: list[int],
+def _readback(stack: np.ndarray):
+    """The states y of the bitset stack[0] with their potentials, whose
+    bit j is bit y of stack[1 + j], ascending, in chunks of the states of
+    _UNPACK / 8 nonzero words, so that no array holds one entry per
+    member of a large bitset.
+
+    A chunk is (w, i, pot): the state y = 64 w[i >> 6] + (i & 63) for
+    each entry of i, and byte r of pot(y) in pot[r].  Each byte of a
+    plane's words is spread to one byte per state with _SPREAD.
+    """
+    step = _UNPACK >> 3
+    for start in range(0, stack.shape[1], _UNPACK):
+        block = stack[:, start:start + _UNPACK]
+        nonzero = np.flatnonzero(block[0])
+        for at in range(0, nonzero.size, step):
+            w = nonzero[at:at + step]
+            words = block[:, w].astype("<u8", order="C")
+            i = np.flatnonzero(np.unpackbits(words[0].view(np.uint8), bitorder="little"))
+            pot = np.zeros((len(stack) + 6 >> 3, 8 * w.size), dtype="<u8")
+            for j, plane in enumerate(words[1:]):
+                pot[j >> 3] |= _SPREAD[plane.view(np.uint8)] << np.uint64(j & 7)
+            yield start + w, i, pot.view(np.uint8)[:, i]
+
+
+def _lift(job: _StratumJob, stack: np.ndarray, size: int, cycles: list[int],
           every: bool = True) -> list[tuple[int, int]]:
     """The orbits over one base orbit O' of size states, as (representative,
-    size), from the search words pot(y) << compact_dim | y of O' in levels.
+    size): O' is the bitset stack[0], and the potentials of its states are
+    in the planes below it (see _readback).
 
     The cycle voltages span S, a proper subspace of K.  There is one
     orbit per coset c of S in K, with |O'| * 2^rank(S) states; its
@@ -439,52 +527,51 @@ def _lift(job: _StratumJob, levels, size: int, cycles: list[int],
     cosets = np.array(_span_points(_echelon([_reduce(k, s_basis) for k in job.translations]))
                       if every else [0], dtype=np.uint32)
     # section states are zero at K's pivots, among them S's, so reduce_S
-    # only acts on the potential: one table set maps a word to
-    # reduce_S(section(y) ^ pot(y)) ^ offset
-    tables = _byte_tables(list(job.basis) + [_reduce(k, s_basis) for k in job.translations])
+    # only acts on the potential, and reduce_S(section(y) ^ pot(y)) ^
+    # offset splits over the word of y, its bit in the word and the bytes
+    # of its potential
+    words = _byte_tables(job.basis[6:])
+    bits = np.array(_span_points(job.basis[:6]), dtype=np.uint32)
+    pots = _byte_tables([_reduce(k, s_basis) for k in job.translations])
     best = np.full(cosets.size, np.iinfo(np.uint32).max, dtype=np.uint32)
     rows = max(1, _LIFT_CHUNK // cosets.size)
-    for words in levels:
-        for start in range(0, words.size, rows):
-            a = _apply_tables(tables, words[start:start + rows]) ^ job.offset
-            np.minimum(best, (a[:, None] ^ cosets).min(axis=0), out=best)
-    zmask = (1 << job.compact_dim) - 1
+    for w, i, pot in _readback(stack):
+        a = _apply_tables(words, w)[i >> 6] ^ bits[i & 63] ^ job.offset
+        for table, byte in zip(pots, pot):
+            a ^= table[byte]
+        for start in range(0, a.size, rows):
+            np.minimum(best, (cosets[:, None] ^ a[start:start + rows]).min(axis=1), out=best)
     out = []
     for rep in best.tolist():
         z = _compact(job, _reduce(rep, job.translations))
-        if not any(bool(((words & zmask) == z).any()) for words in levels):
+        if not int(stack[0, z >> 6]) >> (z & 63) & 1:
             raise AssertionError("lifted representative leaves its base orbit")
         out.append((rep, size << len(s_basis)))
     return out
 
 
 def _search(job: _StratumJob):
-    """(visited, gens) for searching the job: an empty visited map, and
-    the generators' (condition, footprint word, constant) as numpy
-    scalars.
+    """(maps, gens) for searching the job: the generators' (condition,
+    footprint word, constant) as numpy scalars, and maps, one zeroed
+    uint64 array of dim K + 2 bitsets over the 2^compact_dim compact
+    states, each of max(1, 2^(compact_dim - 6)) words.
 
-    With translations the map holds a tag per compact state, with room
-    for the potentials.  With none (K = 0) it is a bitset of
-    2^(compact_dim - 6) uint64 words, the only uint64 map, whose bits past
-    the last state (when compact_dim < 6) are set.
+    Row 0 is the visited map, whose bits past the last state (when
+    compact_dim < 6) are set; row 1 is reached, the component a flood is
+    lifting; row 2 + j is potential plane j (see _flood).  K = 0 is the
+    case of no planes.
     """
     gens = [(np.uint32(c), np.uint32(f), np.uint8(b)) for c, f, b in job.gens]
-    if job.translations:
-        return np.zeros(1 << job.compact_dim, dtype=_tag_dtype(len(job.translations))), gens
-    visited = np.zeros(max(1, 1 << job.compact_dim >> 6), dtype=np.uint64)
+    maps = np.zeros((len(job.translations) + 2, max(1, 1 << job.compact_dim >> 6)),
+                    dtype=np.uint64)
     if job.compact_dim < 6:
-        visited[0] = _ONES << np.uint64(1 << job.compact_dim)
-    return visited, gens
+        maps[0, 0] = _ONES << np.uint64(1 << job.compact_dim)
+    return maps, gens
 
 
 def _first_unvisited(visited: np.ndarray, cursor: int) -> Optional[int]:
-    """The least unvisited compact state, or None, where every state
-    below cursor is visited."""
-    if visited.dtype != np.uint64:
-        if cursor >= visited.size:
-            return None
-        seed = cursor + int(visited[cursor:].argmin())
-        return None if visited[seed] else seed
+    """The least unvisited compact state of the visited bitset, or None,
+    where every state below cursor is visited."""
     w = cursor >> 6
     if w >= visited.size:
         return None
@@ -493,7 +580,7 @@ def _first_unvisited(visited: np.ndarray, cursor: int) -> Optional[int]:
     return None if v == _ONES else w << 6 | (~v & v + 1).bit_length() - 1
 
 
-def _component(job: _StratumJob, seed: int, visited, gens,
+def _component(job: _StratumJob, seed: int, maps: np.ndarray, gens,
                every: bool = True) -> list[tuple[int, int]]:
     """Flood the base orbit of the search word seed and lift it: every
     orbit over it as (representative, size), or unless every, only the
@@ -501,14 +588,16 @@ def _component(job: _StratumJob, seed: int, visited, gens,
 
     Once the cycle voltages span K, one orbit lies over the base orbit:
     its representative is the section of the least compact state reached
-    and its size is |O'| * 2^dim K.
+    and its size is |O'| * 2^dim K.  Otherwise the lift reads the base
+    orbit and its potentials from maps and then clears reached.
     """
     span = _Span(len(job.translations))
-    low, size, levels = (_bfs_component(seed, gens, visited, span) if span.dim
-                         else (*_bit_flood(seed, gens, visited), None))
+    low, size = _flood(seed, gens, maps, span, job.compact_dim)
     if span.full:
         return [(job.offset ^ _combine(low, job.basis), size << span.dim)]
-    return _lift(job, levels, size, span.basis, every)
+    orbits = _lift(job, maps[1:], size, span.basis, every)
+    maps[1].fill(0)
+    return orbits
 
 
 def _run_stratum_job(job: _StratumJob) -> list[tuple[int, int]]:
@@ -519,15 +608,15 @@ def _run_stratum_job(job: _StratumJob) -> list[tuple[int, int]]:
     already visited, so where one orbit lies over the base orbit (S = K,
     always when K = 0) the flood's explicit minimum confirms it.
     """
-    visited, gens = _search(job)
+    maps, gens = _search(job)
     rows = []
-    seed = _first_unvisited(visited, 0)
+    seed = _first_unvisited(maps[0], 0)
     while seed is not None:
-        orbits = _component(job, seed, visited, gens)
+        orbits = _component(job, seed, maps, gens)
         if len(orbits) == 1 and orbits[0][0] != job.offset ^ _combine(seed, job.basis):
             raise AssertionError("ascending seed scan lost the orbit minimum")
         rows.extend(orbits)
-        seed = _first_unvisited(visited, seed + 1)
+        seed = _first_unvisited(maps[0], seed + 1)
     return rows
 
 
@@ -688,10 +777,11 @@ def _closure(spec, seeds) -> np.ndarray:
     The guard runs before any mask is built.
     """
     dim, masks, _, _, _, _ = _family(spec)
-    visited, gens = _search(_stratum_job(dim, masks, [], (), 0))
+    maps, gens = _search(_stratum_job(dim, masks, [], (), 0))
+    visited = maps[0]
     for seed in seeds:
         if not int(visited[seed >> 6]) >> (seed & 63) & 1:
-            _bit_flood(seed, gens, visited)
+            _flood(seed, gens, maps, _Span(0), dim)
     if dim < 6:
         visited[0] ^= _ONES << np.uint64(1 << dim)  # the bits past the last state
     return _members(visited)

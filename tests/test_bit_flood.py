@@ -1,9 +1,13 @@
-"""The bitset flood of K = 0 searches: its word-level pieces, its
-closure phase against the union-find oracle, and byte equality of every
-query with the closure forced or the sparse levels forced."""
+"""The bitset flood of every search: its word-level pieces, its closure
+phase against the union-find oracle (with and without potential
+planes), its memory, and byte equality of every query with the closure
+forced or the sparse levels forced."""
 
+import hashlib
+import json
 import random
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,16 +16,44 @@ from hypothesis import given, settings, strategies as st
 
 from f2orbits import orbits
 from f2orbits.actions import ActionKind, ActionSpec, height_functionals
-from f2orbits.f2la import F2Vector, _evaluate, _nullspace, _parity
-from f2orbits.lattice import Graph, build, delta_closure
+from f2orbits.f2la import F2Vector, _Span, _combine, _evaluate, _nullspace, _parity
+from f2orbits.lattice import Graph, build, delta_closure, hex_lattice_graph
 from f2orbits.orbits import enumerate_orbits, enumerate_stratum, orbit_of
 from test_engine_properties import union_find_classes
 
 SMALL_SPECS = [ActionSpec(n, kind) for kind in ActionKind for n in range(2, 7)]
 
+# census digests of the lifted searches, computed with the tag-map flood
+# this bitset-and-planes flood replaced
+PINNED = json.loads(Path(__file__).with_name("lifted_census_sha256.json").read_text())[
+    "census_sha256"]
+
+
+def pinned_spec(key: str):
+    name, n = key.rsplit("-", 1)
+    if name == "hex":
+        return build(hex_lattice_graph(int(n)))
+    return ActionSpec(int(n), ActionKind.parse(name))
+
+
+def census_sha256(spec) -> str:
+    return hashlib.sha256(enumerate_orbits(spec, workers=1).to_json().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("key", sorted(PINNED))
+def test_lifted_census_bytes_are_pinned(key):
+    assert census_sha256(pinned_spec(key)) == PINNED[key]
+
 
 def words_for(dim: int) -> int:
     return max(1, 1 << dim >> 6)
+
+
+def bitset(states: np.ndarray, words: int) -> np.ndarray:
+    """The bitset of words uint64 words holding the given distinct states."""
+    out = np.zeros(words, dtype=np.uint64)
+    np.bitwise_or.at(out, states >> 6, np.uint64(1) << (states & 63))
+    return out
 
 
 @st.composite
@@ -36,13 +68,17 @@ def bitset_states(draw):
 def test_p_foot_is_index_xor(case, foot):
     dim, states = case
     foot &= (1 << dim) - 1
-    bits = orbits._bitset(states, words_for(dim))
+    bits = bitset(states, words_for(dim))
     out, scratch = np.empty_like(bits), np.empty_like(bits)
     assert orbits._p_foot(bits, foot, out, scratch) is out
     assert orbits._members(out).tolist() == sorted(int(s) ^ foot for s in states)
     # scratch may be the input itself
     assert orbits._members(orbits._p_foot(bits, foot, scratch, bits)).tolist() == \
         orbits._members(out).tolist()
+    # a stack of bitsets moves row by row
+    stack = np.stack([bitset(states, words_for(dim)), ~bitset(states, words_for(dim))])
+    moved = orbits._p_foot(stack, foot, np.empty_like(stack), np.empty_like(stack))
+    assert np.array_equal(moved[0], out) and np.array_equal(moved[1], ~out)
 
 
 @settings(max_examples=150, deadline=None)
@@ -60,7 +96,7 @@ def test_odd_words_follow_the_parity_rule(dim, cond, const):
 @given(bitset_states())
 def test_sparse_dense_sparse_round_trip(case):
     dim, states = case
-    bits = orbits._bitset(states, words_for(dim))
+    bits = bitset(states, words_for(dim))
     assert int(np.bitwise_count(bits).sum()) == states.size
     assert np.array_equal(orbits._members(bits), states)
 
@@ -121,7 +157,13 @@ def marked(visited, job) -> set[int]:
     """The states marked on a visited map of the job, past those an empty
     map starts with."""
     return set(orbits._members(visited).tolist()) - \
-        set(orbits._members(orbits._search(job)[0]).tolist())
+        set(orbits._members(orbits._search(job)[0][0]).tolist())
+
+
+def flood(job, seed, maps, gens, span=None):
+    """_flood of the search word seed on the job's maps: (low, size)."""
+    span = span if span is not None else _Span(len(job.translations))
+    return orbits._flood(seed, gens, maps, span, job.compact_dim)
 
 
 @pytest.fixture
@@ -143,19 +185,20 @@ def all_dense(monkeypatch):
 @pytest.mark.parametrize("job,classes", K0_JOBS, ids=range(len(K0_JOBS)))
 def test_closure_marks_exactly_its_class(job, classes, all_dense):
     assert len(classes) >= 2
-    visited, gens = orbits._search(job)
+    maps, gens = orbits._search(job)
     done = set()
     for i, members in enumerate(classes):
         all_dense.clear()
-        assert orbits._bit_flood(members[0], gens, visited) == (members[0], len(members))
+        assert flood(job, members[0], maps, gens) == (members[0], len(members))
         shared = len(all_dense)
         done |= set(members)
-        assert marked(visited, job) == done
+        assert marked(maps[0], job) == done
+        assert not maps[1].any()
         # the same class on an empty map ends on the fixpoint exit
         alone, _ = orbits._search(job)
         all_dense.clear()
-        assert orbits._bit_flood(members[0], gens, alone) == (members[0], len(members))
-        assert marked(alone, job) == set(members)
+        assert flood(job, members[0], alone, gens) == (members[0], len(members))
+        assert marked(alone[0], job) == set(members)
         assert len(all_dense) % len(gens) == 0
         # the last class covers the map, which saves the confirming sweep
         last = i == len(classes) - 1
@@ -167,21 +210,129 @@ def test_closure_allocates_no_map_per_generator(monkeypatch):
     dim, masks, _, _, _, _ = orbits._family(spec)
     translations, base = orbits._lift_plan(dim, masks)
     job = orbits._stratum_job(dim, masks, base, translations, 0)
-    visited, gens = orbits._search(job)
+    maps, gens = orbits._search(job)
+    visited = maps[0]
     assert visited.size >= 1 << 12
     seed = (1 << job.compact_dim) - 1
-    expected = orbits._bit_flood(seed, gens, orbits._search(job)[0])
+    expected = flood(job, seed, orbits._search(job)[0], gens)
     assert expected[1] > 1 << 16
     monkeypatch.setattr(orbits, "_dense", lambda count, words: True)
     tracemalloc.start()
     try:
-        got = orbits._bit_flood(seed, gens, visited)
+        got = flood(job, seed, maps, gens)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert got == expected
-    # reached, two scratch bitsets and the frontier
-    assert peak < 4 * visited.nbytes
+    # two scratch bitsets and the frontier; reached is a row of maps
+    assert peak < 3 * visited.nbytes
+
+
+def base_job(spec):
+    """(job, classes) for the height-0 base stratum of a search, and the
+    union-find classes of V/K in it, in compact coordinates, ascending by
+    minimum.  At height 0 every generator's constant is 0, so V/K's
+    generators are the job's compact (condition, footprint) pairs."""
+    dim, masks, _, _, _, _ = orbits._family(spec)
+    translations, base = orbits._lift_plan(dim, masks)
+    job = orbits._stratum_job(dim, masks, base, translations, 0)
+    zmask = (1 << job.compact_dim) - 1
+    assert not any(const for _, _, const in job.gens)
+    quotient = SimpleNamespace(state_dim=job.compact_dim,
+                               masked_generators=lambda: [(c, f & zmask) for c, f, _ in job.gens])
+    return job, sorted(union_find_classes(quotient))
+
+
+def orbit_size_in_v(spec, state: int) -> int:
+    """The size of the orbit of state in the full space V, by a search
+    over a boolean map of all 2^dim states."""
+    dim, masks, _, _, _, _ = orbits._family(spec)
+    seen = np.zeros(1 << dim, dtype=bool)
+    seen[state] = True
+    frontier = np.array([state], dtype=np.int64)
+    while frontier.size:
+        parts = [np.empty(0, dtype=np.int64)]
+        for cond, foot in masks:
+            moved = frontier[np.bitwise_count(frontier & cond) & 1 == 1] ^ foot
+            moved = moved[~seen[moved]]
+            seen[moved] = True
+            parts.append(moved)
+        frontier = np.concatenate(parts)
+    return int(seen.sum())
+
+
+def read_back(stack) -> list[tuple[int, int]]:
+    """(state, potential) of every state of the bitset stack[0], from
+    _readback's chunks."""
+    out = []
+    for w, i, pot in orbits._readback(stack):
+        states = (w[i >> 6] << 6 | i & 63).tolist()
+        pots = sum(pot[r].astype(np.int64) << 8 * r for r in range(len(pot)))
+        out += zip(states, np.asarray(pots).tolist())
+    return out
+
+
+LIFTED_SPECS = [ActionSpec(n, kind) for kind in (ActionKind.FIRST, ActionKind.FIRST_CONJUGATE)
+                for n in range(4, 7)] + [build(hex_lattice_graph(n)) for n in range(4, 7)]
+
+
+@pytest.mark.parametrize("spec", LIFTED_SPECS, ids=lambda spec: spec.describe())
+def test_lifted_flood_finds_its_class_and_span(spec, forced):
+    job, classes = base_job(spec)
+    k = len(job.translations)
+    assert k and len(classes) >= 2
+    maps, gens = orbits._search(job)
+    done = set()
+    for members in classes:
+        span = _Span(k)
+        assert flood(job, members[0], maps, gens, span) == (members[0], len(members))
+        done |= set(members)
+        assert marked(maps[0], job) == done
+        # reached holds the class while it is lifted, and is empty once S = K
+        assert orbits._members(maps[1]).tolist() == ([] if span.full else members)
+        assert read_back(maps[1:]) == ([] if span.full else list(zip(
+            members, orbits._potentials(maps[2:], np.array(members, dtype=np.uint32)).tolist())))
+        section = job.offset ^ _combine(members[0], job.basis)
+        assert len(members) << len(span.basis) == orbit_size_in_v(spec, section)
+        maps[1].fill(0)
+
+
+def test_lifted_closure_allocates_no_map_per_generator(monkeypatch):
+    # first n=7 at height 0: a 4096-word base stratum, dim K = 7, whose
+    # planes outweigh the fixed allocations of the numpy calls
+    spec = ActionSpec(7, ActionKind.FIRST)
+    dim, masks, _, _, _, _ = orbits._family(spec)
+    translations, base = orbits._lift_plan(dim, masks)
+    job = orbits._stratum_job(dim, masks, base, translations, 0)
+    k = len(translations)
+    maps, gens = orbits._search(job)
+    assert maps.shape == (k + 2, 1 << 12)
+    seed = (1 << job.compact_dim) - 1
+    expected = flood(job, seed, orbits._search(job)[0], gens)
+    monkeypatch.setattr(orbits, "_dense", lambda count, words: True)
+    span = _Span(k)
+    tracemalloc.start()
+    try:
+        got = flood(job, seed, maps, gens, span)
+        flood_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        for _ in orbits._readback(maps[1:]):
+            pass
+        readback_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        rows = orbits._lift(job, maps[1:], got[1], span.basis)
+        lift_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expected and got[1] > 1 << 16 and not span.full
+    assert len(rows) == 1 << k - len(span.basis)
+    # two scratch stacks of reached and the planes, and the fixed buffers
+    # of the numpy calls
+    assert flood_peak < 2.5 * (k + 1) * maps[0].nbytes
+    # below one uint32 per member: the readback goes chunk by chunk, and
+    # the lift adds its (member, coset) pairs
+    assert readback_peak < 2 * got[1]
+    assert lift_peak < 2 * got[1] + 4 * orbits._LIFT_CHUNK
 
 
 @pytest.fixture(scope="module")
@@ -224,6 +375,9 @@ class TestForcedSwitch:
     def test_censuses(self, forced, default_path):
         assert [enumerate_orbits(s, workers=1).to_json() for s in SMALL_SPECS] == \
             default_path["censuses"]
+
+    def test_lifted_censuses_keep_their_pinned_bytes(self, forced):
+        assert {key: census_sha256(pinned_spec(key)) for key in PINNED} == PINNED
 
     def test_second6_height_strata(self, forced, default_path):
         spec = ActionSpec(6, ActionKind.SECOND)
