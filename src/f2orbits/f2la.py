@@ -10,7 +10,7 @@ This is the package's one linear-algebra layer.  Its single echelon
 convention is the reduced basis with each pivot at a vector's highest
 bit, in ascending pivot order (_echelon); rank, coset minima (_reduce),
 null spaces, particular solutions of parity equations (_solve), span
-enumeration and a span grown from uint arrays (_Span) are built on it.
+enumeration and a span grown from bit-planes (_Span) are built on it.
 Linear maps are given by masks: _evaluate reads bit l as
 parity(x & rows[l]), and its transpose _combine sums the columns picked
 by the bits of x, on ints and, through byte lookup tables, on uint32
@@ -191,7 +191,7 @@ def _echelon(vectors) -> list[int]:
 
 
 class _Span:
-    """A growing subspace of F2^dim fed uint arrays; basis is its _echelon."""
+    """A growing subspace of F2^dim fed bit-planes; basis is its _echelon."""
 
     def __init__(self, dim: int) -> None:
         self.dim = dim
@@ -200,17 +200,6 @@ class _Span:
     @property
     def full(self) -> bool:
         return len(self.basis) == self.dim
-
-    def absorb(self, values: np.ndarray) -> None:
-        """Add the values to the span: reduce them against the basis (an
-        array _reduce) and take in one survivor at a time."""
-        values = values[values != 0]
-        while values.size:
-            for b in self.basis:
-                values = values ^ ((values >> (b.bit_length() - 1)) & 1) * values.dtype.type(b)
-            values = values[values != 0]
-            if values.size:
-                self.basis = _echelon(self.basis + [int(values[0])])
 
     def absorb_planes(self, planes: np.ndarray, scratch: np.ndarray) -> None:
         """Add values held as bit-planes to the span: row j of the (dim,

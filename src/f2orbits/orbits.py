@@ -7,14 +7,15 @@ Every search floods one component at a time on bitsets, one bit per
 compact state: a visited map, the component being lifted (reached), and
 one potential bit-plane per dimension of K (below).  While its frontier
 is small a flood runs BFS levels, vectorized with numpy over frontier
-chunks, that gather their moved states and test them against the
-visited bitset; involutivity of the generators keeps each expansion
-batch duplicate-free, so no sorting is ever needed.  Once the frontier
-holds a quarter as many states as the map has words, the flood finishes
-as a closure (after direction-optimizing BFS): reached and the planes
-are swept in place together, generator after generator, with word-wide
-bit operations over the whole stratum, until a sweep adds no state or
-the component fills what the map has left unvisited.
+chunks, that gather their moved states and mark them in the visited
+bitset alone; involutivity of the generators keeps each expansion batch
+duplicate-free, so no sorting is ever needed.  Once the frontier holds
+a quarter as many states as the map has words, or once a lifted flood's
+frontier empties, the flood finishes as a closure (after
+direction-optimizing BFS): from the frontier and the seed, reached and
+the planes are swept in place together, generator after generator,
+with word-wide bit operations over the whole stratum, until a sweep
+adds no state or the component fills what the map has left unvisited.
 
 The search runs on a quotient.  K, the common null space of the
 condition masks, acts by translations that commute with every
@@ -32,8 +33,10 @@ compact coordinates below its potential, a point of K in K-coordinates.
 A generator's voltage is the K-component of its footprint,
 foot ^ reduce_K(foot), and it sits above the compact footprint in the
 generator's footprint word, so one XOR moves a state and its potential
-together.  A tree edge y -> gy sets pot(gy) = pot(y) ^ voltage, and
-every other edge adds pot(y) ^ voltage ^ pot(gy) to a span S (Schreier
+together; the sparse levels keep potentials in the words, the closure
+in the planes.  There a tree edge y -> gy sets pot(gy) = pot(y) ^
+voltage, so pot(y) is the seed's plus the voltage of a walk to y, and
+every edge adds pot(y) ^ voltage ^ pot(gy) to a span S (Schreier
 generators from a spanning tree; Gross and Tucker, Topological Graph
 Theory, 1987, ch. 2, on voltage graphs).  A base orbit O' then lifts
 to 2^(dim K - rank S) orbits of |O'| * 2^rank S states, one per coset
@@ -177,10 +180,9 @@ def _moves(frontier: np.ndarray, gens):
 
 
 # A bitset marks compact state z at bit z & 63 of word z >> 6.  _SWAP[s]
-# holds the bits i of a word with bit s of i clear; _BIT[j] is 1 << j.
+# holds the bits i of a word with bit s of i clear.
 _ONES = np.uint64(2**64 - 1)
 _SWAP = tuple(np.uint64(sum(1 << i for i in range(64) if not i >> s & 1)) for s in range(6))
-_BIT = np.uint32(1) << np.arange(32, dtype=np.uint32)
 # _SPREAD[x] holds bit b of the byte x in its byte b
 _SPREAD = np.array([sum((x >> b & 1) << 8 * b for b in range(8)) for x in range(256)], dtype="<u8")
 _UNPACK = 1 << 10
@@ -251,23 +253,18 @@ def _dense(count: int, words: int) -> bool:
     return words >= 64 and 4 * count >= words
 
 
-def _potentials(planes: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The potentials of the compact states z, as uint32: bit j is bit z
-    of planes[j].  The plane words are gathered for _LIFT_CHUNK states at
-    a time."""
-    out = np.empty(z.size, dtype=np.uint32)
-    for at in range(0, z.size, _LIFT_CHUNK):
-        part = z[at:at + _LIFT_CHUNK]
-        out[at:at + _LIFT_CHUNK] = _BIT[:len(planes)] @ (planes[:, part >> 6] >> (part & 63) & 1)
-    return out
-
-
 def _scatter(stack: np.ndarray, words: np.ndarray, shift: int) -> None:
     """Mark the states z of the search words pot << shift | z in the
-    bitset stack[0], and set bit j of pot(z) in stack[1 + j]."""
-    z = words & (1 << shift) - 1
-    rows, i = np.nonzero((words >> shift << 1 | 1) & _BIT[:len(stack), None])
-    np.bitwise_or.at(stack, (rows, z[i] >> 6), np.uint64(1) << (z[i] & 63))
+    bitset stack[0], and bit j of pot(z) in stack[1 + j], by one
+    bitwise_or.at a row: no index arrays, no masked copy of words."""
+    zmask = (1 << shift) - 1
+    word = words >> 6
+    word &= zmask >> 6
+    bit = np.uint64(1) << (words & (zmask & 63))
+    np.bitwise_or.at(stack[0], word, bit)
+    for j, plane in enumerate(stack[1:]):
+        on = (words & np.uint32(1 << shift + j)) != 0
+        np.bitwise_or.at(plane, word[on], bit[on])
 
 
 def _flood(seed: int, gens, maps: np.ndarray, span: _Span, shift: int) -> tuple[int, int]:
@@ -276,33 +273,24 @@ def _flood(seed: int, gens, maps: np.ndarray, span: _Span, shift: int) -> tuple[
     state and its size.
 
     maps is _search's stack of bitsets over the compact states: visited,
-    the component reached, and one potential plane per dimension of K,
-    whose bit z is that bit of pot(z).  While the cycle voltages span
-    less than K, the states the flood reaches are also marked in reached
-    and scatter their potentials into the planes, and every edge onto a
-    state already reached feeds its cycle voltage, read from the planes,
-    to span.  When span fills, reached is cleared (_unmark) and only
-    visited is marked from then on.
-
-    Small frontiers take sparse BFS levels: the moved states are
-    gathered and tested against the bitset, one generator after another,
-    so each new state has one parent.  Once _dense says the frontier is
-    big (after Beamer, Asanovic and Patterson, "Direction-optimizing
-    breadth-first search", SC 2012), the flood ends as a closure
-    (_close).  On return reached holds the component while span is not
-    full, for _lift, and is empty otherwise.
+    the component reached, and one potential plane per dimension of K.
+    Small frontiers take sparse BFS levels that mark visited alone: the
+    moved words, potentials above states, are gathered and tested against
+    the bitset, one generator after another.  Once _dense says the
+    frontier is big (after Beamer, Asanovic and Patterson,
+    "Direction-optimizing breadth-first search", SC 2012), the flood ends
+    as a closure (_close); a lifted flood (span not full) ends in one
+    from its last nonempty frontier when the frontier empties first.  On
+    return reached holds the component while span is not full, for
+    _lift, and is empty otherwise.
     """
     zmask = (1 << shift) - 1
-    visited, stack = maps[0], maps[1:]
+    visited = maps[0]
     frontier = np.array([seed], dtype=np.uint32)
     low, size = seed & zmask, 1
     visited[low >> 6] |= np.uint64(1) << np.uint64(low & 63)
-    if not span.full:
-        _scatter(stack, frontier, shift)
-    while frontier.size:
-        if _dense(frontier.size, visited.size):
-            return _close(frontier, size, gens, maps, span, shift)
-        parts, old = [np.empty(0, dtype=np.uint32)], [np.empty(0, dtype=np.uint32)]
+    while not _dense(frontier.size, visited.size):
+        parts = [np.empty(0, dtype=np.uint32)]
         for moved in _moves(frontier, gens):
             # with no planes the words are the states: no copy to mask
             z = moved & zmask if span.dim else moved
@@ -310,85 +298,65 @@ def _flood(seed: int, gens, maps: np.ndarray, span: _Span, shift: int) -> tuple[
             new = (visited[word] & bit) == 0
             np.bitwise_or.at(visited, word[new], bit[new])
             parts.append(moved[new])
-            if not span.full:
-                old.append(moved[~new])
-        frontier = np.concatenate(parts)
-        if not span.full:
-            # the level's new states first, so every edge of the level onto
-            # a visited state finds its potential
-            _scatter(stack, frontier, shift)
-            old = np.concatenate(old)
-            span.absorb((old >> shift) ^ _potentials(stack[1:], old & zmask))
+        grown = np.concatenate(parts)
+        if not grown.size:
             if span.full:
-                _unmark(seed & zmask, gens, stack[0], zmask)
-        if frontier.size:
-            low = min(low, int((frontier & zmask).min()))
+                return low, size
+            break
+        frontier = grown
+        low = min(low, int((frontier & zmask).min()))
         size += frontier.size
-    return low, size
-
-
-def _unmark(seed: int, gens, bits: np.ndarray, zmask: int) -> None:
-    """Clear the marked states of the bitset bits that marked states
-    connect to the marked compact state seed, by a sparse flood over
-    them: this costs what the levels that marked them cost, not a pass
-    over the map."""
-    bits[seed >> 6] ^= np.uint64(1) << np.uint64(seed & 63)
-    frontier = np.array([seed], dtype=np.uint32)
-    while frontier.size:
-        parts = [np.empty(0, dtype=np.uint32)]
-        for moved in _moves(frontier, gens):
-            moved &= zmask
-            word, bit = moved >> 6, np.uint64(1) << (moved & 63)
-            hit = (bits[word] & bit) != 0
-            np.bitwise_xor.at(bits, word[hit], bit[hit])
-            parts.append(moved[hit])
-        frontier = np.concatenate(parts)
+    return _close(seed, frontier, size, gens, maps, span, shift)
 
 
 def _move(stack: np.ndarray, cond: int, foot: int, const: int, src: np.ndarray,
-          moved: np.ndarray) -> np.ndarray:
+          moved: np.ndarray) -> bool:
     """P_foot(stack & odd) into moved, for every row of stack at once,
-    where odd is the odd set of (cond, const); src is scratch."""
-    np.bitwise_and(stack, _odd_words(cond, const, moved[0]), out=src)
-    return _p_foot(src, foot, moved, src)
+    where odd is the odd set of (cond, const); src is scratch.  Returns
+    whether it moved: with planes, row 0 goes first, and a generator
+    with no odd state in reached stops there, one row of work for
+    dim K + 1.  Without planes that check costs more than it saves."""
+    np.bitwise_and(stack[0], _odd_words(cond, const, moved[0]), out=src[0])
+    if len(stack) > 1:
+        if not src[0].any():
+            return False
+        np.bitwise_and(stack[1:], moved[0], out=src[1:])
+    _p_foot(src, foot, moved, src)
+    return True
 
 
-def _close(frontier: np.ndarray, size: int, gens, maps: np.ndarray, span: _Span,
+def _close(seed: int, frontier: np.ndarray, size: int, gens, maps: np.ndarray, span: _Span,
            shift: int) -> tuple[int, int]:
-    """The closure phase of _flood, from a nonempty frontier of a flood
-    that has marked size states so far; marks the component and returns
-    (low, size).
+    """The closure phase of _flood, from its seed and frontier words once
+    it has marked size states; marks the component, returns (low, size).
 
-    The closure runs on a stack of bitsets: reached, and below it the
-    potential planes while span is not full.  Without planes reached
-    starts as the frontier's bitset; with them it already holds every
-    state of the flood, with its potential.  A growth sweep moves the
-    whole stack by one generator after another, P_foot(stack & odd),
-    where P_foot maps the generator's odd set to itself because cond .
-    foot is even.  The fresh states P_foot(reached & odd) & ~reached take
-    the moved planes, flipped at the generator's voltage bits; reached
-    grows after every generator, so each state takes its potential from
-    exactly one parent.  The generators are involutions, so the closure
-    of any nonempty part of a component is the whole component, in any
-    sweep order, and it holds nothing else; visited is only ORed with
-    reached at the end.  The sweeps stop when one adds no state, or as
-    soon as reached and the states visited before this flood cover the
-    map, which skips the confirming sweep of a stratum's last flood.
-    Growth sweeps check no cycle: with planes, one cycle sweep then
-    feeds pot(y) ^ voltage ^ pot(gy) of every edge to span (tree edges
-    give 0), and drops the planes once span is full.
+    The closure runs on a stack of bitsets, reached and below it the
+    potential planes (none when K = 0); every job starts it with
+    _scatter of the words.  A growth sweep moves the whole stack by one
+    generator after another, P_foot(stack & odd), where P_foot maps the
+    generator's odd set to itself because cond . foot is even.  The
+    fresh states P_foot(reached & odd) & ~reached take the moved planes,
+    flipped at the generator's voltage bits; reached grows after every
+    generator, so each state takes its potential from exactly one
+    parent.  The generators are involutions, so the closure of any
+    nonempty part of a component is the whole component, in any sweep
+    order, and it holds nothing else: the sweeps rediscover the sparse
+    levels from both their ends (the seed spares the sweep that its
+    neighbourhood would cost), and visited is only ORed with reached at
+    the end.  The sweeps stop when one adds no state, or as soon as
+    reached and the states visited before this flood cover the map,
+    which skips the confirming sweep of a stratum's last flood.  With
+    planes, one cycle sweep then feeds pot(y) ^ voltage ^ pot(gy) of
+    every edge to span (tree edges give 0), and drops the planes once
+    span is full.
 
     The two scratch stacks are allocated once, and every sweep step and
     popcount writes into them or into the stack.
     """
     zmask = (1 << shift) - 1
-    visited = maps[0]
-    lifted = not span.full
-    stack = maps[1:] if lifted else maps[1:2]
-    reached = stack[0]
-    if not lifted:
-        z = frontier & zmask if span.dim else frontier
-        np.bitwise_or.at(reached, z >> 6, np.uint64(1) << (z & 63))
+    visited, stack, reached = maps[0], maps[1:], maps[1]
+    for words in (np.array([seed], dtype=np.uint32), frontier):
+        _scatter(stack, words, shift)
     src, moved = np.empty_like(stack), np.empty_like(stack)
     steps = [(int(c), int(f) & zmask, int(b),
               [j for j in range(span.dim) if int(f) >> shift + j & 1]) for c, f, b in gens]
@@ -396,8 +364,9 @@ def _close(frontier: np.ndarray, size: int, gens, maps: np.ndarray, span: _Span,
     count = int(np.bitwise_count(reached, out=moved[0]).sum())
     while count + outside < 64 * visited.size:
         for cond, foot, const, volts in steps:
-            _move(stack, cond, foot, const, src, moved)
-            if lifted:
+            if not _move(stack, cond, foot, const, src, moved):
+                continue
+            if span.dim:
                 fresh = np.invert(reached, out=src[0])
                 fresh &= moved[0]
                 for j in volts:
@@ -409,10 +378,11 @@ def _close(frontier: np.ndarray, size: int, gens, maps: np.ndarray, span: _Span,
         if grown == count:
             break
         count = grown
-    for cond, foot, const, volts in steps if lifted else ():
+    for cond, foot, const, volts in steps if span.dim else ():
         # moved[0] is reached & odd again, and row 1 + j of moved holds
         # bit j of pot(gy) at y
-        _move(stack, cond, foot, const, src, moved)
+        if not _move(stack, cond, foot, const, src, moved):
+            continue
         cycles = moved[1:]
         cycles ^= stack[1:]
         for j in volts:

@@ -1,7 +1,8 @@
 """The bitset flood of every search: its word-level pieces, its closure
 phase against the union-find oracle (with and without potential
 planes), its memory, and byte equality of every query with the closure
-forced or the sparse levels forced."""
+forced from the seed, or with sparse levels forced until the frontier
+empties, after which a lifted flood still ends in a closure."""
 
 import hashlib
 import json
@@ -135,6 +136,13 @@ def test_k0_lattices_reach_the_largest_dim():
     assert max(spec.state_dim for spec in K0_LATTICES) >= 12
 
 
+def height0_job(spec):
+    """The job of the height-0 base stratum of a search."""
+    dim, masks, _, _, _, _ = orbits._family(spec)
+    translations, base = orbits._lift_plan(dim, masks)
+    return orbits._stratum_job(dim, masks, base, translations, 0)
+
+
 def k0_job(spec):
     """(job, classes) for a K = 0 search: the job of the height-0 base
     stratum (for a lattice, the whole space), and its union-find classes
@@ -167,9 +175,9 @@ def flood(job, seed, maps, gens, span=None):
 
 
 @pytest.fixture
-def all_dense(monkeypatch):
-    """Every bitset flood goes straight to its closure; yields a list
-    that counts the closure's generator steps."""
+def p_foot_calls(monkeypatch):
+    """A list that counts the calls of _p_foot: the closure's generator
+    steps that move the stack."""
     steps = []
     p_foot = orbits._p_foot
 
@@ -177,9 +185,16 @@ def all_dense(monkeypatch):
         steps.append(1)
         return p_foot(*args)
 
-    monkeypatch.setattr(orbits, "_dense", lambda count, words: True)
     monkeypatch.setattr(orbits, "_p_foot", counted)
     yield steps
+
+
+@pytest.fixture
+def all_dense(monkeypatch, p_foot_calls):
+    """Every bitset flood goes straight to its closure; yields a list
+    that counts the closure's generator steps."""
+    monkeypatch.setattr(orbits, "_dense", lambda count, words: True)
+    yield p_foot_calls
 
 
 @pytest.mark.parametrize("job,classes", K0_JOBS, ids=range(len(K0_JOBS)))
@@ -206,10 +221,7 @@ def test_closure_marks_exactly_its_class(job, classes, all_dense):
 
 
 def test_closure_allocates_no_map_per_generator(monkeypatch):
-    spec = ActionSpec(7, ActionKind.SECOND)
-    dim, masks, _, _, _, _ = orbits._family(spec)
-    translations, base = orbits._lift_plan(dim, masks)
-    job = orbits._stratum_job(dim, masks, base, translations, 0)
+    job = height0_job(ActionSpec(7, ActionKind.SECOND))
     maps, gens = orbits._search(job)
     visited = maps[0]
     assert visited.size >= 1 << 12
@@ -233,9 +245,7 @@ def base_job(spec):
     union-find classes of V/K in it, in compact coordinates, ascending by
     minimum.  At height 0 every generator's constant is 0, so V/K's
     generators are the job's compact (condition, footprint) pairs."""
-    dim, masks, _, _, _, _ = orbits._family(spec)
-    translations, base = orbits._lift_plan(dim, masks)
-    job = orbits._stratum_job(dim, masks, base, translations, 0)
+    job = height0_job(spec)
     zmask = (1 << job.compact_dim) - 1
     assert not any(const for _, _, const in job.gens)
     quotient = SimpleNamespace(state_dim=job.compact_dim,
@@ -272,6 +282,12 @@ def read_back(stack) -> list[tuple[int, int]]:
     return out
 
 
+def plane_potentials(planes, states) -> list[int]:
+    """The potential of each compact state z: bit j is bit z of planes[j]."""
+    return [sum((int(plane[z >> 6]) >> (z & 63) & 1) << j for j, plane in enumerate(planes))
+            for z in states]
+
+
 LIFTED_SPECS = [ActionSpec(n, kind) for kind in (ActionKind.FIRST, ActionKind.FIRST_CONJUGATE)
                 for n in range(4, 7)] + [build(hex_lattice_graph(n)) for n in range(4, 7)]
 
@@ -291,7 +307,7 @@ def test_lifted_flood_finds_its_class_and_span(spec, forced):
         # reached holds the class while it is lifted, and is empty once S = K
         assert orbits._members(maps[1]).tolist() == ([] if span.full else members)
         assert read_back(maps[1:]) == ([] if span.full else list(zip(
-            members, orbits._potentials(maps[2:], np.array(members, dtype=np.uint32)).tolist())))
+            members, plane_potentials(maps[2:], members))))
         section = job.offset ^ _combine(members[0], job.basis)
         assert len(members) << len(span.basis) == orbit_size_in_v(spec, section)
         maps[1].fill(0)
@@ -300,11 +316,8 @@ def test_lifted_flood_finds_its_class_and_span(spec, forced):
 def test_lifted_closure_allocates_no_map_per_generator(monkeypatch):
     # first n=7 at height 0: a 4096-word base stratum, dim K = 7, whose
     # planes outweigh the fixed allocations of the numpy calls
-    spec = ActionSpec(7, ActionKind.FIRST)
-    dim, masks, _, _, _, _ = orbits._family(spec)
-    translations, base = orbits._lift_plan(dim, masks)
-    job = orbits._stratum_job(dim, masks, base, translations, 0)
-    k = len(translations)
+    job = height0_job(ActionSpec(7, ActionKind.FIRST))
+    k = len(job.translations)
     maps, gens = orbits._search(job)
     assert maps.shape == (k + 2, 1 << 12)
     seed = (1 << job.compact_dim) - 1
@@ -335,6 +348,24 @@ def test_lifted_closure_allocates_no_map_per_generator(monkeypatch):
     assert lift_peak < 2 * got[1] + 4 * orbits._LIFT_CHUNK
 
 
+@pytest.mark.parametrize("spec", [ActionSpec(8, ActionKind.SECOND_CONJUGATE),
+                                  build(hex_lattice_graph(7))], ids=lambda spec: spec.describe())
+def test_small_lifted_closure_skips_unmoved_generators(spec, p_foot_calls):
+    # state 0 is a singleton base orbit: its flood's frontier empties at
+    # once, and no generator moves it, so the closure it ends in moves no
+    # row past reached's
+    job = height0_job(spec)
+    k = len(job.translations)
+    maps, gens = orbits._search(job)
+    assert k and maps.shape[1] >= 1 << 12
+    span = _Span(k)
+    assert flood(job, 0, maps, gens, span) == (0, 1)
+    assert p_foot_calls == [] and span.basis == []
+    rows = orbits._component(job, 0, *orbits._search(job))
+    assert p_foot_calls == []
+    assert len(rows) == 1 << k and all(size == 1 for _, size in rows)
+
+
 @pytest.fixture(scope="module")
 def default_path():
     """Every query below on the default switch."""
@@ -359,7 +390,9 @@ def random_states(spec, count: int = 40):
 @pytest.fixture(params=[True, False], ids=["dense", "sparse"])
 def forced(request, monkeypatch):
     """Every bitset flood goes straight to its closure, or takes sparse
-    levels only; yields the frontier sizes the switch was asked about."""
+    levels until its frontier empties (a lifted flood then closes from
+    its last frontier); yields the frontier sizes the switch was asked
+    about."""
     asked = []
 
     def switch(count, words):

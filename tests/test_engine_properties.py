@@ -97,7 +97,10 @@ def path_graph(v: int) -> Graph:
     return Graph.from_edge_list(v, [(i, i + 1) for i in range(v - 1)])
 
 
+# in P3 with B = {0, 2} the footprints lie in K: every edge of a flood is a
+# self-loop with voltage, its frontier empties at once, and S = K
 @pytest.mark.parametrize("spec", [build(path_graph(v)) for v in (1, 3, 5, 7, 9)]
+                         + [build(path_graph(3), [0, 2])]
                          + [build(hex_lattice_graph(n)) for n in (3, 4, 5, 6)],
                          ids=lambda spec: spec.describe())
 def test_lifted_lattices_match_union_find(spec):
