@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .f2la import F2Vector, _evaluate, _parity
-from .tri import (TriMatrix, TriShape, hex_graph, pattern_E, pattern_Ptilde, pattern_R,
+from .tri import (TriMatrix, TriShape, hex_graph, pattern_Ptilde, pattern_R,
                   phi_masks, psi_masks)
 
 
@@ -126,16 +126,12 @@ def apply_bits(spec: ActionSpec, g: Generator, bits: int) -> int:
 def height_functionals(spec: ActionSpec) -> list[int]:
     """Flattened masks of the dual-invariant basis fixing the strata.
 
-    R patterns for the first action, ~P patterns for the second, E
-    patterns for the first conjugate (whose dual invariants are the
-    invariants of the first action).  The second conjugate has no
-    nontrivial dual invariants.
+    R patterns for the first action, ~P patterns for the second.  The
+    conjugate kinds' records carry no height, so they have none.
     """
     n = spec.n
     if spec.kind is ActionKind.FIRST:
         return [pattern_R(n, i).bits for i in range(1, n + 1)]
-    if spec.kind is ActionKind.FIRST_CONJUGATE:
-        return [pattern_E(n, i).bits for i in range(1, n + 1)]
     if spec.kind is ActionKind.SECOND:
         return [pattern_Ptilde(n, i).bits for i in range(1, n // 2 + 1)]
     return []

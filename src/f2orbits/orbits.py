@@ -6,16 +6,16 @@ partition the connected components of an implicit undirected graph.
 Every search floods one component at a time on bitsets, one bit per
 compact state: a visited map, the component being lifted (reached), and
 one potential bit-plane per dimension of K (below).  While its frontier
-is small a flood runs BFS levels, vectorized with numpy over frontier
-chunks, that gather their moved states and mark them in the visited
-bitset alone; involutivity of the generators keeps each expansion batch
-duplicate-free, so no sorting is ever needed.  Once the frontier holds
-a quarter as many states as the map has words, or once a lifted flood's
-frontier empties, the flood finishes as a closure (after
+is small a flood runs BFS levels, vectorized with numpy over the whole
+frontier per generator, that gather their moved states and mark them in
+the visited bitset alone; involutivity of the generators keeps each
+expansion batch duplicate-free, so no sorting is ever needed.  Once the
+frontier holds a quarter as many states as the map has words, or once a
+lifted flood's frontier empties, the flood finishes as a closure (after
 direction-optimizing BFS): from the frontier and the seed, reached and
-the planes are swept in place together, generator after generator,
-with word-wide bit operations over the whole stratum, until a sweep
-adds no state or the component fills what the map has left unvisited.
+the planes are swept in place together, generator after generator, with
+word-wide bit operations over the whole stratum, until a sweep adds no
+state or the component fills what the map has left unvisited.
 
 The search runs on a quotient.  K, the common null space of the
 condition masks, acts by translations that commute with every
@@ -72,10 +72,9 @@ import numpy as np
 from .f2la import (F2Vector, _Span, _apply_tables, _byte_tables, _combine, _echelon,
                    _evaluate, _nullspace, _parity, _parity_u32, _rank, _reduce, _solve,
                    _span_points)
-from .actions import ActionKind, ActionSpec, generator_masks, height_functionals
+from .actions import ActionSpec, generator_masks, height_functionals
 
 ENUM_DIM_LIMIT = 28
-_CHUNK = 1 << 20
 _LIFT_CHUNK = 1 << 16
 
 
@@ -167,18 +166,6 @@ class OrbitCensus:
         return "\n".join(lines) + "\n"
 
 
-def _moves(frontier: np.ndarray, gens):
-    """Each generator's image of the frontier states it moves, one array
-    per (frontier chunk, generator)."""
-    for start in range(0, frontier.size, _CHUNK):
-        chunk = frontier[start:start + _CHUNK]
-        for cond, foot, const in gens:
-            moved = chunk[(_parity_u32(chunk & cond) ^ const).view(np.bool_)]
-            if moved.size:
-                moved ^= foot
-                yield moved
-
-
 # A bitset marks compact state z at bit z & 63 of word z >> 6.  _SWAP[s]
 # holds the bits i of a word with bit s of i clear.
 _ONES = np.uint64(2**64 - 1)
@@ -267,31 +254,37 @@ def _scatter(stack: np.ndarray, words: np.ndarray, shift: int) -> None:
         np.bitwise_or.at(plane, word[on], bit[on])
 
 
-def _flood(seed: int, gens, maps: np.ndarray, span: _Span, shift: int) -> tuple[int, int]:
-    """Flood the component of the search word seed = pot << shift | z on
-    maps and mark it visited; returns (low, size), its least compact
-    state and its size.
+def _flood(job: _StratumJob, seed: int, maps: np.ndarray) -> tuple[int, int, _Span]:
+    """Flood the component of the search word seed = pot << compact_dim | z
+    on the job's maps (see _search) and mark it visited; returns (low,
+    size, span): its least compact state, its size and the span S of its
+    cycle voltages in K.
 
-    maps is _search's stack of bitsets over the compact states: visited,
-    the component reached, and one potential plane per dimension of K.
-    Small frontiers take sparse BFS levels that mark visited alone: the
-    moved words, potentials above states, are gathered and tested against
-    the bitset, one generator after another.  Once _dense says the
-    frontier is big (after Beamer, Asanovic and Patterson,
+    Small frontiers take sparse BFS levels that mark visited alone: each
+    generator's moved words, potentials above states, are gathered from
+    the whole frontier and tested against the bitset.  Once _dense says
+    the frontier is big (after Beamer, Asanovic and Patterson,
     "Direction-optimizing breadth-first search", SC 2012), the flood ends
     as a closure (_close); a lifted flood (span not full) ends in one
     from its last nonempty frontier when the frontier empties first.  On
     return reached holds the component while span is not full, for
     _lift, and is empty otherwise.
     """
-    zmask = (1 << shift) - 1
+    span = _Span(len(job.translations))
+    zmask = (1 << job.compact_dim) - 1
     visited = maps[0]
     frontier = np.array([seed], dtype=np.uint32)
     low, size = seed & zmask, 1
     visited[low >> 6] |= np.uint64(1) << np.uint64(low & 63)
     while not _dense(frontier.size, visited.size):
         parts = [np.empty(0, dtype=np.uint32)]
-        for moved in _moves(frontier, gens):
+        for cond, foot, const in job.gens:
+            moved = frontier[(_parity_u32(frontier & cond) ^ const).view(np.bool_)]
+            # most generators move nothing in most levels: skip the numpy
+            # calls below on empty arrays
+            if not moved.size:
+                continue
+            moved ^= foot
             # with no planes the words are the states: no copy to mask
             z = moved & zmask if span.dim else moved
             word, bit = z >> 6, np.uint64(1) << (z & 63)
@@ -301,12 +294,12 @@ def _flood(seed: int, gens, maps: np.ndarray, span: _Span, shift: int) -> tuple[
         grown = np.concatenate(parts)
         if not grown.size:
             if span.full:
-                return low, size
+                return low, size, span
             break
         frontier = grown
         low = min(low, int((frontier & zmask).min()))
         size += frontier.size
-    return _close(seed, frontier, size, gens, maps, span, shift)
+    return (*_close(job, seed, frontier, size, maps, span), span)
 
 
 def _move(stack: np.ndarray, cond: int, foot: int, const: int, src: np.ndarray,
@@ -325,10 +318,11 @@ def _move(stack: np.ndarray, cond: int, foot: int, const: int, src: np.ndarray,
     return True
 
 
-def _close(seed: int, frontier: np.ndarray, size: int, gens, maps: np.ndarray, span: _Span,
-           shift: int) -> tuple[int, int]:
-    """The closure phase of _flood, from its seed and frontier words once
-    it has marked size states; marks the component, returns (low, size).
+def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: np.ndarray,
+           span: _Span) -> tuple[int, int]:
+    """The closure phase of _flood on the job's maps, from its seed and
+    frontier words once it has marked size states; marks the component,
+    feeds its cycle voltages to span, returns (low, size).
 
     The closure runs on a stack of bitsets, reached and below it the
     potential planes (none when K = 0); every job starts it with
@@ -353,13 +347,13 @@ def _close(seed: int, frontier: np.ndarray, size: int, gens, maps: np.ndarray, s
     The two scratch stacks are allocated once, and every sweep step and
     popcount writes into them or into the stack.
     """
-    zmask = (1 << shift) - 1
+    shift = job.compact_dim
     visited, stack, reached = maps[0], maps[1:], maps[1]
     for words in (np.array([seed], dtype=np.uint32), frontier):
         _scatter(stack, words, shift)
     src, moved = np.empty_like(stack), np.empty_like(stack)
-    steps = [(int(c), int(f) & zmask, int(b),
-              [j for j in range(span.dim) if int(f) >> shift + j & 1]) for c, f, b in gens]
+    steps = [(c, f & (1 << shift) - 1, b, [j for j in range(span.dim) if f >> shift + j & 1])
+             for c, f, b in job.gens]
     outside = int(np.bitwise_count(visited, out=moved[0]).sum()) - size
     count = int(np.bitwise_count(reached, out=moved[0]).sum())
     while count + outside < 64 * visited.size:
@@ -410,7 +404,9 @@ class _StratumJob:
     gens are (condition, footprint word, constant) on search words
     pot << compact_dim | z: the footprint word is the generator's voltage
     (the K-component of its footprint, where bit i of a potential stands
-    for translations[i]) above its compact footprint.
+    for translations[i]) above its compact footprint.  They are Python
+    ints that the flood uses as they are: under numpy >= 2.0 (NEP 50) a
+    uint32 array combined with an int of at most 32 bits stays uint32.
     """
 
     compact_dim: int
@@ -520,23 +516,21 @@ def _lift(job: _StratumJob, stack: np.ndarray, size: int, cycles: list[int],
     return out
 
 
-def _search(job: _StratumJob):
-    """(maps, gens) for searching the job: the generators' (condition,
-    footprint word, constant) as numpy scalars, and maps, one zeroed
-    uint64 array of dim K + 2 bitsets over the 2^compact_dim compact
-    states, each of max(1, 2^(compact_dim - 6)) words.
+def _search(job: _StratumJob) -> np.ndarray:
+    """The maps for searching the job: one zeroed uint64 array of dim K +
+    2 bitsets over the 2^compact_dim compact states, each of max(1,
+    2^(compact_dim - 6)) words.
 
     Row 0 is the visited map, whose bits past the last state (when
     compact_dim < 6) are set; row 1 is reached, the component a flood is
-    lifting; row 2 + j is potential plane j (see _flood).  K = 0 is the
+    lifting; row 2 + j is potential plane j (see _close).  K = 0 is the
     case of no planes.
     """
-    gens = [(np.uint32(c), np.uint32(f), np.uint8(b)) for c, f, b in job.gens]
     maps = np.zeros((len(job.translations) + 2, max(1, 1 << job.compact_dim >> 6)),
                     dtype=np.uint64)
     if job.compact_dim < 6:
         maps[0, 0] = _ONES << np.uint64(1 << job.compact_dim)
-    return maps, gens
+    return maps
 
 
 def _first_unvisited(visited: np.ndarray, cursor: int) -> Optional[int]:
@@ -550,19 +544,18 @@ def _first_unvisited(visited: np.ndarray, cursor: int) -> Optional[int]:
     return None if v == _ONES else w << 6 | (~v & v + 1).bit_length() - 1
 
 
-def _component(job: _StratumJob, seed: int, maps: np.ndarray, gens,
+def _component(job: _StratumJob, seed: int, maps: np.ndarray,
                every: bool = True) -> list[tuple[int, int]]:
-    """Flood the base orbit of the search word seed and lift it: every
-    orbit over it as (representative, size), or unless every, only the
-    orbit that holds the seed's state.
+    """Flood the base orbit of the search word seed on the job's maps and
+    lift it: every orbit over it as (representative, size), or unless
+    every, only the orbit that holds the seed's state.
 
     Once the cycle voltages span K, one orbit lies over the base orbit:
     its representative is the section of the least compact state reached
     and its size is |O'| * 2^dim K.  Otherwise the lift reads the base
     orbit and its potentials from maps and then clears reached.
     """
-    span = _Span(len(job.translations))
-    low, size = _flood(seed, gens, maps, span, job.compact_dim)
+    low, size, span = _flood(job, seed, maps)
     if span.full:
         return [(job.offset ^ _combine(low, job.basis), size << span.dim)]
     orbits = _lift(job, maps[1:], size, span.basis, every)
@@ -578,11 +571,11 @@ def _run_stratum_job(job: _StratumJob) -> list[tuple[int, int]]:
     already visited, so where one orbit lies over the base orbit (S = K,
     always when K = 0) the flood's explicit minimum confirms it.
     """
-    maps, gens = _search(job)
+    maps = _search(job)
     rows = []
     seed = _first_unvisited(maps[0], 0)
     while seed is not None:
-        orbits = _component(job, seed, maps, gens)
+        orbits = _component(job, seed, maps)
         if len(orbits) == 1 and orbits[0][0] != job.offset ^ _combine(seed, job.basis):
             raise AssertionError("ascending seed scan lost the orbit minimum")
         rows.extend(orbits)
@@ -624,9 +617,7 @@ def _family(spec):
     _check_dim(dim)
     if isinstance(spec, ActionSpec):
         masks = generator_masks(spec)
-        functionals = (height_functionals(spec)
-                       if spec.kind in (ActionKind.FIRST, ActionKind.SECOND) else [])
-        return dim, masks, functionals, spec.describe(), spec.n, spec.kind.value
+        return dim, masks, height_functionals(spec), spec.describe(), spec.n, spec.kind.value
     return dim, spec.masked_generators(), [], spec.describe(), None, None
 
 
@@ -736,22 +727,24 @@ def orbit_of(spec, state) -> OrbitRecord:
     seed = _compact(job, _reduce(start, translations))
     pot = _evaluate(start, [1 << (k.bit_length() - 1) for k in translations])
     word = pot << job.compact_dim | seed
-    return _records(dim, functionals, _component(job, word, *_search(job), every=False))[0]
+    return _records(dim, functionals, _component(job, word, _search(job), every=False))[0]
 
 
 def _closure(spec, seeds) -> np.ndarray:
     """The union of the seed states' orbits, as sorted uint32 states.
 
-    The seeds are flooded unlifted on the bitset map of the job for the
-    whole space, whose compact coordinates are the states themselves.
-    The guard runs before any mask is built.
+    The seeds are flooded on the bitset map of the job for the whole
+    space, whose compact coordinates are the states themselves; it lifts
+    through no translations, so each span is full from the start and
+    nothing is lifted.  The guard runs before any mask is built.
     """
     dim, masks, _, _, _, _ = _family(spec)
-    maps, gens = _search(_stratum_job(dim, masks, [], (), 0))
+    job = _stratum_job(dim, masks, [], (), 0)
+    maps = _search(job)
     visited = maps[0]
     for seed in seeds:
         if not int(visited[seed >> 6]) >> (seed & 63) & 1:
-            _flood(seed, gens, maps, _Span(0), dim)
+            _component(job, seed, maps)
     if dim < 6:
         visited[0] ^= _ONES << np.uint64(1 << dim)  # the bits past the last state
     return _members(visited)

@@ -33,6 +33,11 @@ class TestGenerators:
         spec = ActionSpec(5, ActionKind.SECOND_CONJUGATE)
         assert len(generators(spec)) == hex_graph(5).vertex_count == 10
 
+    @pytest.mark.parametrize("n,kind", [(0, ActionKind.FIRST), (1, ActionKind.SECOND)])
+    def test_order_too_small_is_refused(self, n, kind):
+        with pytest.raises(ValueError):
+            ActionSpec(n, kind)
+
     def test_invalid_generator(self):
         spec = ActionSpec(3, ActionKind.FIRST)
         with pytest.raises(ValueError):

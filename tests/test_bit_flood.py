@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from f2orbits import orbits
 from f2orbits.actions import ActionKind, ActionSpec, height_functionals
-from f2orbits.f2la import F2Vector, _Span, _combine, _evaluate, _nullspace, _parity
+from f2orbits.f2la import F2Vector, _combine, _evaluate, _nullspace, _parity
 from f2orbits.lattice import Graph, build, delta_closure, hex_lattice_graph
 from f2orbits.orbits import enumerate_orbits, enumerate_stratum, orbit_of
 from test_engine_properties import union_find_classes
@@ -165,13 +165,13 @@ def marked(visited, job) -> set[int]:
     """The states marked on a visited map of the job, past those an empty
     map starts with."""
     return set(orbits._members(visited).tolist()) - \
-        set(orbits._members(orbits._search(job)[0][0]).tolist())
+        set(orbits._members(orbits._search(job)[0]).tolist())
 
 
-def flood(job, seed, maps, gens, span=None):
-    """_flood of the search word seed on the job's maps: (low, size)."""
-    span = span if span is not None else _Span(len(job.translations))
-    return orbits._flood(seed, gens, maps, span, job.compact_dim)
+def flood(job, seed, maps):
+    """_flood of the search word seed on the job's maps: (low, size),
+    without the span."""
+    return orbits._flood(job, seed, maps)[:2]
 
 
 @pytest.fixture
@@ -200,38 +200,38 @@ def all_dense(monkeypatch, p_foot_calls):
 @pytest.mark.parametrize("job,classes", K0_JOBS, ids=range(len(K0_JOBS)))
 def test_closure_marks_exactly_its_class(job, classes, all_dense):
     assert len(classes) >= 2
-    maps, gens = orbits._search(job)
+    maps = orbits._search(job)
     done = set()
     for i, members in enumerate(classes):
         all_dense.clear()
-        assert flood(job, members[0], maps, gens) == (members[0], len(members))
+        assert flood(job, members[0], maps) == (members[0], len(members))
         shared = len(all_dense)
         done |= set(members)
         assert marked(maps[0], job) == done
         assert not maps[1].any()
         # the same class on an empty map ends on the fixpoint exit
-        alone, _ = orbits._search(job)
+        alone = orbits._search(job)
         all_dense.clear()
-        assert flood(job, members[0], alone, gens) == (members[0], len(members))
+        assert flood(job, members[0], alone) == (members[0], len(members))
         assert marked(alone[0], job) == set(members)
-        assert len(all_dense) % len(gens) == 0
+        assert len(all_dense) % len(job.gens) == 0
         # the last class covers the map, which saves the confirming sweep
         last = i == len(classes) - 1
-        assert shared == (len(all_dense) - len(gens) if last else len(all_dense))
+        assert shared == (len(all_dense) - len(job.gens) if last else len(all_dense))
 
 
 def test_closure_allocates_no_map_per_generator(monkeypatch):
     job = height0_job(ActionSpec(7, ActionKind.SECOND))
-    maps, gens = orbits._search(job)
+    maps = orbits._search(job)
     visited = maps[0]
     assert visited.size >= 1 << 12
     seed = (1 << job.compact_dim) - 1
-    expected = flood(job, seed, orbits._search(job)[0], gens)
+    expected = flood(job, seed, orbits._search(job))
     assert expected[1] > 1 << 16
     monkeypatch.setattr(orbits, "_dense", lambda count, words: True)
     tracemalloc.start()
     try:
-        got = flood(job, seed, maps, gens)
+        got = flood(job, seed, maps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -297,11 +297,11 @@ def test_lifted_flood_finds_its_class_and_span(spec, forced):
     job, classes = base_job(spec)
     k = len(job.translations)
     assert k and len(classes) >= 2
-    maps, gens = orbits._search(job)
+    maps = orbits._search(job)
     done = set()
     for members in classes:
-        span = _Span(k)
-        assert flood(job, members[0], maps, gens, span) == (members[0], len(members))
+        low, size, span = orbits._flood(job, members[0], maps)
+        assert (low, size) == (members[0], len(members)) and span.dim == k
         done |= set(members)
         assert marked(maps[0], job) == done
         # reached holds the class while it is lifted, and is empty once S = K
@@ -318,34 +318,33 @@ def test_lifted_closure_allocates_no_map_per_generator(monkeypatch):
     # planes outweigh the fixed allocations of the numpy calls
     job = height0_job(ActionSpec(7, ActionKind.FIRST))
     k = len(job.translations)
-    maps, gens = orbits._search(job)
+    maps = orbits._search(job)
     assert maps.shape == (k + 2, 1 << 12)
     seed = (1 << job.compact_dim) - 1
-    expected = flood(job, seed, orbits._search(job)[0], gens)
+    expected = flood(job, seed, orbits._search(job))
     monkeypatch.setattr(orbits, "_dense", lambda count, words: True)
-    span = _Span(k)
     tracemalloc.start()
     try:
-        got = flood(job, seed, maps, gens, span)
+        low, size, span = orbits._flood(job, seed, maps)
         flood_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         for _ in orbits._readback(maps[1:]):
             pass
         readback_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        rows = orbits._lift(job, maps[1:], got[1], span.basis)
+        rows = orbits._lift(job, maps[1:], size, span.basis)
         lift_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got == expected and got[1] > 1 << 16 and not span.full
+    assert (low, size) == expected and size > 1 << 16 and not span.full
     assert len(rows) == 1 << k - len(span.basis)
     # two scratch stacks of reached and the planes, and the fixed buffers
     # of the numpy calls
     assert flood_peak < 2.5 * (k + 1) * maps[0].nbytes
     # below one uint32 per member: the readback goes chunk by chunk, and
     # the lift adds its (member, coset) pairs
-    assert readback_peak < 2 * got[1]
-    assert lift_peak < 2 * got[1] + 4 * orbits._LIFT_CHUNK
+    assert readback_peak < 2 * size
+    assert lift_peak < 2 * size + 4 * orbits._LIFT_CHUNK
 
 
 @pytest.mark.parametrize("spec", [ActionSpec(8, ActionKind.SECOND_CONJUGATE),
@@ -356,12 +355,12 @@ def test_small_lifted_closure_skips_unmoved_generators(spec, p_foot_calls):
     # row past reached's
     job = height0_job(spec)
     k = len(job.translations)
-    maps, gens = orbits._search(job)
+    maps = orbits._search(job)
     assert k and maps.shape[1] >= 1 << 12
-    span = _Span(k)
-    assert flood(job, 0, maps, gens, span) == (0, 1)
+    low, size, span = orbits._flood(job, 0, maps)
+    assert (low, size) == (0, 1)
     assert p_foot_calls == [] and span.basis == []
-    rows = orbits._component(job, 0, *orbits._search(job))
+    rows = orbits._component(job, 0, orbits._search(job))
     assert p_foot_calls == []
     assert len(rows) == 1 << k and all(size == 1 for _, size in rows)
 

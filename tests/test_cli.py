@@ -140,6 +140,15 @@ class TestVerify:
         assert code == 0
         assert "20" in out and "observed" in out
 
+    def test_out_file_gets_the_report(self, capsys, tmp_path):
+        # with --out, stdout carries the verdict alone
+        out_file = tmp_path / "v.txt"
+        code, out, _ = run(capsys, "verify", "--action", "first", "--n", "5",
+                           "--out", str(out_file))
+        report = out_file.read_text()
+        assert code == 0 and out == "PASS\n"
+        assert report.startswith("verify first n=5") and report.endswith("PASS\n")
+
     def test_json_report(self, capsys):
         code, out, _ = run(capsys, "verify", "--action", "second", "--n", "5",
                            "--format", "json")

@@ -277,6 +277,10 @@ class TestGraphFile:
         "2 1\n0 5\n",
         "2 1\n0 zero\n",
         "2 1\n0 1\nB: 9\n",
+        "2 1\n0 0\n",
+        "2 2\n0 1\n1 0\n",
+        "2 1\n0 1 1\n",
+        "2 1\n0 1\nB: x\n",
     ])
     def test_malformed_rejected(self, text):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 """The enumeration engine: exact censuses, strata, partitioning,
 determinism, and the conjugate-count and transport cross-checks."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,10 @@ class TestOrbitOf:
         with pytest.raises(ValueError, match=f"expected {spec.state_dim} for"):
             orbit_of(spec, state)
 
+    def test_state_of_another_type_is_refused(self):
+        with pytest.raises(TypeError, match="cannot read a state from str"):
+            orbit_of(ActionSpec(5, ActionKind.FIRST), "101")
+
     def test_int_state_out_of_range_is_refused(self):
         with pytest.raises(ValueError, match="out of range for dim 15"):
             orbit_of(ActionSpec(5, ActionKind.FIRST), 1 << 15)
@@ -176,6 +182,14 @@ class TestDeterminism:
         lines = c.to_csv().strip().splitlines()
         assert lines[0] == "representative_hex,cardinality,height_bits,type_label"
         assert len(lines) == c.orbit_count + 1
+
+    def test_json_writes_type_labels(self):
+        c = enumerate_orbits(ActionSpec(3, ActionKind.SECOND), workers=1)
+        labeled = orbits.attach_labels(c, {c.records[0].representative.bits: "trivial"})
+        entries = json.loads(labeled.to_json())["orbits"]
+        assert entries[0]["type_label"] == "trivial"
+        assert all("type_label" not in e for e in entries[1:])
+        assert all("type_label" not in e for e in json.loads(c.to_json())["orbits"])
 
 
 class TestConjugateCounts:
