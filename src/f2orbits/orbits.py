@@ -332,7 +332,11 @@ def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: n
     fresh states P_foot(reached & odd) & ~reached take the moved planes,
     flipped at the generator's voltage bits; reached grows after every
     generator, so each state takes its potential from exactly one
-    parent.  The generators are involutions, so the closure of any
+    parent.  The sweeps alternate direction, forward, then backward after
+    every sweep that grew (the symmetric Gauss-Seidel order): a state
+    found by a late generator of one sweep is moved on by the first
+    generators of the next, not a whole sweep later.  That is exact
+    because the generators are involutions, so the closure of any
     nonempty part of a component is the whole component, in any sweep
     order, and it holds nothing else: the sweeps rediscover the sparse
     levels from both their ends (the seed spares the sweep that its
@@ -372,6 +376,7 @@ def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: n
         if grown == count:
             break
         count = grown
+        steps.reverse()
     for cond, foot, const, volts in steps if span.dim else ():
         # moved[0] is reached & odd again, and row 1 + j of moved holds
         # bit j of pot(gy) at y

@@ -365,6 +365,16 @@ def test_small_lifted_closure_skips_unmoved_generators(spec, p_foot_calls):
     assert len(rows) == 1 << k and all(size == 1 for _, size in rows)
 
 
+@pytest.mark.parametrize("spec,steps", [(ActionSpec(6, ActionKind.SECOND), 360),
+                                        (ActionSpec(6, ActionKind.FIRST), 495)],
+                         ids=["second-6", "first-6"])
+def test_closure_sweeps_alternate_direction(spec, steps, p_foot_calls):
+    # forward, then backward after every sweep that grew: fewer steps
+    # than the forward-only order's 465 and 600
+    enumerate_orbits(spec, workers=1)
+    assert len(p_foot_calls) == steps
+
+
 @pytest.fixture(scope="module")
 def default_path():
     """Every query below on the default switch."""

@@ -59,6 +59,18 @@ class TestF2Vector:
         with pytest.raises(ValueError):
             F2Vector(2, 4)
 
+    def test_from_support(self):
+        v = F2Vector.from_support(5, [0, 3, 4])
+        assert v.bits == 0b11001
+        assert all(F2Vector.from_support(5, F2Vector(5, bits).support()).bits == bits
+                   for bits in range(1 << 5))
+        assert F2Vector.from_support(5, []) == F2Vector.zeros(5)
+
+    @pytest.mark.parametrize("index", [5, -1])
+    def test_from_support_out_of_range(self, index):
+        with pytest.raises(ValueError, match="out of range"):
+            F2Vector.from_support(5, [1, index])
+
 
 class TestBilinearForm:
     def test_triangle_adjacency(self):
