@@ -15,7 +15,8 @@ lifted flood's frontier empties, the flood finishes as a closure (after
 direction-optimizing BFS): from the frontier and the seed, reached and
 the planes are swept in place together, generator after generator, with
 word-wide bit operations over the whole stratum, until a sweep adds no
-state or the component fills what the map has left unvisited.
+state (the steps that add none collect the cycles, below) or, once the
+cycles span K, the component fills what the map has left unvisited.
 
 The search runs on a quotient.  K, the common null space of the
 condition masks, acts by translations that commute with every
@@ -302,22 +303,6 @@ def _flood(job: _StratumJob, seed: int, maps: np.ndarray) -> tuple[int, int, _Sp
     return (*_close(job, seed, frontier, size, maps, span), span)
 
 
-def _move(stack: np.ndarray, cond: int, foot: int, const: int, src: np.ndarray,
-          moved: np.ndarray) -> bool:
-    """P_foot(stack & odd) into moved, for every row of stack at once,
-    where odd is the odd set of (cond, const); src is scratch.  Returns
-    whether it moved: with planes, row 0 goes first, and a generator
-    with no odd state in reached stops there, one row of work for
-    dim K + 1.  Without planes that check costs more than it saves."""
-    np.bitwise_and(stack[0], _odd_words(cond, const, moved[0]), out=src[0])
-    if len(stack) > 1:
-        if not src[0].any():
-            return False
-        np.bitwise_and(stack[1:], moved[0], out=src[1:])
-    _p_foot(src, foot, moved, src)
-    return True
-
-
 def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: np.ndarray,
            span: _Span) -> tuple[int, int]:
     """The closure phase of _flood on the job's maps, from its seed and
@@ -341,12 +326,18 @@ def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: n
     order, and it holds nothing else: the sweeps rediscover the sparse
     levels from both their ends (the seed spares the sweep that its
     neighbourhood would cost), and visited is only ORed with reached at
-    the end.  The sweeps stop when one adds no state, or as soon as
-    reached and the states visited before this flood cover the map,
-    which skips the confirming sweep of a stratum's last flood.  With
-    planes, one cycle sweep then feeds pot(y) ^ voltage ^ pot(gy) of
-    every edge to span (tree edges give 0), and drops the planes once
-    span is full.
+    the end.
+
+    With planes, a step whose fresh states are empty feeds pot(y) ^
+    voltage ^ pot(gy) of its edges to span while span is not full (tree
+    edges give 0).  Each is a cycle voltage, since both ends of every
+    such edge are in reached and a potential never changes once set.
+    The sweeps stop when one adds no state: every step of that last
+    sweep is such a step, so it sees every edge and S is complete.  Once
+    S = K (always when K = 0) they also stop as soon as reached and the
+    states visited before this flood cover the map, which skips the
+    confirming sweep of a stratum's last flood; short of S = K that
+    sweep still runs, since it is the one that collects the cycles.
 
     The two scratch stacks are allocated once, and every sweep step and
     popcount writes into them or into the stack.
@@ -360,36 +351,39 @@ def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: n
              for c, f, b in job.gens]
     outside = int(np.bitwise_count(visited, out=moved[0]).sum()) - size
     count = int(np.bitwise_count(reached, out=moved[0]).sum())
-    while count + outside < 64 * visited.size:
+    while count + outside < 64 * visited.size or not span.full:
         for cond, foot, const, volts in steps:
-            if not _move(stack, cond, foot, const, src, moved):
-                continue
+            # moved[0] holds the odd set until _p_foot overwrites it
+            np.bitwise_and(reached, _odd_words(cond, const, moved[0]), out=src[0])
             if span.dim:
-                fresh = np.invert(reached, out=src[0])
-                fresh &= moved[0]
+                # a generator with no odd state in reached moves nothing:
+                # one row of work for dim K + 1 (without planes this check
+                # costs more than it saves)
+                if not src[0].any():
+                    continue
+                np.bitwise_and(stack[1:], moved[0], out=src[1:])
+            _p_foot(src, foot, moved, src)
+            if span.dim:
+                # row 1 + j of moved now holds bit j of pot(gx) ^ voltage
+                # at every x with gx in reached
                 for j in volts:
                     np.invert(moved[1 + j], out=moved[1 + j])
-                moved[1:] &= fresh
-                stack[1:] |= moved[1:]
+                fresh = np.invert(reached, out=src[0])
+                fresh &= moved[0]
+                if fresh.any():
+                    moved[1:] &= fresh
+                    stack[1:] |= moved[1:]
+                elif not span.full:
+                    cycles = moved[1:]
+                    cycles ^= stack[1:]
+                    cycles &= moved[0]
+                    span.absorb_planes(cycles, src[0])
             reached |= moved[0]
         grown = int(np.bitwise_count(reached, out=moved[0]).sum())
         if grown == count:
             break
         count = grown
         steps.reverse()
-    for cond, foot, const, volts in steps if span.dim else ():
-        # moved[0] is reached & odd again, and row 1 + j of moved holds
-        # bit j of pot(gy) at y
-        if not _move(stack, cond, foot, const, src, moved):
-            continue
-        cycles = moved[1:]
-        cycles ^= stack[1:]
-        for j in volts:
-            np.invert(cycles[j], out=cycles[j])
-        cycles &= moved[0]
-        span.absorb_planes(cycles, src[0])
-        if span.full:
-            break
     visited |= reached
     w = int((reached != 0).argmax())
     v = int(reached[w])

@@ -349,10 +349,11 @@ def test_lifted_closure_allocates_no_map_per_generator(monkeypatch):
 
 @pytest.mark.parametrize("spec", [ActionSpec(8, ActionKind.SECOND_CONJUGATE),
                                   build(hex_lattice_graph(7))], ids=lambda spec: spec.describe())
-def test_small_lifted_closure_skips_unmoved_generators(spec, p_foot_calls):
+def test_small_lifted_closure_skips_unmoved_generators(spec, p_foot_calls, monkeypatch):
     # state 0 is a singleton base orbit: its flood's frontier empties at
     # once, and no generator moves it, so the closure it ends in moves no
-    # row past reached's
+    # row past reached's, and its one sweep, which adds nothing, is also
+    # the one that collects the (empty) cycles: one odd set per generator
     job = height0_job(spec)
     k = len(job.translations)
     maps = orbits._search(job)
@@ -360,17 +361,28 @@ def test_small_lifted_closure_skips_unmoved_generators(spec, p_foot_calls):
     low, size, span = orbits._flood(job, 0, maps)
     assert (low, size) == (0, 1)
     assert p_foot_calls == [] and span.basis == []
+    odd_sets = []
+    odd_words = orbits._odd_words
+
+    def counted(*args):
+        odd_sets.append(1)
+        return odd_words(*args)
+
+    monkeypatch.setattr(orbits, "_odd_words", counted)
     rows = orbits._component(job, 0, orbits._search(job))
     assert p_foot_calls == []
+    assert len(odd_sets) == len(job.gens)
     assert len(rows) == 1 << k and all(size == 1 for _, size in rows)
 
 
 @pytest.mark.parametrize("spec,steps", [(ActionSpec(6, ActionKind.SECOND), 360),
-                                        (ActionSpec(6, ActionKind.FIRST), 495)],
-                         ids=["second-6", "first-6"])
+                                        (ActionSpec(6, ActionKind.FIRST), 480),
+                                        (build(hex_lattice_graph(7)), 105)],
+                         ids=["second-6", "first-6", "hex-7"])
 def test_closure_sweeps_alternate_direction(spec, steps, p_foot_calls):
     # forward, then backward after every sweep that grew: fewer steps
-    # than the forward-only order's 465 and 600
+    # than the forward-only order's 465 and 600; the cycles are collected
+    # by the steps that add no state, and hex-7's span fills during growth
     enumerate_orbits(spec, workers=1)
     assert len(p_foot_calls) == steps
 
