@@ -10,6 +10,12 @@ adds its neighbors.  All four kinds are involutions.  The (condition,
 footprint) pairs are precomputed once per action and are what the orbit
 engine consumes; `apply_bits` applies one to one packed state, and
 `apply` is its validating form on matrices.
+
+The second-conj masks (N(v), e_v) are those of the graph lattice
+`lattice.build(lattice.hex_lattice_graph(n))`, with B = every vertex:
+the transvections along the vertices of the neighbor graph.  The second
+action, with the transposed masks (e_v, N(v)), is its dual action on
+V*.  Likewise first-conj is the dual of first.
 """
 
 from __future__ import annotations

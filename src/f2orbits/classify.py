@@ -293,7 +293,11 @@ def _multiset_str(ms: dict[int, int]) -> str:
 def verify(n: int, kind: ActionKind, workers: Optional[int] = None) -> VerifyReport:
     """Enumerate and diff against the closed form (or the observed-count
     table below n=5).  Conjugate kinds are checked against the orbit
-    count of their base kind, which the theory says they share."""
+    count of their base kind only.  A conjugate kind's generators are the
+    transposes of its base kind's, so it is the dual action on V*, and
+    Brauer's permutation lemma gives a finite linear group equal
+    permutation characters on V and V*: the two actions have the same
+    number of orbits, though not necessarily the same orbit sizes."""
     spec = ActionSpec(n, kind)
     census = enumerate_orbits(spec, workers=workers)
     checks: list[CheckResult] = []

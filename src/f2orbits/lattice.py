@@ -181,34 +181,28 @@ def check_vanishing(spec: LatticeSpec) -> VanishingReport:
 
 def contains_e6(graph: Graph) -> bool:
     """Whether the E6 tree (a 5-path with a pendant at its middle) occurs
-    as an induced subgraph."""
-    n = graph.vertex_count
+    as an induced subgraph.
+
+    A claw (a center and three pairwise nonadjacent neighbors) with one
+    neighbor as the pendant leaves the other two as arms.  The candidate
+    ends of an arm are its neighbors adjacent to no other vertex of the
+    claw and outside it: ``near`` covers the center and the trio, since
+    the trio neighbors the center and the center neighbors the pendant.
+    The ends of the two arms are disjoint, so E6 is there when some pair
+    of them is nonadjacent.
+    """
     adj = graph.neighbor_masks
-
-    def nonadjacent_to_all(v: int, chosen) -> bool:
-        return all(not adj[v] >> c & 1 for c in chosen)
-
-    for center in range(n):
-        nbrs = [v for v in range(n) if adj[center] >> v & 1]
-        if len(nbrs) < 3:
-            continue
-        for a1, b1, f in combinations(nbrs, 3):
-            if adj[a1] >> b1 & 1 or adj[a1] >> f & 1 or adj[b1] >> f & 1:
+    nbrs = [[v for v in range(len(adj)) if mask >> v & 1] for mask in adj]
+    for center, ring in enumerate(nbrs):
+        for a, b, c in combinations(ring, 3):
+            if adj[a] >> b & 1 or adj[a] >> c & 1 or adj[b] >> c & 1:
                 continue
-            for first, second, pendant in ((a1, b1, f), (a1, f, b1), (b1, f, a1)):
-                chosen = {center, first, second, pendant}
-                for a2 in range(n):
-                    if a2 in chosen or not adj[first] >> a2 & 1:
-                        continue
-                    if not nonadjacent_to_all(a2, chosen - {first}):
-                        continue
-                    for b2 in range(n):
-                        if b2 == a2 or b2 in chosen or not adj[second] >> b2 & 1:
-                            continue
-                        if adj[b2] >> a2 & 1:
-                            continue
-                        if nonadjacent_to_all(b2, chosen - {second}):
-                            return True
+            for first, second, pendant in ((a, b, c), (a, c, b), (b, c, a)):
+                near = adj[center] | adj[pendant]
+                arm = adj[first] & ~(near | adj[second])
+                ends = adj[second] & ~(near | adj[first])
+                if any(ends & ~adj[v] for v in nbrs[first] if arm >> v & 1):
+                    return True
     return False
 
 

@@ -524,6 +524,13 @@ def _search(job: _StratumJob) -> np.ndarray:
     compact_dim < 6) are set; row 1 is reached, the component a flood is
     lifting; row 2 + j is potential plane j (see _close).  K = 0 is the
     case of no planes.
+
+    The planes are never cleared between floods.  Their stale bits, at
+    the states of earlier components, are harmless: components are
+    disjoint, and every read of the planes is masked by the current
+    one.  _scatter ORs in at fresh states only, _close masks the moved
+    planes by its fresh states and the cycles by moved states of
+    reached, and _lift reads them only at the members of reached.
     """
     maps = np.zeros((len(job.translations) + 2, max(1, 1 << job.compact_dim >> 6)),
                     dtype=np.uint64)
@@ -591,7 +598,8 @@ def _run_jobs(jobs: list[_StratumJob], workers: int) -> list[tuple[int, int]]:
         except ValueError:  # platforms without fork; jobs pickle fine either way
             ctx = mp.get_context()
         with ctx.Pool(processes=min(workers, len(jobs))) as pool:
-            chunks = pool.map(_run_stratum_job, jobs)
+            # one job a task: the slowest stratum shares no chunk
+            chunks = pool.map(_run_stratum_job, jobs, chunksize=1)
     else:
         chunks = [_run_stratum_job(j) for j in jobs]
     return [row for chunk in chunks for row in chunk]

@@ -4,6 +4,7 @@ E6 detection, and the nonspecial census oracle."""
 import random
 import time
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ class TestBuild:
         assert spec.state_dim == 10
         assert spec.qspace.kappa == 2
 
-    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("n", range(2, 13))
     def test_hex_lattice_is_the_second_conjugate_action(self, n):
         # same generator family, mask for mask
         from f2orbits.actions import ActionKind, ActionSpec, generator_masks
@@ -201,6 +202,49 @@ class TestE6Detection:
 
     def test_hex8(self):
         assert contains_e6(hex_lattice_graph(9))
+
+    @staticmethod
+    def brute_force_e6(graph: Graph) -> bool:
+        # some 6 vertices induce a connected graph with 5 edges whose one
+        # degree-3 vertex has neighbors of degrees 1, 2 and 2
+        adj = graph.neighbor_masks
+        for subset in combinations(range(graph.vertex_count), 6):
+            inside = sum(1 << v for v in subset)
+            degree = {v: (adj[v] & inside).bit_count() for v in subset}
+            if sum(degree.values()) != 10:
+                continue
+            reached = todo = 1 << subset[0]
+            while todo:
+                v = todo.bit_length() - 1
+                todo ^= 1 << v
+                fresh = adj[v] & inside & ~reached
+                reached |= fresh
+                todo |= fresh
+            hubs = [v for v in subset if degree[v] == 3]
+            if reached == inside and len(hubs) == 1 and sorted(
+                    degree[u] for u in subset if adj[hubs[0]] >> u & 1) == [1, 2, 2]:
+                return True
+        return False
+
+    def test_matches_brute_force_on_random_graphs(self):
+        rng = random.Random(18)
+        found = set()
+        for _ in range(400):
+            n = rng.randint(6, 10)
+            density = rng.choice([0.2, 0.3, 0.45, 0.6, 0.8])
+            g = Graph.from_edge_list(n, [e for e in combinations(range(n), 2)
+                                         if rng.random() < density])
+            expected = self.brute_force_e6(g)
+            assert contains_e6(g) is expected, g.edges
+            found.add(expected)
+        assert found == {True, False}
+
+    @pytest.mark.parametrize("m", range(3, 7))
+    def test_complete_bipartite_has_none(self, m):
+        # every vertex centers a claw, yet no arm can avoid the pendant
+        g = Graph.from_edge_list(2 * m, [(i, m + j) for i in range(m) for j in range(m)])
+        assert not self.brute_force_e6(g)
+        assert not contains_e6(g)
 
 
 class TestNonspecialOracle:
