@@ -2,8 +2,8 @@
 and prediction-vs-enumeration verification reports.
 
 For n >= 5 the full per-stratum layout of both actions is known in
-closed form; below that only the observed orbit counts 2, 6, 20, 52 are
-known, and verification falls back to reporting the enumeration.
+closed form; `_orbit_count` gives every expected orbit count, with the
+observed counts tabled below n = 5.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ TYPE4 = "type4"
 TYPE5 = "type5"
 
 _EXCEPTIONAL_SHARP = {2: 2, 3: 6, 4: 20, 5: 52}
+_EXCEPTIONAL_SECOND = {2: 2, 3: 3, 4: 6}
 
 
 def epsilon(k: int) -> int:
@@ -44,6 +45,15 @@ def sharp(n_plus_1: int) -> int:
     if n_plus_1 in _EXCEPTIONAL_SHARP:
         return _EXCEPTIONAL_SHARP[n_plus_1]
     return 3 << (n_plus_1 - 1)
+
+
+def _orbit_count(n: int, kind: ActionKind) -> int:
+    """Orbit count of the action of order n: 2^(n//2) + 2 for the second
+    from n = 5.  A conjugate kind is the dual action of its base kind, so
+    by Brauer's permutation lemma (see `verify`) it has the same count."""
+    if kind.is_first:
+        return sharp(n + 1)
+    return _EXCEPTIONAL_SECOND.get(n, (1 << n // 2) + 2)
 
 
 def _is_symmetric(bits: int, n: int) -> bool:
@@ -201,8 +211,7 @@ def predict_second(n: int) -> PredictedCensus:
 def _check_internal(pred: PredictedCensus) -> None:
     if pred.total_states != 1 << pred.state_dim:
         raise AssertionError("predicted cardinalities do not sum to the space size")
-    expected = (sharp(pred.n + 1) if pred.kind is ActionKind.FIRST
-                else (1 << (pred.n // 2)) + 2)
+    expected = _orbit_count(pred.n, pred.kind)
     if pred.orbit_count != expected:
         raise AssertionError(
             f"predicted orbit total {pred.orbit_count}, expected {expected}")
@@ -291,38 +300,27 @@ def _multiset_str(ms: dict[int, int]) -> str:
 
 
 def verify(n: int, kind: ActionKind, workers: Optional[int] = None) -> VerifyReport:
-    """Enumerate and diff against the closed form (or the observed-count
-    table below n=5).  Conjugate kinds are checked against the orbit
-    count of their base kind only.  A conjugate kind's generators are the
+    """Enumerate once and diff against the expected census.  Base kinds
+    from n = 5 take the closed form ("closed-form" mode); base kinds below
+    n = 5 ("observed") and conjugate kinds ("conjugate-count") take the
+    orbit count of `_orbit_count`.  A conjugate kind's generators are the
     transposes of its base kind's, so it is the dual action on V*, and
     Brauer's permutation lemma gives a finite linear group equal
     permutation characters on V and V*: the two actions have the same
     number of orbits, though not necessarily the same orbit sizes."""
     spec = ActionSpec(n, kind)
     census = enumerate_orbits(spec, workers=workers)
-    checks: list[CheckResult] = []
-    if kind in (ActionKind.FIRST_CONJUGATE, ActionKind.SECOND_CONJUGATE):
-        base = ActionKind.FIRST if kind is ActionKind.FIRST_CONJUGATE else ActionKind.SECOND
-        base_count = enumerate_orbits(ActionSpec(n, base), workers=workers).orbit_count
-        checks.append(CheckResult("orbit count equals the base action's",
-                                  str(base_count), str(census.orbit_count),
-                                  census.orbit_count == base_count))
-        return VerifyReport(n, kind, "conjugate-count", tuple(checks), census)
-    if n < 5:
-        mode = "observed"
-        if kind is ActionKind.FIRST:
-            expected = sharp(n + 1)
-            checks.append(CheckResult("orbit count (exceptional table)",
-                                      str(expected), str(census.orbit_count),
-                                      census.orbit_count == expected))
-        else:
-            checks.append(CheckResult("orbit count (no closed form; observed)",
-                                      str(census.orbit_count), str(census.orbit_count), True))
-        return VerifyReport(n, kind, mode, tuple(checks), census)
+    conjugate = kind in (ActionKind.FIRST_CONJUGATE, ActionKind.SECOND_CONJUGATE)
+    if conjugate or n < 5:
+        expected = _orbit_count(n, kind)
+        name, mode = (("orbit count equals the base action's", "conjugate-count")
+                      if conjugate else ("orbit count (exceptional table)", "observed"))
+        check = CheckResult(name, str(expected), str(census.orbit_count),
+                            census.orbit_count == expected)
+        return VerifyReport(n, kind, mode, (check,), census)
     pred = predict(n, kind)
-    checks.append(CheckResult("orbit count", str(pred.orbit_count),
-                              str(census.orbit_count),
-                              census.orbit_count == pred.orbit_count))
+    checks = [CheckResult("orbit count", str(pred.orbit_count), str(census.orbit_count),
+                          census.orbit_count == pred.orbit_count)]
     exp_ms = pred.cardinality_multiset()
     obs_ms = census.cardinality_multiset()
     checks.append(CheckResult("cardinality multiset", _multiset_str(exp_ms),

@@ -114,10 +114,10 @@ def build(graph: Graph, basis_subset=None) -> LatticeSpec:
         subset = tuple(range(graph.vertex_count))
     else:
         subset = tuple(sorted(set(basis_subset)))
-        if not subset:
-            raise ValueError("basis subset must be nonempty")
-        if subset[0] < 0 or subset[-1] >= graph.vertex_count:
-            raise ValueError(f"basis subset {subset} out of range")
+    if not subset:
+        raise ValueError("basis subset must be nonempty")
+    if subset[0] < 0 or subset[-1] >= graph.vertex_count:
+        raise ValueError(f"basis subset {subset} out of range")
     return LatticeSpec(graph, subset)
 
 

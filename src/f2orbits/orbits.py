@@ -87,7 +87,7 @@ def _check_dim(dim: int) -> None:
     if dim > ENUM_DIM_LIMIT:
         raise EnumerationGuardError(
             f"state space 2^{dim} exceeds the enumeration guard 2^{ENUM_DIM_LIMIT} "
-            f"(visited map alone would need 2^{dim - 20} MiB)")
+            f"(visited map alone would need 2^{dim - 23} MiB)")
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,21 @@
 """Closed-form censuses, internal consistency, labeling, verification,
 and the coherence between the two actions' predictions."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from f2orbits.actions import ActionKind, ActionSpec
-from f2orbits.classify import (PredictedCensus, epsilon, eta_bar, h_bar,
+from f2orbits import classify
+from f2orbits.actions import ActionKind, ActionSpec, generator_masks
+from f2orbits.classify import (PredictedCensus, _orbit_count, epsilon, eta_bar, h_bar,
                                label_orbits, predict_first, predict_second,
                                sharp, verify, LabelingError,
                                TRIVIAL, STANDARD, TYPE1, TYPE2, TYPE3, TYPE4, TYPE5)
 from f2orbits.orbits import enumerate_orbits
 from f2orbits.actions import psi_height
 from f2orbits.f2la import F2Vector
+
+from test_engine_properties import union_find_orbits
 
 
 class TestScalars:
@@ -30,6 +35,21 @@ class TestScalars:
     def test_eta_bar(self):
         assert eta_bar(3).to_string() == "111"
         assert eta_bar(4).to_string() == "1110"
+
+
+class TestOrbitCountTable:
+    """The counts below n = 5 against union-find over the generator masks,
+    a route that shares no code with the engine."""
+
+    @pytest.mark.parametrize("n,kind", [(n, kind) for kind in ActionKind
+                                        for n in range(1 if kind.is_first else 2, 5)])
+    def test_union_find_gives_the_table(self, n, kind):
+        spec = ActionSpec(n, kind)
+        space = SimpleNamespace(state_dim=spec.state_dim,
+                                masked_generators=lambda: generator_masks(spec))
+        count = len(union_find_orbits(space))
+        assert count == _orbit_count(n, kind)
+        assert count == (sharp(n + 1) if kind.is_first else {2: 2, 3: 3, 4: 6}[n])
 
 
 class TestPredictFirst:
@@ -179,9 +199,35 @@ class TestVerify:
         assert report.mode == "observed" and report.passed
         assert report.census.orbit_count == count
 
+    @pytest.mark.parametrize("n,count", [(2, 2), (3, 3), (4, 6)])
+    def test_observed_mode_second(self, n, count):
+        report = verify(n, ActionKind.SECOND, workers=1)
+        assert report.mode == "observed" and report.passed
+        assert [c.name for c in report.checks] == ["orbit count (exceptional table)"]
+        assert report.census.orbit_count == count
+
+    def test_observed_mode_second_can_fail(self, monkeypatch):
+        monkeypatch.setattr(classify, "_EXCEPTIONAL_SECOND", {2: 2, 3: 4, 4: 6})
+        report = verify(3, ActionKind.SECOND, workers=1)
+        assert not report.passed
+        assert "expected 4, observed 3" in report.to_text()
+
     def test_conjugate_mode(self):
         report = verify(4, ActionKind.SECOND_CONJUGATE, workers=1)
         assert report.mode == "conjugate-count" and report.passed
+
+    @pytest.mark.parametrize("kind", list(ActionKind))
+    @pytest.mark.parametrize("n", (4, 5))
+    def test_one_census_per_verify(self, monkeypatch, n, kind):
+        calls = []
+
+        def counting(spec, workers=None):
+            calls.append(spec)
+            return enumerate_orbits(spec, workers=workers)
+
+        monkeypatch.setattr(classify, "enumerate_orbits", counting)
+        assert verify(n, kind, workers=1).passed
+        assert calls == [ActionSpec(n, kind)]
 
     def test_report_serialization(self):
         report = verify(5, ActionKind.FIRST, workers=1)

@@ -51,6 +51,11 @@ class TestBuild:
         with pytest.raises(ValueError):
             build(triangle(), [])
 
+    def test_graph_without_vertices_rejected(self):
+        # the default subset of a graph with no vertices is empty too
+        with pytest.raises(ValueError, match="nonempty"):
+            build(Graph.from_edge_list(0, []))
+
     def test_bad_subset_rejected(self):
         with pytest.raises(ValueError):
             build(triangle(), [0, 7])

@@ -149,7 +149,7 @@ class TestGuards:
             enumerate_orbits(ActionSpec(8, ActionKind.FIRST))
 
     def test_estimate_is_a_power_of_two(self):
-        with pytest.raises(EnumerationGuardError, match=r"2\^45130 MiB\)$"):
+        with pytest.raises(EnumerationGuardError, match=r"2\^45127 MiB\)$"):
             enumerate_orbits(ActionSpec(300, ActionKind.FIRST))
 
     def test_every_entry_point_guards_before_building(self, monkeypatch):
