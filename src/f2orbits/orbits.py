@@ -14,9 +14,10 @@ frontier holds a quarter as many states as the map has words, or once a
 lifted flood's frontier empties, the flood finishes as a closure (after
 direction-optimizing BFS): from the frontier and the seed, reached and
 the planes are swept in place together, generator after generator, with
-word-wide bit operations over the whole stratum, until a sweep adds no
-state (the steps that add none collect the cycles, below) or, once the
-cycles span K, the component fills what the map has left unvisited.
+word-wide bit operations over the whole stratum, one cache-sized tile of
+_TILE_WORDS words after another, until a sweep adds no state (the tile
+steps that add none collect the cycles, below) or, once the cycles span
+K, the component fills what the map has left unvisited.
 
 The search runs on a quotient.  K, the common null space of the
 condition masks, acts by translations that commute with every
@@ -77,6 +78,10 @@ from .actions import ActionSpec, generator_masks, height_functionals
 
 ENUM_DIM_LIMIT = 28
 _LIFT_CHUNK = 1 << 16
+# the words of a closure tile, a power of two (256 KiB): a tile's source,
+# odd set and two scratch rows fit in a 2 MiB L2 cache, where a whole
+# 2^24-state map streams from L3 on every pass
+_TILE_WORDS = 1 << 15
 
 
 class EnumerationGuardError(RuntimeError):
@@ -214,11 +219,16 @@ def _p_foot(bits: np.ndarray, foot: int, out: np.ndarray, scratch: np.ndarray) -
     every bitset along the last axis of bits: the words at w ^ (foot >> 6),
     by flipping the axes of that axis reshaped to (2,) * log2(words),
     then one delta swap inside every word per set bit s < 6 of foot.
-    scratch, which may be bits itself, is overwritten; out is neither."""
+    The bits of foot above that axis's words are ignored, so a tile of a
+    larger map moves within itself.  scratch, which may be bits itself,
+    is overwritten; out is neither."""
     k = bits.shape[-1].bit_length() - 1
     shape = bits.shape[:-1] + (2,) * k
-    flips = tuple(-1 - j for j in range(k) if foot >> 6 + j & 1)
-    np.copyto(out.reshape(shape), np.flip(bits.reshape(shape), axis=flips))
+    # axis -1 - j is bit j of the word index: the view np.flip returns,
+    # without its per-call axis normalization, from a list, not a
+    # generator, which tracemalloc counts as held until the next collection
+    flips = tuple([slice(None, None, -1 if foot >> 6 + j & 1 else 1) for j in range(k - 1, -1, -1)])
+    np.copyto(out.reshape(shape), bits.reshape(shape)[(..., *flips)])
     for s in range(6):
         if foot >> s & 1:
             m, t = _SWAP[s], np.uint64(1 << s)
@@ -328,58 +338,91 @@ def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: n
     neighbourhood would cost), and visited is only ORed with reached at
     the end.
 
-    With planes, a step whose fresh states are empty feeds pot(y) ^
+    Each step runs tile by tile, over slices of _TILE_WORDS words (the
+    whole map when it is smaller), so that a tile's source, odd set and
+    scratch stay in cache.  On tiles of 2^tb words, output tile u reads
+    source tile s = u ^ (foot >> 6 + tb), and the odd set of tile s is
+    the odd set of tile 0, built once per step, or its complement where
+    parity(s & cond >> 6 + tb) is odd; P_foot moves the tile's words by
+    the low tb bits of foot >> 6 and its bits by the low 6 of foot.
+    Reading a tile that this step already grew is harmless: each
+    generator is an involution, so the states just added there only move
+    back onto their parents, which are already in reached (they take no
+    potential, and their cycle voltages are 0).
+
+    With planes, a tile step whose fresh states are empty feeds pot(y) ^
     voltage ^ pot(gy) of its edges to span while span is not full (tree
     edges give 0).  Each is a cycle voltage, since both ends of every
-    such edge are in reached and a potential never changes once set.
-    The sweeps stop when one adds no state: every step of that last
-    sweep is such a step, so it sees every edge and S is complete.  Once
-    S = K (always when K = 0) they also stop as soon as reached and the
-    states visited before this flood cover the map, which skips the
-    confirming sweep of a stratum's last flood; short of S = K that
-    sweep still runs, since it is the one that collects the cycles.
+    such edge are in reached and hold their final potentials: a
+    potential never changes once set.  The sweeps stop when one adds no
+    state: every tile step of that last sweep is such a step, so it sees
+    every edge and S is complete.  Once S = K (always when K = 0) they
+    also stop as soon as reached and the states visited before this
+    flood cover the map, which skips the confirming sweep of a stratum's
+    last flood; short of S = K that sweep still runs, since it is the
+    one that collects the cycles.
 
-    The two scratch stacks are allocated once, and every sweep step and
-    popcount writes into them or into the stack.
+    The two scratch stacks and the odd set are tile-sized and allocated
+    once, and every step and popcount writes into them or into the
+    stack, so a closure allocates no map-sized array.  A map of one tile
+    keeps the odd set in moved[0], which _p_foot then overwrites.
     """
     shift = job.compact_dim
     visited, stack, reached = maps[0], maps[1:], maps[1]
     for words in (np.array([seed], dtype=np.uint32), frontier):
         _scatter(stack, words, shift)
-    src, moved = np.empty_like(stack), np.empty_like(stack)
+    width = min(_TILE_WORDS, visited.size)
+    tiles = [slice(t, t + width) for t in range(0, visited.size, width)]
+    src = np.empty((len(stack), width), dtype=np.uint64)
+    moved = np.empty_like(src)
+    odd = moved[0] if len(tiles) == 1 else np.empty(width, dtype=np.uint64)
+    tb = width.bit_length() - 1
     steps = [(c, f & (1 << shift) - 1, b, [j for j in range(span.dim) if f >> shift + j & 1])
              for c, f, b in job.gens]
-    outside = int(np.bitwise_count(visited, out=moved[0]).sum()) - size
-    count = int(np.bitwise_count(reached, out=moved[0]).sum())
+
+    def popcount(bits: np.ndarray) -> int:
+        return sum([int(np.bitwise_count(bits[t], out=moved[0]).sum()) for t in tiles])
+
+    outside = popcount(visited) - size
+    count = popcount(reached)
     while count + outside < 64 * visited.size or not span.full:
         for cond, foot, const, volts in steps:
-            # moved[0] holds the odd set until _p_foot overwrites it
-            np.bitwise_and(reached, _odd_words(cond, const, moved[0]), out=src[0])
-            if span.dim:
-                # a generator with no odd state in reached moves nothing:
-                # one row of work for dim K + 1 (without planes this check
-                # costs more than it saves)
-                if not src[0].any():
-                    continue
-                np.bitwise_and(stack[1:], moved[0], out=src[1:])
-            _p_foot(src, foot, moved, src)
-            if span.dim:
-                # row 1 + j of moved now holds bit j of pot(gx) ^ voltage
-                # at every x with gx in reached
-                for j in volts:
-                    np.invert(moved[1 + j], out=moved[1 + j])
-                fresh = np.invert(reached, out=src[0])
-                fresh &= moved[0]
-                if fresh.any():
-                    moved[1:] &= fresh
-                    stack[1:] |= moved[1:]
-                elif not span.full:
-                    cycles = moved[1:]
-                    cycles ^= stack[1:]
-                    cycles &= moved[0]
-                    span.absorb_planes(cycles, src[0])
-            reached |= moved[0]
-        grown = int(np.bitwise_count(reached, out=moved[0]).sum())
+            # with one tile, odd is moved[0] until _p_foot overwrites it
+            _odd_words(cond, const, odd)
+            for u, tile in enumerate(tiles):
+                s = u ^ foot >> 6 + tb
+                source = tiles[s]
+                flip = _parity(s & cond >> 6 + tb)
+                np.bitwise_and(reached[source], odd, out=src[0])
+                if flip:
+                    src[0] ^= reached[source]
+                if span.dim:
+                    # a tile with no odd state in reached moves nothing:
+                    # one row of work for dim K + 1 (without planes this
+                    # check costs more than it saves)
+                    if not src[0].any():
+                        continue
+                    np.bitwise_and(stack[1:, source], odd, out=src[1:])
+                    if flip:
+                        src[1:] ^= stack[1:, source]
+                _p_foot(src, foot, moved, src)
+                if span.dim:
+                    # row 1 + j of moved now holds bit j of pot(gx) ^
+                    # voltage at every x with gx in reached
+                    for j in volts:
+                        np.invert(moved[1 + j], out=moved[1 + j])
+                    fresh = np.invert(reached[tile], out=src[0])
+                    fresh &= moved[0]
+                    if fresh.any():
+                        moved[1:] &= fresh
+                        stack[1:, tile] |= moved[1:]
+                    elif not span.full:
+                        cycles = moved[1:]
+                        cycles ^= stack[1:, tile]
+                        cycles &= moved[0]
+                        span.absorb_planes(cycles, src[0])
+                reached[tile] |= moved[0]
+        grown = popcount(reached)
         if grown == count:
             break
         count = grown

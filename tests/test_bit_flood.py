@@ -176,8 +176,8 @@ def flood(job, seed, maps):
 
 @pytest.fixture
 def p_foot_calls(monkeypatch):
-    """A list that counts the calls of _p_foot: the closure's generator
-    steps that move the stack."""
+    """A list that counts the calls of _p_foot: one per tile that a
+    closure's generator step moves (one per step on a map of one tile)."""
     steps = []
     p_foot = orbits._p_foot
 
@@ -238,6 +238,27 @@ def test_closure_allocates_no_map_per_generator(monkeypatch):
     assert got == expected
     # two scratch bitsets and the frontier; reached is a row of maps
     assert peak < 3 * visited.nbytes
+
+
+def test_tiled_closure_allocates_less_than_a_map(monkeypatch):
+    # second n=7 at height 0 on tiles of an eighth of its map: the two
+    # scratch stacks, the odd set and the popcounts are tile-sized, where
+    # a closure over one tile allocates two maps
+    job = height0_job(ActionSpec(7, ActionKind.SECOND))
+    maps = orbits._search(job)
+    visited = maps[0]
+    seed = (1 << job.compact_dim) - 1
+    expected = flood(job, seed, orbits._search(job))
+    monkeypatch.setattr(orbits, "_dense", lambda count, words: True)
+    monkeypatch.setattr(orbits, "_TILE_WORDS", visited.size >> 3)
+    tracemalloc.start()
+    try:
+        got = flood(job, seed, maps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expected
+    assert peak < visited.nbytes
 
 
 def base_job(spec):
@@ -408,19 +429,29 @@ def random_states(spec, count: int = 40):
     return [rng.getrandbits(spec.state_dim) for _ in range(count)]
 
 
-@pytest.fixture(params=[True, False], ids=["dense", "sparse"])
+@pytest.fixture(params=["dense", "sparse", "tiled"])
 def forced(request, monkeypatch):
     """Every bitset flood goes straight to its closure, or takes sparse
     levels until its frontier empties (a lifted flood then closes from
-    its last frontier); yields the frontier sizes the switch was asked
+    its last frontier), or goes straight to a closure whose tiles are a
+    quarter of its map, so that every closure on a map of at least 4
+    words spans 4 tiles; yields the frontier sizes the switch was asked
     about."""
     asked = []
 
     def switch(count, words):
         asked.append(count)
-        return request.param
+        return request.param != "sparse"
 
     monkeypatch.setattr(orbits, "_dense", switch)
+    if request.param == "tiled":
+        close = orbits._close
+
+        def quartered(job, seed, frontier, size, maps, span):
+            monkeypatch.setattr(orbits, "_TILE_WORDS", max(1, maps.shape[1] >> 2))
+            return close(job, seed, frontier, size, maps, span)
+
+        monkeypatch.setattr(orbits, "_close", quartered)
     yield asked
     assert asked
 
