@@ -214,29 +214,70 @@ def _odd_words(cond: int, const: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _p_foot(bits: np.ndarray, foot: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+def _word_move(foot: int, words: int) -> tuple:
+    """How _p_foot moves the words of bitsets of words words to w ^ (foot
+    >> 6): (shape, flips, index).  shape splits the word axis into one
+    axis of 2 per word bit from 4 up, then one axis for the low 4 bits
+    (for every bit on fewer than 16 words).  flips is the index that
+    flips the upper axes where foot >> 6 has a bit, or None; index
+    gathers each run of the last axis at i ^ (foot >> 6), or is None
+    where foot >> 6 has no low bit.  A closure plans each generator's
+    move once."""
+    k = words.bit_length() - 1
+    low = min(k, 4)
+    high = foot >> 6 + low & (1 << k - low) - 1
+    # the view np.flip returns, without its per-call axis normalization,
+    # from a list, not a generator, which tracemalloc counts as held
+    # until the next collection
+    flips = tuple([..., *[slice(None, None, -1 if high >> j & 1 else 1)
+                          for j in range(k - low - 1, -1, -1)], slice(None)]) if high else None
+    xor = foot >> 6 & (1 << low) - 1
+    index = np.arange(1 << low, dtype=np.intp) ^ xor if xor else None
+    return (2,) * (k - low) + (1 << low,), flips, index
+
+
+def _p_foot(bits: np.ndarray, foot: int, out: np.ndarray, scratch: np.ndarray,
+            move: Optional[tuple] = None) -> np.ndarray:
     """Write the bitset {i ^ foot : i in bits} into out and return it, for
-    every bitset along the last axis of bits: the words at w ^ (foot >> 6),
-    by flipping the axes of that axis reshaped to (2,) * log2(words),
-    then one delta swap inside every word per set bit s < 6 of foot.
-    The bits of foot above that axis's words are ignored, so a tile of a
-    larger map moves within itself.  scratch, which may be bits itself,
-    is overwritten; out is neither."""
-    k = bits.shape[-1].bit_length() - 1
-    shape = bits.shape[:-1] + (2,) * k
-    # axis -1 - j is bit j of the word index: the view np.flip returns,
-    # without its per-call axis normalization, from a list, not a
-    # generator, which tracemalloc counts as held until the next collection
-    flips = tuple([slice(None, None, -1 if foot >> 6 + j & 1 else 1) for j in range(k - 1, -1, -1)])
-    np.copyto(out.reshape(shape), bits.reshape(shape)[(..., *flips)])
+    every bitset along the last axis of bits.  The words go to w ^ (foot
+    >> 6) in two passes at most, by move (_word_move(foot, words) unless
+    given): a copy of bits through flipped axes of the word bits from 4
+    up, whose inner runs are then at least 16 words long, then one
+    np.take of 16 entries along the low 4 word bits, from the contiguous
+    copy (a take of a strided view would copy it first).  Then one delta
+    swap inside every word per set bit s < 6 of foot.  The passes
+    ping-pong between out and scratch and end in out.  The bits of foot
+    above the words are ignored, so a tile of a larger map moves within
+    itself.  scratch, which may be bits itself, is overwritten; out is
+    neither."""
+    shape, flips, index = move or _word_move(foot, bits.shape[-1])
+    lead = bits.shape[:-1]
+    data = bits
+    if flips is not None:
+        np.copyto(out.reshape(lead + shape), bits.reshape(lead + shape)[flips])
+        data = out
+    if index is not None:
+        into = scratch if data is out else out
+        # mode "clip" (no index is out of range) does not buffer out
+        np.take(data.reshape(lead + (-1, index.size)), index, axis=-1,
+                out=into.reshape(lead + (-1, index.size)), mode="clip")
+        data = into
     for s in range(6):
         if foot >> s & 1:
             m, t = _SWAP[s], np.uint64(1 << s)
-            np.right_shift(out, t, out=scratch)
+            if data is out:
+                np.right_shift(out, t, out=scratch)
+                out &= m
+            else:
+                # data is bits or scratch: read it before scratch is written
+                np.bitwise_and(data, m, out=out)
+                np.right_shift(data, t, out=scratch)
             scratch &= m
-            out &= m
             out <<= t
             out |= scratch
+            data = out
+    if data is not out:
+        np.copyto(out, data)
     return out
 
 
@@ -273,8 +314,11 @@ def _flood(job: _StratumJob, seed: int, maps: np.ndarray) -> tuple[int, int, _Sp
 
     Small frontiers take sparse BFS levels that mark visited alone: each
     generator's moved words, potentials above states, are gathered from
-    the whole frontier and tested against the bitset.  Once _dense says
-    the frontier is big (after Beamer, Asanovic and Patterson,
+    the whole frontier and tested against the bitset.  Each selection
+    takes the intp indices of a bool view's nonzero entries, not a
+    boolean mask, and visited is gathered through intp word indices:
+    both are numpy's fast paths, and the states keep their order.  Once
+    _dense says the frontier is big (after Beamer, Asanovic and Patterson,
     "Direction-optimizing breadth-first search", SC 2012), the flood ends
     as a closure (_close); a lifted flood (span not full) ends in one
     from its last nonempty frontier when the frontier empties first.  On
@@ -290,7 +334,11 @@ def _flood(job: _StratumJob, seed: int, maps: np.ndarray) -> tuple[int, int, _Sp
     while not _dense(frontier.size, visited.size):
         parts = [np.empty(0, dtype=np.uint32)]
         for cond, foot, const in job.gens:
-            moved = frontier[(_parity_u32(frontier & cond) ^ const).view(np.bool_)]
+            # the indices of a bool view's nonzero entries plus take, not a
+            # boolean mask: both stay on numpy's fast paths, and keep the
+            # states' order
+            moved = frontier.take(
+                (_parity_u32(frontier & cond) ^ const).view(np.bool_).nonzero()[0])
             # most generators move nothing in most levels: skip the numpy
             # calls below on empty arrays
             if not moved.size:
@@ -298,10 +346,17 @@ def _flood(job: _StratumJob, seed: int, maps: np.ndarray) -> tuple[int, int, _Sp
             moved ^= foot
             # with no planes the words are the states: no copy to mask
             z = moved & zmask if span.dim else moved
-            word, bit = z >> 6, np.uint64(1) << (z & 63)
-            new = (visited[word] & bit) == 0
-            np.bitwise_or.at(visited, word[new], bit[new])
-            parts.append(moved[new])
+            word = np.right_shift(z, 6, dtype=np.intp)
+            bit = np.uint64(1) << (z & 63)
+            seen = visited.take(word)
+            seen &= bit
+            new = (seen == 0).nonzero()[0]
+            # every array here is one per moved state: free each once used
+            del seen, z
+            word = word.take(new)
+            bit = bit.take(new)
+            np.bitwise_or.at(visited, word, bit)
+            parts.append(moved.take(new))
         grown = np.concatenate(parts)
         if not grown.size:
             if span.full:
@@ -340,11 +395,13 @@ def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: n
 
     Each step runs tile by tile, over slices of _TILE_WORDS words (the
     whole map when it is smaller), so that a tile's source, odd set and
-    scratch stay in cache.  On tiles of 2^tb words, output tile u reads
+    scratch stay in cache; maps come from _search, so its rows reshape
+    to tiles as views.  On tiles of 2^tb words, output tile u reads
     source tile s = u ^ (foot >> 6 + tb), and the odd set of tile s is
-    the odd set of tile 0, built once per step, or its complement where
-    parity(s & cond >> 6 + tb) is odd; P_foot moves the tile's words by
-    the low tb bits of foot >> 6 and its bits by the low 6 of foot.
+    the odd set of tile 0 or, where parity(s & cond >> 6 + tb) is odd,
+    its complement, both built once per step; P_foot moves the tile's
+    words by the low tb bits of foot >> 6, by a move planned once per
+    closure (_word_move), and its bits by the low 6 of foot.
     Reading a tile that this step already grew is harmless: each
     generator is an involution, so the states just added there only move
     back onto their parents, which are already in reached (they take no
@@ -362,73 +419,85 @@ def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: n
     last flood; short of S = K that sweep still runs, since it is the
     one that collects the cycles.
 
-    The two scratch stacks and the odd set are tile-sized and allocated
-    once, and every step and popcount writes into them or into the
-    stack, so a closure allocates no map-sized array.  A map of one tile
-    keeps the odd set in moved[0], which _p_foot then overwrites.
+    The two scratch stacks, the odd set and its complement are
+    tile-sized and allocated once, and every step, popcount and the
+    search for the least reached word write into them or into the stack,
+    so a closure allocates nothing that grows with the map.  A map of one
+    tile keeps the odd set in moved[0], which _p_foot then overwrites,
+    and needs no complement.
     """
     shift = job.compact_dim
     visited, stack, reached = maps[0], maps[1:], maps[1]
     for words in (np.array([seed], dtype=np.uint32), frontier):
         _scatter(stack, words, shift)
     width = min(_TILE_WORDS, visited.size)
-    tiles = [slice(t, t + width) for t in range(0, visited.size, width)]
+    # tiled[r, u] is tile u of maps[r]: a view, and no object per tile
+    tiled = maps.reshape(len(maps), -1, width)
+    tiles = tiled.shape[1]
     src = np.empty((len(stack), width), dtype=np.uint64)
     moved = np.empty_like(src)
-    odd = moved[0] if len(tiles) == 1 else np.empty(width, dtype=np.uint64)
+    # the odd set of tile 0 and, on more tiles, its complement
+    odds = (moved[0],) if tiles == 1 else np.empty((2, width), dtype=np.uint64)
     tb = width.bit_length() - 1
-    steps = [(c, f & (1 << shift) - 1, b, [j for j in range(span.dim) if f >> shift + j & 1])
-             for c, f, b in job.gens]
+    steps = [(c, f & (1 << shift) - 1, b, [j for j in range(span.dim) if f >> shift + j & 1],
+              _word_move(f, width)) for c, f, b in job.gens]
 
-    def popcount(bits: np.ndarray) -> int:
-        return sum([int(np.bitwise_count(bits[t], out=moved[0]).sum()) for t in tiles])
+    def popcount(row: int) -> int:
+        total = 0
+        for tile in tiled[row]:
+            total += int(np.bitwise_count(tile, out=moved[0]).sum())
+        return total
 
-    outside = popcount(visited) - size
-    count = popcount(reached)
+    outside = popcount(0) - size
+    count = popcount(1)
     while count + outside < 64 * visited.size or not span.full:
-        for cond, foot, const, volts in steps:
-            # with one tile, odd is moved[0] until _p_foot overwrites it
-            _odd_words(cond, const, odd)
-            for u, tile in enumerate(tiles):
+        for cond, foot, const, volts, move in steps:
+            # with one tile, the odd set is moved[0] until _p_foot
+            # overwrites it
+            _odd_words(cond, const, odds[0])
+            if len(odds) > 1:
+                np.invert(odds[0], out=odds[1])
+            for u in range(tiles):
                 s = u ^ foot >> 6 + tb
-                source = tiles[s]
-                flip = _parity(s & cond >> 6 + tb)
-                np.bitwise_and(reached[source], odd, out=src[0])
-                if flip:
-                    src[0] ^= reached[source]
+                odd = odds[_parity(s & cond >> 6 + tb)]
+                np.bitwise_and(tiled[1, s], odd, out=src[0])
                 if span.dim:
                     # a tile with no odd state in reached moves nothing:
                     # one row of work for dim K + 1 (without planes this
                     # check costs more than it saves)
                     if not src[0].any():
                         continue
-                    np.bitwise_and(stack[1:, source], odd, out=src[1:])
-                    if flip:
-                        src[1:] ^= stack[1:, source]
-                _p_foot(src, foot, moved, src)
+                    np.bitwise_and(tiled[2:, s], odd, out=src[1:])
+                _p_foot(src, foot, moved, src, move)
                 if span.dim:
                     # row 1 + j of moved now holds bit j of pot(gx) ^
                     # voltage at every x with gx in reached
                     for j in volts:
                         np.invert(moved[1 + j], out=moved[1 + j])
-                    fresh = np.invert(reached[tile], out=src[0])
+                    fresh = np.invert(tiled[1, u], out=src[0])
                     fresh &= moved[0]
                     if fresh.any():
                         moved[1:] &= fresh
-                        stack[1:, tile] |= moved[1:]
+                        tiled[2:, u] |= moved[1:]
                     elif not span.full:
                         cycles = moved[1:]
-                        cycles ^= stack[1:, tile]
+                        cycles ^= tiled[2:, u]
                         cycles &= moved[0]
                         span.absorb_planes(cycles, src[0])
-                reached[tile] |= moved[0]
-        grown = popcount(reached)
+                tiled[1, u] |= moved[0]
+        grown = popcount(1)
         if grown == count:
             break
         count = grown
         steps.reverse()
     visited |= reached
-    w = int((reached != 0).argmax())
+    # the least reached word, tile by tile into a bool view of scratch
+    nonzero = moved[0].view(np.bool_)[:width]
+    for u, tile in enumerate(tiled[1]):
+        w = int(np.not_equal(tile, 0, out=nonzero).argmax())
+        if nonzero[w]:
+            w += u * width
+            break
     v = int(reached[w])
     if span.full:
         reached.fill(0)

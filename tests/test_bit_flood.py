@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from f2orbits import orbits
 from f2orbits.actions import ActionKind, ActionSpec, height_functionals
@@ -58,14 +58,23 @@ def bitset(states: np.ndarray, words: int) -> np.ndarray:
 
 
 @st.composite
-def bitset_states(draw):
-    dim = draw(st.integers(min_value=0, max_value=12))
+def bitset_states(draw, max_dim=12):
+    dim = draw(st.integers(min_value=0, max_value=max_dim))
     states = draw(st.sets(st.integers(min_value=0, max_value=(1 << dim) - 1), max_size=300))
     return dim, np.array(sorted(states), dtype=np.uint32)
 
 
+# 1024 words: the word move flips up to 6 axes of word bits from 4 up,
+# then takes along the low 4; the examples below take both stages, with
+# and without delta swaps, and the take alone
+EVERY_STAGE = (16, np.array([0, 1, 77, 1000, 4097, 65535], dtype=np.uint32))
+
+
 @settings(max_examples=150, deadline=None)
-@given(bitset_states(), st.integers(min_value=0, max_value=(1 << 12) - 1))
+@given(bitset_states(max_dim=16), st.integers(min_value=0, max_value=(1 << 16) - 1))
+@example(EVERY_STAGE, 0b1011_0110 << 6 | 0b100101)
+@example(EVERY_STAGE, 0b1010_0011 << 6)
+@example(EVERY_STAGE, 0b0101 << 6 | 0b10)
 def test_p_foot_is_index_xor(case, foot):
     dim, states = case
     foot &= (1 << dim) - 1
@@ -80,6 +89,26 @@ def test_p_foot_is_index_xor(case, foot):
     stack = np.stack([bitset(states, words_for(dim)), ~bitset(states, words_for(dim))])
     moved = orbits._p_foot(stack, foot, np.empty_like(stack), np.empty_like(stack))
     assert np.array_equal(moved[0], out) and np.array_equal(moved[1], ~out)
+
+
+@pytest.mark.parametrize("foot", [0, 0b100101, 0b1011_0110 << 6, 0b0110 << 6 | 1,
+                                  0b1011_0110 << 6 | 0b100101, 0b1010_0011 << 6,
+                                  (1 << 21) - 1])
+def test_p_foot_allocates_less_than_an_eighth_of_a_tile(foot):
+    # no tile-sized index and no copied take input, on a stack of two
+    # tiles of second n=8's closure
+    rng = np.random.default_rng(foot)
+    stack = rng.integers(0, 1 << 63, size=(2, orbits._TILE_WORDS), dtype=np.uint64)
+    expected = orbits._p_foot(stack, foot, np.empty_like(stack), np.empty_like(stack))
+    out = np.empty_like(stack)
+    tracemalloc.start()
+    try:
+        orbits._p_foot(stack, foot, out, stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out, expected)
+    assert peak < stack[0].nbytes // 8
 
 
 @settings(max_examples=150, deadline=None)
@@ -259,6 +288,31 @@ def test_tiled_closure_allocates_less_than_a_map(monkeypatch):
         tracemalloc.stop()
     assert got == expected
     assert peak < visited.nbytes
+
+
+def test_closure_peak_does_not_grow_with_the_map(monkeypatch):
+    # second n=7 and n=8 at height 0, maps of 2^12 and 2^18 words, on the
+    # same tiles of 2^11 words: every scratch array of a closure is a
+    # tile, so their peaks differ by less than one; a search of the least
+    # reached word through a bool per word would add 248 KiB
+    monkeypatch.setattr(orbits, "_dense", lambda count, words: True)
+    monkeypatch.setattr(orbits, "_TILE_WORDS", 1 << 11)
+    peaks, words = [], []
+    for n in (7, 8):
+        job = height0_job(ActionSpec(n, ActionKind.SECOND))
+        # state 0 is fixed at height 0: one sweep over every tile; a first
+        # flood, untraced, leaves out numpy's one-time allocations
+        assert flood(job, 0, orbits._search(job)) == (0, 1)
+        maps = orbits._search(job)
+        words.append(maps.shape[1])
+        tracemalloc.start()
+        try:
+            flood(job, 0, maps)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert words[1] >= 8 * words[0] > 1 << 11
+    assert abs(peaks[1] - peaks[0]) < (1 << 11) * 8
 
 
 def base_job(spec):
