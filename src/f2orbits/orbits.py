@@ -190,7 +190,8 @@ def _members(bits: np.ndarray) -> np.ndarray:
     at = 0
     for start in range(0, nonzero.size, _UNPACK):
         w = nonzero[start:start + _UNPACK]
-        i = np.flatnonzero(np.unpackbits(bits[w].astype("<u8").view(np.uint8), bitorder="little"))
+        i = np.unpackbits(bits[w].astype("<u8").view(np.uint8),
+                          bitorder="little").view(np.bool_).nonzero()[0]
         out[at:at + i.size] = w[i >> 6] << 6 | i & 63
         at += i.size
     return out
@@ -215,14 +216,16 @@ def _odd_words(cond: int, const: int, out: np.ndarray) -> np.ndarray:
 
 
 def _word_move(foot: int, words: int) -> tuple:
-    """How _p_foot moves the words of bitsets of words words to w ^ (foot
-    >> 6): (shape, flips, index).  shape splits the word axis into one
-    axis of 2 per word bit from 4 up, then one axis for the low 4 bits
-    (for every bit on fewer than 16 words).  flips is the index that
+    """The plan by which _p_foot moves bitsets of words words to {i ^
+    foot}: (shape, flips, index, swaps).  shape splits the word axis into
+    one axis of 2 per word bit from 4 up, then one axis for the low 4
+    bits (for every bit on fewer than 16 words).  flips is the index that
     flips the upper axes where foot >> 6 has a bit, or None; index
     gathers each run of the last axis at i ^ (foot >> 6), or is None
-    where foot >> 6 has no low bit.  A closure plans each generator's
-    move once."""
+    where foot >> 6 has no low bit.  swaps holds the (mask, shift) of one
+    delta swap inside every word per set bit s < 6 of foot.  The bits of
+    foot above the words are ignored, so a tile of a larger map moves
+    within itself.  A closure plans each generator's move once."""
     k = words.bit_length() - 1
     low = min(k, 4)
     high = foot >> 6 + low & (1 << k - low) - 1
@@ -233,52 +236,38 @@ def _word_move(foot: int, words: int) -> tuple:
                           for j in range(k - low - 1, -1, -1)], slice(None)]) if high else None
     xor = foot >> 6 & (1 << low) - 1
     index = np.arange(1 << low, dtype=np.intp) ^ xor if xor else None
-    return (2,) * (k - low) + (1 << low,), flips, index
+    swaps = tuple((_SWAP[s], np.uint64(1 << s)) for s in range(6) if foot >> s & 1)
+    return (2,) * (k - low) + (1 << low,), flips, index, swaps
 
 
-def _p_foot(bits: np.ndarray, foot: int, out: np.ndarray, scratch: np.ndarray,
-            move: Optional[tuple] = None) -> np.ndarray:
-    """Write the bitset {i ^ foot : i in bits} into out and return it, for
-    every bitset along the last axis of bits.  The words go to w ^ (foot
-    >> 6) in two passes at most, by move (_word_move(foot, words) unless
-    given): a copy of bits through flipped axes of the word bits from 4
-    up, whose inner runs are then at least 16 words long, then one
-    np.take of 16 entries along the low 4 word bits, from the contiguous
-    copy (a take of a strided view would copy it first).  Then one delta
-    swap inside every word per set bit s < 6 of foot.  The passes
-    ping-pong between out and scratch and end in out.  The bits of foot
-    above the words are ignored, so a tile of a larger map moves within
-    itself.  scratch, which may be bits itself, is overwritten; out is
-    neither."""
-    shape, flips, index = move or _word_move(foot, bits.shape[-1])
+def _p_foot(bits: np.ndarray, spare: np.ndarray, move: tuple) -> np.ndarray:
+    """Move every bitset along the last axis of bits to {i ^ foot : i in
+    bits} by the plan move = _word_move(foot, words), and return the
+    buffer that holds the result, bits or spare; both are overwritten.
+    The words go to w ^ (foot >> 6) in two passes at most, each into the
+    buffer that does not hold the words: a copy through flipped axes of
+    the word bits from 4 up, whose inner runs are then at least 16 words
+    long, then one np.take of 16 entries along the low 4 word bits, from
+    the contiguous copy (a take of a strided view would copy it first).
+    Then each delta swap runs in place, with the other buffer as
+    scratch."""
+    shape, flips, index, swaps = move
     lead = bits.shape[:-1]
-    data = bits
     if flips is not None:
-        np.copyto(out.reshape(lead + shape), bits.reshape(lead + shape)[flips])
-        data = out
+        np.copyto(spare.reshape(lead + shape), bits.reshape(lead + shape)[flips])
+        bits, spare = spare, bits
     if index is not None:
-        into = scratch if data is out else out
         # mode "clip" (no index is out of range) does not buffer out
-        np.take(data.reshape(lead + (-1, index.size)), index, axis=-1,
-                out=into.reshape(lead + (-1, index.size)), mode="clip")
-        data = into
-    for s in range(6):
-        if foot >> s & 1:
-            m, t = _SWAP[s], np.uint64(1 << s)
-            if data is out:
-                np.right_shift(out, t, out=scratch)
-                out &= m
-            else:
-                # data is bits or scratch: read it before scratch is written
-                np.bitwise_and(data, m, out=out)
-                np.right_shift(data, t, out=scratch)
-            scratch &= m
-            out <<= t
-            out |= scratch
-            data = out
-    if data is not out:
-        np.copyto(out, data)
-    return out
+        np.take(bits.reshape(lead + (-1, index.size)), index, axis=-1,
+                out=spare.reshape(lead + (-1, index.size)), mode="clip")
+        bits, spare = spare, bits
+    for m, t in swaps:
+        np.right_shift(bits, t, out=spare)
+        spare &= m
+        bits &= m
+        bits <<= t
+        bits |= spare
+    return bits
 
 
 def _dense(count: int, words: int) -> bool:
@@ -420,11 +409,13 @@ def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: n
     one that collects the cycles.
 
     The two scratch stacks, the odd set and its complement are
-    tile-sized and allocated once, and every step, popcount and the
-    search for the least reached word write into them or into the stack,
-    so a closure allocates nothing that grows with the map.  A map of one
-    tile keeps the odd set in moved[0], which _p_foot then overwrites,
-    and needs no complement.
+    tile-sized and allocated once.  A step writes its source into src,
+    and _p_foot moves it within src and other and returns the one that
+    holds the moved stack; the other one is scratch for the fresh
+    states, the cycles and the popcounts.  The least reached state is
+    found tile by tile (_least_bit), so a closure allocates nothing that
+    grows with the map.  A map of one tile keeps the odd set in other[0],
+    which _p_foot then overwrites, and needs no complement.
     """
     shift = job.compact_dim
     visited, stack, reached = maps[0], maps[1:], maps[1]
@@ -434,25 +425,25 @@ def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: n
     # tiled[r, u] is tile u of maps[r]: a view, and no object per tile
     tiled = maps.reshape(len(maps), -1, width)
     tiles = tiled.shape[1]
-    src = np.empty((len(stack), width), dtype=np.uint64)
-    moved = np.empty_like(src)
+    src, other = np.empty((2, len(stack), width), dtype=np.uint64)
     # the odd set of tile 0 and, on more tiles, its complement
-    odds = (moved[0],) if tiles == 1 else np.empty((2, width), dtype=np.uint64)
+    odds = (other[0],) if tiles == 1 else np.empty((2, width), dtype=np.uint64)
     tb = width.bit_length() - 1
-    steps = [(c, f & (1 << shift) - 1, b, [j for j in range(span.dim) if f >> shift + j & 1],
-              _word_move(f, width)) for c, f, b in job.gens]
+    zmask = (1 << shift) - 1
+    steps = [(c, f & zmask, b, [j for j in range(span.dim) if f >> shift + j & 1],
+              _word_move(f & zmask, width)) for c, f, b in job.gens]
 
     def popcount(row: int) -> int:
         total = 0
         for tile in tiled[row]:
-            total += int(np.bitwise_count(tile, out=moved[0]).sum())
+            total += int(np.bitwise_count(tile, out=src[0]).sum())
         return total
 
     outside = popcount(0) - size
     count = popcount(1)
-    while count + outside < 64 * visited.size or not span.full:
+    while count + outside < 1 << shift or not span.full:
         for cond, foot, const, volts, move in steps:
-            # with one tile, the odd set is moved[0] until _p_foot
+            # with one tile, the odd set is other[0] until _p_foot
             # overwrites it
             _odd_words(cond, const, odds[0])
             if len(odds) > 1:
@@ -468,13 +459,14 @@ def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: n
                     if not src[0].any():
                         continue
                     np.bitwise_and(tiled[2:, s], odd, out=src[1:])
-                _p_foot(src, foot, moved, src, move)
+                moved = _p_foot(src, other, move)
                 if span.dim:
+                    spare = other if moved is src else src
                     # row 1 + j of moved now holds bit j of pot(gx) ^
                     # voltage at every x with gx in reached
                     for j in volts:
                         np.invert(moved[1 + j], out=moved[1 + j])
-                    fresh = np.invert(tiled[1, u], out=src[0])
+                    fresh = np.invert(tiled[1, u], out=spare[0])
                     fresh &= moved[0]
                     if fresh.any():
                         moved[1:] &= fresh
@@ -483,7 +475,7 @@ def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: n
                         cycles = moved[1:]
                         cycles ^= tiled[2:, u]
                         cycles &= moved[0]
-                        span.absorb_planes(cycles, src[0])
+                        span.absorb_planes(cycles, spare[0])
                 tiled[1, u] |= moved[0]
         grown = popcount(1)
         if grown == count:
@@ -491,17 +483,10 @@ def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: n
         count = grown
         steps.reverse()
     visited |= reached
-    # the least reached word, tile by tile into a bool view of scratch
-    nonzero = moved[0].view(np.bool_)[:width]
-    for u, tile in enumerate(tiled[1]):
-        w = int(np.not_equal(tile, 0, out=nonzero).argmax())
-        if nonzero[w]:
-            w += u * width
-            break
-    v = int(reached[w])
+    low = _least_bit(reached, 0, 0)
     if span.full:
         reached.fill(0)
-    return w << 6 | (v & -v).bit_length() - 1, count
+    return low, count
 
 
 @dataclass(frozen=True)
@@ -580,7 +565,8 @@ def _readback(stack: np.ndarray):
         for at in range(0, nonzero.size, step):
             w = nonzero[at:at + step]
             words = block[:, w].astype("<u8", order="C")
-            i = np.flatnonzero(np.unpackbits(words[0].view(np.uint8), bitorder="little"))
+            i = np.unpackbits(words[0].view(np.uint8),
+                              bitorder="little").view(np.bool_).nonzero()[0]
             pot = np.zeros((len(stack) + 6 >> 3, 8 * w.size), dtype="<u8")
             for j, plane in enumerate(words[1:]):
                 pot[j >> 3] |= _SPREAD[plane.view(np.uint8)] << np.uint64(j & 7)
@@ -632,10 +618,10 @@ def _search(job: _StratumJob) -> np.ndarray:
     2 bitsets over the 2^compact_dim compact states, each of max(1,
     2^(compact_dim - 6)) words.
 
-    Row 0 is the visited map, whose bits past the last state (when
-    compact_dim < 6) are set; row 1 is reached, the component a flood is
-    lifting; row 2 + j is potential plane j (see _close).  K = 0 is the
-    case of no planes.
+    Row 0 is the visited map, row 1 is reached, the component a flood is
+    lifting, and row 2 + j is potential plane j (see _close).  K = 0 is
+    the case of no planes.  The maps hold states only: the bits past the
+    last state of a map under 64 states stay clear.
 
     The planes are never cleared between floods.  Their stale bits, at
     the states of earlier components, are harmless: components are
@@ -644,22 +630,22 @@ def _search(job: _StratumJob) -> np.ndarray:
     planes by its fresh states and the cycles by moved states of
     reached, and _lift reads them only at the members of reached.
     """
-    maps = np.zeros((len(job.translations) + 2, max(1, 1 << job.compact_dim >> 6)),
+    return np.zeros((len(job.translations) + 2, max(1, 1 << job.compact_dim >> 6)),
                     dtype=np.uint64)
-    if job.compact_dim < 6:
-        maps[0, 0] = _ONES << np.uint64(1 << job.compact_dim)
-    return maps
 
 
-def _first_unvisited(visited: np.ndarray, cursor: int) -> Optional[int]:
-    """The least unvisited compact state of the visited bitset, or None,
-    where every state below cursor is visited."""
-    w = cursor >> 6
-    if w >= visited.size:
-        return None
-    w += int((visited[w:] != _ONES).argmax())
-    v = int(visited[w])
-    return None if v == _ONES else w << 6 | (~v & v + 1).bit_length() - 1
+def _least_bit(row: np.ndarray, start: int, fill) -> Optional[int]:
+    """The least bit at or after word start >> 6 where the bitset row
+    differs from fill (0 or _ONES), or None.  The words are compared a
+    tile of _TILE_WORDS at a time, so a scan allocates one bool per word
+    of a tile at most, however large the map."""
+    for at in range(start >> 6, row.size, _TILE_WORDS):
+        differs = row[at:at + _TILE_WORDS] != fill
+        w = int(differs.argmax())
+        if differs[w]:
+            v = int(row[at + w] ^ fill)
+            return (at + w) << 6 | (v & -v).bit_length() - 1
+    return None
 
 
 def _component(job: _StratumJob, seed: int, maps: np.ndarray,
@@ -684,20 +670,21 @@ def _component(job: _StratumJob, seed: int, maps: np.ndarray,
 def _run_stratum_job(job: _StratumJob) -> list[tuple[int, int]]:
     """Every orbit over the job's stratum, as (representative, size).
 
-    Seeds are scanned in ascending compact order, with potential 0.  The
-    seed is the minimum of its base orbit, because every smaller state is
-    already visited, so where one orbit lies over the base orbit (S = K,
-    always when K = 0) the flood's explicit minimum confirms it.
+    Seeds are scanned in ascending compact order, up to 2^compact_dim,
+    with potential 0.  The seed is the minimum of its base orbit, because
+    every smaller state is already visited, so where one orbit lies over
+    the base orbit (S = K, always when K = 0) the flood's explicit
+    minimum confirms it.
     """
     maps = _search(job)
     rows = []
-    seed = _first_unvisited(maps[0], 0)
-    while seed is not None:
+    seed = _least_bit(maps[0], 0, _ONES)
+    while seed is not None and seed < 1 << job.compact_dim:
         orbits = _component(job, seed, maps)
         if len(orbits) == 1 and orbits[0][0] != job.offset ^ _combine(seed, job.basis):
             raise AssertionError("ascending seed scan lost the orbit minimum")
         rows.extend(orbits)
-        seed = _first_unvisited(maps[0], seed + 1)
+        seed = _least_bit(maps[0], seed + 1, _ONES)
     return rows
 
 
@@ -864,8 +851,6 @@ def _closure(spec, seeds) -> np.ndarray:
     for seed in seeds:
         if not int(visited[seed >> 6]) >> (seed & 63) & 1:
             _component(job, seed, maps)
-    if dim < 6:
-        visited[0] ^= _ONES << np.uint64(1 << dim)  # the bits past the last state
     return _members(visited)
 
 

@@ -78,17 +78,28 @@ EVERY_STAGE = (16, np.array([0, 1, 77, 1000, 4097, 65535], dtype=np.uint32))
 def test_p_foot_is_index_xor(case, foot):
     dim, states = case
     foot &= (1 << dim) - 1
-    bits = bitset(states, words_for(dim))
-    out, scratch = np.empty_like(bits), np.empty_like(bits)
-    assert orbits._p_foot(bits, foot, out, scratch) is out
-    assert orbits._members(out).tolist() == sorted(int(s) ^ foot for s in states)
-    # scratch may be the input itself
-    assert orbits._members(orbits._p_foot(bits, foot, scratch, bits)).tolist() == \
-        orbits._members(out).tolist()
+    words = words_for(dim)
+    move = orbits._word_move(foot, words)
+    bits, spare = bitset(states, words), np.empty(words, dtype=np.uint64)
+    moved = orbits._p_foot(bits, spare, move)
+    # the result is in one of the two buffers, moved in place
+    assert moved is bits or moved is spare
+    assert orbits._members(moved).tolist() == sorted(int(s) ^ foot for s in states)
     # a stack of bitsets moves row by row
-    stack = np.stack([bitset(states, words_for(dim)), ~bitset(states, words_for(dim))])
-    moved = orbits._p_foot(stack, foot, np.empty_like(stack), np.empty_like(stack))
-    assert np.array_equal(moved[0], out) and np.array_equal(moved[1], ~out)
+    stack = np.stack([bitset(states, words), ~bitset(states, words)])
+    moved_stack = orbits._p_foot(stack, np.empty_like(stack), move)
+    assert np.array_equal(moved_stack[0], moved) and np.array_equal(moved_stack[1], ~moved)
+
+
+# no word move and no swap: footprint 0, or one whose bits lie above the
+# 1024 words
+@pytest.mark.parametrize("foot", [0, 1 << 16, 0b1011 << 20])
+def test_p_foot_without_a_move_returns_bits_unchanged(foot):
+    bits = np.random.default_rng(foot).integers(0, 1 << 63, size=1 << 10, dtype=np.uint64)
+    before = bits.copy()
+    spare = np.zeros_like(bits)
+    assert orbits._p_foot(bits, spare, orbits._word_move(foot, bits.size)) is bits
+    assert np.array_equal(bits, before)
 
 
 @pytest.mark.parametrize("foot", [0, 0b100101, 0b1011_0110 << 6, 0b0110 << 6 | 1,
@@ -96,19 +107,63 @@ def test_p_foot_is_index_xor(case, foot):
                                   (1 << 21) - 1])
 def test_p_foot_allocates_less_than_an_eighth_of_a_tile(foot):
     # no tile-sized index and no copied take input, on a stack of two
-    # tiles of second n=8's closure
+    # tiles of second n=8's closure, the plan included
     rng = np.random.default_rng(foot)
     stack = rng.integers(0, 1 << 63, size=(2, orbits._TILE_WORDS), dtype=np.uint64)
-    expected = orbits._p_foot(stack, foot, np.empty_like(stack), np.empty_like(stack))
-    out = np.empty_like(stack)
+    expected = orbits._p_foot(stack.copy(), np.empty_like(stack),
+                              orbits._word_move(foot, stack.shape[-1]))
+    spare = np.empty_like(stack)
     tracemalloc.start()
     try:
-        orbits._p_foot(stack, foot, out, stack)
+        moved = orbits._p_foot(stack, spare, orbits._word_move(foot, stack.shape[-1]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(out, expected)
+    assert np.array_equal(moved, expected)
     assert peak < stack[0].nbytes // 8
+
+
+def least_bit_reference(row, start: int, fill):
+    """The least bit b >= 64 (start >> 6) where row differs from fill, bit
+    by bit, or None."""
+    for b in range(start >> 6 << 6, 64 * row.size):
+        if (int(row[b >> 6]) >> (b & 63) & 1) != (fill != 0):
+            return b
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=12).flatmap(lambda words: st.tuples(
+           st.just(words),
+           st.sets(st.integers(min_value=0, max_value=64 * words - 1), max_size=8),
+           st.integers(min_value=0, max_value=64 * words + 63))),
+       st.sampled_from([0, orbits._ONES]), st.sampled_from([1, 2, 4]))
+@example((3, set(), 5), orbits._ONES, 1)
+@example((3, {70, 130}, 71), 0, 2)
+def test_least_bit_matches_a_bit_by_bit_scan(case, fill, tile):
+    # rows that differ from fill at a few bits, scanned from a start
+    # inside a word or past the row, on tiles of 1, 2 and 4 words
+    words, states, start = case
+    row = bitset(np.array(sorted(states), dtype=np.uint32), words) ^ fill
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(orbits, "_TILE_WORDS", tile)
+        assert orbits._least_bit(row, start, fill) == least_bit_reference(row, start, fill)
+
+
+def test_seed_scan_allocates_less_than_a_tile():
+    # a 2^18-word map visited but for one state in its last word: the scan
+    # compares a tile of words at a time, where one bool per word of the
+    # map would take 256 KiB
+    visited = np.full(1 << 18, orbits._ONES)
+    visited[-1] ^= np.uint64(1) << np.uint64(40)
+    tracemalloc.start()
+    try:
+        seed = orbits._least_bit(visited, 0, orbits._ONES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seed == 64 * (visited.size - 1) + 40
+    assert peak < orbits._TILE_WORDS * visited.itemsize
 
 
 @settings(max_examples=150, deadline=None)
@@ -190,11 +245,10 @@ K0_JOBS = [k0_job(ActionSpec(n, ActionKind.SECOND)) for n in range(4, 7)] + \
     [k0_job(spec) for spec in K0_LATTICES]
 
 
-def marked(visited, job) -> set[int]:
-    """The states marked on a visited map of the job, past those an empty
-    map starts with."""
-    return set(orbits._members(visited).tolist()) - \
-        set(orbits._members(orbits._search(job)[0]).tolist())
+def marked(visited) -> set[int]:
+    """The states marked on a visited map: a map holds states only, and
+    starts empty."""
+    return set(orbits._members(visited).tolist())
 
 
 def flood(job, seed, maps):
@@ -236,13 +290,13 @@ def test_closure_marks_exactly_its_class(job, classes, all_dense):
         assert flood(job, members[0], maps) == (members[0], len(members))
         shared = len(all_dense)
         done |= set(members)
-        assert marked(maps[0], job) == done
+        assert marked(maps[0]) == done
         assert not maps[1].any()
         # the same class on an empty map ends on the fixpoint exit
         alone = orbits._search(job)
         all_dense.clear()
         assert flood(job, members[0], alone) == (members[0], len(members))
-        assert marked(alone[0], job) == set(members)
+        assert marked(alone[0]) == set(members)
         assert len(all_dense) % len(job.gens) == 0
         # the last class covers the map, which saves the confirming sweep
         last = i == len(classes) - 1
@@ -378,7 +432,7 @@ def test_lifted_flood_finds_its_class_and_span(spec, forced):
         low, size, span = orbits._flood(job, members[0], maps)
         assert (low, size) == (members[0], len(members)) and span.dim == k
         done |= set(members)
-        assert marked(maps[0], job) == done
+        assert marked(maps[0]) == done
         # reached holds the class while it is lifted, and is empty once S = K
         assert orbits._members(maps[1]).tolist() == ([] if span.full else members)
         assert read_back(maps[1:]) == ([] if span.full else list(zip(
