@@ -26,9 +26,12 @@ as the section of states that are zero at the pivots of K's
 echelon-high basis, and every orbit of V lies over an orbit of V/K.
 V/K is split into strata by its own invariants (the functionals that
 vanish on every footprint and on K), each an affine subspace searched
-in compact coordinates whose numeric order agrees with state order.
-Strata are independent jobs, which is where process-level parallelism
-comes from.
+in compact coordinates.  Their bits from 6 up, a state's word in the
+bitsets, keep state order, so word order is state order; inside a word
+the state order is an affine map of the bit position (the in-word
+order), chosen so that the generators move few bits inside the words
+(_section_plan).  Strata are independent jobs, which is where
+process-level parallelism comes from.
 
 The search word of a base state y is pot(y) << compact_dim | y: its
 compact coordinates below its potential, a point of K in K-coordinates.
@@ -47,9 +50,9 @@ reduce_S(section(y) ^ pot(y) ^ c) over y in O', read back from reached
 and the planes.  Once S = K there is one orbit over O', represented by
 the section of the least state of O', and the flood drops the planes
 and reached.  K = 0 (the second action) is the case of no planes, with
-S = K from the start: the words are compact states, and the ascending
-seed of each orbit is its minimum.  Heights are read off the
-representatives.
+S = K from the start: the words are compact states, and the seed scan,
+ascending in state order, meets each orbit at its minimum.  Heights are
+read off the representatives.
 
 Every query runs this one search: a census runs every stratum job of
 V/K, a height stratum the one job that holds it (filtered by height),
@@ -67,6 +70,7 @@ import json
 import numbers
 import os
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -179,22 +183,61 @@ _SWAP = tuple(np.uint64(sum(1 << i for i in range(64) if not i >> s & 1)) for s 
 # _SPREAD[x] holds bit b of the byte x in its byte b
 _SPREAD = np.array([sum((x >> b & 1) << 8 * b for b in range(8)) for x in range(256)], dtype="<u8")
 _UNPACK = 1 << 10
+# an in-word order (see _least_in_word): (odd, high) for each state bit
+# from 5 down to 0, or () where positions are in state order
+_InWordOrder = tuple[tuple[int, int], ...]
 
 
-def _members(bits: np.ndarray) -> np.ndarray:
+def _members(bits: np.ndarray, order: _InWordOrder = ()) -> np.ndarray:
     """The states of a bitset, ascending, as uint32, written into one
     array of its popcount; the nonzero words are unpacked _UNPACK at a
-    time."""
+    time.  Bit p of word w is state w << 6 | p, or under an in-word
+    order (see _least_in_word) the state of word w whose low six bits
+    the order puts at position p: the echelon coordinates of a compact
+    state, which for the job of the whole space are the state itself.
+    Each chunk is then mapped in place and sorted: a chunk covers whole
+    words, and word order is state order."""
     out = np.empty(int(np.bitwise_count(bits).sum()), dtype=np.uint32)
     nonzero = np.flatnonzero(bits)
+    if order:
+        # the low six bits of each state, XORed onto its position
+        moves = np.array([p ^ sum((odd >> p & 1) << 5 - r for r, (odd, _) in enumerate(order))
+                          for p in range(64)], dtype=np.uint32)
     at = 0
     for start in range(0, nonzero.size, _UNPACK):
         w = nonzero[start:start + _UNPACK]
         i = np.unpackbits(bits[w].astype("<u8").view(np.uint8),
                           bitorder="little").view(np.bool_).nonzero()[0]
-        out[at:at + i.size] = w[i >> 6] << 6 | i & 63
+        chunk = out[at:at + i.size]
+        chunk[:] = w[i >> 6] << 6 | i & 63
+        if order:
+            shifts = np.zeros(w.size, dtype=np.uint32)
+            for r, (_, high) in enumerate(order):
+                shifts |= (np.bitwise_count(w & high) & 1).astype(np.uint32) << 5 - r
+            chunk ^= moves[i & 63]
+            chunk ^= shifts[i >> 6]
+            chunk.sort()
         at += i.size
     return out
+
+
+def _least_in_word(v: int, w: int, order: _InWordOrder) -> int:
+    """The position in word w of its least state among the set bits of
+    v.  The compact coordinates of a section carry a state's word index
+    in their bits from 6 up, so word order is state order, but inside a
+    word the position p of the state with low six bits l is an affine
+    map of l (see _inword_rows).  order is () where p = l, and otherwise
+    holds, for the state bits t = 5 down to 0, (odd, high): bit t of the
+    state at position p of word w is bit p of odd ^ parity(w & high).  A
+    descent from bit 5 keeps the candidates whose bit is 0 where there
+    are any; the map is a bijection, so one position is left."""
+    if not order:
+        return (v & -v).bit_length() - 1
+    for odd, high in order:
+        zero = odd if _parity(w & high) else ~odd
+        if v & zero:
+            v &= zero
+    return v.bit_length() - 1
 
 
 def _odd_words(cond: int, const: int, out: np.ndarray) -> np.ndarray:
@@ -298,8 +341,9 @@ def _scatter(stack: np.ndarray, words: np.ndarray, shift: int) -> None:
 def _flood(job: _StratumJob, seed: int, maps: np.ndarray) -> tuple[int, int, _Span]:
     """Flood the component of the search word seed = pot << compact_dim | z
     on the job's maps (see _search) and mark it visited; returns (low,
-    size, span): its least compact state, its size and the span S of its
-    cycle voltages in K.
+    size, span): the compact state of its least state (in state order,
+    see _least_in_word), its size and the span S of its cycle voltages
+    in K.
 
     Small frontiers take sparse BFS levels that mark visited alone: each
     generator's moved words, potentials above states, are gathered from
@@ -352,7 +396,7 @@ def _flood(job: _StratumJob, seed: int, maps: np.ndarray) -> tuple[int, int, _Sp
                 return low, size, span
             break
         frontier = grown
-        low = min(low, int((frontier & zmask).min()))
+        low = _least_state(frontier & zmask, job.order, low)
         size += frontier.size
     return (*_close(job, seed, frontier, size, maps, span), span)
 
@@ -406,16 +450,20 @@ def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: n
     also stop as soon as reached and the states visited before this
     flood cover the map, which skips the confirming sweep of a stratum's
     last flood; short of S = K that sweep still runs, since it is the
-    one that collects the cycles.
+    one that collects the cycles.  For the same reason only a full span
+    lets a step skip its tiles of reached that are full: a read-only
+    check after each tile's OR sets the tile's flag once S = K, and no
+    later step of the closure moves anything into that tile.
 
     The two scratch stacks, the odd set and its complement are
     tile-sized and allocated once.  A step writes its source into src,
     and _p_foot moves it within src and other and returns the one that
     holds the moved stack; the other one is scratch for the fresh
     states, the cycles and the popcounts.  The least reached state is
-    found tile by tile (_least_bit), so a closure allocates nothing that
-    grows with the map.  A map of one tile keeps the odd set in other[0],
-    which _p_foot then overwrites, and needs no complement.
+    found tile by tile, through the in-word order (_least_bit), so a
+    closure allocates nothing that grows with the map.  A map of one tile
+    keeps the odd set in other[0], which _p_foot then overwrites, and
+    needs no complement.
     """
     shift = job.compact_dim
     visited, stack, reached = maps[0], maps[1:], maps[1]
@@ -441,6 +489,8 @@ def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: n
 
     outside = popcount(0) - size
     count = popcount(1)
+    # full[u]: tile u of reached is full, set only once S = K
+    full = [False] * tiles
     while count + outside < 1 << shift or not span.full:
         for cond, foot, const, volts, move in steps:
             # with one tile, the odd set is other[0] until _p_foot
@@ -449,6 +499,8 @@ def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: n
             if len(odds) > 1:
                 np.invert(odds[0], out=odds[1])
             for u in range(tiles):
+                if full[u]:
+                    continue
                 s = u ^ foot >> 6 + tb
                 odd = odds[_parity(s & cond >> 6 + tb)]
                 np.bitwise_and(tiled[1, s], odd, out=src[0])
@@ -477,13 +529,15 @@ def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: n
                         cycles &= moved[0]
                         span.absorb_planes(cycles, spare[0])
                 tiled[1, u] |= moved[0]
+                if span.full:
+                    full[u] = bool(tiled[1, u].min() == _ONES)
         grown = popcount(1)
         if grown == count:
             break
         count = grown
         steps.reverse()
     visited |= reached
-    low = _least_bit(reached, 0, 0)
+    low = _least_bit(reached, 0, 0, job.order)
     if span.full:
         reached.fill(0)
     return low, count
@@ -494,15 +548,19 @@ class _StratumJob:
     """One stratum of V/K, searched through its section in V.
 
     The section holds the states that are zero at K's pivots.  Compact
-    bit s stands for basis[s], whose pivot bit is pivots[s], so compact z
-    is the state offset ^ _combine(z, basis), _evaluate(state ^ offset,
-    pivots) reads it back, and compact order agrees with state order.
-    gens are (condition, footprint word, constant) on search words
-    pot << compact_dim | z: the footprint word is the generator's voltage
-    (the K-component of its footprint, where bit i of a potential stands
-    for translations[i]) above its compact footprint.  They are Python
-    ints that the flood uses as they are: under numpy >= 2.0 (NEP 50) a
-    uint32 array combined with an int of at most 32 bits stays uint32.
+    bit s stands for basis[s], so compact z is the state offset ^
+    _combine(z, basis), and the readout functionals pivots read it back
+    as _evaluate(state ^ offset, pivots).  The bits of z from 6 up, its
+    word in the bitsets, are echelon coordinates, so word order is state
+    order; inside a word the state order is the in-word order, () when
+    it is the order of the positions (see _section_plan and
+    _least_in_word).  gens are (condition, footprint word, constant) on
+    search words pot << compact_dim | z: the footprint word is the
+    generator's voltage (the K-component of its footprint, where bit i
+    of a potential stands for translations[i]) above its compact
+    footprint.  They are Python ints that the flood uses as they are:
+    under numpy >= 2.0 (NEP 50) a uint32 array combined with an int of
+    at most 32 bits stays uint32.
     """
 
     compact_dim: int
@@ -511,33 +569,127 @@ class _StratumJob:
     basis: tuple[int, ...]
     offset: int
     translations: tuple[int, ...]
+    order: _InWordOrder
+
+
+@dataclass(frozen=True)
+class _SectionPlan:
+    """The compact coordinates that every stratum job of a search shares
+    (see _section_plan): basis, readout functionals pivots, the in-word
+    order, and gens as (condition, compact condition, footprint word)."""
+
+    basis: tuple[int, ...]
+    pivots: tuple[int, ...]
+    order: _InWordOrder
+    gens: tuple[tuple[int, int, int], ...]
+
+
+def _inword_rows(feet: list[int], compact_dim: int) -> tuple[int, ...]:
+    """The rows b_t = 1 << t | a_t, with a_t above bit t, for t < min(6,
+    compact_dim), of the in-word change z'_t = parity(z & b_t) of
+    echelon coordinates z, given the echelon footprints feet.
+
+    A footprint f flips bit t of z' where parity(f & b_t) is odd, and
+    each such bit costs _p_foot one delta swap in every tile step of its
+    generator.  So a_t solves as many of the equations parity(f & a_t) =
+    bit t of f as a greedy consistent-subset echelon finds: f >> t, whose
+    bit 0 is the equation's constant, is taken in unless the rows taken
+    would then span 1 (0 = 1).  The footprints go in their order and in
+    reverse; the solution that leaves the fewest swaps is kept, and the
+    identity row b_t = 1 << t unless one leaves fewer.
+    """
+    def swaps(b: int) -> int:
+        return sum(_parity(f & b) for f in feet)
+
+    rows = []
+    for t in range(min(6, compact_dim)):
+        best = 1 << t
+        fewest = swaps(best)
+        for sequence in (feet, feet[::-1]):
+            by_pivot: dict[int, int] = {}
+            for f in sequence:
+                g = f >> t
+                while g >> 1 and g.bit_length() - 1 in by_pivot:
+                    g ^= by_pivot[g.bit_length() - 1]
+                if g >> 1:
+                    by_pivot[g.bit_length() - 1] = g
+            # c = 1 | a_t << 1 against each taken row, by ascending pivot
+            c = 1
+            for p in sorted(by_pivot):
+                if _parity(c & by_pivot[p]):
+                    c ^= 1 << p
+            cost = swaps(c << t)
+            if cost < fewest:
+                best, fewest = c << t, cost
+        rows.append(best)
+    return tuple(rows)
+
+
+@lru_cache
+def _section_plan(dim: int, masks: tuple, functionals: tuple,
+                  translations: tuple) -> _SectionPlan:
+    """The compact coordinates of every stratum where the functionals are
+    constant; translations is a reduced echelon-high basis of a subspace
+    of K and the functionals are invariant and vanish on it.  A search
+    word holds compact_dim + dim K bits, at most 32.  The plan depends on
+    nothing else, so it is cached: the strata of a census and repeated
+    queries of one search share it.
+
+    The echelon coordinates z of the section, in the reduced echelon-high
+    basis of the null space of the functionals and K's pivots, keep the
+    order of the states, so their bits from 6 up keep word order equal
+    to state order.  The six below are changed to z'_t = parity(z &
+    rows[t]) (_inword_rows), which leaves fewer delta swaps to the
+    closure.  That change, z' = M z, is unitriangular, so the job's basis
+    is the echelon basis times M^-1, its readout functionals are the rows
+    of M on the echelon pivots, and inside each word the state order is
+    an affine map of the position, held as the in-word order.
+    """
+    k_pivots = [1 << (k.bit_length() - 1) for k in translations]
+    echelon = _nullspace(list(functionals) + k_pivots, dim)
+    cd = len(echelon)
+    if cd + len(translations) > 32:
+        raise AssertionError("search word exceeds 32 bits")
+    echelon_pivots = [1 << (b.bit_length() - 1) for b in echelon]
+    section_feet = [_reduce(foot, translations) for _, foot in masks]
+    rows = _inword_rows([_evaluate(f, echelon_pivots) for f in section_feet], cd)
+    # inverse[t]: z_t = parity(z' & inverse[t]), from the top row down
+    inverse = [1 << s for s in range(cd)]
+    for t in reversed(range(len(rows))):
+        inverse[t] = _combine(rows[t] ^ 1 << t, inverse) ^ 1 << t
+    basis = list(echelon)
+    for t in range(len(rows)):
+        for s in range(t + 1, cd):
+            if inverse[t] >> s & 1:
+                basis[s] ^= echelon[t]
+    pivots = [_combine(r, echelon_pivots) for r in rows] + echelon_pivots[len(rows):]
+    order = ()
+    if any(r != 1 << t for t, r in enumerate(rows)):
+        low = inverse[:6] + [1 << t for t in range(cd, 6)]
+        order = tuple((int(_odd_words(r & 63, 0, np.empty(1, dtype=np.uint64))[0]), r >> 6)
+                      for r in reversed(low))
+    gens = []
+    for (cond, foot), section_foot in zip(masks, section_feet):
+        cf = _evaluate(section_foot, pivots)
+        if _combine(cf, basis) != section_foot:
+            raise AssertionError("generator footprint leaves the stratum")
+        gens.append((cond, _evaluate(cond, basis), _evaluate(foot, k_pivots) << cd | cf))
+    return _SectionPlan(tuple(basis), tuple(pivots), order, tuple(gens))
 
 
 def _stratum_job(dim: int, masks, functionals, translations,
                  height_bits: int) -> _StratumJob:
-    """The job for the stratum where the functionals read height_bits.
-
-    translations is a reduced echelon-high basis of a subspace of K and
-    the functionals are invariant and vanish on it.  A search word
-    holds compact_dim + dim K bits, at most 32.
-    """
+    """The job for the stratum where the functionals read height_bits, in
+    the coordinates that _section_plan builds once for every stratum and
+    query of the search."""
+    plan = _section_plan(dim, tuple(masks), tuple(functionals), tuple(translations))
     k_pivots = [1 << (k.bit_length() - 1) for k in translations]
-    rows = list(functionals) + k_pivots
-    basis = _nullspace(rows, dim)
-    pivots = [1 << (b.bit_length() - 1) for b in basis]
-    offset = _reduce(_solve(rows, height_bits), basis)
-    if len(basis) + len(translations) > 32:
-        raise AssertionError("search word exceeds 32 bits")
-    gens = []
-    for cond, foot in masks:
-        section_foot = _reduce(foot, translations)
-        cf = _evaluate(section_foot, pivots)
-        if _combine(cf, basis) != section_foot:
-            raise AssertionError("generator footprint leaves the stratum")
-        gens.append((_evaluate(cond, basis),
-                     _evaluate(foot, k_pivots) << len(basis) | cf, _parity(offset & cond)))
-    return _StratumJob(len(basis), tuple(gens), tuple(pivots), tuple(basis),
-                       offset, tuple(translations))
+    point = _solve(list(functionals) + k_pivots, height_bits)
+    # the section state of the stratum: point cleared at the echelon pivots
+    offset = point ^ _combine(_evaluate(point, plan.pivots), plan.basis)
+    gens = tuple((cc, fw, _parity(offset & cond)) for cond, cc, fw in plan.gens)
+    return _StratumJob(len(plan.basis), gens, plan.pivots, plan.basis, offset,
+                       tuple(translations), plan.order)
 
 
 def _compact(job: _StratumJob, state: int) -> int:
@@ -620,8 +772,11 @@ def _search(job: _StratumJob) -> np.ndarray:
 
     Row 0 is the visited map, row 1 is reached, the component a flood is
     lifting, and row 2 + j is potential plane j (see _close).  K = 0 is
-    the case of no planes.  The maps hold states only: the bits past the
-    last state of a map under 64 states stay clear.
+    the case of no planes.  Bit p of word w stands for compact state w <<
+    6 | p: word order is state order, and inside a word the job's
+    in-word order gives the order of the states (_least_in_word).  The
+    maps hold states only: the bits past the last state of a map under
+    64 states stay clear.
 
     The planes are never cleared between floods.  Their stale bits, at
     the states of earlier components, are harmless: components are
@@ -634,18 +789,36 @@ def _search(job: _StratumJob) -> np.ndarray:
                     dtype=np.uint64)
 
 
-def _least_bit(row: np.ndarray, start: int, fill) -> Optional[int]:
-    """The least bit at or after word start >> 6 where the bitset row
-    differs from fill (0 or _ONES), or None.  The words are compared a
-    tile of _TILE_WORDS at a time, so a scan allocates one bool per word
-    of a tile at most, however large the map."""
+def _least_bit(row: np.ndarray, start: int, fill,
+               order: _InWordOrder = ()) -> Optional[int]:
+    """The compact state of the least state, under the in-word order
+    (see _least_in_word), where the bitset row differs from fill (0 or
+    _ONES) in the first word at or after word start >> 6 that differs at
+    all, or None.  The words are compared a tile of _TILE_WORDS at a
+    time, so a scan allocates one bool per word of a tile at most,
+    however large the map."""
     for at in range(start >> 6, row.size, _TILE_WORDS):
         differs = row[at:at + _TILE_WORDS] != fill
         w = int(differs.argmax())
         if differs[w]:
-            v = int(row[at + w] ^ fill)
-            return (at + w) << 6 | (v & -v).bit_length() - 1
+            w += at
+            return w << 6 | _least_in_word(int(row[w] ^ fill), w, order)
     return None
+
+
+def _least_state(states: np.ndarray, order: _InWordOrder, low: int) -> int:
+    """The compact state of the least state, under the in-word order, of
+    low and the compact states of an array: the least word holds it."""
+    least = int(states.min())
+    if not order:
+        return min(low, least)
+    w = least >> 6
+    if w > low >> 6:
+        return low
+    v = int(np.bitwise_or.reduce(np.uint64(1) << (states[states >> 6 == w] & 63)))
+    if w == low >> 6:
+        v |= 1 << (low & 63)
+    return w << 6 | _least_in_word(v, w, order)
 
 
 def _component(job: _StratumJob, seed: int, maps: np.ndarray,
@@ -655,9 +828,10 @@ def _component(job: _StratumJob, seed: int, maps: np.ndarray,
     every, only the orbit that holds the seed's state.
 
     Once the cycle voltages span K, one orbit lies over the base orbit:
-    its representative is the section of the least compact state reached
-    and its size is |O'| * 2^dim K.  Otherwise the lift reads the base
-    orbit and its potentials from maps and then clears reached.
+    its representative is the section of the least state reached (in
+    state order, see _least_in_word) and its size is |O'| * 2^dim K.
+    Otherwise the lift reads the base orbit and its potentials from maps
+    and then clears reached.
     """
     low, size, span = _flood(job, seed, maps)
     if span.full:
@@ -670,21 +844,24 @@ def _component(job: _StratumJob, seed: int, maps: np.ndarray,
 def _run_stratum_job(job: _StratumJob) -> list[tuple[int, int]]:
     """Every orbit over the job's stratum, as (representative, size).
 
-    Seeds are scanned in ascending compact order, up to 2^compact_dim,
-    with potential 0.  The seed is the minimum of its base orbit, because
-    every smaller state is already visited, so where one orbit lies over
-    the base orbit (S = K, always when K = 0) the flood's explicit
-    minimum confirms it.
+    Seeds are scanned in ascending state order, word by word and through
+    the in-word order inside a word, up to 2^compact_dim, with potential
+    0.  The seed is the minimum of its base orbit, because every smaller
+    state is already visited, so where one orbit lies over the base
+    orbit (S = K, always when K = 0) the flood's explicit minimum
+    confirms it.  The scan after a flood starts at the seed's own word:
+    its other states may come later in state order than the seed,
+    wherever their bits lie.
     """
     maps = _search(job)
     rows = []
-    seed = _least_bit(maps[0], 0, _ONES)
+    seed = _least_bit(maps[0], 0, _ONES, job.order)
     while seed is not None and seed < 1 << job.compact_dim:
         orbits = _component(job, seed, maps)
         if len(orbits) == 1 and orbits[0][0] != job.offset ^ _combine(seed, job.basis):
             raise AssertionError("ascending seed scan lost the orbit minimum")
         rows.extend(orbits)
-        seed = _least_bit(maps[0], seed + 1, _ONES)
+        seed = _least_bit(maps[0], seed, _ONES, job.order)
     return rows
 
 
@@ -840,18 +1017,20 @@ def _closure(spec, seeds) -> np.ndarray:
     """The union of the seed states' orbits, as sorted uint32 states.
 
     The seeds are flooded on the bitset map of the job for the whole
-    space, whose compact coordinates are the states themselves; it lifts
-    through no translations, so each span is full from the start and
-    nothing is lifted.  The guard runs before any mask is built.
+    space, whose compact coordinates are the states themselves up to the
+    in-word order, which _members reads them through; it lifts through
+    no translations, so each span is full from the start and nothing is
+    lifted.  The guard runs before any mask is built.
     """
     dim, masks, _, _, _, _ = _family(spec)
     job = _stratum_job(dim, masks, [], (), 0)
     maps = _search(job)
     visited = maps[0]
     for seed in seeds:
-        if not int(visited[seed >> 6]) >> (seed & 63) & 1:
-            _component(job, seed, maps)
-    return _members(visited)
+        z = _compact(job, seed)
+        if not int(visited[z >> 6]) >> (z & 63) & 1:
+            _component(job, z, maps)
+    return _members(visited, job.order)
 
 
 def attach_labels(census: OrbitCensus, labels: dict[int, str]) -> OrbitCensus:

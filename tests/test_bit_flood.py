@@ -504,7 +504,7 @@ def test_small_lifted_closure_skips_unmoved_generators(spec, p_foot_calls, monke
     assert len(rows) == 1 << k and all(size == 1 for _, size in rows)
 
 
-@pytest.mark.parametrize("spec,steps", [(ActionSpec(6, ActionKind.SECOND), 360),
+@pytest.mark.parametrize("spec,steps", [(ActionSpec(6, ActionKind.SECOND), 334),
                                         (ActionSpec(6, ActionKind.FIRST), 480),
                                         (build(hex_lattice_graph(7)), 105)],
                          ids=["second-6", "first-6", "hex-7"])
