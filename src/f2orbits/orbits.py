@@ -29,9 +29,13 @@ vanish on every footprint and on K), each an affine subspace searched
 in compact coordinates.  Their bits from 6 up, a state's word in the
 bitsets, keep state order, so word order is state order; inside a word
 the state order is an affine map of the bit position (the in-word
-order), chosen so that the generators move few bits inside the words
-(_section_plan).  Strata are independent jobs, which is where
-process-level parallelism comes from.
+order), chosen so that the generators move few bits inside the words;
+where no change moves fewer, it is the identity order, an order like any
+other.  One cached plan per search (_plan) derives K, the invariants,
+the compact coordinates and the in-word order from the generator masks
+once; a stratum job adds only its offset and its generators' constants.
+Strata are independent jobs, which is where process-level parallelism
+comes from.
 
 The search word of a base state y is pot(y) << compact_dim | y: its
 compact coordinates below its potential, a point of K in K-coordinates.
@@ -184,39 +188,40 @@ _SWAP = tuple(np.uint64(sum(1 << i for i in range(64) if not i >> s & 1)) for s 
 _SPREAD = np.array([sum((x >> b & 1) << 8 * b for b in range(8)) for x in range(256)], dtype="<u8")
 _UNPACK = 1 << 10
 # an in-word order (see _least_in_word): (odd, high) for each state bit
-# from 5 down to 0, or () where positions are in state order
+# from 5 down to 0
 _InWordOrder = tuple[tuple[int, int], ...]
 
 
-def _members(bits: np.ndarray, order: _InWordOrder = ()) -> np.ndarray:
+def _odd_word(cond: int, const: int = 0) -> int:
+    """Word 0 of the odd set of (cond, const) as an int: bit i is
+    parity(i & cond) ^ const for i < 64.  From the one state 0, each bit
+    j < 6 of the state index doubles the prefix, inverted where bit j of
+    cond is set; the bits of cond from 6 up are ignored."""
+    pattern = const
+    for j in range(6):
+        half = 1 << j
+        pattern |= (pattern ^ ((1 << half) - 1 if cond >> j & 1 else 0)) << half
+    return pattern
+
+
+# the in-word order where position p holds the state with low six bits p
+_IDENTITY = tuple((_odd_word(1 << t), 0) for t in reversed(range(6)))
+
+
+def _members(bits: np.ndarray) -> np.ndarray:
     """The states of a bitset, ascending, as uint32, written into one
     array of its popcount; the nonzero words are unpacked _UNPACK at a
-    time.  Bit p of word w is state w << 6 | p, or under an in-word
-    order (see _least_in_word) the state of word w whose low six bits
-    the order puts at position p: the echelon coordinates of a compact
-    state, which for the job of the whole space are the state itself.
-    Each chunk is then mapped in place and sorted: a chunk covers whole
-    words, and word order is state order."""
+    time.  Bit p of word w is state w << 6 | p: the bitset's positions
+    are in the identity in-word order, as in the closure's search of the
+    whole space (_closure), whose compact coordinates are the states."""
     out = np.empty(int(np.bitwise_count(bits).sum()), dtype=np.uint32)
     nonzero = np.flatnonzero(bits)
-    if order:
-        # the low six bits of each state, XORed onto its position
-        moves = np.array([p ^ sum((odd >> p & 1) << 5 - r for r, (odd, _) in enumerate(order))
-                          for p in range(64)], dtype=np.uint32)
     at = 0
     for start in range(0, nonzero.size, _UNPACK):
         w = nonzero[start:start + _UNPACK]
         i = np.unpackbits(bits[w].astype("<u8").view(np.uint8),
                           bitorder="little").view(np.bool_).nonzero()[0]
-        chunk = out[at:at + i.size]
-        chunk[:] = w[i >> 6] << 6 | i & 63
-        if order:
-            shifts = np.zeros(w.size, dtype=np.uint32)
-            for r, (_, high) in enumerate(order):
-                shifts |= (np.bitwise_count(w & high) & 1).astype(np.uint32) << 5 - r
-            chunk ^= moves[i & 63]
-            chunk ^= shifts[i >> 6]
-            chunk.sort()
+        out[at:at + i.size] = w[i >> 6] << 6 | i & 63
         at += i.size
     return out
 
@@ -226,13 +231,12 @@ def _least_in_word(v: int, w: int, order: _InWordOrder) -> int:
     v.  The compact coordinates of a section carry a state's word index
     in their bits from 6 up, so word order is state order, but inside a
     word the position p of the state with low six bits l is an affine
-    map of l (see _inword_rows).  order is () where p = l, and otherwise
-    holds, for the state bits t = 5 down to 0, (odd, high): bit t of the
-    state at position p of word w is bit p of odd ^ parity(w & high).  A
-    descent from bit 5 keeps the candidates whose bit is 0 where there
-    are any; the map is a bijection, so one position is left."""
-    if not order:
-        return (v & -v).bit_length() - 1
+    map of l (see _inword_rows), the identity (_IDENTITY) where p = l.
+    order holds, for the state bits t = 5 down to 0, (odd, high): bit t
+    of the state at position p of word w is bit p of odd ^ parity(w &
+    high).  A descent from bit 5 keeps the candidates whose bit is 0
+    where there are any; the map is a bijection, so one position is
+    left."""
     for odd, high in order:
         zero = odd if _parity(w & high) else ~odd
         if v & zero:
@@ -242,15 +246,10 @@ def _least_in_word(v: int, w: int, order: _InWordOrder) -> int:
 
 def _odd_words(cond: int, const: int, out: np.ndarray) -> np.ndarray:
     """Write the odd set of (cond, const) into the bitset out and return
-    it: bit i of word w is parity((64 w + i) & cond) ^ const.  From the
-    one state 0, each bit j of the state index doubles the prefix,
-    inverted where bit j of cond is set: inside word 0 for j < 6, then
-    across words."""
-    pattern = const
-    for j in range(6):
-        half = 1 << j
-        pattern |= (pattern ^ ((1 << half) - 1 if cond >> j & 1 else 0)) << half
-    out[0] = pattern
+    it: bit i of word w is parity((64 w + i) & cond) ^ const.  From word 0
+    (_odd_word), each bit j of the word index doubles the prefix,
+    inverted where bit 6 + j of cond is set."""
+    out[0] = _odd_word(cond, const)
     for j in range(out.size.bit_length() - 1):
         half = 1 << j
         np.bitwise_xor(out[:half], _ONES if cond >> 6 + j & 1 else np.uint64(0),
@@ -552,9 +551,10 @@ class _StratumJob:
     _combine(z, basis), and the readout functionals pivots read it back
     as _evaluate(state ^ offset, pivots).  The bits of z from 6 up, its
     word in the bitsets, are echelon coordinates, so word order is state
-    order; inside a word the state order is the in-word order, () when
-    it is the order of the positions (see _section_plan and
-    _least_in_word).  gens are (condition, footprint word, constant) on
+    order; inside a word the state order is the in-word order, _IDENTITY
+    when it is the order of the positions (see _plan and _least_in_word).
+    Everything but offset and the constants comes from the search's
+    plan.  gens are (condition, footprint word, constant) on
     search words pot << compact_dim | z: the footprint word is the
     generator's voltage (the K-component of its footprint, where bit i
     of a potential stands for translations[i]) above its compact
@@ -573,11 +573,16 @@ class _StratumJob:
 
 
 @dataclass(frozen=True)
-class _SectionPlan:
-    """The compact coordinates that every stratum job of a search shares
-    (see _section_plan): basis, readout functionals pivots, the in-word
-    order, and gens as (condition, compact condition, footprint word)."""
+class _Plan:
+    """What every stratum job of a search shares (see _plan): the
+    translations and their pivot masks k_pivots, the base functionals
+    whose values pick a stratum, the compact basis, readout functionals
+    pivots, the in-word order, and gens as (condition, compact condition,
+    footprint word)."""
 
+    translations: tuple[int, ...]
+    k_pivots: tuple[int, ...]
+    functionals: tuple[int, ...]
     basis: tuple[int, ...]
     pivots: tuple[int, ...]
     order: _InWordOrder
@@ -626,14 +631,18 @@ def _inword_rows(feet: list[int], compact_dim: int) -> tuple[int, ...]:
 
 
 @lru_cache
-def _section_plan(dim: int, masks: tuple, functionals: tuple,
-                  translations: tuple) -> _SectionPlan:
-    """The compact coordinates of every stratum where the functionals are
-    constant; translations is a reduced echelon-high basis of a subspace
-    of K and the functionals are invariant and vanish on it.  A search
-    word holds compact_dim + dim K bits, at most 32.  The plan depends on
-    nothing else, so it is cached: the strata of a census and repeated
-    queries of one search share it.
+def _plan(dim: int, masks: tuple, translations=None, functionals=None) -> _Plan:
+    """The plan of a search of the generator masks on F2^dim, cached:
+    the strata of a census and repeated queries of one search share it.
+
+    translations defaults to all of K, the common null space of the
+    condition masks; any basis of a subspace of K may be given instead,
+    and an empty one searches V itself.  They are echeloned (reduced,
+    echelon-high), and their pivots make k_pivots.  functionals defaults
+    to the base functionals, the invariants of V/K: they vanish on every
+    footprint and on the translations, and each stratum is where they
+    are constant.  A search word holds compact_dim + dim K bits, at most
+    32.
 
     The echelon coordinates z of the section, in the reduced echelon-high
     basis of the null space of the functionals and K's pivots, keep the
@@ -643,10 +652,16 @@ def _section_plan(dim: int, masks: tuple, functionals: tuple,
     closure.  That change, z' = M z, is unitriangular, so the job's basis
     is the echelon basis times M^-1, its readout functionals are the rows
     of M on the echelon pivots, and inside each word the state order is
-    an affine map of the position, held as the in-word order.
+    an affine map of the position, held as the in-word order: _IDENTITY
+    where M is the identity.
     """
-    k_pivots = [1 << (k.bit_length() - 1) for k in translations]
-    echelon = _nullspace(list(functionals) + k_pivots, dim)
+    if translations is None:
+        translations = _nullspace([cond for cond, _ in masks], dim)
+    translations = tuple(_echelon(translations))
+    if functionals is None:
+        functionals = _nullspace([foot for _, foot in masks] + list(translations), dim)
+    k_pivots = tuple(1 << (k.bit_length() - 1) for k in translations)
+    echelon = _nullspace([*functionals, *k_pivots], dim)
     cd = len(echelon)
     if cd + len(translations) > 32:
         raise AssertionError("search word exceeds 32 bits")
@@ -663,33 +678,28 @@ def _section_plan(dim: int, masks: tuple, functionals: tuple,
             if inverse[t] >> s & 1:
                 basis[s] ^= echelon[t]
     pivots = [_combine(r, echelon_pivots) for r in rows] + echelon_pivots[len(rows):]
-    order = ()
-    if any(r != 1 << t for t, r in enumerate(rows)):
-        low = inverse[:6] + [1 << t for t in range(cd, 6)]
-        order = tuple((int(_odd_words(r & 63, 0, np.empty(1, dtype=np.uint64))[0]), r >> 6)
-                      for r in reversed(low))
+    low = inverse[:6] + [1 << t for t in range(cd, 6)]
+    order = tuple((_odd_word(r), r >> 6) for r in reversed(low))
     gens = []
     for (cond, foot), section_foot in zip(masks, section_feet):
         cf = _evaluate(section_foot, pivots)
         if _combine(cf, basis) != section_foot:
             raise AssertionError("generator footprint leaves the stratum")
         gens.append((cond, _evaluate(cond, basis), _evaluate(foot, k_pivots) << cd | cf))
-    return _SectionPlan(tuple(basis), tuple(pivots), order, tuple(gens))
+    return _Plan(translations, k_pivots, tuple(functionals), tuple(basis), tuple(pivots),
+                 order, tuple(gens))
 
 
-def _stratum_job(dim: int, masks, functionals, translations,
-                 height_bits: int) -> _StratumJob:
-    """The job for the stratum where the functionals read height_bits, in
-    the coordinates that _section_plan builds once for every stratum and
-    query of the search."""
-    plan = _section_plan(dim, tuple(masks), tuple(functionals), tuple(translations))
-    k_pivots = [1 << (k.bit_length() - 1) for k in translations]
-    point = _solve(list(functionals) + k_pivots, height_bits)
+def _stratum_job(plan: _Plan, height_bits: int) -> _StratumJob:
+    """The job for the stratum of the plan where its functionals read
+    height_bits: only the offset and the generators' constants are the
+    job's own."""
+    point = _solve([*plan.functionals, *plan.k_pivots], height_bits)
     # the section state of the stratum: point cleared at the echelon pivots
     offset = point ^ _combine(_evaluate(point, plan.pivots), plan.basis)
     gens = tuple((cc, fw, _parity(offset & cond)) for cond, cc, fw in plan.gens)
     return _StratumJob(len(plan.basis), gens, plan.pivots, plan.basis, offset,
-                       tuple(translations), plan.order)
+                       plan.translations, plan.order)
 
 
 def _compact(job: _StratumJob, state: int) -> int:
@@ -789,8 +799,7 @@ def _search(job: _StratumJob) -> np.ndarray:
                     dtype=np.uint64)
 
 
-def _least_bit(row: np.ndarray, start: int, fill,
-               order: _InWordOrder = ()) -> Optional[int]:
+def _least_bit(row: np.ndarray, start: int, fill, order: _InWordOrder) -> Optional[int]:
     """The compact state of the least state, under the in-word order
     (see _least_in_word), where the bitset row differs from fill (0 or
     _ONES) in the first word at or after word start >> 6 that differs at
@@ -809,10 +818,7 @@ def _least_bit(row: np.ndarray, start: int, fill,
 def _least_state(states: np.ndarray, order: _InWordOrder, low: int) -> int:
     """The compact state of the least state, under the in-word order, of
     low and the compact states of an array: the least word holds it."""
-    least = int(states.min())
-    if not order:
-        return min(low, least)
-    w = least >> 6
+    w = int(states.min()) >> 6
     if w > low >> 6:
         return low
     v = int(np.bitwise_or.reduce(np.uint64(1) << (states[states >> 6 == w] & 63)))
@@ -889,7 +895,8 @@ def _default_workers() -> int:
 
 
 def _family(spec):
-    """(dim, masks, functionals, descriptor, n, kind) for a spec.
+    """(dim, masks, functionals, descriptor, n, kind) for a spec, with
+    the masks as a tuple, the key of the search's plan (_plan).
 
     Accepts an ActionSpec or any object exposing state_dim and
     masked_generators() (graph lattices do).  The functionals are the
@@ -899,23 +906,9 @@ def _family(spec):
     dim = spec.state_dim
     _check_dim(dim)
     if isinstance(spec, ActionSpec):
-        masks = generator_masks(spec)
+        masks = tuple(generator_masks(spec))
         return dim, masks, height_functionals(spec), spec.describe(), spec.n, spec.kind.value
-    return dim, spec.masked_generators(), [], spec.describe(), None, None
-
-
-def _lift_plan(dim: int, masks, translations=None) -> tuple[tuple[int, ...], list[int]]:
-    """(translations, base functionals) of a search.
-
-    translations defaults to all of K, the common null space of the
-    condition masks; any basis of a subspace of K may be given instead,
-    and an empty one searches V itself.  The base functionals are the
-    invariants of V/K: they vanish on every footprint and on K.
-    """
-    if translations is None:
-        translations = _nullspace([cond for cond, _ in masks], dim)
-    translations = tuple(_echelon(translations))
-    return translations, _nullspace([foot for _, foot in masks] + list(translations), dim)
+    return dim, tuple(spec.masked_generators()), [], spec.describe(), None, None
 
 
 def _records(dim: int, functionals, rows) -> tuple[OrbitRecord, ...]:
@@ -950,16 +943,16 @@ def enumerate_stratum(spec: ActionSpec, height: F2Vector,
 def _census(spec, workers: Optional[int] = None, height: Optional[F2Vector] = None,
             translations=None) -> OrbitCensus:
     """The census of the whole space, or of one height stratum, lifting
-    through the given translations (see _lift_plan).
+    through the given translations, a tuple (see _plan).
 
     The base functionals lie in the span of the height functionals, so a
     height stratum sits inside one stratum of V/K.
     """
     dim, masks, functionals, descriptor, n, kind = _family(spec)
     t = len(functionals)
-    translations, base = _lift_plan(dim, masks, translations)
+    plan = _plan(dim, masks, translations)
     if height is None:
-        jobs = [_stratum_job(dim, masks, base, translations, h) for h in range(1 << len(base))]
+        jobs = [_stratum_job(plan, h) for h in range(1 << len(plan.functionals))]
         total = 1 << dim
     else:
         if not t:
@@ -967,10 +960,10 @@ def _census(spec, workers: Optional[int] = None, height: Optional[F2Vector] = No
         if height.dim != t:
             raise ValueError(f"height length {height.dim} does not match {t} "
                              f"for {kind}, n={n}")
-        if _rank(functionals + base, dim) != t:
+        if _rank([*functionals, *plan.functionals], dim) != t:
             raise AssertionError("a height stratum straddles several strata of V/K")
         point = _solve(functionals, height.bits)
-        jobs = [_stratum_job(dim, masks, base, translations, _evaluate(point, base))]
+        jobs = [_stratum_job(plan, _evaluate(point, plan.functionals))]
         total, descriptor = 1 << (dim - t), f"{descriptor}, height {height.to_string()}"
     rows = [(rep, size) for rep, size in _run_jobs(jobs, workers or _default_workers())
             if height is None or _evaluate(rep, functionals) == height.bits]
@@ -1005,11 +998,11 @@ def orbit_of(spec, state) -> OrbitRecord:
     """
     dim, masks, functionals, descriptor, _, _ = _family(spec)
     start = _state_bits(state, dim, descriptor)
-    translations, base = _lift_plan(dim, masks)
-    job = _stratum_job(dim, masks, base, translations, _evaluate(start, base))
-    seed = _compact(job, _reduce(start, translations))
-    pot = _evaluate(start, [1 << (k.bit_length() - 1) for k in translations])
-    word = pot << job.compact_dim | seed
+    # the census's cache key, so that both share one plan
+    plan = _plan(dim, masks, None)
+    job = _stratum_job(plan, _evaluate(start, plan.functionals))
+    seed = _compact(job, _reduce(start, plan.translations))
+    word = _evaluate(start, plan.k_pivots) << job.compact_dim | seed
     return _records(dim, functionals, _component(job, word, _search(job), every=False))[0]
 
 
@@ -1017,20 +1010,25 @@ def _closure(spec, seeds) -> np.ndarray:
     """The union of the seed states' orbits, as sorted uint32 states.
 
     The seeds are flooded on the bitset map of the job for the whole
-    space, whose compact coordinates are the states themselves up to the
-    in-word order, which _members reads them through; it lifts through
-    no translations, so each span is full from the start and nothing is
-    lifted.  The guard runs before any mask is built.
+    space, one stratum through no translations, so each span is full
+    from the start and nothing is lifted.  Its compact coordinates are
+    the states themselves in the identity in-word order, which _members
+    reads: the footprints are unit vectors, for which _inword_rows keeps
+    every row b_t = 1 << t.  Any other order raises AssertionError.  The
+    guard runs before any mask is built.
     """
     dim, masks, _, _, _, _ = _family(spec)
-    job = _stratum_job(dim, masks, [], (), 0)
+    plan = _plan(dim, masks, (), ())
+    if plan.order != _IDENTITY:
+        raise AssertionError("the closure's search reorders the states inside a word")
+    job = _stratum_job(plan, 0)
     maps = _search(job)
     visited = maps[0]
     for seed in seeds:
         z = _compact(job, seed)
         if not int(visited[z >> 6]) >> (z & 63) & 1:
             _component(job, z, maps)
-    return _members(visited, job.order)
+    return _members(visited)
 
 
 def attach_labels(census: OrbitCensus, labels: dict[int, str]) -> OrbitCensus:

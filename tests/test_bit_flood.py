@@ -147,7 +147,8 @@ def test_least_bit_matches_a_bit_by_bit_scan(case, fill, tile):
     row = bitset(np.array(sorted(states), dtype=np.uint32), words) ^ fill
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(orbits, "_TILE_WORDS", tile)
-        assert orbits._least_bit(row, start, fill) == least_bit_reference(row, start, fill)
+        assert orbits._least_bit(row, start, fill, orbits._IDENTITY) == \
+            least_bit_reference(row, start, fill)
 
 
 def test_seed_scan_allocates_less_than_a_tile():
@@ -158,7 +159,7 @@ def test_seed_scan_allocates_less_than_a_tile():
     visited[-1] ^= np.uint64(1) << np.uint64(40)
     tracemalloc.start()
     try:
-        seed = orbits._least_bit(visited, 0, orbits._ONES)
+        seed = orbits._least_bit(visited, 0, orbits._ONES, orbits._IDENTITY)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -223,8 +224,7 @@ def test_k0_lattices_reach_the_largest_dim():
 def height0_job(spec):
     """The job of the height-0 base stratum of a search."""
     dim, masks, _, _, _, _ = orbits._family(spec)
-    translations, base = orbits._lift_plan(dim, masks)
-    return orbits._stratum_job(dim, masks, base, translations, 0)
+    return orbits._stratum_job(orbits._plan(dim, masks), 0)
 
 
 def k0_job(spec):
@@ -232,12 +232,13 @@ def k0_job(spec):
     stratum (for a lattice, the whole space), and its union-find classes
     in compact coordinates, ascending by minimum."""
     dim, masks, _, _, _, _ = orbits._family(spec)
-    translations, base = orbits._lift_plan(dim, masks)
-    assert not translations
-    job = orbits._stratum_job(dim, masks, base, translations, 0)
+    plan = orbits._plan(dim, masks)
+    assert not plan.translations
+    job = orbits._stratum_job(plan, 0)
     space = SimpleNamespace(state_dim=dim, masked_generators=lambda: masks)
     classes = [[orbits._compact(job, x) for x in members]
-               for members in union_find_classes(space) if not _evaluate(members[0], base)]
+               for members in union_find_classes(space)
+               if not _evaluate(members[0], plan.functionals)]
     return job, sorted(classes)
 
 

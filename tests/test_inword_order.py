@@ -1,8 +1,10 @@
 """Every minimum of the search under random in-word orders: the in-word
 row chooser is replaced by seeded random unitriangular rows, so that
 nearly every job's compact positions inside a word differ from its state
-order, and each census, query and closure is checked against the
-union-find oracle."""
+order, and each census and query is checked against the union-find
+oracle.  The closure of a graph lattice reads its states in the identity
+order, which its unit-vector footprints always get, and refuses any
+other."""
 
 import random
 from types import SimpleNamespace
@@ -56,11 +58,11 @@ def random_rows(monkeypatch):
         built.append(stratum_job(*args))
         return built[-1]
 
-    orbits._section_plan.cache_clear()
+    orbits._plan.cache_clear()
     monkeypatch.setattr(orbits, "_inword_rows", rows)
     monkeypatch.setattr(orbits, "_stratum_job", recorded)
     yield built
-    orbits._section_plan.cache_clear()
+    orbits._plan.cache_clear()
 
 
 def union_find(spec) -> list[list[int]]:
@@ -90,7 +92,7 @@ def test_lattice_censuses_and_queries(random_rows):
     assert max(spec.state_dim for spec in LATTICES) == 12
     # most jobs have compact dims of 2 or more, so most orders differ from
     # the identity
-    assert sum(bool(job.order) for job in random_rows) > len(random_rows) // 2
+    assert sum(job.order != orbits._IDENTITY for job in random_rows) > len(random_rows) // 2
 
 
 def test_unlifted_censuses(random_rows):
@@ -102,7 +104,15 @@ def test_unlifted_censuses(random_rows):
             sorted((members[0], len(members)) for members in union_find(spec))
 
 
-def test_lattice_closures(random_rows):
+def test_lattice_closures_read_the_identity_order(monkeypatch):
+    plans = []
+    plan = orbits._plan
+
+    def recorded(*args):
+        plans.append(plan(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(orbits, "_plan", recorded)
     for spec in LATTICES:
         classes = union_find(spec)
         owners = {min(members) for members in classes
@@ -111,6 +121,21 @@ def test_lattice_closures(random_rows):
         closure = delta_closure(spec)
         assert closure.vectors.tolist() == expected
         assert closure.single_orbit is (len(owners) == 1)
+    # one plan per closure, each in the identity order: its footprints are
+    # unit vectors, which no in-word change moves fewer bits of
+    assert len(plans) == len(LATTICES)
+    assert all(p.order == orbits._IDENTITY for p in plans)
+
+
+def test_lattice_closures_refuse_other_orders(random_rows):
+    # _members reads the closure's map in the identity order, so a search
+    # of the whole space in any other order is refused, not misread; from
+    # 6 vertices up the random rows are not all the identity
+    wide = [spec for spec in LATTICES if spec.state_dim >= 6]
+    assert len(wide) > len(LATTICES) // 2
+    for spec in wide:
+        with pytest.raises(AssertionError, match="reorders the states"):
+            delta_closure(spec)
 
 
 @pytest.mark.parametrize("spec", ACTIONS, ids=lambda spec: spec.describe())

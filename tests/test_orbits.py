@@ -233,7 +233,7 @@ class TestLiftCrossCheck:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_actions(self, kind, dim_k, n):
         spec = ActionSpec(n, kind)
-        translations, _ = orbits._lift_plan(spec.state_dim, generator_masks(spec))
+        translations = orbits._plan(spec.state_dim, tuple(generator_masks(spec))).translations
         assert len(translations) == dim_k(n)
         lifted = enumerate_orbits(spec, workers=1).to_json()
         assert orbits._census(spec, 1, translations=()).to_json() == lifted
@@ -258,16 +258,14 @@ class TestLiftCrossCheck:
         # any subspace of K commutes with the action, so lifting through
         # part of it gives the same census
         spec = ActionSpec(6, kind)
-        translations, _ = orbits._lift_plan(spec.state_dim, generator_masks(spec))
+        translations = orbits._plan(spec.state_dim, tuple(generator_masks(spec))).translations
         assert orbits._census(spec, 1, translations=translations[:2]).to_json() == \
             enumerate_orbits(spec, workers=1).to_json()
 
     def test_lifted_jobs_search_the_quotient(self):
         spec = ActionSpec(7, ActionKind.FIRST)
-        masks = generator_masks(spec)
-        translations, base = orbits._lift_plan(spec.state_dim, masks)
-        jobs = [orbits._stratum_job(spec.state_dim, masks, base, translations, h)
-                for h in range(1 << len(base))]
+        plan = orbits._plan(spec.state_dim, tuple(generator_masks(spec)))
+        jobs = [orbits._stratum_job(plan, h) for h in range(1 << len(plan.functionals))]
         assert [j.compact_dim for j in jobs] == [18] * 8
 
 
@@ -292,6 +290,15 @@ class TestSingleJob:
         built = self._count_jobs(monkeypatch)
         rec = orbit_of(ActionSpec(7, ActionKind.SECOND), TriMatrix.from_cells(6, [(1, 2)]))
         assert rec.cardinality > 1 << 16 and len(built) == 1
+
+    def test_orbit_of_builds_its_plan_once(self):
+        # the plan of a search is cached: repeated queries rebuild no K,
+        # invariants or compact coordinates
+        spec = ActionSpec(8, ActionKind.SECOND)
+        orbits._plan.cache_clear()
+        records = {orbit_of(spec, 0) for _ in range(20)}
+        assert len(records) == 1 and records.pop().cardinality == 1
+        assert orbits._plan.cache_info().misses == 1
 
     def test_orbit_of_searches_one_base_stratum(self, monkeypatch):
         # first n=7, dim K = 7: the query searches the one 2^18 base stratum
