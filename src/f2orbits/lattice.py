@@ -143,10 +143,12 @@ class DeltaClosure:
 
 
 def delta_closure(spec: LatticeSpec) -> DeltaClosure:
-    """The closure of the basis vertices under the transvection group."""
+    """The closure of the basis vertices under the transvection group;
+    it is one orbit exactly when check_vanishing's orbit condition
+    holds."""
     vectors = _closure(spec, (1 << b for b in spec.basis_subset))
     vectors.flags.writeable = False
-    return DeltaClosure(vectors, _connected(induced_basis_graph(spec)))
+    return DeltaClosure(vectors, check_vanishing(spec).orbit_ok)
 
 
 @dataclass(frozen=True)
@@ -292,8 +294,9 @@ def parse_graph_file(text: str) -> LatticeSpec:
     _check_dim(v_count)
     body = tokens_per_line[1:]
     subset = None
-    if body and body[-1][0].rstrip(":").upper() == "B":
-        # the marker is B or b, then one optional colon, attached or alone
+    if body and body[-1][0][0] in "Bb":
+        # no edge line starts with a letter; the marker is B or b, then
+        # one optional colon, attached or alone, then a space or the end
         bline = " ".join(body.pop())
         try:
             subset = [int(t) for t in re.sub(r"^[Bb]( ?:)?( |$)", "", bline).split()]

@@ -31,16 +31,18 @@ bitsets, keep state order, so word order is state order; inside a word
 the state order is an affine map of the bit position (the in-word
 order), chosen so that the generators move few bits inside the words;
 where no change moves fewer, it is the identity order, an order like any
-other.  One cached plan per search (_plan) derives K, the invariants,
-the compact coordinates and the in-word order from the generator masks
-once; a stratum job adds only its offset and its generators' constants.
-Strata are independent jobs, which is where process-level parallelism
-comes from.
+other.  One stratum search is one _StratumJob.  A search's plan
+(_plan, cached) derives K, the invariants, the compact coordinates and
+the in-word order from the generator masks once, and is itself the job
+of the stratum at offset 0; every other job is the plan with its own
+offset and generator constants (_stratum_job).  Strata are independent
+jobs, which is where process-level parallelism comes from.
 
 The search word of a base state y is pot(y) << compact_dim | y: its
-compact coordinates below its potential, a point of K in K-coordinates.
-A generator's voltage is the K-component of its footprint,
-foot ^ reduce_K(foot), and it sits above the compact footprint in the
+compact coordinates below its potential, a point of K in K-coordinates
+(_search_word builds it for any state of a job's stratum).  A
+generator's voltage is the K-component of its footprint, foot ^
+reduce_K(foot), and it sits above the compact footprint in the
 generator's footprint word, so one XOR moves a state and its potential
 together; the sparse levels keep potentials in the words, the closure
 in the planes.  There a tree edge y -> gy sets pot(gy) = pot(y) ^
@@ -544,49 +546,46 @@ def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: n
 
 @dataclass(frozen=True)
 class _StratumJob:
-    """One stratum of V/K, searched through its section in V.
+    """One stratum search of V/K, through its section in V: _plan builds
+    the job of a search's stratum at offset 0, and _stratum_job moves it
+    to any other stratum by its offset and its generators' constants,
+    the only fields in which the jobs of a search differ.
 
-    The section holds the states that are zero at K's pivots.  Compact
-    bit s stands for basis[s], so compact z is the state offset ^
-    _combine(z, basis), and the readout functionals pivots read it back
-    as _evaluate(state ^ offset, pivots).  The bits of z from 6 up, its
+    translations is the reduced echelon-high basis of K (or of the part
+    of K lifted through) and k_pivots are their pivot masks; the section
+    holds the states that are zero at them, and a stratum is where the
+    base functionals read one value.  Compact bit s stands for basis[s],
+    so compact z is the state offset ^ _combine(z, basis), and the
+    readout functionals pivots read it back as _evaluate(state ^ offset,
+    pivots); compact_dim is len(basis).  The bits of z from 6 up, its
     word in the bitsets, are echelon coordinates, so word order is state
     order; inside a word the state order is the in-word order, _IDENTITY
     when it is the order of the positions (see _plan and _least_in_word).
-    Everything but offset and the constants comes from the search's
-    plan.  gens are (condition, footprint word, constant) on
-    search words pot << compact_dim | z: the footprint word is the
+
+    conds are the generators' conditions on V, and gens are (compact
+    condition, footprint word, constant) on search words pot <<
+    compact_dim | z (_search_word): the footprint word is the
     generator's voltage (the K-component of its footprint, where bit i
     of a potential stands for translations[i]) above its compact
-    footprint.  They are Python ints that the flood uses as they are:
-    under numpy >= 2.0 (NEP 50) a uint32 array combined with an int of
-    at most 32 bits stays uint32.
+    footprint, and the constant is parity(offset & cond), 0 at offset 0.
+    They are Python ints that the flood uses as they are: under numpy >=
+    2.0 (NEP 50) a uint32 array combined with an int of at most 32 bits
+    stays uint32.
     """
 
-    compact_dim: int
     gens: tuple[tuple[int, int, int], ...]
+    conds: tuple[int, ...]
     pivots: tuple[int, ...]
     basis: tuple[int, ...]
     offset: int
     translations: tuple[int, ...]
-    order: _InWordOrder
-
-
-@dataclass(frozen=True)
-class _Plan:
-    """What every stratum job of a search shares (see _plan): the
-    translations and their pivot masks k_pivots, the base functionals
-    whose values pick a stratum, the compact basis, readout functionals
-    pivots, the in-word order, and gens as (condition, compact condition,
-    footprint word)."""
-
-    translations: tuple[int, ...]
     k_pivots: tuple[int, ...]
     functionals: tuple[int, ...]
-    basis: tuple[int, ...]
-    pivots: tuple[int, ...]
     order: _InWordOrder
-    gens: tuple[tuple[int, int, int], ...]
+
+    @property
+    def compact_dim(self) -> int:
+        return len(self.basis)
 
 
 def _inword_rows(feet: list[int], compact_dim: int) -> tuple[int, ...]:
@@ -631,9 +630,12 @@ def _inword_rows(feet: list[int], compact_dim: int) -> tuple[int, ...]:
 
 
 @lru_cache
-def _plan(dim: int, masks: tuple, translations=None, functionals=None) -> _Plan:
-    """The plan of a search of the generator masks on F2^dim, cached:
-    the strata of a census and repeated queries of one search share it.
+def _plan(dim: int, masks: tuple, translations=None, functionals=None) -> _StratumJob:
+    """The plan of a search of the generator masks on F2^dim: the job of
+    its stratum at offset 0, whose generator constants are all 0.  It is
+    cached, so the strata of a census and repeated queries of one search
+    share it, and every other job of the search is made from it
+    (_stratum_job).
 
     translations defaults to all of K, the common null space of the
     condition masks; any basis of a subspace of K may be given instead,
@@ -685,29 +687,33 @@ def _plan(dim: int, masks: tuple, translations=None, functionals=None) -> _Plan:
         cf = _evaluate(section_foot, pivots)
         if _combine(cf, basis) != section_foot:
             raise AssertionError("generator footprint leaves the stratum")
-        gens.append((cond, _evaluate(cond, basis), _evaluate(foot, k_pivots) << cd | cf))
-    return _Plan(translations, k_pivots, tuple(functionals), tuple(basis), tuple(pivots),
-                 order, tuple(gens))
+        gens.append((_evaluate(cond, basis), _evaluate(foot, k_pivots) << cd | cf, 0))
+    return _StratumJob(tuple(gens), tuple(cond for cond, _ in masks), tuple(pivots),
+                       tuple(basis), 0, translations, k_pivots, tuple(functionals), order)
 
 
-def _stratum_job(plan: _Plan, height_bits: int) -> _StratumJob:
-    """The job for the stratum of the plan where its functionals read
-    height_bits: only the offset and the generators' constants are the
-    job's own."""
+def _stratum_job(plan: _StratumJob, height_bits: int) -> _StratumJob:
+    """The job of the stratum where the plan's functionals read
+    height_bits: the plan (_plan) moved to the stratum's section state,
+    with each generator's constant parity(offset & cond).  Every other
+    field is the plan's own object."""
     point = _solve([*plan.functionals, *plan.k_pivots], height_bits)
     # the section state of the stratum: point cleared at the echelon pivots
     offset = point ^ _combine(_evaluate(point, plan.pivots), plan.basis)
-    gens = tuple((cc, fw, _parity(offset & cond)) for cond, cc, fw in plan.gens)
-    return _StratumJob(len(plan.basis), gens, plan.pivots, plan.basis, offset,
-                       plan.translations, plan.order)
+    return replace(plan, offset=offset, gens=tuple(
+        (cc, fw, _parity(offset & cond)) for (cc, fw, _), cond in zip(plan.gens, plan.conds)))
 
 
-def _compact(job: _StratumJob, state: int) -> int:
-    """Compact coordinate of a section state of the job's stratum."""
-    z = _evaluate(state ^ job.offset, job.pivots)
-    if job.offset ^ _combine(z, job.basis) != state:
+def _search_word(job: _StratumJob, state: int) -> int:
+    """The search word pot << compact_dim | z of a state of the job's
+    stratum: z is the compact coordinate of its section (the state
+    reduced by the translations) and pot its K-component, bit i for
+    translations[i], read at k_pivots."""
+    section = _reduce(state, job.translations)
+    z = _evaluate(section ^ job.offset, job.pivots)
+    if job.offset ^ _combine(z, job.basis) != section:
         raise AssertionError("state does not lie in its computed stratum")
-    return z
+    return _evaluate(state, job.k_pivots) << job.compact_dim | z
 
 
 def _readback(stack: np.ndarray):
@@ -749,15 +755,16 @@ def _lift(job: _StratumJob, stack: np.ndarray, size: int, cycles: list[int],
     is computed: the one that holds section(y) ^ pot(y).
     """
     s_basis = _echelon([_combine(v, job.translations) for v in cycles])
-    cosets = np.array(_span_points(_echelon([_reduce(k, s_basis) for k in job.translations]))
-                      if every else [0], dtype=np.uint32)
+    # K's basis reduced by S: it spans the cosets and maps potentials
+    reduced = [_reduce(k, s_basis) for k in job.translations]
+    cosets = np.array(_span_points(_echelon(reduced)) if every else [0], dtype=np.uint32)
     # section states are zero at K's pivots, among them S's, so reduce_S
     # only acts on the potential, and reduce_S(section(y) ^ pot(y)) ^
     # offset splits over the word of y, its bit in the word and the bytes
     # of its potential
     words = _byte_tables(job.basis[6:])
     bits = np.array(_span_points(job.basis[:6]), dtype=np.uint32)
-    pots = _byte_tables([_reduce(k, s_basis) for k in job.translations])
+    pots = _byte_tables(reduced)
     best = np.full(cosets.size, np.iinfo(np.uint32).max, dtype=np.uint32)
     rows = max(1, _LIFT_CHUNK // cosets.size)
     for w, i, pot in _readback(stack):
@@ -768,7 +775,7 @@ def _lift(job: _StratumJob, stack: np.ndarray, size: int, cycles: list[int],
             np.minimum(best, (cosets[:, None] ^ a[start:start + rows]).min(axis=1), out=best)
     out = []
     for rep in best.tolist():
-        z = _compact(job, _reduce(rep, job.translations))
+        z = _search_word(job, rep) & (1 << job.compact_dim) - 1
         if not int(stack[0, z >> 6]) >> (z & 63) & 1:
             raise AssertionError("lifted representative leaves its base orbit")
         out.append((rep, size << len(s_basis)))
@@ -912,13 +919,13 @@ def _family(spec):
 
 
 def _records(dim: int, functionals, rows) -> tuple[OrbitRecord, ...]:
-    """Records sorted by (height, representative), heights read off the
+    """Records sorted by OrbitRecord.sort_key, heights read off the
     representatives."""
     t = len(functionals)
-    keyed = sorted((_evaluate(rep, functionals), rep, size) for rep, size in rows)
-    return tuple(OrbitRecord(F2Vector(dim, rep), size,
-                             height=F2Vector(t, h) if t else None)
-                 for h, rep, size in keyed)
+    records = [OrbitRecord(F2Vector(dim, rep), size,
+                           height=F2Vector(t, _evaluate(rep, functionals)) if t else None)
+               for rep, size in rows]
+    return tuple(sorted(records, key=OrbitRecord.sort_key))
 
 
 def enumerate_orbits(spec, workers: Optional[int] = None) -> OrbitCensus:
@@ -1001,31 +1008,30 @@ def orbit_of(spec, state) -> OrbitRecord:
     # the census's cache key, so that both share one plan
     plan = _plan(dim, masks, None)
     job = _stratum_job(plan, _evaluate(start, plan.functionals))
-    seed = _compact(job, _reduce(start, plan.translations))
-    word = _evaluate(start, plan.k_pivots) << job.compact_dim | seed
-    return _records(dim, functionals, _component(job, word, _search(job), every=False))[0]
+    return _records(dim, functionals,
+                    _component(job, _search_word(job, start), _search(job), every=False))[0]
 
 
 def _closure(spec, seeds) -> np.ndarray:
     """The union of the seed states' orbits, as sorted uint32 states.
 
-    The seeds are flooded on the bitset map of the job for the whole
-    space, one stratum through no translations, so each span is full
-    from the start and nothing is lifted.  Its compact coordinates are
+    The seeds are flooded on the bitset map of the plan of the whole
+    space, through no translations and no functionals, which is its one
+    job: each span is full from the start and nothing is lifted, and a
+    seed's search word is its compact state.  Its compact coordinates are
     the states themselves in the identity in-word order, which _members
     reads: the footprints are unit vectors, for which _inword_rows keeps
     every row b_t = 1 << t.  Any other order raises AssertionError.  The
     guard runs before any mask is built.
     """
     dim, masks, _, _, _, _ = _family(spec)
-    plan = _plan(dim, masks, (), ())
-    if plan.order != _IDENTITY:
+    job = _plan(dim, masks, (), ())
+    if job.order != _IDENTITY:
         raise AssertionError("the closure's search reorders the states inside a word")
-    job = _stratum_job(plan, 0)
     maps = _search(job)
     visited = maps[0]
     for seed in seeds:
-        z = _compact(job, seed)
+        z = _search_word(job, seed)
         if not int(visited[z >> 6]) >> (z & 63) & 1:
             _component(job, z, maps)
     return _members(visited)

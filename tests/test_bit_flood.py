@@ -236,7 +236,7 @@ def k0_job(spec):
     assert not plan.translations
     job = orbits._stratum_job(plan, 0)
     space = SimpleNamespace(state_dim=dim, masked_generators=lambda: masks)
-    classes = [[orbits._compact(job, x) for x in members]
+    classes = [[orbits._search_word(job, x) for x in members]
                for members in union_find_classes(space)
                if not _evaluate(members[0], plan.functionals)]
     return job, sorted(classes)

@@ -319,20 +319,25 @@ class TestGraphFile:
         spec = parse_graph_file("3 1\n0 1\nB: 0 2\n")
         assert spec.basis_subset == (0, 2)
 
-    @pytest.mark.parametrize("text", [
-        "",
-        "3\n",
-        "3 2\n0 1\n",
-        "2 1\n0 5\n",
-        "2 1\n0 zero\n",
-        "2 1\n0 1\nB: 9\n",
-        "2 1\n0 0\n",
-        "2 2\n0 1\n1 0\n",
-        "2 1\n0 1 1\n",
-        "2 1\n0 1\nB: x\n",
-    ])
-    def test_malformed_rejected(self, text):
-        with pytest.raises(ValueError):
+    # (text, match): a last line that starts with B or b is the subset
+    # line, even with no space after its colon
+    MALFORMED = [
+        ("", None),
+        ("3\n", None),
+        ("3 2\n0 1\n", None),
+        ("2 1\n0 5\n", None),
+        ("2 1\n0 zero\n", None),
+        ("2 1\n0 1\nB: 9\n", None),
+        ("2 1\n0 0\n", None),
+        ("2 2\n0 1\n1 0\n", None),
+        ("2 1\n0 1 1\n", None),
+        ("2 1\n0 1\nB: x\n", None),
+        ("2 1\n0 1\nB:1 2\n", "bad subset line 'B:1 2'"),
+    ]
+
+    @pytest.mark.parametrize("text,match", MALFORMED, ids=[text for text, _ in MALFORMED])
+    def test_malformed_rejected(self, text, match):
+        with pytest.raises(ValueError, match=match):
             parse_graph_file(text)
 
 

@@ -2,12 +2,13 @@
 determinism, and the conjugate-count and transport cross-checks."""
 
 import json
+import random
 
 import numpy as np
 import pytest
 
 from f2orbits import orbits
-from f2orbits.f2la import F2Vector
+from f2orbits.f2la import F2Vector, _combine, _evaluate
 from f2orbits.actions import ActionKind, ActionSpec, generator_masks, height_first
 from f2orbits.lattice import Graph, LatticeSpec, build, delta_closure, hex_lattice_graph
 from f2orbits.orbits import (EnumerationGuardError, enumerate_orbits,
@@ -267,6 +268,33 @@ class TestLiftCrossCheck:
         plan = orbits._plan(spec.state_dim, tuple(generator_masks(spec)))
         jobs = [orbits._stratum_job(plan, h) for h in range(1 << len(plan.functionals))]
         assert [j.compact_dim for j in jobs] == [18] * 8
+
+
+class TestStratumJobs:
+    """The plan is the job of the stratum at offset 0, every job of a
+    census shares its coordinates, and a search word reads back to its
+    state."""
+
+    @pytest.mark.parametrize("spec,dim_k", [
+        (ActionSpec(6, ActionKind.FIRST), 6), (ActionSpec(6, ActionKind.SECOND), 0),
+        (ActionSpec(6, ActionKind.SECOND_CONJUGATE), 3), (build(hex_lattice_graph(6)), 3)],
+        ids=["first-6", "second-6", "second-conj-6", "hex-6"])
+    def test_jobs_and_search_words(self, spec, dim_k):
+        dim, masks, _, _, _, _ = orbits._family(spec)
+        plan = orbits._plan(dim, masks)
+        assert len(plan.translations) == dim_k
+        assert orbits._stratum_job(plan, 0) == plan
+        for h in range(1 << len(plan.functionals)):
+            job = orbits._stratum_job(plan, h)
+            assert job.basis is plan.basis and job.pivots is plan.pivots
+            assert job.order is plan.order and job.translations is plan.translations
+        rng = random.Random(25)
+        zmask = (1 << plan.compact_dim) - 1
+        for x in (rng.getrandbits(dim) for _ in range(50)):
+            job = orbits._stratum_job(plan, _evaluate(x, plan.functionals))
+            w = orbits._search_word(job, x)
+            assert job.offset ^ _combine(w & zmask, job.basis) ^ \
+                _combine(w >> job.compact_dim, job.translations) == x
 
 
 class TestSingleJob:
