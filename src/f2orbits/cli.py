@@ -2,7 +2,8 @@
 
 Subcommands: census, verify, graph, patterns, arf.  Exit codes: 0 on
 success or a passing verification, 1 on a verification diff, 2 on usage
-or parse errors, 3 when a resource guard refuses the job.  Given the
+or parse errors and on an --input or --out file that cannot be read or
+written, 3 when a resource guard refuses the job.  Given the
 same arguments, output files are byte-identical run to run regardless
 of the worker count.
 """
@@ -90,12 +91,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    try:
-        with open(args.input) as fh:
-            spec = parse_graph_file(fh.read())
-    except OSError as exc:
-        print(f"cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with open(args.input) as fh:
+        spec = parse_graph_file(fh.read())
     t0 = time.perf_counter()
     census = enumerate_orbits(spec, workers=args.threads)
     elapsed = time.perf_counter() - t0
@@ -239,7 +236,10 @@ def main(argv=None) -> int:
     except EnumerationGuardError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # an --input that cannot be read or an --out that cannot be
+        # written is a usage error, reported before anything reaches
+        # stdout
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -8,9 +8,13 @@ arithmetic.  All values are immutable after construction.
 
 This is the package's one linear-algebra layer.  Its single echelon
 convention is the reduced basis with each pivot at a vector's highest
-bit, in ascending pivot order (_echelon); rank, coset minima (_reduce),
-null spaces, particular solutions of parity equations (_solve), span
-enumeration and a span grown from bit-planes (_Span) are built on it.
+bit, in ascending pivot order, and every basis grows one way: a vector
+is reduced by it, cleared at its pivots to its coset minimum (_reduce),
+and inserted unless that leaves 0 (_insert).  _echelon folds the two
+over a list of vectors, and a span grown from bit-planes (_Span)
+inserts one reduced value at a time; rank, null spaces, particular
+solutions of parity equations (_solve) and span enumeration are built
+on _echelon.
 Linear maps are given by masks: _evaluate reads bit l as
 parity(x & rows[l]), and its transpose _combine sums the columns picked
 by the bits of x, on ints and, through byte lookup tables, on uint32
@@ -19,6 +23,7 @@ arrays.
 
 from __future__ import annotations
 
+import bisect
 import enum
 from dataclasses import dataclass
 from functools import cached_property
@@ -166,32 +171,42 @@ def transvect(f: BilinearForm, delta: F2Vector, x: F2Vector) -> F2Vector:
     return x
 
 
+def _insert(basis, v: int) -> list[int]:
+    """The reduced echelon basis of span(basis + [v]), given a reduced
+    echelon basis and a nonzero v that _reduce has cleared at its pivots.
+
+    v's highest bit is the new pivot, and v is added to the vectors that
+    hold that bit.  Those lie above it, and v is zero at every other
+    pivot, so each keeps its pivot and stays reduced.  Ascending pivot
+    order is ascending numeric order, so v goes in by bisection.
+    """
+    top = 1 << v.bit_length() - 1
+    out = [b ^ v if b & top else b for b in basis]
+    bisect.insort(out, v)
+    return out
+
+
 def _echelon(vectors) -> list[int]:
-    """Reduced echelon basis of span(vectors), in ascending pivot order.
+    """Reduced echelon basis of span(vectors), in ascending pivot order:
+    each vector, reduced by the basis so far, is inserted (_insert)
+    unless it reduces to 0.
 
     Each basis vector has its pivot at its highest set bit, and no other
     basis vector has that bit set.  The basis is unique to the span, and
     z -> _combine(z, basis) is strictly increasing, so coordinates in it
     keep the order of the vectors.
     """
-    by_pivot: dict[int, int] = {}
+    basis: list[int] = []
     for v in vectors:
-        while v:
-            p = v.bit_length() - 1
-            if p not in by_pivot:
-                by_pivot[p] = v
-                break
-            v ^= by_pivot[p]
-    pivots = sorted(by_pivot)
-    for p in reversed(pivots):
-        for q in pivots:
-            if q > p and by_pivot[q] >> p & 1:
-                by_pivot[q] ^= by_pivot[p]
-    return [by_pivot[p] for p in pivots]
+        v = _reduce(v, basis)
+        if v:
+            basis = _insert(basis, v)
+    return basis
 
 
 class _Span:
-    """A growing subspace of F2^dim fed bit-planes; basis is its _echelon."""
+    """A growing subspace of F2^dim fed bit-planes; its basis is reduced
+    echelon and grows by _insert."""
 
     def __init__(self, dim: int) -> None:
         self.dim = dim
@@ -204,14 +219,16 @@ class _Span:
     def absorb_planes(self, planes: np.ndarray, scratch: np.ndarray) -> None:
         """Add values held as bit-planes to the span: row j of the (dim,
         words) uint64 array planes holds bit j of a value per bit
-        position.  The planes are reduced against the basis in place,
-        plane by plane, and one surviving position at a time is taken
-        in; scratch is a words-long uint64 buffer."""
+        position.  The planes are reduced in place, first by the basis,
+        then by each vector inserted: one surviving position's value at
+        a time, already reduced.  scratch is a words-long uint64
+        buffer."""
+        clear = self.basis
         while not self.full:
-            for b in self.basis:
+            for b in clear:
                 p = b.bit_length() - 1
-                for j in range(self.dim):
-                    if j != p and b >> j & 1:
+                for j in range(p):
+                    if b >> j & 1:
                         planes[j] ^= planes[p]
                 planes[p] = 0
             np.bitwise_or.reduce(planes, axis=0, out=scratch)
@@ -220,8 +237,9 @@ class _Span:
             if not bits:
                 return
             i = (bits & -bits).bit_length() - 1
-            self.basis = _echelon(self.basis + [sum((int(planes[j, w]) >> i & 1) << j
-                                                    for j in range(self.dim))])
+            v = sum((int(planes[j, w]) >> i & 1) << j for j in range(self.dim))
+            self.basis = _insert(self.basis, v)
+            clear = [v]
 
 
 def _rank(rows, dim) -> int:

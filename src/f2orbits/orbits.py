@@ -82,8 +82,8 @@ from typing import Optional
 import numpy as np
 
 from .f2la import (F2Vector, _Span, _apply_tables, _byte_tables, _combine, _echelon,
-                   _evaluate, _nullspace, _parity, _parity_u32, _rank, _reduce, _solve,
-                   _span_points)
+                   _evaluate, _insert, _nullspace, _parity, _parity_u32, _rank, _reduce,
+                   _solve, _span_points)
 from .actions import ActionSpec, generator_masks, height_functionals
 
 ENUM_DIM_LIMIT = 28
@@ -596,11 +596,15 @@ def _inword_rows(feet: list[int], compact_dim: int) -> tuple[int, ...]:
     A footprint f flips bit t of z' where parity(f & b_t) is odd, and
     each such bit costs _p_foot one delta swap in every tile step of its
     generator.  So a_t solves as many of the equations parity(f & a_t) =
-    bit t of f as a greedy consistent-subset echelon finds: f >> t, whose
-    bit 0 is the equation's constant, is taken in unless the rows taken
-    would then span 1 (0 = 1).  The footprints go in their order and in
-    reverse; the solution that leaves the fewest swaps is kept, and the
-    identity row b_t = 1 << t unless one leaves fewer.
+    bit t of f as a greedy consistent subset holds: f >> t, whose bit 0
+    is the equation's constant, is reduced by the reduced echelon basis
+    of the rows taken so far and inserted (_insert) unless that leaves 0
+    or 1 (0 = 1, inconsistent).  The taken rows' pivots lie above bit 0,
+    so the solution c = 1 | a_t << 1 that is zero off bit 0 and the
+    pivots holds, at the pivot of each taken row b, bit 0 of b.  The
+    footprints go in their order and in reverse; the solution that
+    leaves the fewest swaps is kept, and the identity row b_t = 1 << t
+    unless one leaves fewer.
     """
     def swaps(b: int) -> int:
         return sum(_parity(f & b) for f in feet)
@@ -610,18 +614,12 @@ def _inword_rows(feet: list[int], compact_dim: int) -> tuple[int, ...]:
         best = 1 << t
         fewest = swaps(best)
         for sequence in (feet, feet[::-1]):
-            by_pivot: dict[int, int] = {}
+            taken: list[int] = []
             for f in sequence:
-                g = f >> t
-                while g >> 1 and g.bit_length() - 1 in by_pivot:
-                    g ^= by_pivot[g.bit_length() - 1]
+                g = _reduce(f >> t, taken)
                 if g >> 1:
-                    by_pivot[g.bit_length() - 1] = g
-            # c = 1 | a_t << 1 against each taken row, by ascending pivot
-            c = 1
-            for p in sorted(by_pivot):
-                if _parity(c & by_pivot[p]):
-                    c ^= 1 << p
+                    taken = _insert(taken, g)
+            c = 1 | sum(1 << b.bit_length() - 1 for b in taken if b & 1)
             cost = swaps(c << t)
             if cost < fewest:
                 best, fewest = c << t, cost
@@ -652,10 +650,11 @@ def _plan(dim: int, masks: tuple, translations=None, functionals=None) -> _Strat
     to state order.  The six below are changed to z'_t = parity(z &
     rows[t]) (_inword_rows), which leaves fewer delta swaps to the
     closure.  That change, z' = M z, is unitriangular, so the job's basis
-    is the echelon basis times M^-1, its readout functionals are the rows
-    of M on the echelon pivots, and inside each word the state order is
-    an affine map of the position, held as the in-word order: _IDENTITY
-    where M is the identity.
+    is the echelon basis times M^-1: basis[s] is the state whose echelon
+    coordinates are column s of M^-1, read through M^-1's rows (inverse).
+    Its readout functionals are the rows of M on the echelon pivots, and
+    inside each word the state order is an affine map of the position,
+    held as the in-word order: _IDENTITY where M is the identity.
     """
     if translations is None:
         translations = _nullspace([cond for cond, _ in masks], dim)
@@ -674,11 +673,7 @@ def _plan(dim: int, masks: tuple, translations=None, functionals=None) -> _Strat
     inverse = [1 << s for s in range(cd)]
     for t in reversed(range(len(rows))):
         inverse[t] = _combine(rows[t] ^ 1 << t, inverse) ^ 1 << t
-    basis = list(echelon)
-    for t in range(len(rows)):
-        for s in range(t + 1, cd):
-            if inverse[t] >> s & 1:
-                basis[s] ^= echelon[t]
+    basis = [_combine(_evaluate(1 << s, inverse), echelon) for s in range(cd)]
     pivots = [_combine(r, echelon_pivots) for r in rows] + echelon_pivots[len(rows):]
     low = inverse[:6] + [1 << t for t in range(cd, 6)]
     order = tuple((_odd_word(r), r >> 6) for r in reversed(low))

@@ -227,10 +227,7 @@ def pattern_P(n: int, i: int) -> TriMatrix:
     shape (checked against that construction for n = 2..64).
     """
     _check_pattern_index(n, i)
-    bits = 0
-    for v in _radical(n)[:i]:
-        bits ^= v
-    return TriMatrix.from_bits(n - 1, bits)
+    return TriMatrix.from_bits(n - 1, _combine((1 << i) - 1, _radical(n)))
 
 
 def pattern_Ptilde(n: int, i: int) -> TriMatrix:

@@ -211,8 +211,30 @@ class TestGraph:
         assert code == 2
 
     def test_missing_file_exit_2(self, capsys, tmp_path):
-        code, _, err = run(capsys, "graph", "--input", str(tmp_path / "nope"))
+        code, out, err = run(capsys, "graph", "--input", str(tmp_path / "nope"))
         assert code == 2
+        assert out == "" and err.startswith("error: ") and "nope" in err
+
+
+class TestUnwritableOut:
+    """An --out that cannot be written is a usage error, as an unreadable
+    --input is: one line on stderr, exit 2, nothing on stdout."""
+
+    @pytest.mark.parametrize("command", [
+        ["census", "--action", "first", "--n", "3"],
+        ["verify", "--action", "first", "--n", "3"],
+        ["graph", "--input", "hex4.graph"],
+        ["patterns", "--n", "5"],
+        ["arf", "--n", "5"],
+    ], ids=lambda command: command[0])
+    def test_missing_directory_exit_2(self, capsys, tmp_path, command):
+        write_hex_graph_file(tmp_path / "hex4.graph", 4)
+        argv = [str(tmp_path / a) if a.endswith(".graph") else a for a in command]
+        target = tmp_path / "missing" / "x.out"
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and str(target) in err
+        assert not target.parent.exists()
 
 
 class TestPatterns:

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 import numpy as np
 
-from f2orbits.f2la import (ArfClass, BilinearForm, F2Vector, QuadraticSpace,
+from f2orbits.f2la import (ArfClass, BilinearForm, F2Vector, QuadraticSpace, _Span,
                            _apply_tables, _byte_tables, _combine, _echelon,
-                           _evaluate, _nullspace, _rank, _reduce, _solve,
+                           _evaluate, _insert, _nullspace, _rank, _reduce, _solve,
                            arf, form_eval, kernel_basis, q_eval,
                            symplectic_reduce, transvect, value_counts_brute,
                            value_counts_closed)
@@ -276,7 +276,8 @@ def is_reduced_echelon_high(basis) -> bool:
 
 
 class TestLinearLayer:
-    """The echelon, null space, solve and mask maps against brute force."""
+    """The echelon, span, null space, solve and mask maps against brute
+    force."""
 
     @settings(max_examples=150, deadline=None)
     @given(vector_systems())
@@ -286,6 +287,34 @@ class TestLinearLayer:
         assert is_reduced_echelon_high(basis)
         assert brute_span(basis) == brute_span(rows)
         assert len(brute_span(rows)) == 1 << _rank(rows, system[0])
+        # the last row, reduced by the echelon of the others, inserts
+        # into it as the same canonical basis
+        head = _echelon(rows[:-1])
+        last = _reduce(rows[-1], head) if rows else 0
+        if last:
+            assert _insert(head, last) == basis
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_span_absorbs_every_value_of_its_planes(self, data):
+        dim = data.draw(st.integers(min_value=0, max_value=6))
+        words = data.draw(st.integers(min_value=1, max_value=4))
+        start = _echelon(data.draw(st.lists(st.integers(0, (1 << dim) - 1), max_size=3)))
+        # values at a few (word, bit) positions, so that the span is often
+        # left short of F2^dim
+        entries = data.draw(st.lists(st.tuples(st.integers(0, words - 1), st.integers(0, 63),
+                                               st.integers(0, (1 << dim) - 1)), max_size=8))
+        planes = np.zeros((dim, words), dtype=np.uint64)
+        for w, i, value in entries:
+            for j in range(dim):
+                planes[j, w] |= np.uint64((value >> j & 1) << i)
+        values = [sum((int(planes[j, w]) >> i & 1) << j for j in range(dim))
+                  for w in range(words) for i in range(64)]
+        span = _Span(dim)
+        span.basis = start
+        span.absorb_planes(planes, np.empty(words, dtype=np.uint64))
+        assert span.basis == _echelon(start + values)
+        assert span.full is (len(brute_span(start + values)) == 1 << dim)
 
     @settings(max_examples=150, deadline=None)
     @given(vector_systems())

@@ -4,7 +4,8 @@ nearly every job's compact positions inside a word differ from its state
 order, and each census and query is checked against the union-find
 oracle.  The closure of a graph lattice reads its states in the identity
 order, which its unit-vector footprints always get, and refuses any
-other."""
+other.  The real row chooser is pinned by the delta swaps it leaves in
+the flagship plans."""
 
 import random
 from types import SimpleNamespace
@@ -14,7 +15,7 @@ import pytest
 from f2orbits import orbits
 from f2orbits.actions import ActionKind, ActionSpec, generator_masks
 from f2orbits.f2la import _nullspace
-from f2orbits.lattice import Graph, build, delta_closure
+from f2orbits.lattice import Graph, build, delta_closure, hex_lattice_graph
 from f2orbits.orbits import enumerate_orbits, orbit_of
 from test_engine_properties import union_find_classes
 
@@ -141,3 +142,28 @@ def test_lattice_closures_refuse_other_orders(random_rows):
 @pytest.mark.parametrize("spec", ACTIONS, ids=lambda spec: spec.describe())
 def test_actions(spec, random_rows):
     check_census_and_queries(spec, random.Random(spec.n))
+
+
+# the delta swaps left by the real row chooser's plans: one per bit below
+# 6 of each compact footprint.  The second conjugate and the hex lattices
+# keep the identity in-word order; a greedy that runs in one order only
+# leaves 18 at first-7 and second-8
+DELTA_SWAPS = {"first-5": 14, "first-6": 16, "first-7": 12, "first-conj-7": 12,
+               "second-6": 16, "second-7": 12, "second-8": 12,
+               **{f"second-conj-{n}": 12 for n in range(5, 9)},
+               **{f"hex-{n}": 12 for n in range(5, 8)}}
+
+
+@pytest.mark.parametrize("key", DELTA_SWAPS)
+def test_inword_rows_keep_their_delta_swaps(key):
+    name, n = key.rsplit("-", 1)
+    if name == "hex":
+        spec = build(hex_lattice_graph(int(n)))
+        masks = spec.masked_generators()
+    else:
+        spec = ActionSpec(int(n), ActionKind.parse(name))
+        masks = generator_masks(spec)
+    plan = orbits._plan(spec.state_dim, tuple(masks))
+    zmask = (1 << plan.compact_dim) - 1
+    assert sum(((fw & zmask) & 63).bit_count() for _, fw, _ in plan.gens) == DELTA_SWAPS[key]
+    assert (plan.order == orbits._IDENTITY) is (name in ("second-conj", "hex"))
