@@ -11,6 +11,7 @@ of the worker count.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -49,6 +50,26 @@ def _render(census: OrbitCensus, fmt: str) -> str:
     if fmt == "csv":
         return census.to_csv()
     return _census_table(census)
+
+
+def _check_out(out_path) -> None:
+    """Refuse an --out that cannot be written (exit 2) before any work
+    starts: a directory, a path whose directory is missing or not
+    writable, or a file that is not writable.  Nothing is created or
+    truncated."""
+    if out_path is None:
+        return
+    folder = os.path.dirname(out_path) or "."
+    if os.path.isdir(out_path):
+        problem = "it is a directory"
+    elif not os.path.isdir(folder):
+        problem = f"no directory {folder}"
+    elif not os.access(folder, os.W_OK | os.X_OK) or \
+            os.path.exists(out_path) and not os.access(out_path, os.W_OK):
+        problem = "permission denied"
+    else:
+        return
+    raise OSError(f"cannot write --out {out_path}: {problem}")
 
 
 def _emit(text: str, out_path):
@@ -232,6 +253,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
     except EnumerationGuardError as exc:
         print(f"refused: {exc}", file=sys.stderr)
@@ -239,7 +261,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         # an --input that cannot be read or an --out that cannot be
         # written is a usage error, reported before anything reaches
-        # stdout
+        # stdout; an --out is checked before any work starts
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

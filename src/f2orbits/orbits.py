@@ -27,16 +27,15 @@ echelon-high basis, and every orbit of V lies over an orbit of V/K.
 V/K is split into strata by its own invariants (the functionals that
 vanish on every footprint and on K), each an affine subspace searched
 in compact coordinates.  Their bits from 6 up, a state's word in the
-bitsets, keep state order, so word order is state order; inside a word
-the state order is an affine map of the bit position (the in-word
-order), chosen so that the generators move few bits inside the words;
-where no change moves fewer, it is the identity order, an order like any
-other.  One stratum search is one _StratumJob.  A search's plan
-(_plan, cached) derives K, the invariants, the compact coordinates and
-the in-word order from the generator masks once, and is itself the job
-of the stratum at offset 0; every other job is the plan with its own
-offset and generator constants (_stratum_job).  Strata are independent
-jobs, which is where process-level parallelism comes from.
+bitsets, keep state order, so word order is state order.  The six below
+are a linear change of the echelon coordinates that lets the generators
+move fewer bits inside a word, so inside a word the states are compared
+through the compact basis, the one description of state order.  One stratum search is one _StratumJob.  A search's plan
+(_plan, cached) derives K, the invariants and the compact basis from the
+generator masks once, and is itself the job of the stratum at offset 0;
+every other job is the plan with its own offset and generator constants
+(_stratum_job).  Strata are independent jobs, which is where
+process-level parallelism comes from.
 
 The search word of a base state y is pot(y) << compact_dim | y: its
 compact coordinates below its potential, a point of K in K-coordinates
@@ -189,33 +188,14 @@ _SWAP = tuple(np.uint64(sum(1 << i for i in range(64) if not i >> s & 1)) for s 
 # _SPREAD[x] holds bit b of the byte x in its byte b
 _SPREAD = np.array([sum((x >> b & 1) << 8 * b for b in range(8)) for x in range(256)], dtype="<u8")
 _UNPACK = 1 << 10
-# an in-word order (see _least_in_word): (odd, high) for each state bit
-# from 5 down to 0
-_InWordOrder = tuple[tuple[int, int], ...]
-
-
-def _odd_word(cond: int, const: int = 0) -> int:
-    """Word 0 of the odd set of (cond, const) as an int: bit i is
-    parity(i & cond) ^ const for i < 64.  From the one state 0, each bit
-    j < 6 of the state index doubles the prefix, inverted where bit j of
-    cond is set; the bits of cond from 6 up are ignored."""
-    pattern = const
-    for j in range(6):
-        half = 1 << j
-        pattern |= (pattern ^ ((1 << half) - 1 if cond >> j & 1 else 0)) << half
-    return pattern
-
-
-# the in-word order where position p holds the state with low six bits p
-_IDENTITY = tuple((_odd_word(1 << t), 0) for t in reversed(range(6)))
 
 
 def _members(bits: np.ndarray) -> np.ndarray:
     """The states of a bitset, ascending, as uint32, written into one
     array of its popcount; the nonzero words are unpacked _UNPACK at a
-    time.  Bit p of word w is state w << 6 | p: the bitset's positions
-    are in the identity in-word order, as in the closure's search of the
-    whole space (_closure), whose compact coordinates are the states."""
+    time.  Bit p of word w is compact state w << 6 | p, which is the
+    state itself where the compact basis is the standard basis, as in
+    the closure's search of the whole space (_closure)."""
     out = np.empty(int(np.bitwise_count(bits).sum()), dtype=np.uint32)
     nonzero = np.flatnonzero(bits)
     at = 0
@@ -228,30 +208,30 @@ def _members(bits: np.ndarray) -> np.ndarray:
     return out
 
 
-def _least_in_word(v: int, w: int, order: _InWordOrder) -> int:
-    """The position in word w of its least state among the set bits of
-    v.  The compact coordinates of a section carry a state's word index
-    in their bits from 6 up, so word order is state order, but inside a
-    word the position p of the state with low six bits l is an affine
-    map of l (see _inword_rows), the identity (_IDENTITY) where p = l.
-    order holds, for the state bits t = 5 down to 0, (odd, high): bit t
-    of the state at position p of word w is bit p of odd ^ parity(w &
-    high).  A descent from bit 5 keeps the candidates whose bit is 0
-    where there are any; the map is a bijection, so one position is
-    left."""
-    for odd, high in order:
-        zero = odd if _parity(w & high) else ~odd
-        if v & zero:
-            v &= zero
-    return v.bit_length() - 1
+def _least_in_word(v: int, w: int, job: _StratumJob) -> int:
+    """The position in word w of the least state, read through the job's
+    compact basis, among the set bits of v.  The states of one word
+    differ only in their six low compact coordinates, so the state at
+    position p is _combine(w << 6, basis) ^ _combine(p, basis).  Where
+    no set bit of v is a state (past the last state of a map under 64
+    states), the highest set bit, a position of at least 2^compact_dim,
+    is returned."""
+    high = _combine(w << 6, job.basis)
+    return min((p for p in range(min(64, 1 << job.compact_dim)) if v >> p & 1),
+               key=lambda p: high ^ _combine(p, job.basis), default=v.bit_length() - 1)
 
 
 def _odd_words(cond: int, const: int, out: np.ndarray) -> np.ndarray:
     """Write the odd set of (cond, const) into the bitset out and return
-    it: bit i of word w is parity((64 w + i) & cond) ^ const.  From word 0
-    (_odd_word), each bit j of the word index doubles the prefix,
-    inverted where bit 6 + j of cond is set."""
-    out[0] = _odd_word(cond, const)
+    it: bit i of word w is parity((64 w + i) & cond) ^ const.  From the
+    one state 0, each bit j of the state index doubles the prefix,
+    inverted where bit j of cond is set: in word 0 for j < 6, then along
+    the words."""
+    pattern = const
+    for j in range(6):
+        half = 1 << j
+        pattern |= (pattern ^ ((1 << half) - 1 if cond >> j & 1 else 0)) << half
+    out[0] = pattern
     for j in range(out.size.bit_length() - 1):
         half = 1 << j
         np.bitwise_xor(out[:half], _ONES if cond >> 6 + j & 1 else np.uint64(0),
@@ -342,9 +322,9 @@ def _scatter(stack: np.ndarray, words: np.ndarray, shift: int) -> None:
 def _flood(job: _StratumJob, seed: int, maps: np.ndarray) -> tuple[int, int, _Span]:
     """Flood the component of the search word seed = pot << compact_dim | z
     on the job's maps (see _search) and mark it visited; returns (low,
-    size, span): the compact state of its least state (in state order,
-    see _least_in_word), its size and the span S of its cycle voltages
-    in K.
+    size, span): the compact state of its least state (compared through
+    the compact basis, see _least_in_word), its size and the span S of
+    its cycle voltages in K.
 
     Small frontiers take sparse BFS levels that mark visited alone: each
     generator's moved words, potentials above states, are gathered from
@@ -397,7 +377,7 @@ def _flood(job: _StratumJob, seed: int, maps: np.ndarray) -> tuple[int, int, _Sp
                 return low, size, span
             break
         frontier = grown
-        low = _least_state(frontier & zmask, job.order, low)
+        low = _least_state(frontier & zmask, job, low)
         size += frontier.size
     return (*_close(job, seed, frontier, size, maps, span), span)
 
@@ -461,10 +441,10 @@ def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: n
     and _p_foot moves it within src and other and returns the one that
     holds the moved stack; the other one is scratch for the fresh
     states, the cycles and the popcounts.  The least reached state is
-    found tile by tile, through the in-word order (_least_bit), so a
-    closure allocates nothing that grows with the map.  A map of one tile
-    keeps the odd set in other[0], which _p_foot then overwrites, and
-    needs no complement.
+    found tile by tile, inside its word through the compact basis
+    (_least_bit), so a closure allocates nothing that grows with the
+    map.  A map of one tile keeps the odd set in other[0], which _p_foot
+    then overwrites, and needs no complement.
     """
     shift = job.compact_dim
     visited, stack, reached = maps[0], maps[1:], maps[1]
@@ -538,7 +518,7 @@ def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: n
         count = grown
         steps.reverse()
     visited |= reached
-    low = _least_bit(reached, 0, 0, job.order)
+    low = _least_bit(reached, 0, 0, job)
     if span.full:
         reached.fill(0)
     return low, count
@@ -559,8 +539,8 @@ class _StratumJob:
     readout functionals pivots read it back as _evaluate(state ^ offset,
     pivots); compact_dim is len(basis).  The bits of z from 6 up, its
     word in the bitsets, are echelon coordinates, so word order is state
-    order; inside a word the state order is the in-word order, _IDENTITY
-    when it is the order of the positions (see _plan and _least_in_word).
+    order; inside a word the states are compared through basis
+    (_least_in_word), the one description of state order.
 
     conds are the generators' conditions on V, and gens are (compact
     condition, footprint word, constant) on search words pot <<
@@ -581,7 +561,6 @@ class _StratumJob:
     translations: tuple[int, ...]
     k_pivots: tuple[int, ...]
     functionals: tuple[int, ...]
-    order: _InWordOrder
 
     @property
     def compact_dim(self) -> int:
@@ -652,9 +631,9 @@ def _plan(dim: int, masks: tuple, translations=None, functionals=None) -> _Strat
     closure.  That change, z' = M z, is unitriangular, so the job's basis
     is the echelon basis times M^-1: basis[s] is the state whose echelon
     coordinates are column s of M^-1, read through M^-1's rows (inverse).
-    Its readout functionals are the rows of M on the echelon pivots, and
-    inside each word the state order is an affine map of the position,
-    held as the in-word order: _IDENTITY where M is the identity.
+    Its readout functionals are the rows of M on the echelon pivots.
+    Inside a word the states are compared through the basis; it is the
+    echelon basis itself exactly where M is the identity.
     """
     if translations is None:
         translations = _nullspace([cond for cond, _ in masks], dim)
@@ -675,8 +654,6 @@ def _plan(dim: int, masks: tuple, translations=None, functionals=None) -> _Strat
         inverse[t] = _combine(rows[t] ^ 1 << t, inverse) ^ 1 << t
     basis = [_combine(_evaluate(1 << s, inverse), echelon) for s in range(cd)]
     pivots = [_combine(r, echelon_pivots) for r in rows] + echelon_pivots[len(rows):]
-    low = inverse[:6] + [1 << t for t in range(cd, 6)]
-    order = tuple((_odd_word(r), r >> 6) for r in reversed(low))
     gens = []
     for (cond, foot), section_foot in zip(masks, section_feet):
         cf = _evaluate(section_foot, pivots)
@@ -684,7 +661,7 @@ def _plan(dim: int, masks: tuple, translations=None, functionals=None) -> _Strat
             raise AssertionError("generator footprint leaves the stratum")
         gens.append((_evaluate(cond, basis), _evaluate(foot, k_pivots) << cd | cf, 0))
     return _StratumJob(tuple(gens), tuple(cond for cond, _ in masks), tuple(pivots),
-                       tuple(basis), 0, translations, k_pivots, tuple(functionals), order)
+                       tuple(basis), 0, translations, k_pivots, tuple(functionals))
 
 
 def _stratum_job(plan: _StratumJob, height_bits: int) -> _StratumJob:
@@ -785,8 +762,8 @@ def _search(job: _StratumJob) -> np.ndarray:
     Row 0 is the visited map, row 1 is reached, the component a flood is
     lifting, and row 2 + j is potential plane j (see _close).  K = 0 is
     the case of no planes.  Bit p of word w stands for compact state w <<
-    6 | p: word order is state order, and inside a word the job's
-    in-word order gives the order of the states (_least_in_word).  The
+    6 | p: word order is state order, and inside a word the states are
+    compared through the job's compact basis (_least_in_word).  The
     maps hold states only: the bits past the last state of a map under
     64 states stay clear.
 
@@ -801,32 +778,34 @@ def _search(job: _StratumJob) -> np.ndarray:
                     dtype=np.uint64)
 
 
-def _least_bit(row: np.ndarray, start: int, fill, order: _InWordOrder) -> Optional[int]:
-    """The compact state of the least state, under the in-word order
-    (see _least_in_word), where the bitset row differs from fill (0 or
-    _ONES) in the first word at or after word start >> 6 that differs at
-    all, or None.  The words are compared a tile of _TILE_WORDS at a
-    time, so a scan allocates one bool per word of a tile at most,
-    however large the map."""
+def _least_bit(row: np.ndarray, start: int, fill, job: _StratumJob) -> Optional[int]:
+    """The compact state of the least state, compared through the job's
+    compact basis (_least_in_word), where the bitset row differs from
+    fill (0 or _ONES) in the first word at or after word start >> 6 that
+    differs at all, or None; a position of at least 2^compact_dim where
+    that word differs at no state.  The words are compared a tile of
+    _TILE_WORDS at a time, so a scan allocates one bool per word of a
+    tile at most, however large the map."""
     for at in range(start >> 6, row.size, _TILE_WORDS):
         differs = row[at:at + _TILE_WORDS] != fill
         w = int(differs.argmax())
         if differs[w]:
             w += at
-            return w << 6 | _least_in_word(int(row[w] ^ fill), w, order)
+            return w << 6 | _least_in_word(int(row[w] ^ fill), w, job)
     return None
 
 
-def _least_state(states: np.ndarray, order: _InWordOrder, low: int) -> int:
-    """The compact state of the least state, under the in-word order, of
-    low and the compact states of an array: the least word holds it."""
+def _least_state(states: np.ndarray, job: _StratumJob, low: int) -> int:
+    """The compact state of the least state of low and the compact
+    states of an array: the least word holds it, and inside that word
+    the states are compared through the job's compact basis."""
     w = int(states.min()) >> 6
     if w > low >> 6:
         return low
     v = int(np.bitwise_or.reduce(np.uint64(1) << (states[states >> 6 == w] & 63)))
     if w == low >> 6:
         v |= 1 << (low & 63)
-    return w << 6 | _least_in_word(v, w, order)
+    return w << 6 | _least_in_word(v, w, job)
 
 
 def _component(job: _StratumJob, seed: int, maps: np.ndarray,
@@ -836,10 +815,10 @@ def _component(job: _StratumJob, seed: int, maps: np.ndarray,
     every, only the orbit that holds the seed's state.
 
     Once the cycle voltages span K, one orbit lies over the base orbit:
-    its representative is the section of the least state reached (in
-    state order, see _least_in_word) and its size is |O'| * 2^dim K.
-    Otherwise the lift reads the base orbit and its potentials from maps
-    and then clears reached.
+    its representative is the section of the least state reached (read
+    through the compact basis, see _least_in_word) and its size is
+    |O'| * 2^dim K.  Otherwise the lift reads the base orbit and its
+    potentials from maps and then clears reached.
     """
     low, size, span = _flood(job, seed, maps)
     if span.full:
@@ -852,24 +831,25 @@ def _component(job: _StratumJob, seed: int, maps: np.ndarray,
 def _run_stratum_job(job: _StratumJob) -> list[tuple[int, int]]:
     """Every orbit over the job's stratum, as (representative, size).
 
-    Seeds are scanned in ascending state order, word by word and through
-    the in-word order inside a word, up to 2^compact_dim, with potential
-    0.  The seed is the minimum of its base orbit, because every smaller
-    state is already visited, so where one orbit lies over the base
-    orbit (S = K, always when K = 0) the flood's explicit minimum
-    confirms it.  The scan after a flood starts at the seed's own word:
+    Seeds are scanned in ascending state order, word by word and, inside
+    a word, through the compact basis, with potential 0; the scan ends
+    at a position of at least 2^compact_dim, past the last state of a
+    map under 64 states.  The seed is the minimum of its base orbit,
+    because every smaller state is already visited, so where one orbit
+    lies over the base orbit (S = K, always when K = 0) the flood's
+    explicit minimum confirms it.  The scan after a flood starts at the seed's own word:
     its other states may come later in state order than the seed,
     wherever their bits lie.
     """
     maps = _search(job)
     rows = []
-    seed = _least_bit(maps[0], 0, _ONES, job.order)
+    seed = _least_bit(maps[0], 0, _ONES, job)
     while seed is not None and seed < 1 << job.compact_dim:
         orbits = _component(job, seed, maps)
         if len(orbits) == 1 and orbits[0][0] != job.offset ^ _combine(seed, job.basis):
             raise AssertionError("ascending seed scan lost the orbit minimum")
         rows.extend(orbits)
-        seed = _least_bit(maps[0], seed, _ONES, job.order)
+        seed = _least_bit(maps[0], seed, _ONES, job)
     return rows
 
 
@@ -1013,16 +993,16 @@ def _closure(spec, seeds) -> np.ndarray:
     The seeds are flooded on the bitset map of the plan of the whole
     space, through no translations and no functionals, which is its one
     job: each span is full from the start and nothing is lifted, and a
-    seed's search word is its compact state.  Its compact coordinates are
-    the states themselves in the identity in-word order, which _members
-    reads: the footprints are unit vectors, for which _inword_rows keeps
-    every row b_t = 1 << t.  Any other order raises AssertionError.  The
-    guard runs before any mask is built.
+    seed's search word is its compact state.  Its compact basis is the
+    standard basis, so compact states are the states themselves, which
+    _members reads: the footprints are unit vectors, for which
+    _inword_rows keeps every row b_t = 1 << t.  Any other basis raises
+    AssertionError.  The guard runs before any mask is built.
     """
     dim, masks, _, _, _, _ = _family(spec)
     job = _plan(dim, masks, (), ())
-    if job.order != _IDENTITY:
-        raise AssertionError("the closure's search reorders the states inside a word")
+    if job.basis != tuple(1 << s for s in range(dim)):
+        raise AssertionError("the closure's compact states are not its states")
     maps = _search(job)
     visited = maps[0]
     for seed in seeds:

@@ -123,43 +123,72 @@ def test_p_foot_allocates_less_than_an_eighth_of_a_tile(foot):
     assert peak < stack[0].nbytes // 8
 
 
-def least_bit_reference(row, start: int, fill):
-    """The least bit b >= 64 (start >> 6) where row differs from fill, bit
-    by bit, or None."""
-    for b in range(start >> 6 << 6, 64 * row.size):
-        if (int(row[b >> 6]) >> (b & 63) & 1) != (fill != 0):
-            return b
+def whole_space_job(dim: int):
+    """The job of a search of F2^dim by no generators: its compact basis
+    is the standard basis, so compact states are states."""
+    return orbits._plan(dim, (), (), ())
+
+
+# jobs whose compact bases order the states inside a word differently:
+# the standard basis, first n=5 at height 0, whose in-word rows are not
+# the identity, and a map of 8 states, under one word
+LEAST_BIT_JOBS = {"standard": whole_space_job(10),
+                  "first-5": orbits._plan(*orbits._family(ActionSpec(5, ActionKind.FIRST))[:2]),
+                  "dim-3": whole_space_job(3)}
+
+
+def least_bit_reference(row, start: int, fill, job):
+    """The compact state z with the least _combine(z, job.basis), bit by
+    bit, among the states where row differs from fill in the first word
+    at or after word start >> 6 that differs at all; 2^compact_dim where
+    that word differs at no state, and None where no word differs."""
+    for w in range(start >> 6, row.size):
+        differs = [w << 6 | p for p in range(64) if (int(row[w]) >> p & 1) != (fill != 0)]
+        if differs:
+            return min((z for z in differs if z < 1 << job.compact_dim),
+                       key=lambda z: _combine(z, job.basis), default=1 << job.compact_dim)
     return None
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(min_value=1, max_value=12).flatmap(lambda words: st.tuples(
+@given(st.sampled_from(list(LEAST_BIT_JOBS.values())),
+       st.integers(min_value=1, max_value=12).flatmap(lambda words: st.tuples(
            st.just(words),
            st.sets(st.integers(min_value=0, max_value=64 * words - 1), max_size=8),
            st.integers(min_value=0, max_value=64 * words + 63))),
        st.sampled_from([0, orbits._ONES]), st.sampled_from([1, 2, 4]))
-@example((3, set(), 5), orbits._ONES, 1)
-@example((3, {70, 130}, 71), 0, 2)
-def test_least_bit_matches_a_bit_by_bit_scan(case, fill, tile):
-    # rows that differ from fill at a few bits, scanned from a start
-    # inside a word or past the row, on tiles of 1, 2 and 4 words
+@example(LEAST_BIT_JOBS["standard"], (3, set(), 5), orbits._ONES, 1)
+@example(LEAST_BIT_JOBS["standard"], (3, {70, 130}, 71), 0, 2)
+@example(LEAST_BIT_JOBS["first-5"], (4, {3, 5, 6, 9, 200}, 0), 0, 2)
+# the map of the dim-3 job fully visited: no unvisited bit is a state
+@example(LEAST_BIT_JOBS["dim-3"], (1, set(range(8)), 0), orbits._ONES, 1)
+def test_least_bit_matches_a_bit_by_bit_scan(job, case, fill, tile):
+    # rows of the job's map that differ from fill at a few bits, scanned
+    # from a start inside a word or past the row, on tiles of 1, 2 and 4
+    # words; a position past the last state stands for every such
+    # position
     words, states, start = case
-    row = bitset(np.array(sorted(states), dtype=np.uint32), words) ^ fill
+    words = min(words, words_for(job.compact_dim))
+    states = sorted(z for z in states if z < 64 * words)
+    row = bitset(np.array(states, dtype=np.uint32), words) ^ fill
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(orbits, "_TILE_WORDS", tile)
-        assert orbits._least_bit(row, start, fill, orbits._IDENTITY) == \
-            least_bit_reference(row, start, fill)
+        least = orbits._least_bit(row, start, fill, job)
+    if least is not None:
+        least = min(least, 1 << job.compact_dim)
+    assert least == least_bit_reference(row, start, fill, job)
 
 
 def test_seed_scan_allocates_less_than_a_tile():
     # a 2^18-word map visited but for one state in its last word: the scan
     # compares a tile of words at a time, where one bool per word of the
     # map would take 256 KiB
+    job = whole_space_job(24)
     visited = np.full(1 << 18, orbits._ONES)
     visited[-1] ^= np.uint64(1) << np.uint64(40)
     tracemalloc.start()
     try:
-        seed = orbits._least_bit(visited, 0, orbits._ONES, orbits._IDENTITY)
+        seed = orbits._least_bit(visited, 0, orbits._ONES, job)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -216,25 +216,56 @@ class TestGraph:
         assert out == "" and err.startswith("error: ") and "nope" in err
 
 
+SUBCOMMANDS = [
+    ["census", "--action", "first", "--n", "3"],
+    ["verify", "--action", "first", "--n", "3"],
+    ["graph", "--input", "hex4.graph"],
+    ["patterns", "--n", "5"],
+    ["arf", "--n", "5"],
+]
+
+
 class TestUnwritableOut:
     """An --out that cannot be written is a usage error, as an unreadable
-    --input is: one line on stderr, exit 2, nothing on stdout."""
+    --input is: one line on stderr, exit 2, nothing on stdout.  It is
+    refused before any work starts: every engine, verify and pattern
+    entry point the subcommands call fails the test if called."""
 
-    @pytest.mark.parametrize("command", [
-        ["census", "--action", "first", "--n", "3"],
-        ["verify", "--action", "first", "--n", "3"],
-        ["graph", "--input", "hex4.graph"],
-        ["patterns", "--n", "5"],
-        ["arf", "--n", "5"],
-    ], ids=lambda command: command[0])
-    def test_missing_directory_exit_2(self, capsys, tmp_path, command):
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def called(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        for name in ("enumerate_orbits", "enumerate_stratum", "verify", "parse_graph_file",
+                     "pattern_E", "build", "hex_lattice_graph"):
+            monkeypatch.setattr(cli, name, called)
+
+    def argv(self, tmp_path, command):
         write_hex_graph_file(tmp_path / "hex4.graph", 4)
-        argv = [str(tmp_path / a) if a.endswith(".graph") else a for a in command]
+        return [str(tmp_path / a) if a.endswith(".graph") else a for a in command]
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS, ids=lambda command: command[0])
+    def test_missing_directory_exit_2(self, capsys, tmp_path, command):
+        argv = self.argv(tmp_path, command)
         target = tmp_path / "missing" / "x.out"
         code, out, err = run(capsys, *argv, "--out", str(target))
         assert code == 2
         assert out == "" and err.startswith("error: ") and str(target) in err
         assert not target.parent.exists()
+
+    @pytest.mark.parametrize("target", ["directory", "under-a-file"])
+    @pytest.mark.parametrize("command", SUBCOMMANDS, ids=lambda command: command[0])
+    def test_refused_before_any_work(self, capsys, tmp_path, command, target):
+        argv = self.argv(tmp_path, command)
+        (tmp_path / "directory").mkdir()
+        (tmp_path / "under-a-file").write_text("kept\n")
+        before = sorted(p.name for p in tmp_path.rglob("*"))
+        path = tmp_path / target if target == "directory" else tmp_path / target / "x.out"
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and str(path) in err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == before
+        assert (tmp_path / "under-a-file").read_text() == "kept\n"
 
 
 class TestPatterns:

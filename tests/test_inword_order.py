@@ -1,11 +1,12 @@
-"""Every minimum of the search under random in-word orders: the in-word
+"""Every minimum of the search under random in-word rows: the in-word
 row chooser is replaced by seeded random unitriangular rows, so that
-nearly every job's compact positions inside a word differ from its state
-order, and each census and query is checked against the union-find
-oracle.  The closure of a graph lattice reads its states in the identity
-order, which its unit-vector footprints always get, and refuses any
-other.  The real row chooser is pinned by the delta swaps it leaves in
-the flagship plans."""
+nearly every job's compact basis orders the states inside a word
+differently from their positions, and each census and query, whose
+minima compare the states of a word through the compact basis, is
+checked against the union-find oracle.  The closure of a graph lattice
+reads its compact states as states, which its unit-vector footprints
+always make them, and refuses any other basis.  The real row chooser is
+pinned by the delta swaps it leaves in the flagship plans."""
 
 import random
 from types import SimpleNamespace
@@ -14,7 +15,7 @@ import pytest
 
 from f2orbits import orbits
 from f2orbits.actions import ActionKind, ActionSpec, generator_masks
-from f2orbits.f2la import _nullspace
+from f2orbits.f2la import _echelon, _nullspace
 from f2orbits.lattice import Graph, build, delta_closure, hex_lattice_graph
 from f2orbits.orbits import enumerate_orbits, orbit_of
 from test_engine_properties import union_find_classes
@@ -41,11 +42,18 @@ LATTICES = random_lattices(40, 12, seed=23, k0=True) + random_lattices(40, 12, s
 ACTIONS = [ActionSpec(n, kind) for kind in ActionKind for n in range(1 if kind.is_first else 2, 5)]
 
 
+def identity_rows(job) -> bool:
+    """Whether the job's in-word rows are the identity: exactly when its
+    compact basis is reduced echelon, since M^-1 is unitriangular and any
+    entry off its diagonal puts a lower pivot bit into a basis vector."""
+    return list(job.basis) == _echelon(job.basis)
+
+
 @pytest.fixture
 def random_rows(monkeypatch):
     """The in-word rows of every plan built in the test are seeded random
     unitriangular rows; yields the jobs built, so that a test can check
-    that their orders are not the identity."""
+    that their rows are not the identity."""
     rng = random.Random(2024)
 
     def rows(feet, compact_dim):
@@ -91,9 +99,9 @@ def test_lattice_censuses_and_queries(random_rows):
     for spec in LATTICES:
         check_census_and_queries(spec, rng)
     assert max(spec.state_dim for spec in LATTICES) == 12
-    # most jobs have compact dims of 2 or more, so most orders differ from
+    # most jobs have compact dims of 2 or more, so most rows differ from
     # the identity
-    assert sum(job.order != orbits._IDENTITY for job in random_rows) > len(random_rows) // 2
+    assert sum(not identity_rows(job) for job in random_rows) > len(random_rows) // 2
 
 
 def test_unlifted_censuses(random_rows):
@@ -122,20 +130,21 @@ def test_lattice_closures_read_the_identity_order(monkeypatch):
         closure = delta_closure(spec)
         assert closure.vectors.tolist() == expected
         assert closure.single_orbit is (len(owners) == 1)
-    # one plan per closure, each in the identity order: its footprints are
-    # unit vectors, which no in-word change moves fewer bits of
+    # one plan per closure, each with the standard basis, so that the
+    # positions inside a word are in state order: its footprints are unit
+    # vectors, which no in-word change moves fewer bits of
     assert len(plans) == len(LATTICES)
-    assert all(p.order == orbits._IDENTITY for p in plans)
+    assert all(p.basis == tuple(1 << s for s in range(p.compact_dim)) for p in plans)
 
 
 def test_lattice_closures_refuse_other_orders(random_rows):
-    # _members reads the closure's map in the identity order, so a search
-    # of the whole space in any other order is refused, not misread; from
-    # 6 vertices up the random rows are not all the identity
+    # _members reads the closure's compact states as states, so a search
+    # of the whole space with any other compact basis is refused, not
+    # misread; from 6 vertices up the random rows are not all the identity
     wide = [spec for spec in LATTICES if spec.state_dim >= 6]
     assert len(wide) > len(LATTICES) // 2
     for spec in wide:
-        with pytest.raises(AssertionError, match="reorders the states"):
+        with pytest.raises(AssertionError, match="compact states are not its states"):
             delta_closure(spec)
 
 
@@ -146,7 +155,7 @@ def test_actions(spec, random_rows):
 
 # the delta swaps left by the real row chooser's plans: one per bit below
 # 6 of each compact footprint.  The second conjugate and the hex lattices
-# keep the identity in-word order; a greedy that runs in one order only
+# keep the identity in-word rows; a greedy that runs in one order only
 # leaves 18 at first-7 and second-8
 DELTA_SWAPS = {"first-5": 14, "first-6": 16, "first-7": 12, "first-conj-7": 12,
                "second-6": 16, "second-7": 12, "second-8": 12,
@@ -166,4 +175,4 @@ def test_inword_rows_keep_their_delta_swaps(key):
     plan = orbits._plan(spec.state_dim, tuple(masks))
     zmask = (1 << plan.compact_dim) - 1
     assert sum(((fw & zmask) & 63).bit_count() for _, fw, _ in plan.gens) == DELTA_SWAPS[key]
-    assert (plan.order == orbits._IDENTITY) is (name in ("second-conj", "hex"))
+    assert identity_rows(plan) is (name in ("second-conj", "hex"))
