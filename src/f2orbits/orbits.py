@@ -4,20 +4,22 @@ States are packed ints; every generator is a parity-conditioned XOR
 (condition mask, footprint mask, constant bit), which makes the orbit
 partition the connected components of an implicit undirected graph.
 Every search floods one component at a time on bitsets, one bit per
-compact state: a visited map, the component being lifted (reached), and
-one potential bit-plane per dimension of K (below).  While its frontier
-is small a flood runs BFS levels, vectorized with numpy over the whole
-frontier per generator, that gather their moved states and mark them in
-the visited bitset alone; involutivity of the generators keeps each
-expansion batch duplicate-free, so no sorting is ever needed.  Once the
-frontier holds a quarter as many states as the map has words, or once a
-lifted flood's frontier empties, the flood finishes as a closure (after
+compact state: a visited map and, when K (below) is not 0, the
+component being lifted (reached) and one potential bit-plane per
+dimension of K.  While its frontier is small a flood runs BFS levels,
+vectorized with numpy over the whole frontier per generator, that
+gather their moved states and mark them in the visited bitset alone;
+involutivity of the generators keeps each expansion batch
+duplicate-free, so no sorting is ever needed.  Once the frontier holds
+a quarter as many states as the map has words, or once a lifted
+flood's frontier empties, the flood finishes as a closure (after
 direction-optimizing BFS): from the frontier and the seed, reached and
-the planes are swept in place together, generator after generator, with
-word-wide bit operations over the whole stratum, one cache-sized tile of
-_TILE_WORDS words after another, until a sweep adds no state (the tile
-steps that add none collect the cycles, below) or, once the cycles span
-K, the component fills what the map has left unvisited.
+the planes (or, with no planes, visited itself) are swept in place
+together, generator after generator, with word-wide bit operations over
+the whole stratum, one cache-sized tile of _TILE_WORDS words after
+another, until a sweep adds no state (the tile steps that add none
+collect the cycles, below) or, once the cycles span K, the component
+fills what the map has left unvisited.
 
 The search runs on a quotient.  K, the common null space of the
 condition masks, acts by translations that commute with every
@@ -56,8 +58,11 @@ and the planes.  Once S = K there is one orbit over O', represented by
 the section of the least state of O', and the flood drops the planes
 and reached.  K = 0 (the second action) is the case of no planes, with
 S = K from the start: the words are compact states, and the seed scan,
-ascending in state order, meets each orbit at its minimum.  Heights are
-read off the representatives.
+ascending in state order, meets each orbit at its minimum.  It needs no
+reached map either: every earlier component on visited is closed under
+the generators, so a closure sweeps visited itself, one bitset per job,
+and the scan checks that the least state a flood added to its seed's
+word is the seed.  Heights are read off the representatives.
 
 Every query runs this one search: a census runs every stratum job of
 V/K, a height stratum the one job that holds it (filtered by height),
@@ -322,9 +327,16 @@ def _scatter(stack: np.ndarray, words: np.ndarray, shift: int) -> None:
 def _flood(job: _StratumJob, seed: int, maps: np.ndarray) -> tuple[int, int, _Span]:
     """Flood the component of the search word seed = pot << compact_dim | z
     on the job's maps (see _search) and mark it visited; returns (low,
-    size, span): the compact state of its least state (compared through
-    the compact basis, see _least_in_word), its size and the span S of
-    its cycle voltages in K.
+    size, span): a compact state of the component (below), its size and
+    the span S of its cycle voltages in K.
+
+    With planes low is the component's least state, compared through the
+    compact basis (see _least_in_word), read off reached.  Without planes
+    the flood runs on visited alone, which also holds the components
+    flooded before it, so low is the least state that it added to the
+    seed's word: the component's least state wherever the seed's word
+    holds it, as in a census, whose ascending seed scan leaves every
+    earlier word full, and whenever the seed is the least state.
 
     Small frontiers take sparse BFS levels that mark visited alone: each
     generator's moved words, potentials above states, are gathered from
@@ -337,14 +349,17 @@ def _flood(job: _StratumJob, seed: int, maps: np.ndarray) -> tuple[int, int, _Sp
     as a closure (_close); a lifted flood (span not full) ends in one
     from its last nonempty frontier when the frontier empties first.  On
     return reached holds the component while span is not full, for
-    _lift, and is empty otherwise.
+    _lift, and is empty otherwise (or absent, without planes).
     """
     span = _Span(len(job.translations))
     zmask = (1 << job.compact_dim) - 1
     visited = maps[0]
-    frontier = np.array([seed], dtype=np.uint32)
-    low, size = seed & zmask, 1
-    visited[low >> 6] |= np.uint64(1) << np.uint64(low & 63)
+    w = (seed & zmask) >> 6
+    # the seed's word before this flood, for what the flood adds there
+    before = int(visited[w])
+    grown = frontier = np.array([seed], dtype=np.uint32)
+    size = 1
+    visited[w] |= np.uint64(1) << np.uint64(seed & zmask & 63)
     while not _dense(frontier.size, visited.size):
         parts = [np.empty(0, dtype=np.uint32)]
         for cond, foot, const in job.gens:
@@ -373,27 +388,32 @@ def _flood(job: _StratumJob, seed: int, maps: np.ndarray) -> tuple[int, int, _Sp
             parts.append(moved.take(new))
         grown = np.concatenate(parts)
         if not grown.size:
-            if span.full:
-                return low, size, span
             break
         frontier = grown
-        low = _least_state(frontier & zmask, job, low)
         size += frontier.size
-    return (*_close(job, seed, frontier, size, maps, span), span)
+    if grown.size or not span.full:
+        low, size = _close(job, seed, frontier, size, maps, span)
+    if not span.dim:
+        low = w << 6 | _least_in_word(int(visited[w]) & ~before, w, job)
+    return low, size, span
 
 
 def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: np.ndarray,
-           span: _Span) -> tuple[int, int]:
+           span: _Span) -> tuple[Optional[int], int]:
     """The closure phase of _flood on the job's maps, from its seed and
     frontier words once it has marked size states; marks the component,
-    feeds its cycle voltages to span, returns (low, size).
+    feeds its cycle voltages to span, returns (low, size) (below).
 
     The closure runs on a stack of bitsets, reached and below it the
-    potential planes (none when K = 0); every job starts it with
-    _scatter of the words.  A growth sweep moves the whole stack by one
-    generator after another, P_foot(stack & odd), where P_foot maps the
-    generator's odd set to itself because cond . foot is even.  The
-    fresh states P_foot(reached & odd) & ~reached take the moved planes,
+    potential planes, started by _scatter of the words.  Without planes
+    (K = 0) the stack is visited alone, where the sparse levels have
+    marked the words: P_foot(visited & odd) can only grow the current
+    component, since every earlier one on visited is closed under the
+    generators, and the returned size is the popcount that visited
+    gained on top of the flood's.  A growth sweep moves the whole stack
+    by one generator after another, P_foot(stack & odd), where P_foot
+    maps the generator's odd set to itself because cond . foot is even.
+    The fresh states P_foot(reached & odd) & ~reached take the moved planes,
     flipped at the generator's voltage bits; reached grows after every
     generator, so each state takes its potential from exactly one
     parent.  The sweeps alternate direction, forward, then backward after
@@ -404,8 +424,8 @@ def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: n
     nonempty part of a component is the whole component, in any sweep
     order, and it holds nothing else: the sweeps rediscover the sparse
     levels from both their ends (the seed spares the sweep that its
-    neighbourhood would cost), and visited is only ORed with reached at
-    the end.
+    neighbourhood would cost), and with planes visited is only ORed with
+    reached at the end.
 
     Each step runs tile by tile, over slices of _TILE_WORDS words (the
     whole map when it is smaller), so that a tile's source, odd set and
@@ -434,25 +454,33 @@ def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: n
     one that collects the cycles.  For the same reason only a full span
     lets a step skip its tiles of reached that are full: a read-only
     check after each tile's OR sets the tile's flag once S = K, and no
-    later step of the closure moves anything into that tile.
+    later step of the closure moves anything into that tile.  Without
+    planes those are tiles of visited, which earlier components fill too.
 
     The two scratch stacks, the odd set and its complement are
     tile-sized and allocated once.  A step writes its source into src,
     and _p_foot moves it within src and other and returns the one that
     holds the moved stack; the other one is scratch for the fresh
-    states, the cycles and the popcounts.  The least reached state is
-    found tile by tile, inside its word through the compact basis
-    (_least_bit), so a closure allocates nothing that grows with the
-    map.  A map of one tile keeps the odd set in other[0], which _p_foot
-    then overwrites, and needs no complement.
+    states, the cycles and the popcounts.  With planes the least reached
+    state, returned as low, is found tile by tile, inside its word
+    through the compact basis (_least_bit), so a closure allocates
+    nothing that grows with the map; without planes low is None, since
+    visited holds other components too (_flood reads it instead).  A
+    map of one tile keeps the odd set in other[0], which _p_foot then
+    overwrites, and needs no complement.
     """
     shift = job.compact_dim
-    visited, stack, reached = maps[0], maps[1:], maps[1]
-    for words in (np.array([seed], dtype=np.uint32), frontier):
-        _scatter(stack, words, shift)
+    visited = maps[0]
+    # without planes reached is visited itself, which the sparse levels
+    # have marked
+    stack = maps[1:] if span.dim else maps
+    reached = stack[0]
+    if span.dim:
+        for words in (np.array([seed], dtype=np.uint32), frontier):
+            _scatter(stack, words, shift)
     width = min(_TILE_WORDS, visited.size)
-    # tiled[r, u] is tile u of maps[r]: a view, and no object per tile
-    tiled = maps.reshape(len(maps), -1, width)
+    # tiled[r, u] is tile u of stack[r]: a view, and no object per tile
+    tiled = stack.reshape(len(stack), -1, width)
     tiles = tiled.shape[1]
     src, other = np.empty((2, len(stack), width), dtype=np.uint64)
     # the odd set of tile 0 and, on more tiles, its complement
@@ -462,14 +490,16 @@ def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: n
     steps = [(c, f & zmask, b, [j for j in range(span.dim) if f >> shift + j & 1],
               _word_move(f & zmask, width)) for c, f, b in job.gens]
 
-    def popcount(row: int) -> int:
+    def popcount(row: np.ndarray) -> int:
         total = 0
-        for tile in tiled[row]:
+        for tile in row.reshape(-1, width):
             total += int(np.bitwise_count(tile, out=src[0]).sum())
         return total
 
-    outside = popcount(0) - size
-    count = popcount(1)
+    # the states visited before this flood, which reached counts too
+    # without planes
+    outside = popcount(visited) - size if span.dim else 0
+    count = start = popcount(reached)
     # full[u]: tile u of reached is full, set only once S = K
     full = [False] * tiles
     while count + outside < 1 << shift or not span.full:
@@ -484,14 +514,14 @@ def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: n
                     continue
                 s = u ^ foot >> 6 + tb
                 odd = odds[_parity(s & cond >> 6 + tb)]
-                np.bitwise_and(tiled[1, s], odd, out=src[0])
+                np.bitwise_and(tiled[0, s], odd, out=src[0])
                 if span.dim:
                     # a tile with no odd state in reached moves nothing:
                     # one row of work for dim K + 1 (without planes this
                     # check costs more than it saves)
                     if not src[0].any():
                         continue
-                    np.bitwise_and(tiled[2:, s], odd, out=src[1:])
+                    np.bitwise_and(tiled[1:, s], odd, out=src[1:])
                 moved = _p_foot(src, other, move)
                 if span.dim:
                     spare = other if moved is src else src
@@ -499,24 +529,27 @@ def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: n
                     # voltage at every x with gx in reached
                     for j in volts:
                         np.invert(moved[1 + j], out=moved[1 + j])
-                    fresh = np.invert(tiled[1, u], out=spare[0])
+                    fresh = np.invert(tiled[0, u], out=spare[0])
                     fresh &= moved[0]
                     if fresh.any():
                         moved[1:] &= fresh
-                        tiled[2:, u] |= moved[1:]
+                        tiled[1:, u] |= moved[1:]
                     elif not span.full:
                         cycles = moved[1:]
-                        cycles ^= tiled[2:, u]
+                        cycles ^= tiled[1:, u]
                         cycles &= moved[0]
                         span.absorb_planes(cycles, spare[0])
-                tiled[1, u] |= moved[0]
+                tiled[0, u] |= moved[0]
                 if span.full:
-                    full[u] = bool(tiled[1, u].min() == _ONES)
-        grown = popcount(1)
+                    full[u] = bool(tiled[0, u].min() == _ONES)
+        grown = popcount(reached)
         if grown == count:
             break
         count = grown
         steps.reverse()
+    if not span.dim:
+        # what the closure added to visited, on top of the flood's size
+        return None, size + count - start
     visited |= reached
     low = _least_bit(reached, 0, 0, job)
     if span.full:
@@ -756,15 +789,16 @@ def _lift(job: _StratumJob, stack: np.ndarray, size: int, cycles: list[int],
 
 def _search(job: _StratumJob) -> np.ndarray:
     """The maps for searching the job: one zeroed uint64 array of dim K +
-    2 bitsets over the 2^compact_dim compact states, each of max(1,
-    2^(compact_dim - 6)) words.
+    2 bitsets over the 2^compact_dim compact states, or of 1 when K = 0,
+    each of max(1, 2^(compact_dim - 6)) words.
 
-    Row 0 is the visited map, row 1 is reached, the component a flood is
-    lifting, and row 2 + j is potential plane j (see _close).  K = 0 is
-    the case of no planes.  Bit p of word w stands for compact state w <<
-    6 | p: word order is state order, and inside a word the states are
-    compared through the job's compact basis (_least_in_word).  The
-    maps hold states only: the bits past the last state of a map under
+    Row 0 is the visited map.  With planes row 1 is reached, the
+    component a flood is lifting, and row 2 + j is potential plane j (see
+    _close).  K = 0 is the case of no planes and no reached map: its
+    closures sweep visited itself.  Bit p of word w stands for compact
+    state w << 6 | p: word order is state order, and inside a word the
+    states are compared through the job's compact basis
+    (_least_in_word).  The maps hold states only: the bits past the last state of a map under
     64 states stay clear.
 
     The planes are never cleared between floods.  Their stale bits, at
@@ -774,8 +808,8 @@ def _search(job: _StratumJob) -> np.ndarray:
     planes by its fresh states and the cycles by moved states of
     reached, and _lift reads them only at the members of reached.
     """
-    return np.zeros((len(job.translations) + 2, max(1, 1 << job.compact_dim >> 6)),
-                    dtype=np.uint64)
+    rows = len(job.translations) + 2 if job.translations else 1
+    return np.zeros((rows, max(1, 1 << job.compact_dim >> 6)), dtype=np.uint64)
 
 
 def _least_bit(row: np.ndarray, start: int, fill, job: _StratumJob) -> Optional[int]:
@@ -795,19 +829,6 @@ def _least_bit(row: np.ndarray, start: int, fill, job: _StratumJob) -> Optional[
     return None
 
 
-def _least_state(states: np.ndarray, job: _StratumJob, low: int) -> int:
-    """The compact state of the least state of low and the compact
-    states of an array: the least word holds it, and inside that word
-    the states are compared through the job's compact basis."""
-    w = int(states.min()) >> 6
-    if w > low >> 6:
-        return low
-    v = int(np.bitwise_or.reduce(np.uint64(1) << (states[states >> 6 == w] & 63)))
-    if w == low >> 6:
-        v |= 1 << (low & 63)
-    return w << 6 | _least_in_word(v, w, job)
-
-
 def _component(job: _StratumJob, seed: int, maps: np.ndarray,
                every: bool = True) -> list[tuple[int, int]]:
     """Flood the base orbit of the search word seed on the job's maps and
@@ -815,10 +836,11 @@ def _component(job: _StratumJob, seed: int, maps: np.ndarray,
     every, only the orbit that holds the seed's state.
 
     Once the cycle voltages span K, one orbit lies over the base orbit:
-    its representative is the section of the least state reached (read
-    through the compact basis, see _least_in_word) and its size is
-    |O'| * 2^dim K.  Otherwise the lift reads the base orbit and its
-    potentials from maps and then clears reached.
+    its representative is the section of the flood's low (its least
+    state, read through the compact basis; without planes, its least in
+    the seed's word, see _flood) and its size is |O'| * 2^dim K.
+    Otherwise the lift reads the base orbit and its potentials from maps
+    and then clears reached.
     """
     low, size, span = _flood(job, seed, maps)
     if span.full:
@@ -837,9 +859,12 @@ def _run_stratum_job(job: _StratumJob) -> list[tuple[int, int]]:
     map under 64 states.  The seed is the minimum of its base orbit,
     because every smaller state is already visited, so where one orbit
     lies over the base orbit (S = K, always when K = 0) the flood's
-    explicit minimum confirms it.  The scan after a flood starts at the seed's own word:
-    its other states may come later in state order than the seed,
-    wherever their bits lie.
+    minimum confirms it: with planes the least state of reached, and
+    without, the least state that the flood added to the seed's word,
+    which is the least of the orbit because every earlier word is full.
+    The scan after a flood starts at the seed's own word: its other
+    states may come later in state order than the seed, wherever their
+    bits lie.
     """
     maps = _search(job)
     rows = []
@@ -983,8 +1008,13 @@ def orbit_of(spec, state) -> OrbitRecord:
     # the census's cache key, so that both share one plan
     plan = _plan(dim, masks, None)
     job = _stratum_job(plan, _evaluate(start, plan.functionals))
-    return _records(dim, functionals,
-                    _component(job, _search_word(job, start), _search(job), every=False))[0]
+    maps = _search(job)
+    rows = _component(job, _search_word(job, start), maps, every=False)
+    if not job.translations:
+        # without planes the flood reads its least state in the seed's
+        # word, and the map started empty: its least bit is the orbit's
+        rows = [(job.offset ^ _combine(_least_bit(maps[0], 0, 0, job), job.basis), rows[0][1])]
+    return _records(dim, functionals, rows)[0]
 
 
 def _closure(spec, seeds) -> np.ndarray:
@@ -992,8 +1022,8 @@ def _closure(spec, seeds) -> np.ndarray:
 
     The seeds are flooded on the bitset map of the plan of the whole
     space, through no translations and no functionals, which is its one
-    job: each span is full from the start and nothing is lifted, and a
-    seed's search word is its compact state.  Its compact basis is the
+    job: each span is full from the start, nothing is lifted, the one
+    map is visited, and a seed's search word is its compact state.  Its compact basis is the
     standard basis, so compact states are the states themselves, which
     _members reads: the footprints are unit vectors, for which
     _inword_rows keeps every row b_t = 1 << t.  Any other basis raises

@@ -250,6 +250,22 @@ def test_k0_lattices_reach_the_largest_dim():
     assert max(spec.state_dim for spec in K0_LATTICES) >= 12
 
 
+# census digests of the K = 0 searches, computed while each of their
+# closures still swept a reached map of its own beside the visited map
+K0_PINNED = json.loads(Path(__file__).with_name("k0_census_sha256.json").read_text())[
+    "census_sha256"]
+
+
+def k0_pinned_spec(key: str):
+    name, i = key.rsplit("-", 1)
+    return K0_LATTICES[int(i)] if name == "lattice" else ActionSpec(int(i), ActionKind.SECOND)
+
+
+@pytest.mark.parametrize("key", sorted(K0_PINNED))
+def test_k0_census_bytes_are_pinned(key):
+    assert census_sha256(k0_pinned_spec(key)) == K0_PINNED[key]
+
+
 def height0_job(spec):
     """The job of the height-0 base stratum of a search."""
     dim, masks, _, _, _, _ = orbits._family(spec)
@@ -311,26 +327,41 @@ def all_dense(monkeypatch, p_foot_calls):
 
 
 @pytest.mark.parametrize("job,classes", K0_JOBS, ids=range(len(K0_JOBS)))
-def test_closure_marks_exactly_its_class(job, classes, all_dense):
+def test_closure_marks_exactly_its_class(job, classes, all_dense, monkeypatch):
     assert len(classes) >= 2
     maps = orbits._search(job)
+    # no planes and no reached map: the closure sweeps visited itself
+    assert maps.shape[0] == 1
+    # the states marked on the map alone below before each tile step
+    marks = []
+    p_foot = orbits._p_foot
+    monkeypatch.setattr(orbits, "_p_foot",
+                        lambda *args: marks.append(len(marked(alone[0]))) or p_foot(*args))
     done = set()
     for i, members in enumerate(classes):
+        alone = orbits._search(job)
         all_dense.clear()
         assert flood(job, members[0], maps) == (members[0], len(members))
         shared = len(all_dense)
         done |= set(members)
         assert marked(maps[0]) == done
-        assert not maps[1].any()
         # the same class on an empty map ends on the fixpoint exit
-        alone = orbits._search(job)
         all_dense.clear()
+        marks.clear()
         assert flood(job, members[0], alone) == (members[0], len(members))
         assert marked(alone[0]) == set(members)
         assert len(all_dense) % len(job.gens) == 0
-        # the last class covers the map, which saves the confirming sweep
-        last = i == len(classes) - 1
-        assert shared == (len(all_dense) - len(job.gens) if last else len(all_dense))
+        # the last class covers the map, which saves the confirming sweep;
+        # on a map of one full tile of 64 states or more, no step after
+        # the one that completes the class moves anything, so the rest of
+        # that sweep is saved too
+        if i < len(classes) - 1:
+            assert shared == len(all_dense)
+        elif job.compact_dim < 6:
+            assert shared == len(all_dense) - len(job.gens)
+        else:
+            assert maps.shape[1] <= orbits._TILE_WORDS
+            assert shared == sum(1 for m in marks if m < len(members))
 
 
 def test_closure_allocates_no_map_per_generator(monkeypatch):
@@ -397,6 +428,25 @@ def test_closure_peak_does_not_grow_with_the_map(monkeypatch):
             tracemalloc.stop()
     assert words[1] >= 8 * words[0] > 1 << 11
     assert abs(peaks[1] - peaks[0]) < (1 << 11) * 8
+
+
+def test_k0_stratum_job_holds_one_map():
+    # second n=8 at height 0, a 2 MiB map of 8 tiles: with no planes the
+    # closures sweep the visited map itself, so the job allocates that
+    # map, tile-sized scratch and the sparse levels' arrays, where a
+    # reached map of its own would add a second 2 MiB
+    job = height0_job(ActionSpec(8, ActionKind.SECOND))
+    assert not job.translations
+    nbytes = orbits._search(job)[0].nbytes
+    assert nbytes == 1 << 21
+    tracemalloc.start()
+    try:
+        rows = orbits._run_stratum_job(job)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(size for _, size in rows) == 1 << job.compact_dim
+    assert peak < 2.5 * nbytes
 
 
 def base_job(spec):
@@ -534,7 +584,7 @@ def test_small_lifted_closure_skips_unmoved_generators(spec, p_foot_calls, monke
     assert len(rows) == 1 << k and all(size == 1 for _, size in rows)
 
 
-@pytest.mark.parametrize("spec,steps", [(ActionSpec(6, ActionKind.SECOND), 334),
+@pytest.mark.parametrize("spec,steps", [(ActionSpec(6, ActionKind.SECOND), 329),
                                         (ActionSpec(6, ActionKind.FIRST), 480),
                                         (build(hex_lattice_graph(7)), 105)],
                          ids=["second-6", "first-6", "hex-7"])
