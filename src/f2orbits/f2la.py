@@ -52,7 +52,7 @@ class F2Vector:
         if self.dim < 0:
             raise ValueError(f"dimension must be nonnegative, got {self.dim}")
         if not 0 <= self.bits < (1 << self.dim):
-            raise ValueError(f"bits 0x{self.bits:x} out of range for dim {self.dim}")
+            raise ValueError(f"bits {self.bits:#x} out of range for dim {self.dim}")
 
     @classmethod
     def zeros(cls, dim: int) -> "F2Vector":

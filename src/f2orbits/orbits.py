@@ -32,10 +32,11 @@ in compact coordinates.  Their bits from 6 up, a state's word in the
 bitsets, keep state order, so word order is state order.  The six below
 are a linear change of the echelon coordinates that lets the generators
 move fewer bits inside a word, so inside a word the states are compared
-through the compact basis, the one description of state order.  One stratum search is one _StratumJob.  A search's plan
-(_plan, cached) derives K, the invariants and the compact basis from the
-generator masks once, and is itself the job of the stratum at offset 0;
-every other job is the plan with its own offset and generator constants
+through the compact basis, the one description of state order.  One
+stratum search is one _StratumJob.  A search's plan (_plan, cached)
+derives K, the invariants and the compact basis from the generator
+masks once, and is itself the job of the stratum at offset 0; every
+other job is the plan with its own offset and generator constants
 (_stratum_job).  Strata are independent jobs, which is where
 process-level parallelism comes from.
 
@@ -55,14 +56,20 @@ to 2^(dim K - rank S) orbits of |O'| * 2^rank S states, one per coset
 c of S in K, and the representative of the one over c is the least
 reduce_S(section(y) ^ pot(y) ^ c) over y in O', read back from reached
 and the planes.  Once S = K there is one orbit over O', represented by
-the section of the least state of O', and the flood drops the planes
-and reached.  K = 0 (the second action) is the case of no planes, with
-S = K from the start: the words are compact states, and the seed scan,
-ascending in state order, meets each orbit at its minimum.  It needs no
-reached map either: every earlier component on visited is closed under
-the generators, so a closure sweeps visited itself, one bitset per job,
-and the scan checks that the least state a flood added to its seed's
-word is the seed.  Heights are read off the representatives.
+the section of the least state of O', which needs neither.  K = 0 (the
+second action) is the case of no planes, with S = K from the start:
+the words are compact states.  It needs no reached map either: every
+earlier component on visited is closed under the generators, so a
+closure sweeps visited itself, one bitset per job.
+
+A flood only marks its component and returns its size and span; the
+caller reads the least state it needs, since only the caller knows
+what visited held before.  Short of S = K the caller lifts.  Once S =
+K, a census's seed scan, ascending in state order, meets each base
+orbit at its minimum, with every earlier word full, and checks that
+the least state a flood added to its seed's word is the seed;
+orbit_of, whose map starts empty, reads the least visited state.
+Heights are read off the representatives.
 
 Every query runs this one search: a census runs every stratum job of
 V/K, a height stratum the one job that holds it (filtered by height),
@@ -324,19 +331,12 @@ def _scatter(stack: np.ndarray, words: np.ndarray, shift: int) -> None:
         np.bitwise_or.at(plane, word[on], bit[on])
 
 
-def _flood(job: _StratumJob, seed: int, maps: np.ndarray) -> tuple[int, int, _Span]:
+def _flood(job: _StratumJob, seed: int, maps: np.ndarray) -> tuple[int, _Span]:
     """Flood the component of the search word seed = pot << compact_dim | z
-    on the job's maps (see _search) and mark it visited; returns (low,
-    size, span): a compact state of the component (below), its size and
-    the span S of its cycle voltages in K.
-
-    With planes low is the component's least state, compared through the
-    compact basis (see _least_in_word), read off reached.  Without planes
-    the flood runs on visited alone, which also holds the components
-    flooded before it, so low is the least state that it added to the
-    seed's word: the component's least state wherever the seed's word
-    holds it, as in a census, whose ascending seed scan leaves every
-    earlier word full, and whenever the seed is the least state.
+    on the job's maps (see _search) and mark it visited; returns (size,
+    span): the component's size and the span S of its cycle voltages in
+    K.  Which state is its least is for the caller to read off the maps,
+    since only the caller knows what visited held before the flood.
 
     Small frontiers take sparse BFS levels that mark visited alone: each
     generator's moved words, potentials above states, are gathered from
@@ -348,18 +348,15 @@ def _flood(job: _StratumJob, seed: int, maps: np.ndarray) -> tuple[int, int, _Sp
     "Direction-optimizing breadth-first search", SC 2012), the flood ends
     as a closure (_close); a lifted flood (span not full) ends in one
     from its last nonempty frontier when the frontier empties first.  On
-    return reached holds the component while span is not full, for
-    _lift, and is empty otherwise (or absent, without planes).
+    return reached, where there are planes, holds the component, for
+    _lift.
     """
     span = _Span(len(job.translations))
     zmask = (1 << job.compact_dim) - 1
     visited = maps[0]
-    w = (seed & zmask) >> 6
-    # the seed's word before this flood, for what the flood adds there
-    before = int(visited[w])
     grown = frontier = np.array([seed], dtype=np.uint32)
     size = 1
-    visited[w] |= np.uint64(1) << np.uint64(seed & zmask & 63)
+    visited[(seed & zmask) >> 6] |= np.uint64(1) << np.uint64(seed & zmask & 63)
     while not _dense(frontier.size, visited.size):
         parts = [np.empty(0, dtype=np.uint32)]
         for cond, foot, const in job.gens:
@@ -392,22 +389,22 @@ def _flood(job: _StratumJob, seed: int, maps: np.ndarray) -> tuple[int, int, _Sp
         frontier = grown
         size += frontier.size
     if grown.size or not span.full:
-        low, size = _close(job, seed, frontier, size, maps, span)
-    if not span.dim:
-        low = w << 6 | _least_in_word(int(visited[w]) & ~before, w, job)
-    return low, size, span
+        size = _close(job, seed, frontier, size, maps, span)
+    return size, span
 
 
 def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: np.ndarray,
-           span: _Span) -> tuple[Optional[int], int]:
+           span: _Span) -> int:
     """The closure phase of _flood on the job's maps, from its seed and
     frontier words once it has marked size states; marks the component,
-    feeds its cycle voltages to span, returns (low, size) (below).
+    feeds its cycle voltages to span and returns the component's size.
 
     The closure runs on a stack of bitsets, reached and below it the
-    potential planes, started by _scatter of the words.  Without planes
-    (K = 0) the stack is visited alone, where the sparse levels have
-    marked the words: P_foot(visited & odd) can only grow the current
+    potential planes: reached is cleared of the previous component and
+    the words are marked by _scatter, so on return reached holds this
+    component, and visited is ORed with it.  Without planes (K = 0) the
+    stack is visited alone, where the sparse levels have marked the
+    words: P_foot(visited & odd) can only grow the current
     component, since every earlier one on visited is closed under the
     generators, and the returned size is the popcount that visited
     gained on top of the flood's.  A growth sweep moves the whole stack
@@ -461,13 +458,9 @@ def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: n
     tile-sized and allocated once.  A step writes its source into src,
     and _p_foot moves it within src and other and returns the one that
     holds the moved stack; the other one is scratch for the fresh
-    states, the cycles and the popcounts.  With planes the least reached
-    state, returned as low, is found tile by tile, inside its word
-    through the compact basis (_least_bit), so a closure allocates
-    nothing that grows with the map; without planes low is None, since
-    visited holds other components too (_flood reads it instead).  A
-    map of one tile keeps the odd set in other[0], which _p_foot then
-    overwrites, and needs no complement.
+    states, the cycles and the popcounts, so a closure allocates nothing
+    that grows with the map.  A map of one tile keeps the odd set in
+    other[0], which _p_foot then overwrites, and needs no complement.
     """
     shift = job.compact_dim
     visited = maps[0]
@@ -476,6 +469,7 @@ def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: n
     stack = maps[1:] if span.dim else maps
     reached = stack[0]
     if span.dim:
+        reached.fill(0)
         for words in (np.array([seed], dtype=np.uint32), frontier):
             _scatter(stack, words, shift)
     width = min(_TILE_WORDS, visited.size)
@@ -549,12 +543,9 @@ def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: n
         steps.reverse()
     if not span.dim:
         # what the closure added to visited, on top of the flood's size
-        return None, size + count - start
+        return size + count - start
     visited |= reached
-    low = _least_bit(reached, 0, 0, job)
-    if span.full:
-        reached.fill(0)
-    return low, count
+    return count
 
 
 @dataclass(frozen=True)
@@ -793,13 +784,13 @@ def _search(job: _StratumJob) -> np.ndarray:
     each of max(1, 2^(compact_dim - 6)) words.
 
     Row 0 is the visited map.  With planes row 1 is reached, the
-    component a flood is lifting, and row 2 + j is potential plane j (see
-    _close).  K = 0 is the case of no planes and no reached map: its
-    closures sweep visited itself.  Bit p of word w stands for compact
-    state w << 6 | p: word order is state order, and inside a word the
-    states are compared through the job's compact basis
-    (_least_in_word).  The maps hold states only: the bits past the last state of a map under
-    64 states stay clear.
+    component of the last flood, which _close clears when it starts, and
+    row 2 + j is potential plane j (see _close).  K = 0 is the case of
+    no planes and no reached map: its closures sweep visited itself.
+    Bit p of word w stands for compact state w << 6 | p: word order is
+    state order, and inside a word the states are compared through the
+    job's compact basis (_least_in_word).  The maps hold states only:
+    the bits past the last state of a map under 64 states stay clear.
 
     The planes are never cleared between floods.  Their stale bits, at
     the states of earlier components, are harmless: components are
@@ -829,27 +820,6 @@ def _least_bit(row: np.ndarray, start: int, fill, job: _StratumJob) -> Optional[
     return None
 
 
-def _component(job: _StratumJob, seed: int, maps: np.ndarray,
-               every: bool = True) -> list[tuple[int, int]]:
-    """Flood the base orbit of the search word seed on the job's maps and
-    lift it: every orbit over it as (representative, size), or unless
-    every, only the orbit that holds the seed's state.
-
-    Once the cycle voltages span K, one orbit lies over the base orbit:
-    its representative is the section of the flood's low (its least
-    state, read through the compact basis; without planes, its least in
-    the seed's word, see _flood) and its size is |O'| * 2^dim K.
-    Otherwise the lift reads the base orbit and its potentials from maps
-    and then clears reached.
-    """
-    low, size, span = _flood(job, seed, maps)
-    if span.full:
-        return [(job.offset ^ _combine(low, job.basis), size << span.dim)]
-    orbits = _lift(job, maps[1:], size, span.basis, every)
-    maps[1].fill(0)
-    return orbits
-
-
 def _run_stratum_job(job: _StratumJob) -> list[tuple[int, int]]:
     """Every orbit over the job's stratum, as (representative, size).
 
@@ -857,11 +827,12 @@ def _run_stratum_job(job: _StratumJob) -> list[tuple[int, int]]:
     a word, through the compact basis, with potential 0; the scan ends
     at a position of at least 2^compact_dim, past the last state of a
     map under 64 states.  The seed is the minimum of its base orbit,
-    because every smaller state is already visited, so where one orbit
-    lies over the base orbit (S = K, always when K = 0) the flood's
-    minimum confirms it: with planes the least state of reached, and
-    without, the least state that the flood added to the seed's word,
-    which is the least of the orbit because every earlier word is full.
+    because every smaller state is already visited and every earlier
+    word is full.  So where one orbit lies over the base orbit (S = K,
+    always when K = 0) its representative is the seed's section, of size
+    |O'| * 2^dim K, and the scan checks it: the least state that the
+    flood added to the seed's word must be the seed.  Otherwise _lift
+    reads the base orbit and its potentials off reached and the planes.
     The scan after a flood starts at the seed's own word: its other
     states may come later in state order than the seed, wherever their
     bits lie.
@@ -870,10 +841,16 @@ def _run_stratum_job(job: _StratumJob) -> list[tuple[int, int]]:
     rows = []
     seed = _least_bit(maps[0], 0, _ONES, job)
     while seed is not None and seed < 1 << job.compact_dim:
-        orbits = _component(job, seed, maps)
-        if len(orbits) == 1 and orbits[0][0] != job.offset ^ _combine(seed, job.basis):
+        w = seed >> 6
+        # the seed's word before the flood, for the least state it adds
+        before = int(maps[0, w])
+        size, span = _flood(job, seed, maps)
+        if not span.full:
+            rows.extend(_lift(job, maps[1:], size, span.basis))
+        elif w << 6 | _least_in_word(int(maps[0, w]) & ~before, w, job) != seed:
             raise AssertionError("ascending seed scan lost the orbit minimum")
-        rows.extend(orbits)
+        else:
+            rows.append((job.offset ^ _combine(seed, job.basis), size << span.dim))
         seed = _least_bit(maps[0], seed, _ONES, job)
     return rows
 
@@ -984,7 +961,7 @@ def _state_bits(state, dim: int, descriptor: str) -> int:
     if isinstance(state, numbers.Integral):
         state = int(state)
         if not 0 <= state < (1 << dim):
-            raise ValueError(f"state 0x{state:x} out of range for dim {dim}")
+            raise ValueError(f"state {state:#x} out of range for dim {dim}")
         return state
     vector = getattr(state, "data", state)
     if not isinstance(vector, F2Vector):
@@ -999,9 +976,11 @@ def orbit_of(spec, state) -> OrbitRecord:
 
     The one search of the census: the base orbit of the state's
     projection to V/K is flooded in the job of its stratum, seeded with
-    the state's K-component as its potential, and only the orbit that
-    holds the state is lifted.  A state is a packed integer, an F2Vector
-    or a TriMatrix; one of another dimension than the space is refused.
+    the state's K-component as its potential.  Once S = K its
+    representative is the section of the least visited state, since the
+    map started empty; otherwise only the orbit that holds the state is
+    lifted.  A state is a packed integer, an F2Vector or a TriMatrix;
+    one of another dimension than the space is refused.
     """
     dim, masks, functionals, descriptor, _, _ = _family(spec)
     start = _state_bits(state, dim, descriptor)
@@ -1009,23 +988,26 @@ def orbit_of(spec, state) -> OrbitRecord:
     plan = _plan(dim, masks, None)
     job = _stratum_job(plan, _evaluate(start, plan.functionals))
     maps = _search(job)
-    rows = _component(job, _search_word(job, start), maps, every=False)
-    if not job.translations:
-        # without planes the flood reads its least state in the seed's
-        # word, and the map started empty: its least bit is the orbit's
-        rows = [(job.offset ^ _combine(_least_bit(maps[0], 0, 0, job), job.basis), rows[0][1])]
+    size, span = _flood(job, _search_word(job, start), maps)
+    if span.full:
+        # the map started empty: its least bit is the orbit's least state
+        rows = [(job.offset ^ _combine(_least_bit(maps[0], 0, 0, job), job.basis),
+                 size << span.dim)]
+    else:
+        rows = _lift(job, maps[1:], size, span.basis, every=False)
     return _records(dim, functionals, rows)[0]
 
 
 def _closure(spec, seeds) -> np.ndarray:
     """The union of the seed states' orbits, as sorted uint32 states.
 
-    The seeds are flooded on the bitset map of the plan of the whole
-    space, through no translations and no functionals, which is its one
-    job: each span is full from the start, nothing is lifted, the one
-    map is visited, and a seed's search word is its compact state.  Its compact basis is the
-    standard basis, so compact states are the states themselves, which
-    _members reads: the footprints are unit vectors, for which
+    Each seed not yet visited is flooded (_flood) on the bitset map of
+    the plan of the whole space, through no translations and no
+    functionals, which is its one job: each span is full from the start,
+    nothing is lifted and no minimum is read, the one map is visited,
+    and a seed's search word is its compact state.  Its compact basis is
+    the standard basis, so compact states are the states themselves,
+    which _members reads: the footprints are unit vectors, for which
     _inword_rows keeps every row b_t = 1 << t.  Any other basis raises
     AssertionError.  The guard runs before any mask is built.
     """
@@ -1038,7 +1020,7 @@ def _closure(spec, seeds) -> np.ndarray:
     for seed in seeds:
         z = _search_word(job, seed)
         if not int(visited[z >> 6]) >> (z & 63) & 1:
-            _component(job, z, maps)
+            _flood(job, z, maps)
     return _members(visited)
 
 

@@ -52,6 +52,8 @@ class TriShape:
         return tuple((i, j) for i in range(1, self.n + 1) for j in range(i, self.n + 1))
 
     def cell_at(self, idx: int) -> tuple[int, int]:
+        if not 0 <= idx < self.dim:
+            raise IndexError(f"cell index {idx} out of range 0..{self.dim - 1}")
         return self.cells[idx]
 
     def mask_of(self, cells) -> int:
@@ -193,6 +195,8 @@ class HexGraph:
         return tuple(out)
 
     def degree(self, idx: int) -> int:
+        if not 0 <= idx < self.vertex_count:
+            raise IndexError(f"vertex {idx} out of range 0..{self.vertex_count - 1}")
         return self.neighbor_masks[idx].bit_count()
 
 

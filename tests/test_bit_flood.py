@@ -297,10 +297,21 @@ def marked(visited) -> set[int]:
     return set(orbits._members(visited).tolist())
 
 
+def flood_span(job, seed, maps):
+    """_flood of the search word seed on the job's maps: (low, size,
+    span), with low read as a census reads it (_run_stratum_job), the
+    least state that the flood added to the seed's word.  The word is
+    read before and after as an int, so nothing the size of a map is
+    allocated."""
+    w = (seed & (1 << job.compact_dim) - 1) >> 6
+    before = int(maps[0, w])
+    size, span = orbits._flood(job, seed, maps)
+    return w << 6 | orbits._least_in_word(int(maps[0, w]) & ~before, w, job), size, span
+
+
 def flood(job, seed, maps):
-    """_flood of the search word seed on the job's maps: (low, size),
-    without the span."""
-    return orbits._flood(job, seed, maps)[:2]
+    """flood_span without the span: (low, size)."""
+    return flood_span(job, seed, maps)[:2]
 
 
 @pytest.fixture
@@ -449,6 +460,31 @@ def test_k0_stratum_job_holds_one_map():
     assert peak < 2.5 * nbytes
 
 
+@pytest.mark.parametrize("spec", [ActionSpec(5, ActionKind.SECOND), build(hex_lattice_graph(5))],
+                         ids=lambda spec: spec.describe())
+def test_seed_scan_checks_the_orbit_minimum(spec, monkeypatch):
+    # a seed scan that takes the greatest unvisited state of the word it
+    # finds, compared through the compact basis, seeds a flood above the
+    # least state that the flood adds there: K = 0 (second n=5), and an
+    # S = K flood of a lifted job (hex_lattice_graph(5), dim K = 2)
+    job = height0_job(spec)
+    assert len(job.translations) == (0 if isinstance(spec, ActionSpec) else 2)
+    least_bit = orbits._least_bit
+
+    def greatest_unvisited(row, start, fill, job):
+        z = least_bit(row, start, fill, job)
+        if fill is not orbits._ONES or z is None or z >> job.compact_dim:
+            return z
+        w = z >> 6
+        free = [w << 6 | p for p in range(min(64, 1 << job.compact_dim))
+                if not int(row[w]) >> p & 1]
+        return max(free, key=lambda x: _combine(x, job.basis))
+
+    monkeypatch.setattr(orbits, "_least_bit", greatest_unvisited)
+    with pytest.raises(AssertionError, match="ascending seed scan lost the orbit minimum"):
+        orbits._run_stratum_job(job)
+
+
 def base_job(spec):
     """(job, classes) for the height-0 base stratum of a search, and the
     union-find classes of V/K in it, in compact coordinates, ascending by
@@ -509,17 +545,16 @@ def test_lifted_flood_finds_its_class_and_span(spec, forced):
     maps = orbits._search(job)
     done = set()
     for members in classes:
-        low, size, span = orbits._flood(job, members[0], maps)
+        low, size, span = flood_span(job, members[0], maps)
         assert (low, size) == (members[0], len(members)) and span.dim == k
         done |= set(members)
         assert marked(maps[0]) == done
-        # reached holds the class while it is lifted, and is empty once S = K
-        assert orbits._members(maps[1]).tolist() == ([] if span.full else members)
-        assert read_back(maps[1:]) == ([] if span.full else list(zip(
-            members, plane_potentials(maps[2:], members))))
+        # reached holds the class after every flood, whether or not S = K:
+        # the closure clears it of the previous class when it starts
+        assert orbits._members(maps[1]).tolist() == members
+        assert read_back(maps[1:]) == list(zip(members, plane_potentials(maps[2:], members)))
         section = job.offset ^ _combine(members[0], job.basis)
         assert len(members) << len(span.basis) == orbit_size_in_v(spec, section)
-        maps[1].fill(0)
 
 
 def test_lifted_closure_allocates_no_map_per_generator(monkeypatch):
@@ -534,7 +569,7 @@ def test_lifted_closure_allocates_no_map_per_generator(monkeypatch):
     monkeypatch.setattr(orbits, "_dense", lambda count, words: True)
     tracemalloc.start()
     try:
-        low, size, span = orbits._flood(job, seed, maps)
+        low, size, span = flood_span(job, seed, maps)
         flood_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         for _ in orbits._readback(maps[1:]):
@@ -567,7 +602,7 @@ def test_small_lifted_closure_skips_unmoved_generators(spec, p_foot_calls, monke
     k = len(job.translations)
     maps = orbits._search(job)
     assert k and maps.shape[1] >= 1 << 12
-    low, size, span = orbits._flood(job, 0, maps)
+    low, size, span = flood_span(job, 0, maps)
     assert (low, size) == (0, 1)
     assert p_foot_calls == [] and span.basis == []
     odd_sets = []
@@ -578,7 +613,9 @@ def test_small_lifted_closure_skips_unmoved_generators(spec, p_foot_calls, monke
         return odd_words(*args)
 
     monkeypatch.setattr(orbits, "_odd_words", counted)
-    rows = orbits._component(job, 0, orbits._search(job))
+    maps = orbits._search(job)
+    size, span = orbits._flood(job, 0, maps)
+    rows = orbits._lift(job, maps[1:], size, span.basis)
     assert p_foot_calls == []
     assert len(odd_sets) == len(job.gens)
     assert len(rows) == 1 << k and all(size == 1 for _, size in rows)

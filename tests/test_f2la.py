@@ -56,8 +56,10 @@ class TestF2Vector:
             vec("10") ^ vec("100")
 
     def test_out_of_range_bits(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^bits 0x4 out of range for dim 2$"):
             F2Vector(2, 4)
+        with pytest.raises(ValueError, match="^bits -0x1 out of range for dim 3$"):
+            F2Vector(3, -1)
 
     def test_from_support(self):
         v = F2Vector.from_support(5, [0, 3, 4])

@@ -114,8 +114,11 @@ class TestOrbitOf:
             orbit_of(ActionSpec(5, ActionKind.FIRST), "101")
 
     def test_int_state_out_of_range_is_refused(self):
-        with pytest.raises(ValueError, match="out of range for dim 15"):
-            orbit_of(ActionSpec(5, ActionKind.FIRST), 1 << 15)
+        spec = ActionSpec(5, ActionKind.FIRST)
+        with pytest.raises(ValueError, match="^state 0x8000 out of range for dim 15$"):
+            orbit_of(spec, 1 << 15)
+        with pytest.raises(ValueError, match="^state -0x1 out of range for dim 15$"):
+            orbit_of(spec, -1)
 
     def test_closure_states_are_accepted(self):
         # delta_closure returns numpy integers; each is a packed state

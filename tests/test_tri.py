@@ -72,6 +72,12 @@ class TestTriShape:
         with pytest.raises(ValueError):
             TriShape(3).index(2, 1)
 
+    @pytest.mark.parametrize("idx", [-1, -6, -7, 6, 7])
+    def test_cell_at_rejects_an_index_outside_the_cells(self, idx):
+        # a negative index would otherwise count back from the last cell
+        with pytest.raises(IndexError, match=rf"^cell index {idx} out of range 0\.\.5$"):
+            TriShape(3).cell_at(idx)
+
 
 class TestPatterns:
     def test_E_small(self):
@@ -118,6 +124,14 @@ class TestHexGraph:
     def test_n2_single_vertex(self):
         g = hex_graph(2)
         assert g.vertex_count == 1 and g.edges == ()
+
+    @pytest.mark.parametrize("idx", [-1, -6, 6, 7])
+    def test_degree_rejects_an_index_outside_the_vertices(self, idx):
+        # a negative index would otherwise count back from the last vertex
+        g = hex_graph(4)
+        assert g.vertex_count == 6
+        with pytest.raises(IndexError, match=rf"^vertex {idx} out of range 0\.\.5$"):
+            g.degree(idx)
 
     @pytest.mark.parametrize("n", range(4, 10))
     def test_degrees(self, n):
