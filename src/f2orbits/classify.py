@@ -73,6 +73,8 @@ def h_bar(n: int) -> F2Vector:
 
 def eta_bar(k: int) -> F2Vector:
     """The distinguished second-action height: (1,...,1, k mod 2)."""
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
     bits = (1 << (k - 1)) - 1
     if k % 2:
         bits |= 1 << (k - 1)

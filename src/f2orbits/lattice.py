@@ -3,10 +3,11 @@
 A connected graph and a subset B of its vertices give the F2 space
 spanned by the vertices, the adjacency bilinear form, the quadratic
 function with value 1 on every vertex, and the group generated by the
-transvections along B.  This module checks the vanishing-lattice
-conditions, detects the E6 tree as an induced subgraph (the sufficient
-nonspeciality criterion), and predicts the orbit census of a nonspecial
-group without enumerating it.
+transvections along B.  The Graph type comes from ``tri``, which also
+builds the hexagonal neighbor graph as one.  This module checks the
+vanishing-lattice conditions, detects the E6 tree as an induced
+subgraph (the sufficient nonspeciality criterion), and predicts the
+orbit census of a nonspecial group without enumerating it.
 """
 
 from __future__ import annotations
@@ -15,67 +16,19 @@ import re
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import combinations
-from typing import Optional
 
 import numpy as np
 
 from .f2la import (BilinearForm, F2Vector, QuadraticSpace, _span_points,
                    value_counts_closed)
 from .orbits import OrbitCensus, OrbitRecord, _check_dim, _closure
-from .tri import HexGraph, hex_graph
-
-
-@dataclass(frozen=True)
-class Graph:
-    """An undirected graph on vertices 0..vertex_count-1, no self-loops."""
-
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...]
-    labels: Optional[tuple[str, ...]] = None
-
-    def __post_init__(self) -> None:
-        seen = set()
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop at {u}")
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-                raise ValueError(f"edge ({u}, {v}) out of range")
-            if u > v:
-                raise ValueError(f"edge ({u}, {v}) must be listed as (min, max)")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
-        if self.labels is not None and len(self.labels) != self.vertex_count:
-            raise ValueError("label count does not match vertex count")
-
-    @classmethod
-    def from_edge_list(cls, vertex_count: int, edges, labels=None) -> "Graph":
-        norm = tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
-        return cls(vertex_count, norm, tuple(labels) if labels else None)
-
-    @classmethod
-    def from_hex(cls, hexgraph: HexGraph) -> "Graph":
-        labels = tuple(f"({i},{j})" for i, j in hexgraph.shape.cells)
-        return cls(hexgraph.vertex_count, hexgraph.edges, labels)
-
-    @cached_property
-    def neighbor_masks(self) -> tuple[int, ...]:
-        masks = [0] * self.vertex_count
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return tuple(masks)
-
-    def adjacent(self, u: int, v: int) -> bool:
-        return bool(self.neighbor_masks[u] >> v & 1)
-
-    def label(self, v: int) -> str:
-        return self.labels[v] if self.labels else str(v)
+from .tri import Graph, hex_graph
 
 
 def hex_lattice_graph(n: int) -> Graph:
-    """The neighbor graph of the order n-1 triangular shape as a Graph."""
-    return Graph.from_hex(hex_graph(n))
+    """The neighbor graph of the order n-1 triangular shape: hex_graph(n),
+    the same Graph the second action's generators are read from."""
+    return hex_graph(n)
 
 
 @dataclass(frozen=True)

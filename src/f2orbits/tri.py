@@ -9,17 +9,22 @@ order-lowering maps psi and phi, one per cell (i, j) of the order n-1
 shape, are also the generators of the first action: g_ij tests the psi
 row of (i, j) and adds its phi row.
 
-The patterns P_i and ~P_i are read off the radical of the neighbor form
-of the order n-1 shape: ~P_1, ..., ~P_{n//2} is its reduced echelon
-basis in descending pivot order.  Corner triangles plus every second
-hexagonal layer are what the P patterns look like, not how they are
-built; the tests hold that construction as a reference.
+The package's one Graph type lives here too.  hex_graph(n) is the
+six-neighbor graph on the cells of the order n-1 shape, whose vertex
+transvections generate the second action; the lattice module builds
+its transvection groups from any Graph.  The patterns P_i and ~P_i are
+read off the radical of the neighbor form of that graph: ~P_1, ...,
+~P_{n//2} is its reduced echelon basis in descending pivot order.
+Corner triangles plus every second hexagonal layer are what the P
+patterns look like, not how they are built; the tests hold that
+construction as a reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Optional
 
 from .f2la import F2Vector, _combine, _evaluate, _nullspace
 
@@ -150,62 +155,76 @@ def pattern_R(n: int, i: int) -> TriMatrix:
 
 
 @dataclass(frozen=True)
-class HexGraph:
-    """The triangular-lattice graph on the cells of an order-m shape.
+class Graph:
+    """An undirected graph on vertices 0..vertex_count-1, no self-loops."""
 
-    A cell (i, j) is adjacent to whichever of (i-1, j-1), (i-1, j),
-    (i, j-1), (i, j+1), (i+1, j), (i+1, j+1) lie inside the shape; the
-    result is an equilateral triangle of side m-1 on the triangular
-    lattice, connected for every m >= 1.
-    """
+    vertex_count: int
+    edges: tuple[tuple[int, int], ...]
+    labels: Optional[tuple[str, ...]] = None
 
-    shape: TriShape
+    def __post_init__(self) -> None:
+        if self.vertex_count < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {self.vertex_count}")
+        seen = set()
+        for u, v in self.edges:
+            if u == v:
+                raise ValueError(f"self-loop at {u}")
+            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
+                raise ValueError(f"edge ({u}, {v}) out of range")
+            if u > v:
+                raise ValueError(f"edge ({u}, {v}) must be listed as (min, max)")
+            if (u, v) in seen:
+                raise ValueError(f"duplicate edge ({u}, {v})")
+            seen.add((u, v))
+        if self.labels is not None and len(self.labels) != self.vertex_count:
+            raise ValueError("label count does not match vertex count")
 
-    @property
-    def order(self) -> int:
-        return self.shape.n
-
-    @property
-    def vertex_count(self) -> int:
-        return self.shape.dim
-
-    @staticmethod
-    def neighbor_cells(i: int, j: int):
-        return ((i - 1, j - 1), (i - 1, j), (i, j - 1), (i, j + 1), (i + 1, j), (i + 1, j + 1))
+    @classmethod
+    def from_edge_list(cls, vertex_count: int, edges, labels=None) -> "Graph":
+        norm = tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
+        return cls(vertex_count, norm, None if labels is None else tuple(labels))
 
     @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:
-        masks = []
-        for i, j in self.shape.cells:
-            masks.append(self.shape.mask_of(
-                c for c in self.neighbor_cells(i, j) if self.shape.contains(*c)))
+        masks = [0] * self.vertex_count
+        for u, v in self.edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
         return tuple(masks)
 
-    @cached_property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        out = []
-        for u in range(self.vertex_count):
-            mask = self.neighbor_masks[u] >> (u + 1)
-            v = u + 1
-            while mask:
-                if mask & 1:
-                    out.append((u, v))
-                mask >>= 1
-                v += 1
-        return tuple(out)
+    def adjacent(self, u: int, v: int) -> bool:
+        return bool(self.neighbor_masks[u] >> v & 1)
 
-    def degree(self, idx: int) -> int:
-        if not 0 <= idx < self.vertex_count:
-            raise IndexError(f"vertex {idx} out of range 0..{self.vertex_count - 1}")
-        return self.neighbor_masks[idx].bit_count()
+    def degree(self, v: int) -> int:
+        if not 0 <= v < self.vertex_count:
+            raise IndexError(f"vertex {v} out of range 0..{self.vertex_count - 1}")
+        return self.neighbor_masks[v].bit_count()
+
+    def label(self, v: int) -> str:
+        return self.labels[v] if self.labels else str(v)
+
+
+# the exported name of the type that hex_graph returns
+HexGraph = Graph
 
 
 @lru_cache(maxsize=None)
-def hex_graph(n: int) -> HexGraph:
-    """The neighbor graph of the order n-1 shape (needs n >= 2)."""
+def hex_graph(n: int) -> Graph:
+    """The triangular-lattice graph on the cells of the order n-1 shape
+    (needs n >= 2): vertex v is cell v of the flattening, labelled "(i,j)".
+
+    A cell (i, j) is adjacent to whichever of its six neighbors (i-1, j-1),
+    (i-1, j), (i, j-1), (i, j+1), (i+1, j), (i+1, j+1) lie inside the
+    shape; the result is an equilateral triangle of side n-2 on the
+    triangular lattice, connected for every n >= 2.  The last three
+    neighbors come later in the flattening, so they list each edge once.
+    """
     if n < 2:
         raise ValueError(f"need order n >= 2, got {n}")
-    return HexGraph(TriShape(n - 1))
+    shape = TriShape(n - 1)
+    edges = [(shape.index(i, j), shape.index(*c)) for i, j in shape.cells
+             for c in ((i, j + 1), (i + 1, j), (i + 1, j + 1)) if shape.contains(*c)]
+    return Graph.from_edge_list(shape.dim, edges, [f"({i},{j})" for i, j in shape.cells])
 
 
 @lru_cache(maxsize=None)

@@ -108,7 +108,7 @@ class TestSecondAction:
         form = BilinearForm(graph.vertex_count, graph.neighbor_masks)
         gens = generators(spec)
         for g, _ in zip(gens, range(len(gens))):
-            delta = F2Vector(form.dim, 1 << graph.shape.index(g.i, g.j))
+            delta = F2Vector(form.dim, 1 << TriShape(n - 1).index(g.i, g.j))
             for _ in range(10):
                 x = F2Vector(form.dim, rng.randrange(1 << form.dim))
                 assert apply_bits(spec, g, x.bits) == transvect(form, delta, x).bits

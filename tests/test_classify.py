@@ -36,6 +36,11 @@ class TestScalars:
         assert eta_bar(3).to_string() == "111"
         assert eta_bar(4).to_string() == "1110"
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_eta_bar_rejects_a_nonpositive_length(self, k):
+        with pytest.raises(ValueError, match=rf"^k must be positive, got {k}$"):
+            eta_bar(k)
+
 
 class TestOrbitCountTable:
     """The counts below n = 5 against union-find over the generator masks,

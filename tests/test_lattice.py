@@ -60,6 +60,17 @@ class TestBuild:
         with pytest.raises(ValueError):
             build(triangle(), [0, 7])
 
+    def test_negative_vertex_count_rejected(self):
+        # refused by the graph itself, not later as an empty subset
+        with pytest.raises(ValueError, match=r"^vertex count must be nonnegative, got -1$"):
+            Graph(-1, ())
+
+    def test_empty_label_list_is_checked(self):
+        # an empty list is a label list of the wrong length, not "no labels"
+        with pytest.raises(ValueError, match="^label count does not match vertex count$"):
+            Graph.from_edge_list(3, [(0, 1)], labels=[])
+        assert Graph.from_edge_list(0, [], labels=[]).labels == ()
+
 
 class TestDeltaClosure:
     def test_triangle(self):

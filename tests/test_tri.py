@@ -6,9 +6,10 @@ import random
 import pytest
 
 from f2orbits.f2la import BilinearForm, QuadraticSpace, _echelon, _rank, q_eval
-from f2orbits.tri import (TriMatrix, TriShape, couple, hex_graph, pattern_E,
-                          pattern_P, pattern_Ptilde, pattern_R, phi,
-                          phi_masks, phi_star, psi, psi_masks)
+from f2orbits.lattice import hex_lattice_graph
+from f2orbits.tri import (Graph, HexGraph, TriMatrix, TriShape, couple,
+                          hex_graph, pattern_E, pattern_P, pattern_Ptilde,
+                          pattern_R, phi, phi_masks, phi_star, psi, psi_masks)
 
 rng = random.Random(20240817)
 
@@ -124,6 +125,24 @@ class TestHexGraph:
     def test_n2_single_vertex(self):
         g = hex_graph(2)
         assert g.vertex_count == 1 and g.edges == ()
+
+    @pytest.mark.parametrize("n", range(2, 65))
+    def test_matches_the_six_neighbor_rule(self, n):
+        # reference: cell (i, j) neighbors whichever of the six offsets
+        # lie in the order n-1 shape
+        shape = TriShape(n - 1)
+        offsets = ((-1, -1), (-1, 0), (0, -1), (0, 1), (1, 0), (1, 1))
+        masks = [sum(1 << shape.index(i + di, j + dj) for di, dj in offsets
+                     if shape.contains(i + di, j + dj)) for i, j in shape.cells]
+        g = hex_graph(n)
+        assert isinstance(g, Graph) and HexGraph is Graph
+        assert g.vertex_count == shape.dim
+        assert list(g.neighbor_masks) == masks
+        assert list(g.edges) == sorted((u, v) for u, mask in enumerate(masks)
+                                       for v in range(u + 1, shape.dim) if mask >> v & 1)
+        assert g.labels == tuple(f"({i},{j})" for i, j in shape.cells)
+        assert [g.degree(v) for v in range(g.vertex_count)] == [m.bit_count() for m in masks]
+        assert hex_lattice_graph(n) == g
 
     @pytest.mark.parametrize("idx", [-1, -6, 6, 7])
     def test_degree_rejects_an_index_outside_the_vertices(self, idx):
