@@ -306,6 +306,69 @@ def _p_foot(bits: np.ndarray, spare: np.ndarray, move: tuple) -> np.ndarray:
     return bits
 
 
+def _tile_step(tiled: np.ndarray, u: int, s: int, odd: np.ndarray, move: tuple,
+               volts: list[int], src: np.ndarray, other: np.ndarray, span: _Span) -> None:
+    """One tile step of a closure (_close): OR P_foot(tiled[:, s] & odd)
+    into output tile u of the stack tiled, where tiled[r, u] is tile u
+    of row r, s is u's source tile under the generator and odd is the
+    generator's odd set on tile s.  P_foot maps the odd set to itself,
+    because cond . foot is even; the plan move = _word_move(foot, width)
+    moves the tile's words by the low bits of foot >> 6 and its bits by
+    the low 6 of foot.  Without planes (K = 0) the stack is visited
+    alone, and P_foot(visited & odd) can only grow the current
+    component, since every earlier one on visited is closed under the
+    generators.
+
+    The step writes its source into src, and _p_foot moves it within src
+    and other and returns the one that holds the moved stack; the other
+    one is scratch for the fresh states and the cycles.  On a map of one
+    tile odd is other[0], which _p_foot overwrites, so the step reads
+    odd only before _p_foot.
+
+    With planes, a source tile with no odd state in reached moves
+    nothing, and the step returns at once.  Otherwise the fresh states
+    P_foot(reached & odd) & ~reached take the moved planes, flipped at
+    the generator's voltage bits volts; reached grows after every step,
+    so each state takes its potential from exactly one parent.  A step
+    whose fresh states are empty feeds pot(y) ^ voltage ^ pot(gy) of its
+    edges to span while span is not full (tree edges give 0).  Each is a
+    cycle voltage, since both ends of every such edge are in reached and
+    hold their final potentials: a potential never changes once set.
+
+    Reading a source tile that an earlier step of the same generator
+    grew is harmless: each generator is an involution, so the states
+    just added there only move back onto their parents, which are
+    already in reached (they take no potential, and their cycle voltages
+    are 0).
+    """
+    np.bitwise_and(tiled[0, s], odd, out=src[0])
+    if span.dim:
+        # a tile with no odd state in reached moves nothing: one row of
+        # work for dim K + 1 (without planes this check costs more than
+        # it saves)
+        if not src[0].any():
+            return
+        np.bitwise_and(tiled[1:, s], odd, out=src[1:])
+    moved = _p_foot(src, other, move)
+    if span.dim:
+        spare = other if moved is src else src
+        # row 1 + j of moved now holds bit j of pot(gx) ^ voltage at
+        # every x with gx in reached
+        for j in volts:
+            np.invert(moved[1 + j], out=moved[1 + j])
+        fresh = np.invert(tiled[0, u], out=spare[0])
+        fresh &= moved[0]
+        if fresh.any():
+            moved[1:] &= fresh
+            tiled[1:, u] |= moved[1:]
+        elif not span.full:
+            cycles = moved[1:]
+            cycles ^= tiled[1:, u]
+            cycles &= moved[0]
+            span.absorb_planes(cycles, spare[0])
+    tiled[0, u] |= moved[0]
+
+
 def _dense(count: int, words: int) -> bool:
     """Whether a flood whose frontier holds count states finishes as a
     closure over bitsets of words words: at least a quarter as many
@@ -404,63 +467,45 @@ def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: n
     the words are marked by _scatter, so on return reached holds this
     component, and visited is ORed with it.  Without planes (K = 0) the
     stack is visited alone, where the sparse levels have marked the
-    words: P_foot(visited & odd) can only grow the current
-    component, since every earlier one on visited is closed under the
-    generators, and the returned size is the popcount that visited
-    gained on top of the flood's.  A growth sweep moves the whole stack
-    by one generator after another, P_foot(stack & odd), where P_foot
-    maps the generator's odd set to itself because cond . foot is even.
-    The fresh states P_foot(reached & odd) & ~reached take the moved planes,
-    flipped at the generator's voltage bits; reached grows after every
-    generator, so each state takes its potential from exactly one
-    parent.  The sweeps alternate direction, forward, then backward after
-    every sweep that grew (the symmetric Gauss-Seidel order): a state
-    found by a late generator of one sweep is moved on by the first
-    generators of the next, not a whole sweep later.  That is exact
-    because the generators are involutions, so the closure of any
-    nonempty part of a component is the whole component, in any sweep
-    order, and it holds nothing else: the sweeps rediscover the sparse
-    levels from both their ends (the seed spares the sweep that its
-    neighbourhood would cost), and with planes visited is only ORed with
-    reached at the end.
+    words, and the returned size is the popcount that visited gained on
+    top of the flood's.  A growth sweep moves the whole stack by one
+    generator after another, one tile step (_tile_step) per output tile.
+    The sweeps alternate direction, forward, then backward after every
+    sweep that grew (the symmetric Gauss-Seidel order): a state found by
+    a late generator of one sweep is moved on by the first generators of
+    the next, not a whole sweep later.  That is exact because the
+    generators are involutions, so the closure of any nonempty part of a
+    component is the whole component, in any sweep order, and it holds
+    nothing else: the sweeps rediscover the sparse levels from both
+    their ends (the seed spares the sweep that its neighbourhood would
+    cost), and with planes visited is only ORed with reached at the end.
 
-    Each step runs tile by tile, over slices of _TILE_WORDS words (the
-    whole map when it is smaller), so that a tile's source, odd set and
-    scratch stay in cache; maps come from _search, so its rows reshape
-    to tiles as views.  On tiles of 2^tb words, output tile u reads
-    source tile s = u ^ (foot >> 6 + tb), and the odd set of tile s is
-    the odd set of tile 0 or, where parity(s & cond >> 6 + tb) is odd,
-    its complement, both built once per step; P_foot moves the tile's
-    words by the low tb bits of foot >> 6, by a move planned once per
-    closure (_word_move), and its bits by the low 6 of foot.
-    Reading a tile that this step already grew is harmless: each
-    generator is an involution, so the states just added there only move
-    back onto their parents, which are already in reached (they take no
-    potential, and their cycle voltages are 0).
+    Each generator's step runs tile by tile, over slices of _TILE_WORDS
+    words (the whole map when it is smaller), so that a tile's source,
+    odd set and scratch stay in cache; maps come from _search, so its
+    rows reshape to tiles as views.  On tiles of 2^tb words, output tile
+    u reads source tile s = u ^ (foot >> 6 + tb), and the odd set of
+    tile s is the odd set of tile 0 or, where parity(s & cond >> 6 + tb)
+    is odd, its complement, both built once per generator; the move of
+    a tile by the generator is planned once per closure (_word_move).
 
-    With planes, a tile step whose fresh states are empty feeds pot(y) ^
-    voltage ^ pot(gy) of its edges to span while span is not full (tree
-    edges give 0).  Each is a cycle voltage, since both ends of every
-    such edge are in reached and hold their final potentials: a
-    potential never changes once set.  The sweeps stop when one adds no
-    state: every tile step of that last sweep is such a step, so it sees
-    every edge and S is complete.  Once S = K (always when K = 0) they
-    also stop as soon as reached and the states visited before this
-    flood cover the map, which skips the confirming sweep of a stratum's
-    last flood; short of S = K that sweep still runs, since it is the
-    one that collects the cycles.  For the same reason only a full span
-    lets a step skip its tiles of reached that are full: a read-only
-    check after each tile's OR sets the tile's flag once S = K, and no
-    later step of the closure moves anything into that tile.  Without
-    planes those are tiles of visited, which earlier components fill too.
+    The sweeps stop when one adds no state: every tile step of that last
+    sweep adds none, so it sees every edge and S is complete.  Once S =
+    K (always when K = 0) they also stop as soon as reached and the
+    states visited before this flood cover the map, which skips the
+    confirming sweep of a stratum's last flood; short of S = K that
+    sweep still runs, since it is the one that collects the cycles.  For
+    the same reason only a full span lets a sweep skip the tiles of
+    reached that are full: a read-only check after each tile step sets
+    the tile's flag once S = K, and no later step of the closure moves
+    anything into that tile.  Without planes those are tiles of visited,
+    which earlier components fill too.
 
     The two scratch stacks, the odd set and its complement are
-    tile-sized and allocated once.  A step writes its source into src,
-    and _p_foot moves it within src and other and returns the one that
-    holds the moved stack; the other one is scratch for the fresh
-    states, the cycles and the popcounts, so a closure allocates nothing
-    that grows with the map.  A map of one tile keeps the odd set in
-    other[0], which _p_foot then overwrites, and needs no complement.
+    tile-sized and allocated once, and the popcounts use src[0] as
+    scratch, so a closure allocates nothing that grows with the map.  A
+    map of one tile keeps the odd set in other[0] and needs no
+    complement.
     """
     shift = job.compact_dim
     visited = maps[0]
@@ -498,44 +543,15 @@ def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: n
     full = [False] * tiles
     while count + outside < 1 << shift or not span.full:
         for cond, foot, const, volts, move in steps:
-            # with one tile, the odd set is other[0] until _p_foot
-            # overwrites it
             _odd_words(cond, const, odds[0])
             if len(odds) > 1:
                 np.invert(odds[0], out=odds[1])
             for u in range(tiles):
-                if full[u]:
-                    continue
-                s = u ^ foot >> 6 + tb
-                odd = odds[_parity(s & cond >> 6 + tb)]
-                np.bitwise_and(tiled[0, s], odd, out=src[0])
-                if span.dim:
-                    # a tile with no odd state in reached moves nothing:
-                    # one row of work for dim K + 1 (without planes this
-                    # check costs more than it saves)
-                    if not src[0].any():
-                        continue
-                    np.bitwise_and(tiled[1:, s], odd, out=src[1:])
-                moved = _p_foot(src, other, move)
-                if span.dim:
-                    spare = other if moved is src else src
-                    # row 1 + j of moved now holds bit j of pot(gx) ^
-                    # voltage at every x with gx in reached
-                    for j in volts:
-                        np.invert(moved[1 + j], out=moved[1 + j])
-                    fresh = np.invert(tiled[0, u], out=spare[0])
-                    fresh &= moved[0]
-                    if fresh.any():
-                        moved[1:] &= fresh
-                        tiled[1:, u] |= moved[1:]
-                    elif not span.full:
-                        cycles = moved[1:]
-                        cycles ^= tiled[1:, u]
-                        cycles &= moved[0]
-                        span.absorb_planes(cycles, spare[0])
-                tiled[0, u] |= moved[0]
-                if span.full:
-                    full[u] = bool(tiled[0, u].min() == _ONES)
+                if not full[u]:
+                    s = u ^ foot >> 6 + tb
+                    _tile_step(tiled, u, s, odds[_parity(s & cond >> 6 + tb)], move, volts,
+                               src, other, span)
+                    full[u] = span.full and bool(tiled[0, u].min() == _ONES)
         grown = popcount(reached)
         if grown == count:
             break
@@ -930,8 +946,11 @@ def _census(spec, workers: Optional[int] = None, height: Optional[F2Vector] = No
     through the given translations, a tuple (see _plan).
 
     The base functionals lie in the span of the height functionals, so a
-    height stratum sits inside one stratum of V/K.
+    height stratum sits inside one stratum of V/K.  workers is None (the
+    available parallelism) or an integer of at least 1.
     """
+    if workers is not None and not (isinstance(workers, numbers.Integral) and workers >= 1):
+        raise ValueError(f"workers must be None or an integer of at least 1, got {workers!r}")
     dim, masks, functionals, descriptor, n, kind = _family(spec)
     t = len(functionals)
     plan = _plan(dim, masks, translations)

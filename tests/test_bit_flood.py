@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from f2orbits import orbits
 from f2orbits.actions import ActionKind, ActionSpec, height_functionals
-from f2orbits.f2la import F2Vector, _combine, _evaluate, _nullspace, _parity
+from f2orbits.f2la import F2Vector, _combine, _echelon, _evaluate, _nullspace, _parity
 from f2orbits.lattice import Graph, build, delta_closure, hex_lattice_graph
 from f2orbits.orbits import enumerate_orbits, enumerate_stratum, orbit_of
 from test_engine_properties import union_find_classes
@@ -44,6 +44,18 @@ def census_sha256(spec) -> str:
 @pytest.mark.parametrize("key", sorted(PINNED))
 def test_lifted_census_bytes_are_pinned(key):
     assert census_sha256(pinned_spec(key)) == PINNED[key]
+
+
+# census digests of the two lifted censuses of CLI scale: second-conj
+# n=8, whose closures move planes across 8 tiles, and first-conj n=7;
+# kept out of PINNED, every entry of which also runs under the forced
+# switches of TestForcedSwitch
+LARGE_PINNED = json.loads(Path(__file__).with_name("large_census_sha256.json").read_text())[
+    "census_sha256"]
+
+
+def test_large_lifted_census_bytes_are_pinned():
+    assert {key: census_sha256(pinned_spec(key)) for key in LARGE_PINNED} == LARGE_PINNED
 
 
 def words_for(dim: int) -> int:
@@ -631,6 +643,77 @@ def test_closure_sweeps_alternate_direction(spec, steps, p_foot_calls):
     # by the steps that add no state, and hex-7's span fills during growth
     enumerate_orbits(spec, workers=1)
     assert len(p_foot_calls) == steps
+
+
+def tile_step_case(rng: random.Random, tiles: int, case: str):
+    """A random tile step on a map of tiles tiles of 4 words (256
+    states): (stack, u, s, foot, source, volts, reached, pots, span),
+    where source lists the odd states of tile s, and reached and pots
+    are the stack's states and their potentials as a set and a dict.
+    k0 has no planes, fresh makes some moved state fresh, and cycles
+    makes every moved state already reached, with span short of K."""
+    k = 0 if case == "k0" else 3
+    states = 256 * tiles
+    cond, foot = rng.randrange(states), 0
+    # P_foot maps the odd set to itself: cond . foot is even
+    while not foot or _parity(cond & foot):
+        foot = rng.randrange(states)
+    u = rng.randrange(tiles)
+    s = u ^ foot >> 8
+    # tile s holds an odd state: half of them where cond has a bit below
+    # the tile's, else all of them for one constant
+    const = rng.randrange(2) if cond & 255 else 1 ^ _parity(cond & s << 8)
+    source = [x for x in range(256 * s, 256 * (s + 1)) if _parity(x & cond) ^ const]
+    reached = {x for x in range(states) if rng.random() < 0.3} | {rng.choice(source)}
+    if case == "fresh":
+        reached.discard(rng.choice(sorted(reached & set(source))) ^ foot)
+    if case == "cycles":
+        reached |= {x ^ foot for x in reached & set(source)}
+    pots = {x: rng.randrange(1 << k) for x in reached}
+    stack = np.array([bitset(np.array(sorted(reached), dtype=np.uint32), states // 64)]
+                     + [bitset(np.array([x for x in reached if pots[x] >> j & 1], dtype=np.uint32),
+                               states // 64) for j in range(k)])
+    span = orbits._Span(k)
+    if case == "cycles":
+        span.basis = _echelon([rng.randrange(1 << k)])
+    volts = [j for j in range(k) if rng.randrange(2)]
+    return stack, u, s, foot, source, volts, reached, pots, span
+
+
+@pytest.mark.parametrize("tiles", [1, 4])
+@pytest.mark.parametrize("case", ["k0", "fresh", "cycles"])
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=(1 << 32) - 1))
+def test_tile_step_matches_a_set_reference(tiles, case, seed):
+    rng = random.Random(seed)
+    stack, u, s, foot, source, volts, reached, pots, span = tile_step_case(rng, tiles, case)
+    tiled = stack.reshape(len(stack), tiles, 4)
+    # scratch holds garbage, as after an earlier step
+    src, other = np.array([[[rng.getrandbits(64) for _ in range(4)] for _ in stack]] * 2,
+                          dtype=np.uint64)
+    # a map of one tile keeps the odd set in other[0], as _close does
+    odd = other[0] if tiles == 1 else np.empty(4, dtype=np.uint64)
+    odd[:] = bitset(np.array(source, dtype=np.uint32) - 256 * s, 4)
+    before = list(span.basis)
+
+    orbits._tile_step(tiled, u, s, odd, orbits._word_move(foot, 4), volts, src, other, span)
+
+    voltage = sum(1 << j for j in volts)
+    moved = {x ^ foot for x in reached & set(source)}
+    fresh = moved - reached
+    assert moved
+    assert case == "k0" or bool(fresh) == (case == "fresh")
+    # tile u gains the moved states, and the fresh ones take their
+    # source's potential, flipped at the voltage; the planes hold
+    # nothing outside reached
+    expected = {**pots, **{y: pots[y ^ foot] ^ voltage for y in fresh}}
+    assert marked(stack[0]) == reached | moved
+    assert plane_potentials(stack[1:], sorted(expected)) == [expected[x] for x in sorted(expected)]
+    assert all(marked(plane) <= set(expected) for plane in stack[1:])
+    # with none fresh and span short of K, the span grows by the cycle
+    # voltages pot(x) ^ voltage ^ pot(gx) of the moved edges
+    cycles = [pots[y ^ foot] ^ voltage ^ pots[y] for y in moved] if case == "cycles" else []
+    assert span.basis == _echelon(before + cycles)
 
 
 @pytest.fixture(scope="module")

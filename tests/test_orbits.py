@@ -10,6 +10,7 @@ import pytest
 from f2orbits import orbits
 from f2orbits.f2la import F2Vector, _combine, _evaluate
 from f2orbits.actions import ActionKind, ActionSpec, generator_masks, height_first
+from f2orbits.classify import verify
 from f2orbits.lattice import Graph, LatticeSpec, build, delta_closure, hex_lattice_graph
 from f2orbits.orbits import (EnumerationGuardError, enumerate_orbits,
                              enumerate_stratum, orbit_of)
@@ -180,6 +181,21 @@ class TestDeterminism:
         spec = ActionSpec(5, ActionKind.FIRST)
         docs = {enumerate_orbits(spec, workers=w).to_json() for w in (1, 2, 4)}
         assert len(docs) == 1
+
+    @pytest.mark.parametrize("workers", [0, -1, 2.5, "2"])
+    def test_refuses_a_bad_worker_count(self, workers, monkeypatch):
+        # as the CLI's --threads does, and before any plan is built
+        def unplanned(*args):
+            raise AssertionError("a plan was built")
+
+        monkeypatch.setattr(orbits, "_plan", unplanned)
+        spec = ActionSpec(3, ActionKind.FIRST)
+        calls = [lambda: enumerate_orbits(spec, workers=workers),
+                 lambda: enumerate_stratum(spec, F2Vector(3, 0), workers=workers),
+                 lambda: verify(3, ActionKind.FIRST, workers=workers)]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"at least 1, got {workers!r}$"):
+                call()
 
     def test_csv_round(self):
         c = enumerate_orbits(ActionSpec(3, ActionKind.SECOND), workers=1)
