@@ -2,8 +2,9 @@
 and prediction-vs-enumeration verification reports.
 
 For n >= 5 the full per-stratum layout of both actions is known in
-closed form; `_orbit_count` gives every expected orbit count, with the
-observed counts tabled below n = 5.
+closed form, the first action's derived from the second's through psi;
+`_orbit_count` gives every expected orbit count, with the observed
+counts tabled below n = 5.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .f2la import F2Vector
-from .actions import ActionKind, ActionSpec, height_functionals
+from .actions import ActionKind, ActionSpec, height_functionals, psi_height
 from .orbits import OrbitCensus, attach_labels, enumerate_orbits
 
 TRIVIAL = "trivial"
@@ -54,10 +55,6 @@ def _orbit_count(n: int, kind: ActionKind) -> int:
     if kind.is_first:
         return sharp(n + 1)
     return _EXCEPTIONAL_SECOND.get(n, (1 << n // 2) + 2)
-
-
-def _is_symmetric(bits: int, n: int) -> bool:
-    return all((bits >> i & 1) == (bits >> (n - 1 - i) & 1) for i in range(n // 2))
 
 
 def h_bar(n: int) -> F2Vector:
@@ -118,7 +115,15 @@ def _aggregate(by_height: dict[int, tuple[tuple[str, int], ...]]):
 
 
 def predict_first(n: int) -> PredictedCensus:
-    """Per-stratum layout of the first action for n >= 5.
+    """Per-stratum layout of the first action for n >= 5, pulled back
+    from `predict_second` through the order-lowering map psi.
+
+    psi maps the first action of order n onto the second, and the first
+    stratum at height h onto the second stratum at psi_height(h).  Over a
+    second orbit O of size |O| lie 2^(k-s) first orbits of |O| 2^s each
+    (k = n // 2), where s = 0 for the fixed point (which lifts to 2^k
+    singletons), s = k at the degenerate image height (zero for odd n,
+    eta_bar(k) for even n) and s = k - 1 elsewhere.  This gives Table 1:
 
     Odd n = 2k+1: each symmetric stratum holds one orbit of
     2^(2k^2+k-1) - eps_k 2^(k^2+k-1), one of
@@ -127,39 +132,23 @@ def predict_first(n: int) -> PredictedCensus:
 
     Even n = 2k: symmetric strata hold two orbits of
     (2^(2k(k-1)) - 1) 2^(k-1) plus 2^k singletons; the 2^k strata whose
-    height differs from the symmetric ones by the distinguished vector
-    split as (2^(k(k-1)) - 1) 2^(k^2-1) and (2^(k(k-1)) + 1) 2^(k^2-1);
-    the rest hold two orbits of 2^(2k^2-k-1).
+    height differs from the symmetric ones by `h_bar` split as
+    (2^(k(k-1)) - 1) 2^(k^2-1) and (2^(k(k-1)) + 1) 2^(k^2-1); the rest
+    hold two orbits of 2^(2k^2-k-1).
     """
     if n < 5:
         raise ValueError(f"no closed form below n=5 (got {n}); enumerate instead")
     k = n // 2
+    second = predict_second(n)
+    degenerate = eta_bar(k).bits if n % 2 == 0 else 0
     by_height: dict[int, tuple[tuple[str, int], ...]] = {}
-    if n % 2:
-        eps = epsilon(k)
-        card1 = (1 << (2 * k * k + k - 1)) - eps * (1 << (k * k + k - 1))
-        card2 = (1 << (2 * k * k + k - 1)) + eps * (1 << (k * k + k - 1)) - (1 << k)
-        standard = 1 << (2 * k * k + k - 1)
-        for h in range(1 << n):
-            if _is_symmetric(h, n):
-                rows = [(TRIVIAL, 1)] * (1 << k) + [(TYPE1, card1), (TYPE2, card2)]
-            else:
-                rows = [(STANDARD, standard)] * 2
-            by_height[h] = tuple(rows)
-    else:
-        card3 = ((1 << (2 * k * (k - 1))) - 1) << (k - 1)
-        card4 = ((1 << (k * (k - 1))) - 1) << (k * k - 1)
-        card5 = ((1 << (k * (k - 1))) + 1) << (k * k - 1)
-        standard = 1 << (2 * k * k - k - 1)
-        hb = h_bar(n).bits
-        for h in range(1 << n):
-            if _is_symmetric(h, n):
-                rows = [(TRIVIAL, 1)] * (1 << k) + [(TYPE3, card3)] * 2
-            elif _is_symmetric(h ^ hb, n):
-                rows = [(TYPE4, card4), (TYPE5, card5)]
-            else:
-                rows = [(STANDARD, standard)] * 2
-            by_height[h] = tuple(rows)
+    for h in range(1 << n):
+        eta = psi_height(F2Vector(n, h)).bits
+        rows: list[tuple[str, int]] = []
+        for label, card in second.by_height[eta]:
+            s = 0 if label == TRIVIAL else k if eta == degenerate else k - 1
+            rows += [(label, card << s)] * (1 << (k - s))
+        by_height[h] = tuple(rows)
     pred = PredictedCensus(n, ActionKind.FIRST, n * (n + 1) // 2,
                            _aggregate(by_height), by_height)
     _check_internal(pred)

@@ -947,9 +947,10 @@ def _census(spec, workers: Optional[int] = None, height: Optional[F2Vector] = No
 
     The base functionals lie in the span of the height functionals, so a
     height stratum sits inside one stratum of V/K.  workers is None (the
-    available parallelism) or an integer of at least 1.
+    available parallelism) or an integer of at least 1, not a bool.
     """
-    if workers is not None and not (isinstance(workers, numbers.Integral) and workers >= 1):
+    if workers is not None and (isinstance(workers, bool) or not (
+            isinstance(workers, numbers.Integral) and workers >= 1)):
         raise ValueError(f"workers must be None or an integer of at least 1, got {workers!r}")
     dim, masks, functionals, descriptor, n, kind = _family(spec)
     t = len(functionals)

@@ -32,6 +32,11 @@ class TestScalars:
         assert h_bar(6).to_string() == "101000"
         assert h_bar(8).to_string() == "10100000"
 
+    @pytest.mark.parametrize("n", range(2, 21, 2))
+    def test_psi_sends_h_bar_to_eta_bar(self, n):
+        # the strata split in two by type4 and type5 lie over eta_bar
+        assert psi_height(h_bar(n)) == eta_bar(n // 2)
+
     def test_eta_bar(self):
         assert eta_bar(3).to_string() == "111"
         assert eta_bar(4).to_string() == "1110"
@@ -67,6 +72,17 @@ class TestPredictFirst:
         rows = dict(((label, card), count) for label, card, count in predict_first(6).rows)
         assert rows == {(TRIVIAL, 1): 64, (STANDARD, 16384): 96,
                         (TYPE3, 16380): 16, (TYPE4, 16128): 8, (TYPE5, 16640): 8}
+
+    def test_n7_rows(self):
+        rows = dict(((label, card), count) for label, card, count in predict_first(7).rows)
+        assert rows == {(TRIVIAL, 1): 128, (STANDARD, 1048576): 224,
+                        (TYPE1, 1046528): 16, (TYPE2, 1050616): 16}
+
+    def test_n8_rows(self):
+        rows = dict(((label, card), count) for label, card, count in predict_first(8).rows)
+        assert rows == {(TRIVIAL, 1): 256, (STANDARD, 134217728): 448,
+                        (TYPE3, 134217720): 32, (TYPE4, 134184960): 16,
+                        (TYPE5, 134250496): 16}
 
     def test_n7_totals(self):
         pred = predict_first(7)
@@ -143,6 +159,28 @@ class TestCoherenceBetweenActions:
                 else:
                     expected += [(label, card * degree)] * ratio
             assert sorted(expected) == sorted(rows), (n, h, eta)
+
+
+    @pytest.mark.parametrize("n", (5, 6))
+    def test_enumerated_orbits_lie_over_second_orbits(self, n):
+        # the rule above, from both enumerations rather than the closed forms
+        from f2orbits.orbits import orbit_of
+        from f2orbits.tri import TriMatrix, psi
+        k = n // 2
+        degenerate = 0 if n % 2 else eta_bar(k).bits
+        spec2 = ActionSpec(n, ActionKind.SECOND)
+        over: dict[tuple[int, int], list[int]] = {}
+        for r in enumerate_orbits(ActionSpec(n, ActionKind.FIRST), workers=1).records:
+            down = orbit_of(spec2, psi(TriMatrix.from_bits(n, r.representative.bits)))
+            assert down.height == psi_height(r.height), (n, r)
+            if r.cardinality == 1:
+                s = 0
+            else:
+                s = k if down.height.bits == degenerate else k - 1
+            assert r.cardinality == down.cardinality << s, (n, r, down)
+            over.setdefault((r.height.bits, down.representative.bits), []).append(s)
+        for (h, _), shifts in over.items():
+            assert len(shifts) == 1 << (k - shifts[0]), (n, h)
 
 
 class TestLabeling:

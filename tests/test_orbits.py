@@ -182,7 +182,7 @@ class TestDeterminism:
         docs = {enumerate_orbits(spec, workers=w).to_json() for w in (1, 2, 4)}
         assert len(docs) == 1
 
-    @pytest.mark.parametrize("workers", [0, -1, 2.5, "2"])
+    @pytest.mark.parametrize("workers", [0, -1, 2.5, "2", True, False])
     def test_refuses_a_bad_worker_count(self, workers, monkeypatch):
         # as the CLI's --threads does, and before any plan is built
         def unplanned(*args):
