@@ -15,6 +15,7 @@ from typing import Optional
 
 from .f2la import F2Vector
 from .actions import ActionKind, ActionSpec, height_functionals, psi_height
+from .lattice import build, hex_lattice_graph, predict_census_nonspecial
 from .orbits import OrbitCensus, attach_labels, enumerate_orbits
 
 TRIVIAL = "trivial"
@@ -298,7 +299,11 @@ def verify(n: int, kind: ActionKind, workers: Optional[int] = None) -> VerifyRep
     transposes of its base kind's, so it is the dual action on V*, and
     Brauer's permutation lemma gives a finite linear group equal
     permutation characters on V and V*: the two actions have the same
-    number of orbits, though not necessarily the same orbit sizes."""
+    number of orbits, though not necessarily the same orbit sizes.  From
+    n = 5 second-conj also compares its (representative, cardinality)
+    records with `predict_census_nonspecial` of the graph lattice whose
+    transvections are its generators, `build(hex_lattice_graph(n))`: from
+    n = 5 that graph holds an induced E6, which licenses the prediction."""
     spec = ActionSpec(n, kind)
     census = enumerate_orbits(spec, workers=workers)
     conjugate = kind in (ActionKind.FIRST_CONJUGATE, ActionKind.SECOND_CONJUGATE)
@@ -306,9 +311,17 @@ def verify(n: int, kind: ActionKind, workers: Optional[int] = None) -> VerifyRep
         expected = _orbit_count(n, kind)
         name, mode = (("orbit count equals the base action's", "conjugate-count")
                       if conjugate else ("orbit count (exceptional table)", "observed"))
-        check = CheckResult(name, str(expected), str(census.orbit_count),
-                            census.orbit_count == expected)
-        return VerifyReport(n, kind, mode, (check,), census)
+        checks = [CheckResult(name, str(expected), str(census.orbit_count),
+                              census.orbit_count == expected)]
+        if kind is ActionKind.SECOND_CONJUGATE and n >= 5:
+            pred = predict_census_nonspecial(build(hex_lattice_graph(n)))
+            exp, obs = ([(r.representative.to_string(), r.cardinality) for r in c.records]
+                        for c in (pred, census))
+            bad = next((f"record {i}: {o} != {e}" for i, (o, e) in enumerate(zip(obs, exp))
+                        if o != e), "" if len(obs) == len(exp) else f"{len(obs)} records")
+            checks.append(CheckResult("records equal the hex lattice prediction", "match",
+                                      bad or "match", not bad))
+        return VerifyReport(n, kind, mode, tuple(checks), census)
     pred = predict(n, kind)
     checks = [CheckResult("orbit count", str(pred.orbit_count), str(census.orbit_count),
                           census.orbit_count == pred.orbit_count)]

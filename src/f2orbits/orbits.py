@@ -204,18 +204,29 @@ _UNPACK = 1 << 10
 
 def _members(bits: np.ndarray) -> np.ndarray:
     """The states of a bitset, ascending, as uint32, written into one
-    array of its popcount; the nonzero words are unpacked _UNPACK at a
-    time.  Bit p of word w is compact state w << 6 | p, which is the
-    state itself where the compact basis is the standard basis, as in
-    the closure's search of the whole space (_closure)."""
-    out = np.empty(int(np.bitwise_count(bits).sum()), dtype=np.uint32)
-    nonzero = np.flatnonzero(bits)
+    array of its popcount.  Bit p of word w is compact state w << 6 | p,
+    which is the state itself where the compact basis is the standard
+    basis, as in the closure's search of the whole space (_closure).
+
+    The bitset is read in place, _UNPACK / 2 words at a time, both to sum
+    the popcount and to write the answer: the set bits of a block
+    starting at word s are its unpacked positions i, so its states are
+    i + 64 s, computed in i itself and copied into the answer.  Beside
+    the answer nothing grows with the bitset, and nothing holds more
+    than one block: the unpacked bytes and i, 256 KiB when the block is
+    full.  Zero words are unpacked too, since filtering them out first
+    and taking each word's base cost more on the closures' dense maps.
+    """
+    step = _UNPACK >> 1
+    blocks = range(0, bits.size, step)
+    out = np.empty(sum(int(np.bitwise_count(bits[s:s + step]).sum()) for s in blocks),
+                   dtype=np.uint32)
     at = 0
-    for start in range(0, nonzero.size, _UNPACK):
-        w = nonzero[start:start + _UNPACK]
-        i = np.unpackbits(bits[w].astype("<u8").view(np.uint8),
-                          bitorder="little").view(np.bool_).nonzero()[0]
-        out[at:at + i.size] = w[i >> 6] << 6 | i & 63
+    for start in blocks:
+        block = np.ascontiguousarray(bits[start:start + step], dtype="<u8")
+        i = np.unpackbits(block.view(np.uint8), bitorder="little").view(np.bool_).nonzero()[0]
+        i += start << 6
+        out[at:at + i.size] = i
         at += i.size
     return out
 

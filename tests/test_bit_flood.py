@@ -208,6 +208,24 @@ def test_seed_scan_allocates_less_than_a_tile():
     assert peak < orbits._TILE_WORDS * visited.itemsize
 
 
+def test_members_allocates_less_than_half_a_mib_beside_its_answer(monkeypatch):
+    # the closure map of the hex lattice of order 6: 1046528 states in
+    # 2^15 words; an index of its nonzero words beside temporaries for
+    # the states of 1024 words would take 1.25 MiB, one block under 300 KiB
+    maps = []
+    members = orbits._members
+    monkeypatch.setattr(orbits, "_members", lambda bits: maps.append(bits) or members(bits))
+    size = delta_closure(build(hex_lattice_graph(7))).vectors.size
+    tracemalloc.start()
+    try:
+        states = members(maps[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert states.size == size == 1046528
+    assert peak - states.nbytes < 512 << 10
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=(1 << 12) - 1),
        st.integers(min_value=0, max_value=1))

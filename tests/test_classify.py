@@ -11,11 +11,24 @@ from f2orbits.classify import (PredictedCensus, _orbit_count, epsilon, eta_bar, 
                                label_orbits, predict_first, predict_second,
                                sharp, verify, LabelingError,
                                TRIVIAL, STANDARD, TYPE1, TYPE2, TYPE3, TYPE4, TYPE5)
-from f2orbits.orbits import enumerate_orbits
+from f2orbits.orbits import enumerate_orbits, orbit_of
 from f2orbits.actions import psi_height
 from f2orbits.f2la import F2Vector
+from f2orbits.tri import TriMatrix, psi
 
 from test_engine_properties import union_find_orbits
+
+
+@pytest.fixture(scope="module", params=(5, 6))
+def first_over_second(request):
+    """n, the first census of n and, per record r of it, (r, the second
+    orbit of psi(r.representative)): one pass of orbit_of feeds both the
+    coherence and the label transport tests."""
+    n = request.param
+    spec2 = ActionSpec(n, ActionKind.SECOND)
+    first = enumerate_orbits(ActionSpec(n, ActionKind.FIRST), workers=1)
+    return n, first, [(r, orbit_of(spec2, psi(TriMatrix.from_bits(n, r.representative.bits))))
+                      for r in first.records]
 
 
 class TestScalars:
@@ -161,17 +174,13 @@ class TestCoherenceBetweenActions:
             assert sorted(expected) == sorted(rows), (n, h, eta)
 
 
-    @pytest.mark.parametrize("n", (5, 6))
-    def test_enumerated_orbits_lie_over_second_orbits(self, n):
+    def test_enumerated_orbits_lie_over_second_orbits(self, first_over_second):
         # the rule above, from both enumerations rather than the closed forms
-        from f2orbits.orbits import orbit_of
-        from f2orbits.tri import TriMatrix, psi
+        n, _, pairs = first_over_second
         k = n // 2
         degenerate = 0 if n % 2 else eta_bar(k).bits
-        spec2 = ActionSpec(n, ActionKind.SECOND)
         over: dict[tuple[int, int], list[int]] = {}
-        for r in enumerate_orbits(ActionSpec(n, ActionKind.FIRST), workers=1).records:
-            down = orbit_of(spec2, psi(TriMatrix.from_bits(n, r.representative.bits)))
+        for r, down in pairs:
             assert down.height == psi_height(r.height), (n, r)
             if r.cardinality == 1:
                 s = 0
@@ -212,20 +221,14 @@ class TestLabeling:
 
 
 class TestPsiSendsOrbitsToSameLabel:
-    @pytest.mark.parametrize("n", (5, 6))
-    def test_labels_transported(self, n):
-        from f2orbits.orbits import orbit_of
-        from f2orbits.tri import TriMatrix, psi
-        first = enumerate_orbits(ActionSpec(n, ActionKind.FIRST), workers=1)
+    def test_labels_transported(self, first_over_second):
+        n, first, pairs = first_over_second
         labeled_first = label_orbits(first, predict_first(n))
         second_census = enumerate_orbits(ActionSpec(n, ActionKind.SECOND), workers=1)
         labeled_second = label_orbits(second_census, predict_second(n))
         second_labels = {r.representative.bits: r.type_label
                          for r in labeled_second.records}
-        spec2 = ActionSpec(n, ActionKind.SECOND)
-        for r in labeled_first.records:
-            image = psi(TriMatrix.from_bits(n, r.representative.bits))
-            rec = orbit_of(spec2, image)
+        for r, (_, rec) in zip(labeled_first.records, pairs, strict=True):
             assert second_labels[rec.representative.bits] == r.type_label
 
 

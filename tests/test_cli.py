@@ -173,6 +173,31 @@ class TestVerify:
         assert code == 1 and out.endswith("FAIL\n")
         assert "per-stratum layout: expected match, observed height 10000: " in out
 
+    @pytest.mark.parametrize("n", (5, 6))
+    def test_second_conj_records_match_the_lattice_prediction(self, capsys, n):
+        code, out, _ = run(capsys, "verify", "--action", "second-conj", "--n", str(n))
+        assert code == 0 and out.endswith("PASS\n")
+        assert ("[ok ] records equal the hex lattice prediction: expected match, "
+                "observed match\n") in out
+
+    def test_altered_second_conj_record_exit_1(self, capsys, monkeypatch):
+        # the prediction's last representative with its first bit flipped
+        real = lattice.predict_census_nonspecial
+
+        def altered(spec):
+            pred = real(spec)
+            last = pred.records[-1]
+            moved = replace(last, representative=replace(last.representative,
+                                                         bits=last.representative.bits ^ 1))
+            return replace(pred, records=pred.records[:-1] + (moved,))
+
+        monkeypatch.setattr(classify, "predict_census_nonspecial", altered)
+        code, out, _ = run(capsys, "verify", "--action", "second-conj", "--n", "5")
+        assert code == 1 and out.endswith("FAIL\n")
+        assert "[ok ] orbit count equals the base action's" in out
+        assert ("[FAIL] records equal the hex lattice prediction: expected match, "
+                "observed record 5: ('1111111111', 1) != ('0111111111', 1)\n") in out
+
 
 class TestGraph:
     def test_hex4_prediction_matches(self, capsys, tmp_path):
