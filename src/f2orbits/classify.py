@@ -10,7 +10,9 @@ counts tabled below n = 5.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .f2la import F2Vector
@@ -25,6 +27,7 @@ TYPE2 = "type2"
 TYPE3 = "type3"
 TYPE4 = "type4"
 TYPE5 = "type5"
+_LABELS = (TRIVIAL, STANDARD, TYPE1, TYPE2, TYPE3, TYPE4, TYPE5)   # the tables' row order
 
 _EXCEPTIONAL_SHARP = {2: 2, 3: 6, 4: 20, 5: 52}
 _EXCEPTIONAL_SECOND = {2: 2, 3: 3, 4: 6}
@@ -81,13 +84,23 @@ def eta_bar(k: int) -> F2Vector:
 
 @dataclass(frozen=True)
 class PredictedCensus:
-    """Closed-form census: aggregate rows and the per-stratum layout."""
+    """Closed-form census: the per-stratum layout, from which every other
+    view is read."""
 
     n: int
     kind: ActionKind
-    state_dim: int
-    rows: tuple[tuple[str, int, int], ...]           # (label, cardinality, orbit count)
     by_height: dict[int, tuple[tuple[str, int], ...]]  # height bits -> (label, cardinality)*
+
+    @property
+    def state_dim(self) -> int:
+        return ActionSpec(self.n, self.kind).state_dim
+
+    @cached_property
+    def rows(self) -> tuple[tuple[str, int, int], ...]:
+        """(label, cardinality, orbit count), in label then cardinality order."""
+        counts = Counter(row for rows in self.by_height.values() for row in rows)
+        return tuple(sorted(((label, card, cnt) for (label, card), cnt in counts.items()),
+                            key=lambda row: (_LABELS.index(row[0]), row[1])))
 
     @property
     def orbit_count(self) -> int:
@@ -102,17 +115,6 @@ class PredictedCensus:
         for _, card, count in self.rows:
             out[card] = out.get(card, 0) + count
         return out
-
-
-def _aggregate(by_height: dict[int, tuple[tuple[str, int], ...]]):
-    counts: dict[tuple[str, int], int] = {}
-    for rows in by_height.values():
-        for label, card in rows:
-            counts[(label, card)] = counts.get((label, card), 0) + 1
-    order = {TRIVIAL: 0, STANDARD: 1, TYPE1: 2, TYPE2: 3, TYPE3: 4, TYPE4: 5, TYPE5: 6}
-    merged = sorted(((label, card, cnt) for (label, card), cnt in counts.items()),
-                    key=lambda row: (order[row[0]], row[1]))
-    return tuple(merged)
 
 
 def predict_first(n: int) -> PredictedCensus:
@@ -150,8 +152,7 @@ def predict_first(n: int) -> PredictedCensus:
             s = 0 if label == TRIVIAL else k if eta == degenerate else k - 1
             rows += [(label, card << s)] * (1 << (k - s))
         by_height[h] = tuple(rows)
-    pred = PredictedCensus(n, ActionKind.FIRST, n * (n + 1) // 2,
-                           _aggregate(by_height), by_height)
+    pred = PredictedCensus(n, ActionKind.FIRST, by_height)
     _check_internal(pred)
     return pred
 
@@ -170,32 +171,22 @@ def predict_second(n: int) -> PredictedCensus:
     if n < 5:
         raise ValueError(f"no closed form below n=5 (got {n}); enumerate instead")
     k = n // 2
-    by_height: dict[int, tuple[tuple[str, int], ...]] = {}
     if n % 2:
         eps = epsilon(k)
         card1 = (1 << (2 * k * k - 1)) - eps * (1 << (k * k - 1))
         card2 = (1 << (2 * k * k - 1)) + eps * (1 << (k * k - 1)) - 1
         standard = 1 << (2 * k * k)
-        for h in range(1 << k):
-            if h == 0:
-                by_height[h] = ((TRIVIAL, 1), (TYPE1, card1), (TYPE2, card2))
-            else:
-                by_height[h] = ((STANDARD, standard),)
+        special = {0: ((TRIVIAL, 1), (TYPE1, card1), (TYPE2, card2))}
     else:
         card3 = (1 << (2 * k * (k - 1))) - 1
         card4 = ((1 << (k * (k - 1))) - 1) << (k * (k - 1) - 1)
         card5 = ((1 << (k * (k - 1))) + 1) << (k * (k - 1) - 1)
         standard = 1 << (2 * k * (k - 1))
-        eb = eta_bar(k).bits
-        for h in range(1 << k):
-            if h == 0:
-                by_height[h] = ((TRIVIAL, 1), (TYPE3, card3))
-            elif h == eb:
-                by_height[h] = ((TYPE4, card4), (TYPE5, card5))
-            else:
-                by_height[h] = ((STANDARD, standard),)
-    pred = PredictedCensus(n, ActionKind.SECOND, (n - 1) * n // 2,
-                           _aggregate(by_height), by_height)
+        special = {0: ((TRIVIAL, 1), (TYPE3, card3)),
+                   eta_bar(k).bits: ((TYPE4, card4), (TYPE5, card5))}
+    by_height = dict.fromkeys(range(1 << k), ((STANDARD, standard),))
+    by_height.update(special)
+    pred = PredictedCensus(n, ActionKind.SECOND, by_height)
     _check_internal(pred)
     return pred
 
@@ -250,7 +241,10 @@ class CheckResult:
     name: str
     expected: str
     observed: str
-    ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.observed == self.expected
 
 
 @dataclass(frozen=True)
@@ -291,6 +285,16 @@ def _multiset_str(ms: dict[int, int]) -> str:
     return "{" + ", ".join(f"{card}x{cnt}" for card, cnt in sorted(ms.items())) + "}"
 
 
+def _record_diff(expected: OrbitCensus, observed: OrbitCensus) -> str:
+    """The first (representative, cardinality) record where `observed`
+    departs from `expected`, or its record count when one list is a
+    prefix of the other; "" when the records agree."""
+    exp, obs = ([(r.representative.to_string(), r.cardinality) for r in c.records]
+                for c in (expected, observed))
+    return next((f"record {i}: {o} != {e}" for i, (o, e) in enumerate(zip(obs, exp))
+                 if o != e), "" if len(obs) == len(exp) else f"{len(obs)} records")
+
+
 def verify(n: int, kind: ActionKind, workers: Optional[int] = None) -> VerifyReport:
     """Enumerate once and diff against the expected census.  Base kinds
     from n = 5 take the closed form ("closed-form" mode); base kinds below
@@ -300,51 +304,49 @@ def verify(n: int, kind: ActionKind, workers: Optional[int] = None) -> VerifyRep
     Brauer's permutation lemma gives a finite linear group equal
     permutation characters on V and V*: the two actions have the same
     number of orbits, though not necessarily the same orbit sizes.  From
-    n = 5 second-conj also compares its (representative, cardinality)
-    records with `predict_census_nonspecial` of the graph lattice whose
-    transvections are its generators, `build(hex_lattice_graph(n))`: from
-    n = 5 that graph holds an induced E6, which licenses the prediction."""
+    n = 5 each conjugate kind adds one check of its orbit sizes.
+    first-conj compares its cardinality multiset with `predict_first`'s:
+    a symmetric invertible T with T phi_v = psi_v for every generator v
+    (one linear solve finds it for n = 3..10 and 12) gives
+    <phi_v, Tx> = <psi_v, x>, so x -> Tx carries the first action's
+    orbits onto first-conj's.  second-conj compares its
+    (representative, cardinality) records with `predict_census_nonspecial`
+    of the graph lattice whose transvections are its generators,
+    `build(hex_lattice_graph(n))`: from n = 5 that graph holds an
+    induced E6, which licenses the prediction."""
     spec = ActionSpec(n, kind)
     census = enumerate_orbits(spec, workers=workers)
     conjugate = kind in (ActionKind.FIRST_CONJUGATE, ActionKind.SECOND_CONJUGATE)
     if conjugate or n < 5:
-        expected = _orbit_count(n, kind)
         name, mode = (("orbit count equals the base action's", "conjugate-count")
                       if conjugate else ("orbit count (exceptional table)", "observed"))
-        checks = [CheckResult(name, str(expected), str(census.orbit_count),
-                              census.orbit_count == expected)]
+        checks = [CheckResult(name, str(_orbit_count(n, kind)), str(census.orbit_count))]
+        if kind is ActionKind.FIRST_CONJUGATE and n >= 5:
+            checks.append(CheckResult(
+                "cardinality multiset equals the first action's",
+                _multiset_str(predict_first(n).cardinality_multiset()),
+                _multiset_str(census.cardinality_multiset())))
         if kind is ActionKind.SECOND_CONJUGATE and n >= 5:
             pred = predict_census_nonspecial(build(hex_lattice_graph(n)))
-            exp, obs = ([(r.representative.to_string(), r.cardinality) for r in c.records]
-                        for c in (pred, census))
-            bad = next((f"record {i}: {o} != {e}" for i, (o, e) in enumerate(zip(obs, exp))
-                        if o != e), "" if len(obs) == len(exp) else f"{len(obs)} records")
             checks.append(CheckResult("records equal the hex lattice prediction", "match",
-                                      bad or "match", not bad))
+                                      _record_diff(pred, census) or "match"))
         return VerifyReport(n, kind, mode, tuple(checks), census)
     pred = predict(n, kind)
-    checks = [CheckResult("orbit count", str(pred.orbit_count), str(census.orbit_count),
-                          census.orbit_count == pred.orbit_count)]
-    exp_ms = pred.cardinality_multiset()
-    obs_ms = census.cardinality_multiset()
-    checks.append(CheckResult("cardinality multiset", _multiset_str(exp_ms),
-                              _multiset_str(obs_ms), exp_ms == obs_ms))
-    layout_ok = True
-    bad = ""
     t = len(height_functionals(spec))
     observed_by_height = census.by_height()
-    for h, rows in pred.by_height.items():
-        exp = sorted(card for _, card in rows)
-        obs = sorted(r.cardinality for r in observed_by_height.get(h, ()))
-        if exp != obs:
-            layout_ok = False
-            bad = f"height {F2Vector(t, h).to_string()}: {obs} != {exp}"
-            break
-    checks.append(CheckResult("per-stratum layout", "match",
-                              bad or "match", layout_ok))
+    strata = ((h, sorted(r.cardinality for r in observed_by_height.get(h, ())),
+               sorted(card for _, card in rows)) for h, rows in pred.by_height.items())
+    layout = next((f"height {F2Vector(t, h).to_string()}: {obs} != {exp}"
+                   for h, obs, exp in strata if obs != exp), "match")
     try:
         label_orbits(census, pred)
-        checks.append(CheckResult("type labeling", "unambiguous", "unambiguous", True))
+        labeling = "unambiguous"
     except LabelingError as exc:
-        checks.append(CheckResult("type labeling", "unambiguous", str(exc), False))
-    return VerifyReport(n, kind, "closed-form", tuple(checks), census)
+        labeling = str(exc)
+    checks = (CheckResult("orbit count", str(pred.orbit_count), str(census.orbit_count)),
+              CheckResult("cardinality multiset",
+                          _multiset_str(pred.cardinality_multiset()),
+                          _multiset_str(census.cardinality_multiset())),
+              CheckResult("per-stratum layout", "match", layout),
+              CheckResult("type labeling", "unambiguous", labeling))
+    return VerifyReport(n, kind, "closed-form", checks, census)

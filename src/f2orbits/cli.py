@@ -17,7 +17,7 @@ import time
 
 from .f2la import F2Vector, arf, value_counts_brute, value_counts_closed
 from .actions import ActionKind, ActionSpec
-from .classify import verify
+from .classify import _record_diff, verify
 from .lattice import (NonspecialityUnknown, build, hex_lattice_graph,
                       parse_graph_file, predict_census_nonspecial)
 from .orbits import EnumerationGuardError, OrbitCensus, enumerate_orbits, enumerate_stratum
@@ -125,11 +125,10 @@ def cmd_graph(args) -> int:
     except NonspecialityUnknown as exc:
         _status(f"prediction: not licensed ({exc})", args.out)
         return EXIT_OK
-    same = ([(r.representative.bits, r.cardinality) for r in pred.records]
-            == [(r.representative.bits, r.cardinality) for r in census.records])
+    bad = _record_diff(pred, census)
     _status(f"prediction: {pred.orbit_count} orbits (2^kappa+2); "
-            f"{'matches enumeration' if same else 'MISMATCH'}", args.out)
-    return EXIT_OK if same else EXIT_DIFF
+            f"{f'MISMATCH ({bad})' if bad else 'matches enumeration'}", args.out)
+    return EXIT_DIFF if bad else EXIT_OK
 
 
 def _check_order(n: int) -> None:

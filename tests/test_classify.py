@@ -1,14 +1,15 @@
 """Closed-form censuses, internal consistency, labeling, verification,
 and the coherence between the two actions' predictions."""
 
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import pytest
 
 from f2orbits import classify
 from f2orbits.actions import ActionKind, ActionSpec, generator_masks
-from f2orbits.classify import (PredictedCensus, _orbit_count, epsilon, eta_bar, h_bar,
-                               label_orbits, predict_first, predict_second,
+from f2orbits.classify import (CheckResult, PredictedCensus, _orbit_count, epsilon, eta_bar,
+                               h_bar, label_orbits, predict_first, predict_second,
                                sharp, verify, LabelingError,
                                TRIVIAL, STANDARD, TYPE1, TYPE2, TYPE3, TYPE4, TYPE5)
 from f2orbits.orbits import enumerate_orbits, orbit_of
@@ -148,6 +149,26 @@ class TestPredictSecond:
         assert pred.orbit_count == (1 << (n // 2)) + 2
 
 
+class TestPredictionIsItsLayout:
+    def test_fields(self):
+        assert [f.name for f in fields(PredictedCensus)] == ["n", "kind", "by_height"]
+        assert [f.name for f in fields(CheckResult)] == ["name", "expected", "observed"]
+
+    def test_views_follow_a_replaced_layout(self):
+        # the first action at n = 5: height 1 holds two orbits of 512,
+        # which grow by one state each
+        pred = predict_first(5)
+        assert pred.by_height[1] == ((STANDARD, 512),) * 2
+        altered = replace(pred, by_height={**pred.by_height, 1: ((STANDARD, 513),) * 2})
+        assert altered.state_dim == 15 and altered.orbit_count == 96
+        assert altered.total_states == (1 << 15) + 2
+        assert altered.cardinality_multiset() == {1: 32, 480: 8, 512: 46, 513: 2, 540: 8}
+
+    def test_check_verdict_is_the_comparison(self):
+        assert CheckResult("c", "match", "match").ok
+        assert not CheckResult("c", "match", "record 0: x != y").ok
+
+
 class TestCoherenceBetweenActions:
     """Each first-action stratum covers the second-action stratum at the
     image height; the covering degree is 2^k when the image height is the
@@ -214,7 +235,7 @@ class TestLabeling:
     def test_zero_match_is_reported(self):
         census = enumerate_orbits(ActionSpec(5, ActionKind.SECOND), workers=1)
         pred = predict_second(5)
-        wrong = PredictedCensus(5, ActionKind.SECOND, pred.state_dim, pred.rows,
+        wrong = PredictedCensus(5, ActionKind.SECOND,
                                 {h: ((STANDARD, 7),) for h in pred.by_height})
         with pytest.raises(LabelingError):
             label_orbits(census, wrong)

@@ -21,6 +21,24 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def grown_stratum(pred):
+    """`pred` with each orbit at height 1 (printed 10000 at n = 5) one
+    state larger."""
+    return replace(pred, by_height={**pred.by_height, 1: tuple(
+        (label, card + 1) for label, card in pred.by_height[1])})
+
+
+def flipped_last_representative(predict):
+    """`predict` with the first bit of its last representative flipped."""
+    def altered(spec):
+        pred = predict(spec)
+        last = pred.records[-1]
+        moved = replace(last, representative=replace(last.representative,
+                                                     bits=last.representative.bits ^ 1))
+        return replace(pred, records=pred.records[:-1] + (moved,))
+    return altered
+
+
 def write_hex_graph_file(path, n):
     g = hex_lattice_graph(n)
     lines = [f"{g.vertex_count} {len(g.edges)}"]
@@ -164,14 +182,29 @@ class TestVerify:
 
     def test_failed_verification_exit_1(self, capsys, monkeypatch):
         # one wrong stratum, at the height census output prints as 10000
-        real = classify.predict(5, ActionKind.FIRST)
-        by_height = dict(real.by_height)
-        by_height[1] = tuple((label, card + 1) for label, card in by_height[1])
-        monkeypatch.setattr(classify, "predict",
-                            lambda n, kind: replace(real, by_height=by_height))
+        altered = grown_stratum(classify.predict(5, ActionKind.FIRST))
+        monkeypatch.setattr(classify, "predict", lambda n, kind: altered)
         code, out, _ = run(capsys, "verify", "--action", "first", "--n", "5")
         assert code == 1 and out.endswith("FAIL\n")
-        assert "per-stratum layout: expected match, observed height 10000: " in out
+        assert "[FAIL] per-stratum layout: expected match, observed height 10000: " in out
+        # the multiset is read off the altered layout, so it fails too
+        assert "[FAIL] cardinality multiset: expected {1x32, 480x8, 512x46, 513x2, 540x8}, " in out
+
+    @pytest.mark.parametrize("n", (5, 6))
+    def test_first_conj_multiset_matches_the_first_action(self, capsys, n):
+        code, out, _ = run(capsys, "verify", "--action", "first-conj", "--n", str(n))
+        assert code == 0 and out.endswith("PASS\n")
+        assert f"verify first-conj n={n} (conjugate-count mode)\n" in out
+        assert "[ok ] cardinality multiset equals the first action's: expected {1x" in out
+
+    def test_altered_first_prediction_fails_first_conj(self, capsys, monkeypatch):
+        altered = grown_stratum(classify.predict_first(5))
+        monkeypatch.setattr(classify, "predict_first", lambda n: altered)
+        code, out, _ = run(capsys, "verify", "--action", "first-conj", "--n", "5")
+        assert code == 1 and out.endswith("FAIL\n")
+        assert "[ok ] orbit count equals the base action's" in out
+        assert ("[FAIL] cardinality multiset equals the first action's: "
+                "expected {1x32, 480x8, 512x46, 513x2, 540x8}, ") in out
 
     @pytest.mark.parametrize("n", (5, 6))
     def test_second_conj_records_match_the_lattice_prediction(self, capsys, n):
@@ -181,17 +214,8 @@ class TestVerify:
                 "observed match\n") in out
 
     def test_altered_second_conj_record_exit_1(self, capsys, monkeypatch):
-        # the prediction's last representative with its first bit flipped
-        real = lattice.predict_census_nonspecial
-
-        def altered(spec):
-            pred = real(spec)
-            last = pred.records[-1]
-            moved = replace(last, representative=replace(last.representative,
-                                                         bits=last.representative.bits ^ 1))
-            return replace(pred, records=pred.records[:-1] + (moved,))
-
-        monkeypatch.setattr(classify, "predict_census_nonspecial", altered)
+        monkeypatch.setattr(classify, "predict_census_nonspecial",
+                            flipped_last_representative(lattice.predict_census_nonspecial))
         code, out, _ = run(capsys, "verify", "--action", "second-conj", "--n", "5")
         assert code == 1 and out.endswith("FAIL\n")
         assert "[ok ] orbit count equals the base action's" in out
@@ -206,6 +230,16 @@ class TestGraph:
         code, _, err = run(capsys, "graph", "--input", str(path))
         assert code == 0
         assert "orbits=6" in err and "matches enumeration" in err
+
+    def test_altered_prediction_names_the_record_exit_1(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "predict_census_nonspecial",
+                            flipped_last_representative(lattice.predict_census_nonspecial))
+        path = tmp_path / "h4.graph"
+        write_hex_graph_file(path, 5)
+        code, _, err = run(capsys, "graph", "--input", str(path))
+        assert code == 1
+        assert ("prediction: 6 orbits (2^kappa+2); MISMATCH "
+                "(record 5: ('1111111111', 1) != ('0111111111', 1))\n") in err
 
     def test_triangle_no_prediction(self, capsys, tmp_path):
         path = tmp_path / "tri.graph"
