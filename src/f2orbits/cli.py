@@ -15,6 +15,13 @@ import os
 import sys
 import time
 
+# numpy's OpenBLAS starts one thread per usable CPU when it loads, about
+# 70 ms of wall time on a 2-CPU machine, and f2orbits never calls BLAS.
+# This runs before the first package import loads numpy (the package
+# namespace itself is lazy), keeps a value the user set, and touches
+# only the CLI's own process and the workers it forks.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .f2la import F2Vector, arf, value_counts_brute, value_counts_closed
 from .actions import ActionKind, ActionSpec
 from .classify import _record_diff, verify
@@ -195,9 +202,13 @@ def cmd_arf(args) -> int:
 
 
 def _worker_count(text: str) -> int:
-    value = int(text)
+    problem = argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    try:
+        value = int(text)
+    except ValueError:
+        raise problem from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise problem
     return value
 
 

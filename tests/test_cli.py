@@ -435,6 +435,14 @@ class TestThreads:
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
+    def test_fraction_is_refused_by_the_rule(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["census", "--action", "first", "--n", "3", "--threads", "2.5"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "f2orbits census: error: argument --threads: "
+            "must be an integer of at least 1, got '2.5'")
+
     def test_default_follows_cpu_affinity(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
