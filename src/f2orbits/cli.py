@@ -1,11 +1,14 @@
 """Command-line front end.
 
-Subcommands: census, verify, graph, patterns, arf.  Exit codes: 0 on
-success or a passing verification, 1 on a verification diff, 2 on usage
-or parse errors and on an --input or --out file that cannot be read or
-written, 3 when a resource guard refuses the job.  Given the
-same arguments, output files are byte-identical run to run regardless
-of the worker count.
+Subcommands: census, verify, graph, patterns, arf.  Each command
+returns its document, its status lines and its exit code, and writes
+nothing; `main` alone writes the document to --out or stdout and sends
+the status lines to stdout beside an --out file, to stderr otherwise.
+Exit codes: 0 on success or a passing verification, 1 on a verification
+diff, 2 on usage or parse errors and on an --input or --out file that
+cannot be read or written, 3 when a resource guard refuses the job.
+Given the same arguments, output files are byte-identical run to run
+regardless of the worker count.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ import argparse
 import os
 import sys
 import time
+from collections import Counter
+from contextlib import nullcontext
 
 # numpy's OpenBLAS starts one thread per usable CPU when it loads, about
 # 70 ms of wall time on a 2-CPU machine, and f2orbits never calls BLAS.
@@ -79,63 +84,47 @@ def _check_out(out_path) -> None:
     raise OSError(f"cannot write --out {out_path}: {problem}")
 
 
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _status(text: str, out_path) -> None:
-    """A status line: on stdout beside an output file, on stderr when the
-    document itself goes to stdout."""
-    print(text, file=sys.stdout if out_path else sys.stderr)
-
-
-def cmd_census(args) -> int:
-    spec = ActionSpec(args.n, ActionKind.parse(args.action))
+def _timed(search, *args, **kwargs) -> tuple[OrbitCensus, str]:
+    """Run one census search; return the census and its status line,
+    which times the search alone."""
     t0 = time.perf_counter()
-    if args.height is not None:
-        height = F2Vector.from_string(args.height)
-        census = enumerate_stratum(spec, height, workers=args.threads)
-    else:
-        census = enumerate_orbits(spec, workers=args.threads)
+    census = search(*args, **kwargs)
     elapsed = time.perf_counter() - t0
-    _emit(_render(census, args.format), args.out)
-    _status(f"orbits={census.orbit_count} states={census.total_states} elapsed={elapsed:.2f}",
-            args.out)
-    return EXIT_OK
+    return census, f"orbits={census.orbit_count} states={census.total_states} elapsed={elapsed:.2f}"
 
 
-def cmd_verify(args) -> int:
-    kind = ActionKind.parse(args.action)
-    report = verify(args.n, kind, workers=args.threads)
+def cmd_census(args) -> tuple[str, list[str], int]:
+    spec = ActionSpec(args.n, ActionKind.parse(args.action))
+    if args.height is None:
+        census, line = _timed(enumerate_orbits, spec, workers=args.threads)
+    else:
+        census, line = _timed(enumerate_stratum, spec, F2Vector.from_string(args.height),
+                              workers=args.threads)
+    return _render(census, args.format), [line], EXIT_OK
+
+
+def cmd_verify(args) -> tuple[str, list[str], int]:
+    report = verify(args.n, ActionKind.parse(args.action), workers=args.threads)
     text = report.to_json() if args.format == "json" else report.to_text()
-    _emit(text, args.out)
-    if args.out:
-        print("PASS" if report.passed else "FAIL")
-    return EXIT_OK if report.passed else EXIT_DIFF
+    # the verdict is a status line beside an output file only: on stdout
+    # the report already ends with it
+    verdict = ["PASS" if report.passed else "FAIL"] if args.out else []
+    return text, verdict, EXIT_OK if report.passed else EXIT_DIFF
 
 
-def cmd_graph(args) -> int:
+def cmd_graph(args) -> tuple[str, list[str], int]:
     with open(args.input) as fh:
         spec = parse_graph_file(fh.read())
-    t0 = time.perf_counter()
-    census = enumerate_orbits(spec, workers=args.threads)
-    elapsed = time.perf_counter() - t0
-    _emit(_render(census, args.format), args.out)
-    _status(f"orbits={census.orbit_count} states={census.total_states} elapsed={elapsed:.2f}",
-            args.out)
+    census, line = _timed(enumerate_orbits, spec, workers=args.threads)
+    document = _render(census, args.format)
     try:
         pred = predict_census_nonspecial(spec)
     except NonspecialityUnknown as exc:
-        _status(f"prediction: not licensed ({exc})", args.out)
-        return EXIT_OK
+        return document, [line, f"prediction: not licensed ({exc})"], EXIT_OK
     bad = _record_diff(pred, census)
-    _status(f"prediction: {pred.orbit_count} orbits (2^kappa+2); "
-            f"{f'MISMATCH ({bad})' if bad else 'matches enumeration'}", args.out)
-    return EXIT_DIFF if bad else EXIT_OK
+    verdict = f"MISMATCH ({bad})" if bad else "matches enumeration"
+    return (document, [line, f"prediction: {pred.orbit_count} orbits (2^kappa+2); {verdict}"],
+            EXIT_DIFF if bad else EXIT_OK)
 
 
 def _check_order(n: int) -> None:
@@ -150,37 +139,24 @@ def _check_order(n: int) -> None:
             f"over the limit {NEIGHBOR_GRAPH_LIMIT}")
 
 
-def cmd_patterns(args) -> int:
+def cmd_patterns(args) -> tuple[str, list[str], int]:
     n = args.n
     _check_order(n)
-    out = []
-    for i in range(1, n + 1):
-        out.append(f"E_{i} (n={n}):")
-        out.append(pattern_E(n, i).grid())
-    for i in range(1, n + 1):
-        out.append(f"R_{i} (n={n}):")
-        out.append(pattern_R(n, i).grid())
+    families = [("E", pattern_E, n, f"n={n}"), ("R", pattern_R, n, f"n={n}"),
+                ("P", pattern_P, n // 2, f"order {n - 1}"),
+                ("~P", pattern_Ptilde, n // 2, f"order {n - 1}")]
+    out = [f"{name}_{i} ({header}):\n{pattern(n, i).grid()}"
+           for name, pattern, count, header in families for i in range(1, count + 1)]
     if n >= 2:
-        k = n // 2
-        for i in range(1, k + 1):
-            out.append(f"P_{i} (order {n - 1}):")
-            out.append(pattern_P(n, i).grid())
-        for i in range(1, k + 1):
-            out.append(f"~P_{i} (order {n - 1}):")
-            out.append(pattern_Ptilde(n, i).grid())
         graph = hex_graph(n)
-        degs: dict[int, int] = {}
-        for v in range(graph.vertex_count):
-            d = graph.degree(v)
-            degs[d] = degs.get(d, 0) + 1
-        deg_s = ", ".join(f"{cnt} of degree {d}" for d, cnt in sorted(degs.items()))
+        degrees = Counter(graph.degree(v) for v in range(graph.vertex_count))
+        deg_s = ", ".join(f"{cnt} of degree {d}" for d, cnt in sorted(degrees.items()))
         out.append(f"neighbor graph of the order-{n - 1} shape: "
                    f"{graph.vertex_count} vertices, {len(graph.edges)} edges ({deg_s})")
-    _emit("\n".join(out) + "\n", args.out)
-    return EXIT_OK
+    return "\n".join(out) + "\n", [], EXIT_OK
 
 
-def cmd_arf(args) -> int:
+def cmd_arf(args) -> tuple[str, list[str], int]:
     n = args.n
     _check_order(n)
     spec = build(hex_lattice_graph(n))
@@ -197,8 +173,7 @@ def cmd_arf(args) -> int:
         b0, b1 = value_counts_brute(space)
         out.append(f"value counts (brute force): |q^-1(0)|={b0} |q^-1(1)|={b1} "
                    f"({'match' if (b0, b1) == (c0, c1) else 'MISMATCH'})")
-    _emit("\n".join(out) + "\n", args.out)
-    return EXIT_OK
+    return "\n".join(out) + "\n", [], EXIT_OK
 
 
 def _worker_count(text: str) -> int:
@@ -260,11 +235,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _check_out(args.out)
-        return args.func(args)
+        document, status, code = args.func(args)
+        with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
+            fh.write(document)
+        # status lines go to stdout beside an output file, and to stderr
+        # when the document itself is on stdout
+        for line in status:
+            print(line, file=sys.stdout if args.out else sys.stderr)
+        return code
     except EnumerationGuardError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_GUARD

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -219,6 +219,10 @@ def _first_level_point(space: QuadraticSpace, kernel_set, value: int) -> int:
     raise AssertionError(f"no point with q={value} outside the kernel")
 
 
+# a nonempty line between two of str.splitlines' line boundaries
+_LINE = re.compile("[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]+")
+
+
 def parse_graph_file(text: str) -> LatticeSpec:
     """Parse the text graph format.
 
@@ -226,16 +230,17 @@ def parse_graph_file(text: str) -> LatticeSpec:
     optional final line ``B: u1 u2 ...`` selects the generating subset
     (default all vertices).  ``#`` starts a comment; blank lines are
     ignored.  A header whose 2^V states exceed the enumeration guard is
-    refused before any vertex is built.
+    refused before any vertex is built, and a file is refused at its
+    first content line past the header, E edge lines and one ``B:``
+    line, so no more than those lines is ever held.
     """
-    tokens_per_line = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            tokens_per_line.append(line.split())
-    if not tokens_per_line:
+    # the non-blank lines after comments are cut, read lazily so that
+    # surplus lines are never split or held
+    lines = (line for match in _LINE.finditer(text)
+             if (line := match.group().split("#", 1)[0].strip()))
+    header = next(lines, "").split()
+    if not header:
         raise ValueError("empty graph file")
-    header = tokens_per_line[0]
     if len(header) != 2:
         raise ValueError(f"header must be 'V E', got {' '.join(header)!r}")
     try:
@@ -245,7 +250,9 @@ def parse_graph_file(text: str) -> LatticeSpec:
     if v_count < 1 or e_count < 0:
         raise ValueError(f"bad sizes V={v_count} E={e_count}")
     _check_dim(v_count)
-    body = tokens_per_line[1:]
+    body = [line.split() for line in islice(lines, e_count + 1)]
+    if next(lines, None) is not None:
+        raise ValueError(f"expected {e_count} edge lines, found more")
     subset = None
     if body and body[-1][0][0] in "Bb":
         # no edge line starts with a letter; the marker is B or b, then

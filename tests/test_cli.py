@@ -3,7 +3,9 @@
 import hashlib
 import json
 import os
+import re
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -269,6 +271,26 @@ class TestGraph:
         code, _, err = run(capsys, "graph", "--input", str(path))
         assert code == 2
 
+    def test_surplus_lines_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "surplus.graph"
+        path.write_text("5 4\n" + "0 1\n" * 10)
+        code, out, err = run(capsys, "graph", "--input", str(path))
+        assert code == 2
+        assert out == "" and err == "error: expected 4 edge lines, found more\n"
+
+    def test_surplus_lines_are_not_held(self):
+        # the parse stops at the first line past the header's count, so
+        # 200,000 surplus lines cost no more than a few
+        text = "5 4\n" + "0 1\n" * 200_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="expected 4 edge lines"):
+                lattice.parse_graph_file(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, out, err = run(capsys, "graph", "--input", str(tmp_path / "nope"))
         assert code == 2
@@ -420,6 +442,59 @@ class TestStdoutDocument:
             json.loads(out)
             outs.append(out.encode())
         assert outs[0] == outs[1]
+
+
+GRAPH_FILES = {
+    "e6.graph": "6 5\n0 1\n1 2\n2 3\n3 4\n2 5\n",
+    "k33.graph": "6 9\n0 3\n0 4\n0 5\n1 3\n1 4\n1 5\n2 3\n2 4\n2 5\n",
+    "b3.graph": "3 2\n0 1\n1 2\nB: 0 2\n",
+    "hex6.graph": None,  # hex_lattice_graph(6)
+    "bad.graph": "3 two\n0 1\n",
+}
+
+
+class TestOutputBytes:
+    """Every byte a command writes, in both output modes: the exit code,
+    stdout and stderr with the document on stdout, the same with --out,
+    and the --out file, pinned on a tree where each command still wrote
+    its own output."""
+
+    PINS = json.loads(Path(__file__).with_name("cli_output_sha256.json").read_text())[
+        "output_sha256"]
+    ELAPSED = re.compile(r"elapsed=\d+\.\d\d")
+
+    @pytest.mark.parametrize("case", [
+        *(f"patterns --n {n}" for n in (1, 2, 5, 8)),
+        *(f"arf --n {n}" for n in (2, 7)),
+        "census --action first --n 4",
+        "census --action second --n 6 --format csv",
+        "census --action second --n 6 --format csv --height 111",
+        "census --action first-conj --n 3 --height 01",  # exit 2
+        "census --action first --n 9",  # exit 3
+        "verify --action first --n 3",
+        "verify --action first --n 6",
+        "verify --action second-conj --n 6 --format json",
+        "graph --input e6.graph",
+        "graph --input k33.graph --format csv",
+        "graph --input b3.graph",
+        "graph --input hex6.graph --format json",
+        "graph --input bad.graph",  # exit 2
+    ])
+    def test_sha256(self, capsys, tmp_path, case):
+        for name, text in GRAPH_FILES.items():
+            if text is None:
+                write_hex_graph_file(tmp_path / name, 6)
+            else:
+                (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / a) if a.endswith(".graph") else a for a in case.split()]
+        out_file = tmp_path / "doc.out"
+        parts = []
+        for extra in ([], ["--out", str(out_file)]):
+            code, out, err = run(capsys, *argv, *extra)
+            parts += [str(code), self.ELAPSED.sub("elapsed=<s>", out),
+                      self.ELAPSED.sub("elapsed=<s>", err)]
+        parts.append(out_file.read_text() if out_file.exists() else "<no file>")
+        assert hashlib.sha256("\0".join(parts).encode()).hexdigest() == self.PINS[case]
 
 
 class TestThreads:
