@@ -114,7 +114,7 @@ def cmd_verify(args) -> tuple[str, list[str], int]:
 
 def cmd_graph(args) -> tuple[str, list[str], int]:
     with open(args.input) as fh:
-        spec = parse_graph_file(fh.read())
+        spec = parse_graph_file(fh)
     census, line = _timed(enumerate_orbits, spec, workers=args.threads)
     document = _render(census, args.format)
     try:

@@ -19,6 +19,10 @@ Linear maps are given by masks: _evaluate reads bit l as
 parity(x & rows[l]), and its transpose _combine sums the columns picked
 by the bits of x, on ints and, through byte lookup tables, on uint32
 arrays.
+Only the array helpers (_parity_u32, _Span.absorb_planes, _byte_tables,
+_apply_tables and value_counts_brute) use numpy, and each imports it
+when called: orbits is the one module that imports numpy at load, so
+building an action's masks, heights and patterns loads none.
 """
 
 from __future__ import annotations
@@ -28,8 +32,6 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 BRUTE_DIM_LIMIT = 30
 
 
@@ -38,6 +40,8 @@ def _parity(x: int) -> int:
 
 
 def _parity_u32(arr: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     return np.bitwise_count(arr) & np.uint8(1)
 
 
@@ -223,6 +227,8 @@ class _Span:
         then by each vector inserted: one surviving position's value at
         a time, already reduced.  scratch is a words-long uint64
         buffer."""
+        import numpy as np
+
         clear = self.basis
         while not self.full:
             for b in clear:
@@ -321,12 +327,16 @@ def _combine(x: int, cols) -> int:
 def _byte_tables(cols) -> list[np.ndarray]:
     """_combine on uint32 arrays, prepared: one lookup table of the
     column sums per input byte."""
+    import numpy as np
+
     return [np.array(_span_points(cols[start:start + 8]), dtype=np.uint32)
             for start in range(0, len(cols), 8)]
 
 
 def _apply_tables(tables, values: np.ndarray) -> np.ndarray:
     """_combine of every entry of a uint32 array, through _byte_tables."""
+    import numpy as np
+
     out = np.zeros(values.size, dtype=np.uint32)
     for j, table in enumerate(tables):
         out ^= table[(values >> (8 * j)) & 0xFF]
@@ -483,6 +493,8 @@ def value_counts_brute(s: QuadraticSpace) -> tuple[int, int]:
     identity, so this stays independent of the symplectic-reduction path it
     is used to check.
     """
+    import numpy as np
+
     d = s.dim
     if d > BRUTE_DIM_LIMIT:
         raise ValueError(f"dim {d} exceeds brute-force limit {BRUTE_DIM_LIMIT}")

@@ -8,6 +8,9 @@ builds the hexagonal neighbor graph as one.  This module checks the
 vanishing-lattice conditions, detects the E6 tree as an induced
 subgraph (the sufficient nonspeciality criterion), and predicts the
 orbit census of a nonspecial group without enumerating it.
+It imports no numpy itself: its closure comes from ``orbits``, the one
+module that imports numpy at load, and f2la's array helpers import it
+when called.
 """
 
 from __future__ import annotations
@@ -16,8 +19,7 @@ import re
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import combinations, islice
-
-import numpy as np
+from typing import Iterator, TextIO
 
 from .f2la import (BilinearForm, F2Vector, QuadraticSpace, _span_points,
                    value_counts_closed)
@@ -219,12 +221,37 @@ def _first_level_point(space: QuadraticSpace, kernel_set, value: int) -> int:
     raise AssertionError(f"no point with q={value} outside the kernel")
 
 
-# a nonempty line between two of str.splitlines' line boundaries
-_LINE = re.compile("[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]+")
+# str.splitlines' line boundaries, and a nonempty line between two
+_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE = re.compile(f"[^{_BREAKS}]+")
+# characters read from a graph file at a time
+_READ_CHUNK = 1 << 16
 
 
-def parse_graph_file(text: str) -> LatticeSpec:
-    """Parse the text graph format.
+def _raw_lines(source: str | TextIO, chunk: int = _READ_CHUNK) -> Iterator[str]:
+    """The nonempty lines of a str, or of an open text file read chunk
+    characters at a time.  A line cut by a read is carried into the next
+    read with its comment dropped and its blanks squeezed, which changes
+    none of its tokens; a line that still holds more than chunk
+    characters is refused, so no more than about two chunks are held."""
+    if isinstance(source, str):
+        yield from (match.group() for match in _LINE.finditer(source))
+        return
+    carry = ""
+    while piece := source.read(chunk):
+        text = carry + piece
+        cut = max(map(text.rfind, _BREAKS)) + 1
+        yield from (match.group() for match in _LINE.finditer(text, 0, cut))
+        head, comment, _ = text[cut:].partition("#")
+        carry = re.sub(r"\s+", " ", head) + comment
+        if len(carry) > chunk:
+            raise ValueError(f"line longer than {chunk} characters")
+    if carry:
+        yield carry
+
+
+def parse_graph_file(text: str | TextIO) -> LatticeSpec:
+    """Parse the text graph format from a str or an open text file.
 
     Line 1: ``V E``; then E lines ``u v`` (0-based vertex pairs); an
     optional final line ``B: u1 u2 ...`` selects the generating subset
@@ -232,12 +259,13 @@ def parse_graph_file(text: str) -> LatticeSpec:
     ignored.  A header whose 2^V states exceed the enumeration guard is
     refused before any vertex is built, and a file is refused at its
     first content line past the header, E edge lines and one ``B:``
-    line, so no more than those lines is ever held.
+    line, so no more than those lines, and of a file one read's worth,
+    is ever held.
     """
     # the non-blank lines after comments are cut, read lazily so that
     # surplus lines are never split or held
-    lines = (line for match in _LINE.finditer(text)
-             if (line := match.group().split("#", 1)[0].strip()))
+    lines = (line for raw in _raw_lines(text)
+             if (line := raw.split("#", 1)[0].strip()))
     header = next(lines, "").split()
     if not header:
         raise ValueError("empty graph file")

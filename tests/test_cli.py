@@ -291,6 +291,24 @@ class TestGraph:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("header,expected", [("5 4", 2), ("40 1", 3)],
+                             ids=["surplus", "over-guard"])
+    def test_large_file_is_read_in_chunks(self, capsys, tmp_path, header, expected):
+        # the file is read a chunk at a time and refused at its sixth
+        # line or at its header, so a 4 MB file is never held whole
+        path = tmp_path / "large.graph"
+        path.write_text(f"{header}\n" + "0 1\n" * 1_000_000)
+        size = path.stat().st_size
+        assert size > 4_000_000
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "graph", "--input", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (expected, "")
+        assert peak < size // 8
+
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, out, err = run(capsys, "graph", "--input", str(tmp_path / "nope"))
         assert code == 2

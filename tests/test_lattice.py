@@ -1,6 +1,7 @@
 """Graph-driven transvection groups: closures, the lattice conditions,
 E6 detection, and the nonspecial census oracle."""
 
+import io
 import random
 import time
 import tracemalloc
@@ -8,7 +9,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from f2orbits import lattice
 from f2orbits.f2la import _rank
@@ -373,3 +374,31 @@ def test_graph_file_token_soup(lines, vertices):
     spellings = {_parse_outcome(f"3 1\n0 1\n{marker} {' '.join(vertices)}\n")
                  for marker in ("B:", "B", "B :", "b:")}
     assert len(spellings) == 1
+
+
+_PIECES = st.sampled_from(["0", "1", "12", " ", "  ", "\t", "\x1f", "#", "# c", "B:", "\n",
+                           "\r", "\r\n", "\v", "\x1c", "\x85", "\u2028"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_PIECES, max_size=40).map("".join), st.integers(8, 24))
+def test_graph_file_chunks_keep_the_tokens(text, chunk):
+    # a file read chunk characters at a time yields the lines of the
+    # whole string, token for token, once comments are cut
+    assume(all(len(line) <= chunk for line in text.splitlines()))
+
+    def tokens(raw_lines):
+        return [toks for raw in raw_lines if (toks := raw.split("#", 1)[0].split())]
+
+    assert (tokens(lattice._raw_lines(io.StringIO(text, newline=""), chunk))
+            == tokens(text.splitlines()))
+
+
+def test_graph_file_accepts_an_open_file():
+    text = "3 1  # a triangle's one edge\n0 1\nB: 0 2\n"
+    assert parse_graph_file(io.StringIO(text)) == parse_graph_file(text)
+
+
+def test_graph_file_line_longer_than_a_chunk_is_refused():
+    with pytest.raises(ValueError, match="line longer than 8 characters"):
+        list(lattice._raw_lines(io.StringIO("1" * 20 + "\n"), 8))

@@ -1,6 +1,8 @@
 """What a fresh interpreter loads and starts: the lazy package namespace,
-and the one-thread OpenBLAS default of the command-line front end."""
+set-up that loads no numpy, and the one-thread OpenBLAS default of the
+command-line front end."""
 
+import ast
 import json
 import os
 import subprocess
@@ -99,9 +101,62 @@ class TestLazyNamespace:
         assert namespace["missing"] == "module 'f2orbits' has no attribute 'no_such_name'"
 
 
+SETUP = """
+import json, sys
+import f2orbits.actions as a
+import f2orbits.f2la as f2la
+import f2orbits.tri as tri
+for kind in a.ActionKind:
+    spec = a.ActionSpec(7, kind)
+    a.generator_masks(spec)
+    a.height_functionals(spec)
+tri.pattern_E(7, 3)
+tri.pattern_R(7, 3)
+null = f2la._nullspace([0b0011, 0b0110], 4)
+print(json.dumps({"numpy": "numpy" in sys.modules, "null": null}))
+"""
+
+BRUTE = """
+import json, sys
+from f2orbits.f2la import BilinearForm, QuadraticSpace, value_counts_brute, value_counts_closed
+triangle = QuadraticSpace.with_all_ones(BilinearForm(3, (0b110, 0b101, 0b011)))
+path = QuadraticSpace(BilinearForm(4, (0b0010, 0b0101, 0b1010, 0b0100)), 0b1001)
+print(json.dumps([[value_counts_brute(s), value_counts_closed(s)] for s in (triangle, path)]
+                 + ["numpy" in sys.modules]))
+"""
+
+
+class TestSetupLoadsNoNumpy:
+    """Building an action's masks, heights and patterns is int arithmetic;
+    numpy loads with the search, and an f2la array helper loads it when
+    called."""
+
+    def test_masks_heights_patterns_and_null_space(self):
+        loaded = fresh(SETUP)
+        assert loaded["null"] == [0b0111, 0b1000]
+        assert loaded["numpy"] is False
+
+    def test_brute_counts_import_numpy_themselves(self):
+        *pairs, numpy_loaded = fresh(BRUTE)
+        assert pairs == [[[2, 6], [2, 6]], [[6, 10], [6, 10]]]
+        assert numpy_loaded is True
+
+    def test_only_orbits_imports_numpy_at_load(self):
+        top_level = []
+        for path in sorted((SRC / "f2orbits").glob("*.py")):
+            for node in ast.parse(path.read_text()).body:
+                names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                         else [node.module] if isinstance(node, ast.ImportFrom) else [])
+                if any(name and name.split(".")[0] == "numpy" for name in names):
+                    top_level.append(path.name)
+        assert top_level == ["orbits.py"]
+
+
 BLAS = """
-import json, os
-import f2orbits.cli
+import json, os, sys
+from importlib import import_module
+for module in sys.argv[1:]:
+    import_module(module)
 task = "/proc/self/task"
 print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"),
                   len(os.listdir(task)) if os.path.isdir(task) else None]))
@@ -112,7 +167,15 @@ print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"),
 def unset_cli():
     """(OPENBLAS_NUM_THREADS, thread count) after `import f2orbits.cli`
     in an interpreter started without the variable."""
-    return fresh(BLAS, OPENBLAS_NUM_THREADS=None)
+    return fresh(BLAS, "f2orbits.cli", OPENBLAS_NUM_THREADS=None)
+
+
+def skip_without_threads_to_count():
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count the process's threads in")
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("fewer than 2 usable CPUs, or no affinity to read: "
+                    "OpenBLAS would start no second thread to count")
 
 
 class TestCliBlasDefault:
@@ -120,13 +183,17 @@ class TestCliBlasDefault:
         assert unset_cli[0] == "1"
 
     def test_cli_process_has_one_thread(self, unset_cli):
-        if not os.path.isdir("/proc/self/task"):
-            pytest.skip("no /proc/self/task to count the process's threads in")
-        if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
-            pytest.skip("fewer than 2 usable CPUs, or no affinity to read: "
-                        "OpenBLAS would start no second thread to count")
+        skip_without_threads_to_count()
         assert unset_cli[1] == 1
 
+    def test_actions_before_cli_has_one_thread(self):
+        # the benchmark worker's order: actions loads no numpy, so the
+        # cli's default is set before orbits loads it
+        skip_without_threads_to_count()
+        value, threads = fresh(BLAS, "f2orbits.actions", "f2orbits.cli",
+                               OPENBLAS_NUM_THREADS=None)
+        assert value == "1" and threads == 1
+
     def test_user_setting_wins(self):
-        value, _ = fresh(BLAS, OPENBLAS_NUM_THREADS="2")
+        value, _ = fresh(BLAS, "f2orbits.cli", OPENBLAS_NUM_THREADS="2")
         assert value == "2"
