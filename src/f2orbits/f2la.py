@@ -23,6 +23,9 @@ Only the array helpers (_parity_u32, _Span.absorb_planes, _byte_tables,
 _apply_tables and value_counts_brute) use numpy, and each imports it
 when called: orbits is the one module that imports numpy at load, so
 building an action's masks, heights and patterns loads none.
+The enumeration guard (ENUM_DIM_LIMIT, EnumerationGuardError and
+_check_dim) lives here too, so that lattice can refuse an oversize
+graph without loading orbits; orbits re-exports it.
 """
 
 from __future__ import annotations
@@ -33,6 +36,18 @@ from dataclasses import dataclass
 from functools import cached_property
 
 BRUTE_DIM_LIMIT = 30
+ENUM_DIM_LIMIT = 28
+
+
+class EnumerationGuardError(RuntimeError):
+    """Raised when a requested search exceeds the in-memory guard."""
+
+
+def _check_dim(dim: int) -> None:
+    if dim > ENUM_DIM_LIMIT:
+        raise EnumerationGuardError(
+            f"state space 2^{dim} exceeds the enumeration guard 2^{ENUM_DIM_LIMIT} "
+            f"(visited map alone would need 2^{dim - 23} MiB)")
 
 
 def _parity(x: int) -> int:

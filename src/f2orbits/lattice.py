@@ -8,9 +8,10 @@ builds the hexagonal neighbor graph as one.  This module checks the
 vanishing-lattice conditions, detects the E6 tree as an induced
 subgraph (the sufficient nonspeciality criterion), and predicts the
 orbit census of a nonspecial group without enumerating it.
-It imports no numpy itself: its closure comes from ``orbits``, the one
-module that imports numpy at load, and f2la's array helpers import it
-when called.
+Reading, building and checking a graph is int work and loads no numpy:
+only delta_closure (the closure search) and predict_census_nonspecial
+(the census record types) import ``orbits``, the one module that
+imports numpy at load, and they import it when called.
 """
 
 from __future__ import annotations
@@ -19,11 +20,14 @@ import re
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import combinations, islice
-from typing import Iterator, TextIO
+from typing import Any, Iterator, TextIO
 
-from .f2la import (BilinearForm, F2Vector, QuadraticSpace, _span_points,
+# the lazy package namespace: annotations that name orbits' types
+# resolve through it without importing orbits here
+import f2orbits
+
+from .f2la import (BilinearForm, F2Vector, QuadraticSpace, _check_dim, _span_points,
                    value_counts_closed)
-from .orbits import OrbitCensus, OrbitRecord, _check_dim, _closure
 from .tri import Graph, hex_graph
 
 
@@ -93,7 +97,7 @@ class DeltaClosure:
     """The closure's packed states as a sorted, read-only ``np.uint32``
     array, and whether they form a single orbit."""
 
-    vectors: np.ndarray
+    vectors: Any
     single_orbit: bool
 
 
@@ -101,6 +105,8 @@ def delta_closure(spec: LatticeSpec) -> DeltaClosure:
     """The closure of the basis vertices under the transvection group;
     it is one orbit exactly when check_vanishing's orbit condition
     holds."""
+    from .orbits import _closure
+
     vectors = _closure(spec, (1 << b for b in spec.basis_subset))
     vectors.flags.writeable = False
     return DeltaClosure(vectors, check_vanishing(spec).orbit_ok)
@@ -177,7 +183,7 @@ class NonspecialityUnknown(RuntimeError):
     failed; no census prediction is licensed."""
 
 
-def predict_census_nonspecial(spec: LatticeSpec) -> OrbitCensus:
+def predict_census_nonspecial(spec: LatticeSpec) -> f2orbits.OrbitCensus:
     """Predicted census for a nonspecial transvection group.
 
     Requires a vanishing lattice (check_vanishing) and the E6 criterion
@@ -187,6 +193,8 @@ def predict_census_nonspecial(spec: LatticeSpec) -> OrbitCensus:
     ascending scan, so the whole census is exactly comparable with the
     enumerated one.
     """
+    from .orbits import OrbitCensus, OrbitRecord
+
     report = check_vanishing(spec)
     if not report.is_vanishing_lattice:
         failed = [f.name for f in fields(report) if not getattr(report, f.name)]

@@ -95,25 +95,16 @@ import numpy as np
 from .f2la import (F2Vector, _Span, _apply_tables, _byte_tables, _combine, _echelon,
                    _evaluate, _insert, _nullspace, _parity, _parity_u32, _rank, _reduce,
                    _solve, _span_points)
+# the enumeration guard, kept in f2la so that lattice refuses an oversize
+# graph without loading numpy, and re-exported here under its names
+from .f2la import ENUM_DIM_LIMIT, EnumerationGuardError, _check_dim  # noqa: F401
 from .actions import ActionSpec, generator_masks, height_functionals
 
-ENUM_DIM_LIMIT = 28
 _LIFT_CHUNK = 1 << 16
 # the words of a closure tile, a power of two (256 KiB): a tile's source,
 # odd set and two scratch rows fit in a 2 MiB L2 cache, where a whole
 # 2^24-state map streams from L3 on every pass
 _TILE_WORDS = 1 << 15
-
-
-class EnumerationGuardError(RuntimeError):
-    """Raised when a requested search exceeds the in-memory guard."""
-
-
-def _check_dim(dim: int) -> None:
-    if dim > ENUM_DIM_LIMIT:
-        raise EnumerationGuardError(
-            f"state space 2^{dim} exceeds the enumeration guard 2^{ENUM_DIM_LIMIT} "
-            f"(visited map alone would need 2^{dim - 23} MiB)")
 
 
 @dataclass(frozen=True)

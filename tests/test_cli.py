@@ -265,6 +265,15 @@ class TestGraph:
         assert "orbits=6" in err and "not licensed (not a vanishing lattice" in err
         assert "MISMATCH" not in err
 
+    def test_over_guard_header_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "big.graph"
+        path.write_text("29 0\n")
+        code, out, err = run(capsys, "graph", "--input", str(path))
+        assert cli.EnumerationGuardError is orbits.EnumerationGuardError
+        assert code == 3 and out == ""
+        assert err == ("refused: state space 2^29 exceeds the enumeration guard 2^28 "
+                       "(visited map alone would need 2^6 MiB)\n")
+
     def test_malformed_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.graph"
         path.write_text("3 two\n0 1\n")

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import f2orbits
 from f2orbits import lattice
 from f2orbits.f2la import _rank
 from f2orbits.lattice import (Graph, NonspecialityUnknown, _connected, build,
@@ -146,7 +147,8 @@ class TestCheckVanishing:
         # 36 to 66 vertices: far past the enumeration guard
         def boom(spec, seeds):
             raise AssertionError("check_vanishing flooded the closure")
-        monkeypatch.setattr(lattice, "_closure", boom)
+        # delta_closure imports the search from orbits when called
+        monkeypatch.setattr("f2orbits.orbits._closure", boom)
         start = time.perf_counter()
         assert check_vanishing(build(hex_lattice_graph(n))).is_vanishing_lattice
         assert time.perf_counter() - start < 1.0
@@ -351,6 +353,18 @@ class TestGraphFile:
     def test_malformed_rejected(self, text, match):
         with pytest.raises(ValueError, match=match):
             parse_graph_file(text)
+
+    def test_over_guard_header_refused_before_any_vertex(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("built before the size guard")
+        monkeypatch.setattr(Graph, "from_edge_list", boom)
+        monkeypatch.setattr(lattice, "build", boom)
+        # the engine's class and the package's name are one object
+        for guard in (EnumerationGuardError, f2orbits.EnumerationGuardError):
+            with pytest.raises(guard) as refused:
+                parse_graph_file("29 0\n")
+            assert str(refused.value) == ("state space 2^29 exceeds the enumeration guard "
+                                          "2^28 (visited map alone would need 2^6 MiB)")
 
 
 def _parse_outcome(text):

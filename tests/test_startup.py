@@ -1,15 +1,21 @@
 """What a fresh interpreter loads and starts: the lazy package namespace,
-set-up that loads no numpy, and the one-thread OpenBLAS default of the
+set-up that loads no numpy, annotations that resolve although their
+modules load late, and the one-thread OpenBLAS default of the
 command-line front end."""
 
 import ast
+import inspect
 import json
 import os
 import subprocess
 import sys
+import typing
+from functools import cached_property
 from pathlib import Path
 
 import pytest
+
+import f2orbits
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -116,6 +122,25 @@ null = f2la._nullspace([0b0011, 0b0110], 4)
 print(json.dumps({"numpy": "numpy" in sys.modules, "null": null}))
 """
 
+LATTICE = """
+import json, sys
+import f2orbits.lattice as L
+spec = L.parse_graph_file("6 5\\n0 1\\n1 2\\n2 3\\n3 4\\n2 5\\n")
+with open(sys.argv[1]) as fh:
+    same = L.parse_graph_file(fh) == spec
+spec.masked_generators()
+report = L.check_vanishing(spec)
+e6 = L.contains_e6(L.induced_basis_graph(spec))
+hex7 = L.hex_lattice_graph(7)
+loaded = [m for m in ("numpy", "f2orbits.orbits") if m in sys.modules]
+closure = L.delta_closure(spec)
+census = L.predict_census_nonspecial(spec)
+print(json.dumps({"same": same, "vanishing": report.is_vanishing_lattice, "e6": e6,
+                  "hex7": [hex7.vertex_count, len(hex7.edges)], "loaded": loaded,
+                  "closure": [len(closure.vectors), closure.single_orbit],
+                  "records": [[r.representative.bits, r.cardinality] for r in census.records]}))
+"""
+
 BRUTE = """
 import json, sys
 from f2orbits.f2la import BilinearForm, QuadraticSpace, value_counts_brute, value_counts_closed
@@ -135,6 +160,18 @@ class TestSetupLoadsNoNumpy:
         loaded = fresh(SETUP)
         assert loaded["null"] == [0b0111, 0b1000]
         assert loaded["numpy"] is False
+
+    def test_graph_parse_and_checks(self, tmp_path):
+        # the E6 tree, read from a str and from an open file; the engine
+        # loads only with delta_closure and predict_census_nonspecial
+        path = tmp_path / "e6.graph"
+        path.write_text("6 5\n0 1\n1 2\n2 3\n3 4\n2 5\n")
+        run = fresh(LATTICE, str(path))
+        assert run["loaded"] == []
+        assert run["same"] and run["vanishing"] and run["e6"]
+        assert run["hex7"] == [21, 45]
+        assert run["closure"] == [36, True]
+        assert run["records"] == [[0, 1], [1, 36], [5, 27]]
 
     def test_brute_counts_import_numpy_themselves(self):
         *pairs, numpy_loaded = fresh(BRUTE)
@@ -194,6 +231,37 @@ class TestCliBlasDefault:
                                OPENBLAS_NUM_THREADS=None)
         assert value == "1" and threads == 1
 
+    def test_lattice_before_cli_has_one_thread(self):
+        # a graph set-up's order: lattice loads no numpy either
+        skip_without_threads_to_count()
+        value, threads = fresh(BLAS, "f2orbits.lattice", "f2orbits.cli",
+                               OPENBLAS_NUM_THREADS=None)
+        assert value == "1" and threads == 1
+
     def test_user_setting_wins(self):
         value, _ = fresh(BLAS, "f2orbits.cli", OPENBLAS_NUM_THREADS="2")
         assert value == "2"
+
+
+def _annotated(obj):
+    """obj and, for a class, each function it defines, plain or as a
+    static, class or (cached) property."""
+    yield obj
+    if isinstance(obj, type):
+        for value in vars(obj).values():
+            if isinstance(value, (staticmethod, classmethod)):
+                value = value.__func__
+            elif isinstance(value, property):
+                value = value.fget
+            elif isinstance(value, cached_property):
+                value = value.func
+            if inspect.isfunction(value):
+                yield value
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_type_hints_resolve(name):
+    # a module that imports numpy or orbits only when called must still
+    # resolve the annotations of its exported names
+    for obj in _annotated(getattr(f2orbits, name)):
+        typing.get_type_hints(obj)
