@@ -18,7 +18,7 @@ from typing import Optional
 from .f2la import F2Vector
 from .actions import ActionKind, ActionSpec, height_functionals, psi_height
 from .lattice import build, hex_lattice_graph, predict_census_nonspecial
-from .orbits import OrbitCensus, attach_labels, enumerate_orbits
+from .orbits import OrbitCensus, _record_diff, attach_labels, enumerate_orbits
 
 TRIVIAL = "trivial"
 STANDARD = "standard"
@@ -283,16 +283,6 @@ class VerifyReport:
 
 def _multiset_str(ms: dict[int, int]) -> str:
     return "{" + ", ".join(f"{card}x{cnt}" for card, cnt in sorted(ms.items())) + "}"
-
-
-def _record_diff(expected: OrbitCensus, observed: OrbitCensus) -> str:
-    """The first (representative, cardinality) record where `observed`
-    departs from `expected`, or its record count when one list is a
-    prefix of the other; "" when the records agree."""
-    exp, obs = ([(r.representative.to_string(), r.cardinality) for r in c.records]
-                for c in (expected, observed))
-    return next((f"record {i}: {o} != {e}" for i, (o, e) in enumerate(zip(obs, exp))
-                 if o != e), "" if len(obs) == len(exp) else f"{len(obs)} records")
 
 
 def verify(n: int, kind: ActionKind, workers: Optional[int] = None) -> VerifyReport:

@@ -29,10 +29,10 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .f2la import F2Vector, arf, value_counts_brute, value_counts_closed
 from .actions import ActionKind, ActionSpec
-from .classify import _record_diff, verify
 from .lattice import (NonspecialityUnknown, build, hex_lattice_graph,
                       parse_graph_file, predict_census_nonspecial)
-from .orbits import EnumerationGuardError, OrbitCensus, enumerate_orbits, enumerate_stratum
+from .orbits import (EnumerationGuardError, OrbitCensus, _record_diff, enumerate_orbits,
+                     enumerate_stratum)
 from .tri import hex_graph, pattern_E, pattern_P, pattern_Ptilde, pattern_R
 
 EXIT_OK = 0
@@ -104,6 +104,9 @@ def cmd_census(args) -> tuple[str, list[str], int]:
 
 
 def cmd_verify(args) -> tuple[str, list[str], int]:
+    # classify loads with verify alone: no other command compiles it
+    from .classify import verify
+
     report = verify(args.n, ActionKind.parse(args.action), workers=args.threads)
     text = report.to_json() if args.format == "json" else report.to_text()
     # the verdict is a status line beside an output file only: on stdout

@@ -18,11 +18,13 @@ on _echelon.
 Linear maps are given by masks: _evaluate reads bit l as
 parity(x & rows[l]), and its transpose _combine sums the columns picked
 by the bits of x, on ints and, through byte lookup tables, on uint32
-arrays.
+arrays; _coset_minima takes the least v ^ c of many uint32 values v for
+each of many points c.
 Only the array helpers (_parity_u32, _Span.absorb_planes, _byte_tables,
-_apply_tables and value_counts_brute) use numpy, and each imports it
-when called: orbits is the one module that imports numpy at load, so
-building an action's masks, heights and patterns loads none.
+_apply_tables, _coset_minima and value_counts_brute) use numpy, and
+each imports it when called: orbits is the one module that imports
+numpy at load, so building an action's masks, heights and patterns
+loads none.
 The enumeration guard (ENUM_DIM_LIMIT, EnumerationGuardError and
 _check_dim) lives here too, so that lattice can refuse an oversize
 graph without loading orbits; orbits re-exports it.
@@ -37,6 +39,8 @@ from functools import cached_property
 
 BRUTE_DIM_LIMIT = 30
 ENUM_DIM_LIMIT = 28
+# _coset_minima sorts at most this many values at a time
+_LIFT_CHUNK = 1 << 16
 
 
 class EnumerationGuardError(RuntimeError):
@@ -224,43 +228,60 @@ def _echelon(vectors) -> list[int]:
 
 
 class _Span:
-    """A growing subspace of F2^dim fed bit-planes; its basis is reduced
-    echelon and grows by _insert."""
+    """A growing subspace S of F2^dim fed bit-planes; its basis is
+    reduced echelon and grows by _insert.
+
+    Values reduced by S are zero at its pivots, so bit-planes of them
+    need a row per other coordinate alone: row r holds coordinate
+    live[r], and the live coordinates are those that are no pivot of
+    S."""
 
     def __init__(self, dim: int) -> None:
         self.dim = dim
         self.basis: list[int] = []
+        self.live = list(range(dim))
 
     @property
     def full(self) -> bool:
         return len(self.basis) == self.dim
 
-    def absorb_planes(self, planes: np.ndarray, scratch: np.ndarray) -> None:
-        """Add values held as bit-planes to the span: row j of the (dim,
-        words) uint64 array planes holds bit j of a value per bit
-        position.  The planes are reduced in place, first by the basis,
-        then by each vector inserted: one surviving position's value at
-        a time, already reduced.  scratch is a words-long uint64
+    def rows(self, v: int) -> list[int]:
+        """The rows of the live coordinates where v reduced by S has a bit."""
+        v = _reduce(v, self.basis)
+        return [r for r, j in enumerate(self.live) if v >> j & 1]
+
+    def absorb_planes(self, planes: np.ndarray, scratch: np.ndarray,
+                      potentials: np.ndarray) -> None:
+        """Add values held as bit-planes to the span: row r of the (len
+        live, words) uint64 array planes holds coordinate live[r] of a
+        value per bit position, every value reduced by S.  Each vector v
+        inserted, the value of one nonzero position, reduces planes and
+        the array potentials in place, their live rows alike: row j ^=
+        row p for the other bits j of v, where p is v's pivot, and the
+        last live row then moves into row p, which drops from live.  So
+        the values stay reduced, and the next nonzero one is read until
+        none is left or S is full.  scratch is a words-long uint64
         buffer."""
         import numpy as np
 
-        clear = self.basis
-        while not self.full:
-            for b in clear:
-                p = b.bit_length() - 1
-                for j in range(p):
-                    if b >> j & 1:
-                        planes[j] ^= planes[p]
-                planes[p] = 0
-            np.bitwise_or.reduce(planes, axis=0, out=scratch)
+        while self.live:
+            n = len(self.live)
+            np.bitwise_or.reduce(planes[:n], axis=0, out=scratch)
             w = int(scratch.argmax())
             bits = int(scratch[w])
             if not bits:
                 return
             i = (bits & -bits).bit_length() - 1
-            v = sum((int(planes[j, w]) >> i & 1) << j for j in range(self.dim))
-            self.basis = _insert(self.basis, v)
-            clear = [v]
+            rows = [r for r in range(n) if int(planes[r, w]) >> i & 1]
+            self.basis = _insert(self.basis, sum(1 << self.live[r] for r in rows))
+            p = max(rows, key=self.live.__getitem__)
+            for stack in (planes, potentials):
+                for r in rows:
+                    if r != p:
+                        stack[r] ^= stack[p]
+                stack[p] = stack[n - 1]
+            self.live[p] = self.live[-1]
+            self.live.pop()
 
 
 def _rank(rows, dim) -> int:
@@ -356,6 +377,49 @@ def _apply_tables(tables, values: np.ndarray) -> np.ndarray:
     for j, table in enumerate(tables):
         out ^= table[(values >> (8 * j)) & 0xFF]
     return out
+
+
+def _coset_minima(chunks, cosets: np.ndarray) -> np.ndarray:
+    """For each entry c of the uint32 array cosets, the least v ^ c over
+    the values v of the uint32 arrays chunks: at least one value, and at
+    most _LIFT_CHUNK in each array.
+
+    The values gather into one buffer of _LIFT_CHUNK; each fill is
+    sorted once, and every coset c descends it from the top bit down,
+    vectorized over the cosets: near is the value sought, the one that
+    agrees with c at the most significant bits, and [lo, hi) holds the
+    values that agree with near above the current bit; searchsorted
+    splits the range where that bit turns 1, and near takes c's bit
+    where the range allows."""
+    import numpy as np
+
+    best = np.full(cosets.size, 2**32 - 1, dtype=np.uint32)
+    buffer = np.empty(_LIFT_CHUNK, dtype=np.uint32)
+
+    def fills():
+        held = 0
+        for values in chunks:
+            if held + values.size > buffer.size:
+                yield buffer[:held]
+                held = 0
+            buffer[held:held + values.size] = values
+            held += values.size
+        yield buffer[:held]
+
+    for values in fills():
+        values.sort()
+        lo = np.zeros(cosets.size, dtype=np.intp)
+        hi = np.full(cosets.size, values.size, dtype=np.intp)
+        near = np.zeros_like(cosets)
+        for b in reversed(range(int(values[-1]).bit_length())):
+            bit = np.uint32(1 << b)
+            mid = values.searchsorted(near | bit)
+            one = np.where(cosets & bit, mid < hi, mid == lo)
+            near |= one * bit
+            lo = np.where(one, mid, lo)
+            hi = np.where(one, hi, mid)
+        np.minimum(best, near ^ cosets, out=best)
+    return best
 
 
 def kernel_basis(f: BilinearForm) -> list[F2Vector]:

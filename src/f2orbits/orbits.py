@@ -51,16 +51,21 @@ in the planes.  There a tree edge y -> gy sets pot(gy) = pot(y) ^
 voltage, so pot(y) is the seed's plus the voltage of a walk to y, and
 every edge adds pot(y) ^ voltage ^ pot(gy) to a span S (Schreier
 generators from a spanning tree; Gross and Tucker, Topological Graph
-Theory, 1987, ch. 2, on voltage graphs).  A base orbit O' then lifts
-to 2^(dim K - rank S) orbits of |O'| * 2^rank S states, one per coset
-c of S in K, and the representative of the one over c is the least
-reduce_S(section(y) ^ pot(y) ^ c) over y in O', read back from reached
-and the planes.  Once S = K there is one orbit over O', represented by
-the section of the least state of O', which needs neither.  K = 0 (the
-second action) is the case of no planes, with S = K from the start:
-the words are compact states.  It needs no reached map either: every
-earlier component on visited is closed under the generators, so a
-closure sweeps visited itself, one bitset per job.
+Theory, 1987, ch. 2, on voltage graphs).  The closure carries the
+potentials modulo S: each new cycle vector reduces every plane and
+drops the plane of its pivot, so a potential changes only by an element
+of S, and the sweeps move 1 + dim K - rank S rows, reached alone once S
+= K.  A base orbit O' then lifts to 2^(dim K - rank S) orbits of |O'| *
+2^rank S states, one per coset c of S in K, and the representative of
+the one over c is the least reduce_S(section(y) ^ pot(y) ^ c) over y in
+O', read back from reached and the live planes; the minima of all
+cosets come from one sorted chunk of members.  Once S = K there is one
+orbit over O', represented by the section of the least state of O',
+which needs neither.  K = 0 (the second action) is the case of no
+planes, with S = K from the start: the words are compact states.  It
+needs no reached map either: every earlier component on visited is
+closed under the generators, so a closure sweeps visited itself, one
+bitset per job.
 
 A flood only marks its component and returns its size and span; the
 caller reads the least state it needs, since only the caller knows
@@ -92,15 +97,14 @@ from typing import Optional
 
 import numpy as np
 
-from .f2la import (F2Vector, _Span, _apply_tables, _byte_tables, _combine, _echelon,
-                   _evaluate, _insert, _nullspace, _parity, _parity_u32, _rank, _reduce,
-                   _solve, _span_points)
+from .f2la import (F2Vector, _Span, _apply_tables, _byte_tables, _combine, _coset_minima,
+                   _echelon, _evaluate, _insert, _nullspace, _parity, _parity_u32, _rank,
+                   _reduce, _solve, _span_points)
 # the enumeration guard, kept in f2la so that lattice refuses an oversize
 # graph without loading numpy, and re-exported here under its names
 from .f2la import ENUM_DIM_LIMIT, EnumerationGuardError, _check_dim  # noqa: F401
 from .actions import ActionSpec, generator_masks, height_functionals
 
-_LIFT_CHUNK = 1 << 16
 # the words of a closure tile, a power of two (256 KiB): a tile's source,
 # odd set and two scratch rows fit in a 2 MiB L2 cache, where a whole
 # 2^24-state map streams from L3 on every pass
@@ -182,6 +186,16 @@ class OrbitCensus:
                 r.type_label or "",
             ]))
         return "\n".join(lines) + "\n"
+
+
+def _record_diff(expected: OrbitCensus, observed: OrbitCensus) -> str:
+    """The first (representative, cardinality) record where `observed`
+    departs from `expected`, or its record count when one list is a
+    prefix of the other; "" when the records agree."""
+    exp, obs = ([(r.representative.to_string(), r.cardinality) for r in c.records]
+                for c in (expected, observed))
+    return next((f"record {i}: {o} != {e}" for i, (o, e) in enumerate(zip(obs, exp))
+                 if o != e), "" if len(obs) == len(exp) else f"{len(obs)} records")
 
 
 # A bitset marks compact state z at bit z & 63 of word z >> 6.  _SWAP[s]
@@ -309,7 +323,7 @@ def _p_foot(bits: np.ndarray, spare: np.ndarray, move: tuple) -> np.ndarray:
 
 
 def _tile_step(tiled: np.ndarray, u: int, s: int, odd: np.ndarray, move: tuple,
-               volts: list[int], src: np.ndarray, other: np.ndarray, span: _Span) -> None:
+               voltage: int, src: np.ndarray, other: np.ndarray, span: _Span) -> None:
     """One tile step of a closure (_close): OR P_foot(tiled[:, s] & odd)
     into output tile u of the stack tiled, where tiled[r, u] is tile u
     of row r, s is u's source tile under the generator and odd is the
@@ -321,21 +335,25 @@ def _tile_step(tiled: np.ndarray, u: int, s: int, odd: np.ndarray, move: tuple,
     component, since every earlier one on visited is closed under the
     generators.
 
-    The step writes its source into src, and _p_foot moves it within src
-    and other and returns the one that holds the moved stack; the other
-    one is scratch for the fresh states and the cycles.  On a map of one
-    tile odd is other[0], which _p_foot overwrites, so the step reads
-    odd only before _p_foot.
+    The step moves reached and the live planes of span, the first 1 +
+    len(span.live) rows (reached alone once S = K).  It writes its
+    source into src, and _p_foot moves it within src and other and
+    returns the one that holds the moved stack; the other one is
+    scratch for the fresh states and the cycles.  On a map of one tile
+    odd is other[0], which _p_foot overwrites, so the step reads odd
+    only before _p_foot.
 
     With planes, a source tile with no odd state in reached moves
     nothing, and the step returns at once.  Otherwise the fresh states
     P_foot(reached & odd) & ~reached take the moved planes, flipped at
-    the generator's voltage bits volts; reached grows after every step,
-    so each state takes its potential from exactly one parent.  A step
-    whose fresh states are empty feeds pot(y) ^ voltage ^ pot(gy) of its
-    edges to span while span is not full (tree edges give 0).  Each is a
-    cycle voltage, since both ends of every such edge are in reached and
-    hold their final potentials: a potential never changes once set.
+    the rows of the generator's voltage reduced by S (span.rows);
+    reached grows after every step, so each state takes its potential
+    from exactly one parent.  A step whose fresh states are empty feeds
+    pot(y) ^ voltage ^ pot(gy) of its edges to span while span is not
+    full (tree edges give 0).  Each is a cycle voltage reduced by S,
+    since both ends of every such edge are in reached and hold their
+    potentials modulo S: a potential changes only by an element of S,
+    when span reduces every plane by a new cycle vector.
 
     Reading a source tile that an earlier step of the same generator
     grew is harmless: each generator is an involution, so the states
@@ -343,31 +361,33 @@ def _tile_step(tiled: np.ndarray, u: int, s: int, odd: np.ndarray, move: tuple,
     already in reached (they take no potential, and their cycle voltages
     are 0).
     """
+    rows = 1 + len(span.live)
+    src, other = src[:rows], other[:rows]
     np.bitwise_and(tiled[0, s], odd, out=src[0])
     if span.dim:
         # a tile with no odd state in reached moves nothing: one row of
-        # work for dim K + 1 (without planes this check costs more than
-        # it saves)
+        # work for the rows moved (without planes this check costs more
+        # than it saves)
         if not src[0].any():
             return
-        np.bitwise_and(tiled[1:, s], odd, out=src[1:])
+        np.bitwise_and(tiled[1:rows, s], odd, out=src[1:])
     moved = _p_foot(src, other, move)
-    if span.dim:
+    if rows > 1:
         spare = other if moved is src else src
-        # row 1 + j of moved now holds bit j of pot(gx) ^ voltage at
-        # every x with gx in reached
-        for j in volts:
-            np.invert(moved[1 + j], out=moved[1 + j])
+        # row 1 + r of moved now holds live coordinate r of pot(gx) ^
+        # voltage at every x with gx in reached
+        for r in span.rows(voltage):
+            np.invert(moved[1 + r], out=moved[1 + r])
         fresh = np.invert(tiled[0, u], out=spare[0])
         fresh &= moved[0]
         if fresh.any():
             moved[1:] &= fresh
-            tiled[1:, u] |= moved[1:]
-        elif not span.full:
+            tiled[1:rows, u] |= moved[1:]
+        else:
             cycles = moved[1:]
-            cycles ^= tiled[1:, u]
+            cycles ^= tiled[1:rows, u]
             cycles &= moved[0]
-            span.absorb_planes(cycles, spare[0])
+            span.absorb_planes(cycles, spare[0], tiled[1:])
     tiled[0, u] |= moved[0]
 
 
@@ -470,8 +490,13 @@ def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: n
     component, and visited is ORed with it.  Without planes (K = 0) the
     stack is visited alone, where the sparse levels have marked the
     words, and the returned size is the popcount that visited gained on
-    top of the flood's.  A growth sweep moves the whole stack by one
-    generator after another, one tile step (_tile_step) per output tile.
+    top of the flood's.  A growth sweep moves reached and the live
+    planes by one generator after another, one tile step (_tile_step)
+    per output tile.  The potentials are carried modulo S: each cycle
+    vector that span takes reduces every plane, over the whole map, and
+    drops the plane of its pivot, so a potential changes only by an
+    element of S, and from then on a step moves 1 + dim K - rank S rows,
+    reached alone once S = K.
     The sweeps alternate direction, forward, then backward after every
     sweep that grew (the symmetric Gauss-Seidel order): a state found by
     a late generator of one sweep is moved on by the first generators of
@@ -528,8 +553,7 @@ def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: n
     odds = (other[0],) if tiles == 1 else np.empty((2, width), dtype=np.uint64)
     tb = width.bit_length() - 1
     zmask = (1 << shift) - 1
-    steps = [(c, f & zmask, b, [j for j in range(span.dim) if f >> shift + j & 1],
-              _word_move(f & zmask, width)) for c, f, b in job.gens]
+    steps = [(c, f & zmask, b, f >> shift, _word_move(f & zmask, width)) for c, f, b in job.gens]
 
     def popcount(row: np.ndarray) -> int:
         total = 0
@@ -544,14 +568,14 @@ def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: n
     # full[u]: tile u of reached is full, set only once S = K
     full = [False] * tiles
     while count + outside < 1 << shift or not span.full:
-        for cond, foot, const, volts, move in steps:
+        for cond, foot, const, voltage, move in steps:
             _odd_words(cond, const, odds[0])
             if len(odds) > 1:
                 np.invert(odds[0], out=odds[1])
             for u in range(tiles):
                 if not full[u]:
                     s = u ^ foot >> 6 + tb
-                    _tile_step(tiled, u, s, odds[_parity(s & cond >> 6 + tb)], move, volts,
+                    _tile_step(tiled, u, s, odds[_parity(s & cond >> 6 + tb)], move, voltage,
                                src, other, span)
                     full[u] = span.full and bool(tiled[0, u].min() == _ONES)
         grown = popcount(reached)
@@ -755,44 +779,44 @@ def _readback(stack: np.ndarray):
             yield start + w, i, pot.view(np.uint8)[:, i]
 
 
-def _lift(job: _StratumJob, stack: np.ndarray, size: int, cycles: list[int],
+def _lift(job: _StratumJob, stack: np.ndarray, size: int, span: _Span,
           every: bool = True) -> list[tuple[int, int]]:
     """The orbits over one base orbit O' of size states, as (representative,
-    size): O' is the bitset stack[0], and the potentials of its states are
-    in the planes below it (see _readback).
+    size): O' is the bitset stack[0], and the potentials of its states,
+    reduced by the span S of its cycle voltages, are in the live planes
+    of span below it (see _readback).
 
-    The cycle voltages span S, a proper subspace of K.  There is one
-    orbit per coset c of S in K, with |O'| * 2^rank(S) states; its
-    representative is the least reduce_S(section(y) ^ pot(y) ^ c) over y
-    in O', taken in chunks of at most _LIFT_CHUNK (member, coset) pairs,
-    with c its coset minimum.  Unless every, only the orbit over coset 0
-    is computed: the one that holds section(y) ^ pot(y).
+    S is a proper subspace of K.  There is one orbit per coset of S in
+    K, with |O'| * 2^rank(S) states; the cosets are c in the span of the
+    live translations, which meets each coset once.  The representative
+    over c is the least section(y) ^ pot(y) ^ c over y in O': it is zero
+    at the pivots of S, so it is the coset minimum reduce_S, which
+    _coset_minima takes from the values section(y) ^ pot(y) in
+    _readback's chunks.  Unless every, only the orbit over coset 0 is
+    computed: the one that holds section(y) ^ pot(y).
     """
-    s_basis = _echelon([_combine(v, job.translations) for v in cycles])
-    # K's basis reduced by S: it spans the cosets and maps potentials
-    reduced = [_reduce(k, s_basis) for k in job.translations]
-    cosets = np.array(_span_points(_echelon(reduced)) if every else [0], dtype=np.uint32)
-    # section states are zero at K's pivots, among them S's, so reduce_S
-    # only acts on the potential, and reduce_S(section(y) ^ pot(y)) ^
+    live = [job.translations[j] for j in span.live]
+    cosets = np.array(_span_points(live) if every else [0], dtype=np.uint32)
+    # section states are zero at K's pivots, so section(y) ^ pot(y) ^
     # offset splits over the word of y, its bit in the word and the bytes
     # of its potential
     words = _byte_tables(job.basis[6:])
     bits = np.array(_span_points(job.basis[:6]), dtype=np.uint32)
-    pots = _byte_tables(reduced)
-    best = np.full(cosets.size, np.iinfo(np.uint32).max, dtype=np.uint32)
-    rows = max(1, _LIFT_CHUNK // cosets.size)
-    for w, i, pot in _readback(stack):
-        a = _apply_tables(words, w)[i >> 6] ^ bits[i & 63] ^ job.offset
-        for table, byte in zip(pots, pot):
-            a ^= table[byte]
-        for start in range(0, a.size, rows):
-            np.minimum(best, (cosets[:, None] ^ a[start:start + rows]).min(axis=1), out=best)
+    pots = _byte_tables(live)
+
+    def values():
+        for w, i, pot in _readback(stack[:1 + len(live)]):
+            a = _apply_tables(words, w)[i >> 6] ^ bits[i & 63] ^ job.offset
+            for table, byte in zip(pots, pot):
+                a ^= table[byte]
+            yield a
+
     out = []
-    for rep in best.tolist():
+    for rep in _coset_minima(values(), cosets).tolist():
         z = _search_word(job, rep) & (1 << job.compact_dim) - 1
         if not int(stack[0, z >> 6]) >> (z & 63) & 1:
             raise AssertionError("lifted representative leaves its base orbit")
-        out.append((rep, size << len(s_basis)))
+        out.append((rep, size << len(span.basis)))
     return out
 
 
@@ -803,19 +827,21 @@ def _search(job: _StratumJob) -> np.ndarray:
 
     Row 0 is the visited map.  With planes row 1 is reached, the
     component of the last flood, which _close clears when it starts, and
-    row 2 + j is potential plane j (see _close).  K = 0 is the case of
-    no planes and no reached map: its closures sweep visited itself.
+    row 2 + j is potential plane j, which holds coordinate live[j] of
+    the flood's span (see _close).  K = 0 is the case of no planes
+    and no reached map: its closures sweep visited itself.
     Bit p of word w stands for compact state w << 6 | p: word order is
     state order, and inside a word the states are compared through the
     job's compact basis (_least_in_word).  The maps hold states only:
     the bits past the last state of a map under 64 states stay clear.
 
-    The planes are never cleared between floods.  Their stale bits, at
-    the states of earlier components, are harmless: components are
-    disjoint, and every read of the planes is masked by the current
-    one.  _scatter ORs in at fresh states only, _close masks the moved
-    planes by its fresh states and the cycles by moved states of
-    reached, and _lift reads them only at the members of reached.
+    The planes are never cleared between floods, and a closure reduces
+    and moves whole rows.  Their stale bits, at the states of earlier
+    components, are harmless: components are disjoint, and every read of
+    the planes is masked by the current one.  _scatter ORs in at fresh
+    states only, _close masks the moved planes by its fresh states and
+    the cycles by moved states of reached, and _lift reads them only at
+    the members of reached.
     """
     rows = len(job.translations) + 2 if job.translations else 1
     return np.zeros((rows, max(1, 1 << job.compact_dim >> 6)), dtype=np.uint64)
@@ -850,7 +876,8 @@ def _run_stratum_job(job: _StratumJob) -> list[tuple[int, int]]:
     always when K = 0) its representative is the seed's section, of size
     |O'| * 2^dim K, and the scan checks it: the least state that the
     flood added to the seed's word must be the seed.  Otherwise _lift
-    reads the base orbit and its potentials off reached and the planes.
+    reads the base orbit and its potentials modulo S off reached and
+    the span's live planes.
     The scan after a flood starts at the seed's own word: its other
     states may come later in state order than the seed, wherever their
     bits lie.
@@ -864,7 +891,7 @@ def _run_stratum_job(job: _StratumJob) -> list[tuple[int, int]]:
         before = int(maps[0, w])
         size, span = _flood(job, seed, maps)
         if not span.full:
-            rows.extend(_lift(job, maps[1:], size, span.basis))
+            rows.extend(_lift(job, maps[1:], size, span))
         elif w << 6 | _least_in_word(int(maps[0, w]) & ~before, w, job) != seed:
             raise AssertionError("ascending seed scan lost the orbit minimum")
         else:
@@ -1001,8 +1028,9 @@ def orbit_of(spec, state) -> OrbitRecord:
     the state's K-component as its potential.  Once S = K its
     representative is the section of the least visited state, since the
     map started empty; otherwise only the orbit that holds the state is
-    lifted.  A state is a packed integer, an F2Vector or a TriMatrix;
-    one of another dimension than the space is refused.
+    lifted, the one over coset 0, since potentials carried modulo S keep
+    each state's coset.  A state is a packed integer, an F2Vector or a
+    TriMatrix; one of another dimension than the space is refused.
     """
     dim, masks, functionals, descriptor, _, _ = _family(spec)
     start = _state_bits(state, dim, descriptor)
@@ -1016,7 +1044,7 @@ def orbit_of(spec, state) -> OrbitRecord:
         rows = [(job.offset ^ _combine(_least_bit(maps[0], 0, 0, job), job.basis),
                  size << span.dim)]
     else:
-        rows = _lift(job, maps[1:], size, span.basis, every=False)
+        rows = _lift(job, maps[1:], size, span, every=False)
     return _records(dim, functionals, rows)[0]
 
 

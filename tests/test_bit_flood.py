@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from f2orbits import orbits
+from f2orbits import f2la, orbits
 from f2orbits.actions import ActionKind, ActionSpec, height_functionals
-from f2orbits.f2la import F2Vector, _combine, _echelon, _evaluate, _nullspace, _parity
+from f2orbits.f2la import (F2Vector, _combine, _echelon, _evaluate, _insert, _nullspace, _parity,
+                           _reduce, _span_points)
 from f2orbits.lattice import Graph, build, delta_closure, hex_lattice_graph
 from f2orbits.orbits import enumerate_orbits, enumerate_stratum, orbit_of
 from test_engine_properties import union_find_classes
@@ -606,7 +607,7 @@ def test_lifted_closure_allocates_no_map_per_generator(monkeypatch):
             pass
         readback_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        rows = orbits._lift(job, maps[1:], size, span.basis)
+        rows = orbits._lift(job, maps[1:], size, span)
         lift_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -618,7 +619,48 @@ def test_lifted_closure_allocates_no_map_per_generator(monkeypatch):
     # below one uint32 per member: the readback goes chunk by chunk, and
     # the lift adds its (member, coset) pairs
     assert readback_peak < 2 * size
-    assert lift_peak < 2 * size + 4 * orbits._LIFT_CHUNK
+    assert lift_peak < 2 * size + 4 * f2la._LIFT_CHUNK
+
+
+@pytest.mark.parametrize("size", [1, 3000, f2la._LIFT_CHUNK + 4000, 2 * f2la._LIFT_CHUNK + 7])
+@pytest.mark.parametrize("rank", range(8))
+def test_lift_takes_the_least_member_of_every_coset(rank, size):
+    # a random base orbit of first n=7's stratum 3 (dim K = 7, 2^18
+    # compact states) with random potentials, reduced by a random span S
+    # of the given rank: 2^(7 - rank) cosets, from 1 (rank 7 is S = K,
+    # which only orbit_of's one coset reaches) to 128, and members on
+    # both sides of _LIFT_CHUNK
+    dim, masks, _, _, _, _ = orbits._family(ActionSpec(7, ActionKind.FIRST))
+    job = orbits._stratum_job(orbits._plan(dim, masks), 3)
+    k = len(job.translations)
+    assert k == 7 and job.offset and job.compact_dim == 18
+    rng = np.random.default_rng(rank * 1000 + size)
+    members = np.sort(rng.choice(1 << 18, size, replace=False)).astype(np.uint32)
+    span = orbits._Span(k)
+    while len(span.basis) < rank:
+        v = _reduce(int(rng.integers(1, 1 << k)), span.basis)
+        if v:
+            span.basis = _insert(span.basis, v)
+    pivots = {b.bit_length() - 1 for b in span.basis}
+    span.live = [int(j) for j in rng.permutation([j for j in range(k) if j not in pivots])]
+    pots = rng.integers(0, 1 << len(span.live), size, dtype=np.uint32)
+    stack = rng.integers(0, 1 << 63, (k + 1, 1 << 12), dtype=np.uint64)
+    stack[:1 + len(span.live)] = 0
+    stack[0] = bitset(members, 1 << 12)
+    for r in range(len(span.live)):
+        stack[1 + r] = bitset(members[pots >> r & 1 == 1], 1 << 12)
+    # section(y) ^ pot(y), through the compact basis and the live
+    # translations, and its minimum over the members for every coset
+    values = np.full(size, job.offset, dtype=np.uint32)
+    for s, b in enumerate(job.basis):
+        values[members >> s & 1 == 1] ^= b
+    for r, j in enumerate(span.live):
+        values[pots >> r & 1 == 1] ^= job.translations[j]
+    cosets = _span_points([job.translations[j] for j in span.live])
+    expected = sorted((int((values ^ c).min()), size << rank) for c in cosets)
+    if rank < k:
+        assert sorted(orbits._lift(job, stack, size, span)) == expected
+    assert orbits._lift(job, stack, size, span, every=False) == [(int(values.min()), size << rank)]
 
 
 @pytest.mark.parametrize("spec", [ActionSpec(8, ActionKind.SECOND_CONJUGATE),
@@ -645,7 +687,7 @@ def test_small_lifted_closure_skips_unmoved_generators(spec, p_foot_calls, monke
     monkeypatch.setattr(orbits, "_odd_words", counted)
     maps = orbits._search(job)
     size, span = orbits._flood(job, 0, maps)
-    rows = orbits._lift(job, maps[1:], size, span.basis)
+    rows = orbits._lift(job, maps[1:], size, span)
     assert p_foot_calls == []
     assert len(odd_sets) == len(job.gens)
     assert len(rows) == 1 << k and all(size == 1 for _, size in rows)
@@ -665,11 +707,14 @@ def test_closure_sweeps_alternate_direction(spec, steps, p_foot_calls):
 
 def tile_step_case(rng: random.Random, tiles: int, case: str):
     """A random tile step on a map of tiles tiles of 4 words (256
-    states): (stack, u, s, foot, source, volts, reached, pots, span),
+    states): (stack, u, s, foot, source, voltage, reached, pots, span),
     where source lists the odd states of tile s, and reached and pots
     are the stack's states and their potentials as a set and a dict.
     k0 has no planes, fresh makes some moved state fresh, and cycles
-    makes every moved state already reached, with span short of K."""
+    makes every moved state already reached.  With planes the span
+    starts short of K, the potentials are reduced by it and held in the
+    rows of its live coordinates, in a random order, and the rows past
+    them hold garbage, as the rows a closure has dropped do."""
     k = 0 if case == "k0" else 3
     states = 256 * tiles
     cond, foot = rng.randrange(states), 0
@@ -687,15 +732,17 @@ def tile_step_case(rng: random.Random, tiles: int, case: str):
         reached.discard(rng.choice(sorted(reached & set(source))) ^ foot)
     if case == "cycles":
         reached |= {x ^ foot for x in reached & set(source)}
-    pots = {x: rng.randrange(1 << k) for x in reached}
+    span = orbits._Span(k)
+    span.basis = _echelon([rng.randrange(1 << k) for _ in range(rng.randrange(max(k, 1)))])
+    pivots = {b.bit_length() - 1 for b in span.basis}
+    span.live = rng.sample([j for j in range(k) if j not in pivots], k - len(pivots))
+    pots = {x: _reduce(rng.randrange(1 << k), span.basis) for x in reached}
+    garbage = [np.array([rng.getrandbits(64) for _ in range(states // 64)], dtype=np.uint64)
+               for _ in pivots]
     stack = np.array([bitset(np.array(sorted(reached), dtype=np.uint32), states // 64)]
                      + [bitset(np.array([x for x in reached if pots[x] >> j & 1], dtype=np.uint32),
-                               states // 64) for j in range(k)])
-    span = orbits._Span(k)
-    if case == "cycles":
-        span.basis = _echelon([rng.randrange(1 << k)])
-    volts = [j for j in range(k) if rng.randrange(2)]
-    return stack, u, s, foot, source, volts, reached, pots, span
+                               states // 64) for j in span.live] + garbage)
+    return stack, u, s, foot, source, rng.randrange(1 << k), reached, pots, span
 
 
 @pytest.mark.parametrize("tiles", [1, 4])
@@ -704,7 +751,7 @@ def tile_step_case(rng: random.Random, tiles: int, case: str):
 @given(st.integers(min_value=0, max_value=(1 << 32) - 1))
 def test_tile_step_matches_a_set_reference(tiles, case, seed):
     rng = random.Random(seed)
-    stack, u, s, foot, source, volts, reached, pots, span = tile_step_case(rng, tiles, case)
+    stack, u, s, foot, source, voltage, reached, pots, span = tile_step_case(rng, tiles, case)
     tiled = stack.reshape(len(stack), tiles, 4)
     # scratch holds garbage, as after an earlier step
     src, other = np.array([[[rng.getrandbits(64) for _ in range(4)] for _ in stack]] * 2,
@@ -714,24 +761,30 @@ def test_tile_step_matches_a_set_reference(tiles, case, seed):
     odd[:] = bitset(np.array(source, dtype=np.uint32) - 256 * s, 4)
     before = list(span.basis)
 
-    orbits._tile_step(tiled, u, s, odd, orbits._word_move(foot, 4), volts, src, other, span)
+    orbits._tile_step(tiled, u, s, odd, orbits._word_move(foot, 4), voltage, src, other, span)
 
-    voltage = sum(1 << j for j in volts)
     moved = {x ^ foot for x in reached & set(source)}
     fresh = moved - reached
     assert moved
     assert case == "k0" or bool(fresh) == (case == "fresh")
-    # tile u gains the moved states, and the fresh ones take their
-    # source's potential, flipped at the voltage; the planes hold
-    # nothing outside reached
-    expected = {**pots, **{y: pots[y ^ foot] ^ voltage for y in fresh}}
-    assert marked(stack[0]) == reached | moved
-    assert plane_potentials(stack[1:], sorted(expected)) == [expected[x] for x in sorted(expected)]
-    assert all(marked(plane) <= set(expected) for plane in stack[1:])
     # with none fresh and span short of K, the span grows by the cycle
     # voltages pot(x) ^ voltage ^ pot(gx) of the moved edges
     cycles = [pots[y ^ foot] ^ voltage ^ pots[y] for y in moved] if case == "cycles" else []
     assert span.basis == _echelon(before + cycles)
+    # the rows of the span's pivots are dropped, the others stay live
+    pivots = {b.bit_length() - 1 for b in span.basis}
+    assert sorted(span.live) == [j for j in range(len(span.live) + len(pivots))
+                                 if j not in pivots]
+    # tile u gains the moved states, and the fresh ones take their
+    # source's potential, flipped at the voltage; the live planes hold
+    # every potential reduced by the span, and nothing outside reached
+    expected = {**pots, **{y: pots[y ^ foot] ^ voltage for y in fresh}}
+    live = stack[1:1 + len(span.live)]
+    assert marked(stack[0]) == reached | moved
+    assert plane_potentials(live, sorted(expected)) == [
+        sum((_reduce(expected[x], span.basis) >> j & 1) << r for r, j in enumerate(span.live))
+        for x in sorted(expected)]
+    assert all(marked(plane) <= set(expected) for plane in live)
 
 
 @pytest.fixture(scope="module")

@@ -344,9 +344,11 @@ class TestUnwritableOut:
         def called(*args, **kwargs):
             raise AssertionError("work started before --out was checked")
 
-        for name in ("enumerate_orbits", "enumerate_stratum", "verify", "parse_graph_file",
+        for name in ("enumerate_orbits", "enumerate_stratum", "parse_graph_file",
                      "pattern_E", "build", "hex_lattice_graph"):
             monkeypatch.setattr(cli, name, called)
+        # verify loads from classify when its command runs
+        monkeypatch.setattr(classify, "verify", called)
 
     def argv(self, tmp_path, command):
         write_hex_graph_file(tmp_path / "hex4.graph", 4)

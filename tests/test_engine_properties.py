@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from f2orbits.f2la import _nullspace, _parity
 from f2orbits.lattice import Graph, build, hex_lattice_graph
+from f2orbits import orbits
 from f2orbits.orbits import enumerate_orbits, orbit_of
 
 
@@ -180,3 +181,75 @@ def test_orbit_of_small_orbit_under_large_translation_group(subset):
     for x, rec in zip(states, got):
         members = generator_closure(spec, x)
         assert (rec.representative.bits, rec.cardinality) == (members[0], len(members))
+
+
+def quotient_lattices(seed: int, count: int) -> list:
+    """Seeded random graph lattices of dimension at most 14 whose
+    translation group K has dimension at least 2: a random graph plus
+    two twins (a copy of a vertex's neighbors), with B every vertex for
+    even indices and a random subset for odd ones."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        dim = rng.randint(6, 12)
+        p = rng.uniform(0.2, 0.6)
+        edges = [(u, v) for u in range(dim) for v in range(u + 1, dim) if rng.random() < p]
+        for twin in (dim, dim + 1):
+            v = rng.randrange(dim)
+            edges += [(u, twin) for u, w in edges if w == v] + [(w, twin) for u, w in edges
+                                                                 if u == v]
+        subset = [v for v in range(dim + 2) if rng.random() < 0.8] if len(out) % 2 else None
+        spec = build(Graph.from_edge_list(dim + 2, edges), subset or None)
+        if translation_dim(spec) >= 2:
+            out.append(spec)
+    return out
+
+
+QUOTIENT_LATTICES = quotient_lattices(3901, 12)
+QUOTIENT_IDS = [f"lattice-{i}" for i in range(len(QUOTIENT_LATTICES))]
+
+
+@pytest.fixture
+def closing_ranks(monkeypatch):
+    """A list of (dim K, rank S) at the end of every closure with planes."""
+    ranks = []
+    close = orbits._close
+
+    def recorded(job, seed, frontier, size, maps, span):
+        out = close(job, seed, frontier, size, maps, span)
+        if span.dim:
+            ranks.append((span.dim, len(span.basis)))
+        return out
+
+    monkeypatch.setattr(orbits, "_close", recorded)
+    yield ranks
+
+
+@pytest.mark.parametrize("spec", QUOTIENT_LATTICES, ids=QUOTIENT_IDS)
+def test_quotient_census_equals_the_search_of_v(spec):
+    # the search of V/K, its cycle spans carried modulo S and its lifts,
+    # against the search of V itself through no translations
+    assert enumerate_orbits(spec, workers=1).to_json() == \
+        orbits._census(spec, 1, translations=()).to_json()
+
+
+def test_quotient_lattices_fill_their_spans_and_fall_short(closing_ranks):
+    # the lattices above cover closures whose span S fills K and ones
+    # where it stays short
+    for spec in QUOTIENT_LATTICES:
+        enumerate_orbits(spec, workers=1)
+    assert any(rank == k for k, rank in closing_ranks)
+    assert any(0 < rank < k for k, rank in closing_ranks)
+
+
+@pytest.mark.parametrize("spec", QUOTIENT_LATTICES, ids=QUOTIENT_IDS)
+def test_quotient_orbit_of_agrees_with_the_census(spec):
+    records = {(r.representative.bits, r.cardinality)
+               for r in enumerate_orbits(spec, workers=1).records}
+    rng = random.Random(spec.state_dim)
+    for state in [0, (1 << spec.state_dim) - 1] + [rng.getrandbits(spec.state_dim)
+                                                   for _ in range(8)]:
+        members = generator_closure(spec, state)
+        rec = orbit_of(spec, state)
+        assert (rec.representative.bits, rec.cardinality) == (members[0], len(members))
+        assert (members[0], len(members)) in records

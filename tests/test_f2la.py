@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 import numpy as np
 
+from f2orbits import f2la
 from f2orbits.f2la import (ArfClass, BilinearForm, F2Vector, QuadraticSpace, _Span,
-                           _apply_tables, _byte_tables, _combine, _echelon,
+                           _apply_tables, _byte_tables, _combine, _coset_minima, _echelon,
                            _evaluate, _insert, _nullspace, _rank, _reduce, _solve,
-                           arf, form_eval, kernel_basis, q_eval,
+                           _span_points, arf, form_eval, kernel_basis, q_eval,
                            symplectic_reduce, transvect, value_counts_brute,
                            value_counts_closed)
 
@@ -296,27 +297,75 @@ class TestLinearLayer:
         if last:
             assert _insert(head, last) == basis
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_coset_minima_are_the_least_xor_of_each_point(self, data):
+        # 1 to 128 points, repeated values, and points with bits above
+        # every value's
+        points = _span_points(data.draw(st.lists(st.integers(0, 2**32 - 1), max_size=7)))
+        chunks = data.draw(st.lists(st.lists(st.integers(0, 2**12 - 1), min_size=1,
+                                             max_size=50), min_size=1, max_size=4))
+        values = [v for chunk in chunks for v in chunk]
+        got = _coset_minima((np.array(c, dtype=np.uint32) for c in chunks),
+                            np.array(points, dtype=np.uint32))
+        assert got.tolist() == [min(v ^ c for v in values) for c in points]
+
+    def test_coset_minima_fill_their_buffer_more_than_once(self, monkeypatch):
+        monkeypatch.setattr(f2la, "_LIFT_CHUNK", 8)
+        rng = random.Random(5)
+        points = _span_points([rng.getrandbits(20) for _ in range(6)])
+        chunks = [[rng.getrandbits(20) for _ in range(rng.randint(1, 8))] for _ in range(9)]
+        values = [v for chunk in chunks for v in chunk]
+        got = _coset_minima((np.array(c, dtype=np.uint32) for c in chunks),
+                            np.array(points, dtype=np.uint32))
+        assert got.tolist() == [min(v ^ c for v in values) for c in points]
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_span_absorbs_every_value_of_its_planes(self, data):
+        # values reduced by the span live in the rows of its live
+        # coordinates, in any order; each vector absorbed reduces the
+        # planes and the potentials alike and drops its pivot's row
         dim = data.draw(st.integers(min_value=0, max_value=6))
         words = data.draw(st.integers(min_value=1, max_value=4))
         start = _echelon(data.draw(st.lists(st.integers(0, (1 << dim) - 1), max_size=3)))
-        # values at a few (word, bit) positions, so that the span is often
-        # left short of F2^dim
-        entries = data.draw(st.lists(st.tuples(st.integers(0, words - 1), st.integers(0, 63),
-                                               st.integers(0, (1 << dim) - 1)), max_size=8))
-        planes = np.zeros((dim, words), dtype=np.uint64)
-        for w, i, value in entries:
-            for j in range(dim):
-                planes[j, w] |= np.uint64((value >> j & 1) << i)
-        values = [sum((int(planes[j, w]) >> i & 1) << j for j in range(dim))
-                  for w in range(words) for i in range(64)]
+        pivots = {b.bit_length() - 1 for b in start}
+        live = data.draw(st.permutations([j for j in range(dim) if j not in pivots]))
+
+        def stack(entries, rows):
+            """Bit-planes of the values at (word, bit) positions, reduced
+            by start, in the rows of live, over rows rows of garbage."""
+            out = np.array([[data.draw(st.integers(0, 2**64 - 1)) for _ in range(words)]
+                            for _ in range(rows)], dtype=np.uint64)
+            out[:len(live)] = 0
+            for w, i, value in entries:
+                for r, j in enumerate(live):
+                    out[r, w] |= np.uint64((_reduce(value, start) >> j & 1) << i)
+            return out
+
+        def read(planes, coords):
+            return [sum((int(planes[r, w]) >> i & 1) << j for r, j in enumerate(coords))
+                    for w in range(words) for i in range(64)]
+
+        positions = st.tuples(st.integers(0, words - 1), st.integers(0, 63),
+                              st.integers(0, (1 << dim) - 1))
+        # values at a few positions, so that the span is often left short
+        # of F2^dim
+        planes = stack(data.draw(st.lists(positions, max_size=8)), len(live))
+        potentials = stack(data.draw(st.lists(positions, max_size=8)), dim)
+        values, held = read(planes, live), read(potentials, live)
         span = _Span(dim)
-        span.basis = start
-        span.absorb_planes(planes, np.empty(words, dtype=np.uint64))
-        assert span.basis == _echelon(start + values)
+        span.basis, span.live = start, list(live)
+        span.absorb_planes(planes, np.empty(words, dtype=np.uint64), potentials)
+        final = _echelon(start + values)
+        assert span.basis == final
         assert span.full is (len(brute_span(start + values)) == 1 << dim)
+        # the rows left are the coordinates that are no pivot of the span,
+        # and they hold every value reduced by it
+        assert sorted(span.live) == [j for j in range(dim)
+                                     if not any(b.bit_length() - 1 == j for b in final)]
+        assert not planes[:len(span.live)].any()
+        assert read(potentials, span.live) == [_reduce(v, final) for v in held]
 
     @settings(max_examples=150, deadline=None)
     @given(vector_systems())

@@ -189,6 +189,33 @@ class TestSetupLoadsNoNumpy:
         assert top_level == ["orbits.py"]
 
 
+COMMANDS = """
+import contextlib, io, json, sys
+import f2orbits.cli as cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "classify": "f2orbits.classify" in sys.modules}))
+"""
+
+
+class TestCliLoadsClassifyForVerifyAlone:
+    """classify holds the closed forms that verify diffs against; a
+    census or a graph process never compiles it."""
+
+    def test_census_and_graph(self, tmp_path):
+        path = tmp_path / "e6.graph"
+        path.write_text("6 5\n0 1\n1 2\n2 3\n3 4\n2 5\n")
+        run = fresh(COMMANDS, json.dumps([["census", "--action", "first", "--n", "5"],
+                                          ["census", "--action", "second", "--n", "5",
+                                           "--height", "10"],
+                                          ["graph", "--input", str(path)]]))
+        assert run == {"codes": [0, 0, 0], "classify": False}
+
+    def test_verify(self):
+        run = fresh(COMMANDS, json.dumps([["verify", "--action", "first", "--n", "4"]]))
+        assert run == {"codes": [0], "classify": True}
+
+
 BLAS = """
 import json, os, sys
 from importlib import import_module
