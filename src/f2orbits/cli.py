@@ -4,6 +4,9 @@ Subcommands: census, verify, graph, patterns, arf.  Each command
 returns its document, its status lines and its exit code, and writes
 nothing; `main` alone writes the document to --out or stdout and sends
 the status lines to stdout beside an --out file, to stderr otherwise.
+The commands route documents and format no census record: census and
+graph call the OrbitCensus writer that --format names (to_json, to_csv
+or to_table), looked up on the census when the command runs.
 Exit codes: 0 on success or a passing verification, 1 on a verification
 diff, 2 on usage or parse errors and on an --input or --out file that
 cannot be read or written, 3 when a resource guard refuses the job.
@@ -46,24 +49,6 @@ EXIT_GUARD = 3
 NEIGHBOR_GRAPH_LIMIT = 1 << 11
 
 
-def _census_table(census: OrbitCensus) -> str:
-    rows = ["representative_hex  cardinality  height_bits  type_label"]
-    for r in census.records:
-        rows.append("{:<18}  {:>11}  {:<11}  {}".format(
-            format(r.representative.bits, "x"), r.cardinality,
-            r.height.to_string() if r.height is not None else "-",
-            r.type_label or "-"))
-    return "\n".join(rows) + "\n"
-
-
-def _render(census: OrbitCensus, fmt: str) -> str:
-    if fmt == "json":
-        return census.to_json()
-    if fmt == "csv":
-        return census.to_csv()
-    return _census_table(census)
-
-
 def _check_out(out_path) -> None:
     """Refuse an --out that cannot be written (exit 2) before any work
     starts: a directory, a path whose directory is missing or not
@@ -100,7 +85,7 @@ def cmd_census(args) -> tuple[str, list[str], int]:
     else:
         census, line = _timed(enumerate_stratum, spec, F2Vector.from_string(args.height),
                               workers=args.threads)
-    return _render(census, args.format), [line], EXIT_OK
+    return getattr(census, f"to_{args.format}")(), [line], EXIT_OK
 
 
 def cmd_verify(args) -> tuple[str, list[str], int]:
@@ -119,7 +104,7 @@ def cmd_graph(args) -> tuple[str, list[str], int]:
     with open(args.input) as fh:
         spec = parse_graph_file(fh)
     census, line = _timed(enumerate_orbits, spec, workers=args.threads)
-    document = _render(census, args.format)
+    document = getattr(census, f"to_{args.format}")()
     try:
         pred = predict_census_nonspecial(spec)
     except NonspecialityUnknown as exc:

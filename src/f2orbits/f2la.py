@@ -507,29 +507,27 @@ def symplectic_reduce(s: QuadraticSpace, pivot: str = "low") -> SymplecticBasis:
     f = s.form
     order = range(f.dim) if pivot == "low" else range(f.dim - 1, -1, -1)
     vecs = [1 << i for i in order]
-    pairs = []
-    while True:
-        hit = None
-        for a in range(len(vecs)):
-            mask = f.pairing_mask(vecs[a])
-            b = next((b for b in range(len(vecs)) if _parity(mask & vecs[b])), None)
-            if b is not None:
-                hit = (a, b)
-                break
-        if hit is None:
-            break
-        a, b = hit
-        e, fv = vecs[a], vecs[b]
-        rest = [v for k, v in enumerate(vecs) if k not in (a, b)]
-        e_mask, f_mask = f.pairing_mask(e), f.pairing_mask(fv)
+    pairs, kernel = [], []
+    # one pass: the first remaining vector either pairs with none of the
+    # rest, so it lies in the radical (every later pair is built from the
+    # rest, so it stays orthogonal to them), or it pairs with its first
+    # partner and the rest are projected off the new pair
+    while vecs:
+        e, *rest = vecs
+        e_mask = f.pairing_mask(e)
+        b = next((b for b, v in enumerate(rest) if _parity(e_mask & v)), None)
+        if b is None:
+            kernel.append(F2Vector(f.dim, e))
+            vecs = rest
+            continue
+        fv = rest.pop(b)
+        f_mask = f.pairing_mask(fv)
         vecs = [v ^ (e if _parity(f_mask & v) else 0) ^ (fv if _parity(e_mask & v) else 0)
                 for v in rest]
         pairs.append((F2Vector(f.dim, e), F2Vector(f.dim, fv)))
-    # leftovers pair to zero with everything, i.e. they span the radical
-    kernel = tuple(F2Vector(f.dim, v) for v in vecs)
     if len(kernel) != s.kappa:
         raise AssertionError("symplectic reduction lost track of the radical")
-    return SymplecticBasis(f.dim, tuple(pairs), kernel)
+    return SymplecticBasis(f.dim, tuple(pairs), tuple(kernel))
 
 
 class ArfClass(enum.Enum):

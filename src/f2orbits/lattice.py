@@ -10,7 +10,7 @@ subgraph (the sufficient nonspeciality criterion), and predicts the
 orbit census of a nonspecial group without enumerating it.
 Reading, building and checking a graph is int work and loads no numpy:
 only delta_closure (the closure search) and predict_census_nonspecial
-(the census record types) import ``orbits``, the one module that
+(the census and its records) import ``orbits``, the one module that
 imports numpy at load, and they import it when called.
 """
 
@@ -26,8 +26,7 @@ from typing import Any, Iterator, TextIO
 # resolve through it without importing orbits here
 import f2orbits
 
-from .f2la import (BilinearForm, F2Vector, QuadraticSpace, _check_dim, _span_points,
-                   value_counts_closed)
+from .f2la import BilinearForm, QuadraticSpace, _check_dim, _span_points, value_counts_closed
 from .tri import Graph, hex_graph
 
 
@@ -188,12 +187,12 @@ def predict_census_nonspecial(spec: LatticeSpec) -> f2orbits.OrbitCensus:
 
     Requires a vanishing lattice (check_vanishing) and the E6 criterion
     on the graph of the generating subset, the hypotheses under which the
-    group is nonspecial.  The orbits are the 2^kappa kernel points as singletons plus the two level
-    sets of q off the kernel; the two big representatives are found by
-    ascending scan, so the whole census is exactly comparable with the
-    enumerated one.
+    group is nonspecial.  The orbits are the 2^kappa kernel points as
+    singletons plus the two level sets of q off the kernel; the two big
+    representatives are found by ascending scan, so the whole census is
+    exactly comparable with the enumerated one.
     """
-    from .orbits import OrbitCensus, OrbitRecord
+    from .orbits import OrbitCensus, _records
 
     report = check_vanishing(spec)
     if not report.is_vanishing_lattice:
@@ -203,23 +202,19 @@ def predict_census_nonspecial(spec: LatticeSpec) -> f2orbits.OrbitCensus:
         raise NonspecialityUnknown("no induced E6 in the generating subset's graph")
     space = spec.qspace
     dim = spec.state_dim
-    kappa = space.kappa
-    kernel_masks = [g.bits for g in space.kernel]
-    kernel_points = sorted(_span_points(kernel_masks))
-    count0, count1 = value_counts_closed(space)
-    k1 = sum(space.q_bits(p) for p in kernel_points)
-    k0 = len(kernel_points) - k1
-    big0 = count0 - k0
-    big1 = count1 - k1
-    records = [OrbitRecord(F2Vector(dim, p), 1) for p in kernel_points]
+    kernel_points = _span_points([g.bits for g in space.kernel])
     kernel_set = set(kernel_points)
-    records.append(OrbitRecord(F2Vector(dim, _first_level_point(space, kernel_set, 0)), big0))
-    records.append(OrbitRecord(F2Vector(dim, _first_level_point(space, kernel_set, 1)), big1))
-    records.sort(key=OrbitRecord.sort_key)
-    if len(records) != (1 << kappa) + 2:
+    # the level sets of q, less their kernel points
+    off_kernel = list(value_counts_closed(space))
+    for p in kernel_points:
+        off_kernel[space.q_bits(p)] -= 1
+    rows = [(p, 1) for p in kernel_points]
+    rows += [(_first_level_point(space, kernel_set, value), count)
+             for value, count in enumerate(off_kernel)]
+    if len(rows) != (1 << space.kappa) + 2:
         raise AssertionError("nonspecial census must have 2^kappa + 2 orbits")
     return OrbitCensus(f"predicted nonspecial census: {spec.describe()}",
-                       None, None, dim, 1 << dim, tuple(records))
+                       None, None, dim, 1 << dim, _records(dim, (), rows))
 
 
 def _first_level_point(space: QuadraticSpace, kernel_set, value: int) -> int:

@@ -91,6 +91,7 @@ from __future__ import annotations
 import json
 import numbers
 import os
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
@@ -127,7 +128,10 @@ class OrbitRecord:
 
 @dataclass(frozen=True)
 class OrbitCensus:
-    """A deterministic partition summary of a full space or one stratum."""
+    """A deterministic partition summary of a full space or one stratum.
+
+    Its three writers, to_json, to_csv and to_table, format the same
+    row per record (_cells), in record order."""
 
     spec_descriptor: str
     n: Optional[int]
@@ -145,28 +149,26 @@ class OrbitCensus:
         return len(self.records)
 
     def cardinality_multiset(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for r in self.records:
-            out[r.cardinality] = out.get(r.cardinality, 0) + 1
-        return out
+        return dict(Counter(r.cardinality for r in self.records))
 
     def by_height(self) -> dict[int, tuple[OrbitRecord, ...]]:
         out: dict[int, list[OrbitRecord]] = {}
         for r in self.records:
-            out.setdefault(r.height.bits if r.height else 0, []).append(r)
+            out.setdefault(r.sort_key()[0], []).append(r)
         return {h: tuple(v) for h, v in out.items()}
 
-    def to_json(self) -> str:
-        orbits = []
+    def _cells(self):
+        """Per record: representative hex, cardinality, height bits or
+        None, type label or None.  A generator, so that no writer holds
+        a second copy of the records."""
         for r in self.records:
-            entry: dict = {
-                "representative_hex": format(r.representative.bits, "x"),
-                "cardinality": r.cardinality,
-                "height_bits": r.height.to_string() if r.height is not None else None,
-            }
-            if r.type_label is not None:
-                entry["type_label"] = r.type_label
-            orbits.append(entry)
+            yield (format(r.representative.bits, "x"), r.cardinality,
+                   None if r.height is None else r.height.to_string(), r.type_label)
+
+    def to_json(self) -> str:
+        orbits = [{"representative_hex": rep, "cardinality": size, "height_bits": height,
+                   **({} if label is None else {"type_label": label})}
+                  for rep, size, height, label in self._cells()]
         doc = {
             "spec": self.spec_descriptor,
             "n": self.n,
@@ -178,14 +180,16 @@ class OrbitCensus:
 
     def to_csv(self) -> str:
         lines = ["representative_hex,cardinality,height_bits,type_label"]
-        for r in self.records:
-            lines.append(",".join([
-                format(r.representative.bits, "x"),
-                str(r.cardinality),
-                r.height.to_string() if r.height is not None else "",
-                r.type_label or "",
-            ]))
+        lines += (f"{rep},{size},{height or ''},{label or ''}"
+                  for rep, size, height, label in self._cells())
         return "\n".join(lines) + "\n"
+
+    def to_table(self) -> str:
+        rows = ["representative_hex  cardinality  height_bits  type_label"]
+        rows += ("{:<18}  {:>11}  {:<11}  {}".format(
+                     rep, size, "-" if height is None else height, label or "-")
+                 for rep, size, height, label in self._cells())
+        return "\n".join(rows) + "\n"
 
 
 def _record_diff(expected: OrbitCensus, observed: OrbitCensus) -> str:
@@ -1076,7 +1080,5 @@ def _closure(spec, seeds) -> np.ndarray:
 
 def attach_labels(census: OrbitCensus, labels: dict[int, str]) -> OrbitCensus:
     """New census with type labels keyed by representative bits."""
-    records = tuple(replace(r, type_label=labels.get(r.representative.bits))
-                    for r in census.records)
-    return OrbitCensus(census.spec_descriptor, census.n, census.kind,
-                       census.state_dim, census.total_states, records)
+    return replace(census, records=tuple(replace(r, type_label=labels.get(r.representative.bits))
+                                         for r in census.records))

@@ -146,6 +146,29 @@ class TestGuardsComeFirst:
             cli._check_order(65)  # 2080 vertices
 
 
+class TestCensusWriters:
+    @pytest.mark.parametrize("command", ["census", "graph"])
+    def test_traced_writer_runs(self, capsys, monkeypatch, tmp_path, command):
+        # a wrapper set on the class after import, as the benchmark's
+        # tracer sets one, is the writer that runs
+        calls = []
+        to_json = orbits.OrbitCensus.to_json
+
+        def counted(census):
+            calls.append(census)
+            return to_json(census)
+
+        monkeypatch.setattr(orbits.OrbitCensus, "to_json", counted)
+        if command == "census":
+            argv = ["census", "--action", "first", "--n", "4"]
+        else:
+            write_hex_graph_file(tmp_path / "hex4.graph", 4)
+            argv = ["graph", "--input", str(tmp_path / "hex4.graph")]
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0 and len(calls) == 1
+        assert out == to_json(calls[0])
+
+
 class TestVerify:
     def test_first_n5_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--action", "first", "--n", "5")

@@ -1,5 +1,6 @@
 """Vectors, forms, quadratic functions, kernels, Arf."""
 
+import hashlib
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from f2orbits.f2la import (ArfClass, BilinearForm, F2Vector, QuadraticSpace, _Sp
                            _span_points, arf, form_eval, kernel_basis, q_eval,
                            symplectic_reduce, transvect, value_counts_brute,
                            value_counts_closed)
+from f2orbits.lattice import build, hex_lattice_graph
 
 
 def triangle_form() -> BilinearForm:
@@ -177,6 +179,39 @@ class TestSymplecticReduce:
                 total ^= space.q_bits(e.bits) & space.q_bits(fv.bits)
             return total
         assert arf_with("low") == arf_with("high")
+
+    # sha256 of the exact (pairs, kernel) bit lists, in order, of every
+    # space of a family, computed with the reduction that restarted its
+    # scan at the first vector after each pair
+    BASIS_SHA256 = {
+        ("hex", "low"): "b42acfffb95e5459b7a8363d53f757d141f366e9c03e9986e7ca6be7243d826f",
+        ("hex", "high"): "45c21cccc72e8e2297db76a33e22958fe65be1df60746b2b68e88734f8f2f123",
+        ("random", "low"): "78cdc5124804a840225597fc17cee46b24f511ec84663a0f858acf93d1f72714",
+        ("random", "high"): "0486856481d4b13127978fda617673aab3d1426fa1c812ae924a7df7a45d2ced",
+    }
+
+    @staticmethod
+    def _family(name):
+        """The hex lattice spaces of n = 3..12, or 20 seeded random
+        spaces of dimension 0..16."""
+        if name == "hex":
+            return [build(hex_lattice_graph(n)).qspace for n in range(3, 13)]
+        spaces = []
+        for seed in range(20):
+            rng = random.Random(seed)
+            dim = rng.randrange(17)
+            edges = [(i, j) for i in range(dim) for j in range(i + 1, dim) if rng.getrandbits(1)]
+            spaces.append(QuadraticSpace(BilinearForm.from_edges(dim, edges), rng.getrandbits(dim)))
+        return spaces
+
+    @pytest.mark.parametrize("family, pivot", sorted(BASIS_SHA256))
+    def test_exact_basis_is_pinned(self, family, pivot):
+        h = hashlib.sha256()
+        for space in self._family(family):
+            sb = symplectic_reduce(space, pivot=pivot)
+            h.update(repr(([(e.bits, fv.bits) for e, fv in sb.pairs],
+                           [k.bits for k in sb.kernel])).encode())
+        assert h.hexdigest() == self.BASIS_SHA256[family, pivot]
 
 
 class TestArf:

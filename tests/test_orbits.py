@@ -10,7 +10,7 @@ import pytest
 from f2orbits import orbits
 from f2orbits.f2la import F2Vector, _combine, _evaluate
 from f2orbits.actions import ActionKind, ActionSpec, generator_masks, height_first
-from f2orbits.classify import verify
+from f2orbits.classify import label_orbits, predict_second, verify
 from f2orbits.lattice import Graph, LatticeSpec, build, delta_closure, hex_lattice_graph
 from f2orbits.orbits import (EnumerationGuardError, enumerate_orbits,
                              enumerate_stratum, orbit_of)
@@ -210,6 +210,37 @@ class TestDeterminism:
         assert entries[0]["type_label"] == "trivial"
         assert all("type_label" not in e for e in entries[1:])
         assert all("type_label" not in e for e in json.loads(c.to_json())["orbits"])
+
+    @pytest.mark.parametrize("census", [
+        lambda: label_orbits(enumerate_orbits(ActionSpec(6, ActionKind.SECOND), workers=1),
+                             predict_second(6)),
+        lambda: enumerate_orbits(build(hex_lattice_graph(5)), workers=1),
+    ], ids=["labeled-second-6", "graph-hex-5"])
+    def test_writers_agree_cell_for_cell(self, census):
+        # each writer parsed back to (representative hex, cardinality,
+        # height bits or None, type label or None), against the records
+        c = census()
+        expected = [(format(r.representative.bits, "x"), r.cardinality,
+                     r.height.to_string() if r.height is not None else None, r.type_label)
+                    for r in c.records]
+        from_json = [(e["representative_hex"], e["cardinality"], e["height_bits"],
+                      e.get("type_label")) for e in json.loads(c.to_json())["orbits"]]
+        header, *rows = c.to_csv().splitlines()
+        assert header == "representative_hex,cardinality,height_bits,type_label"
+        from_csv = [(rep, int(size), height or None, label or None)
+                    for rep, size, height, label in (row.split(",") for row in rows)]
+        header, *rows = c.to_table().splitlines()
+        assert header.split() == ["representative_hex", "cardinality", "height_bits",
+                                  "type_label"]
+        from_table = [(rep, int(size), None if height == "-" else height,
+                       None if label == "-" else label)
+                      for rep, size, height, label in (row.split(None, 3) for row in rows)]
+        assert from_json == from_csv == from_table == expected
+        # the labeled census fills every cell, the graph census leaves
+        # heights and labels empty
+        labeled = c.kind is not None
+        assert all((height is not None, label is not None) == (labeled, labeled)
+                   for _, _, height, label in expected)
 
 
 class TestConjugateCounts:
