@@ -37,8 +37,9 @@ stratum search is one _StratumJob.  A search's plan (_plan, cached)
 derives K, the invariants and the compact basis from the generator
 masks once, and is itself the job of the stratum at offset 0; every
 other job is the plan with its own offset and generator constants
-(_stratum_job).  Strata are independent jobs, which is where
-process-level parallelism comes from.
+(_stratum_job).  Strata are independent jobs: _run_jobs forks
+children that pull them one at a time from a pipe and send their rows
+back, while the census process itself runs none.
 
 The search word of a base state y is pot(y) << compact_dim | y: its
 compact coordinates below its potential, a point of K in K-coordinates
@@ -91,6 +92,7 @@ from __future__ import annotations
 import json
 import numbers
 import os
+import pickle
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -105,6 +107,10 @@ from .f2la import (F2Vector, _Span, _apply_tables, _byte_tables, _combine, _cose
 # graph without loading numpy, and re-exported here under its names
 from .f2la import ENUM_DIM_LIMIT, EnumerationGuardError, _check_dim  # noqa: F401
 from .actions import ActionSpec, generator_masks, height_functionals
+
+# POSIX's least PIPE_BUF, a multiple of _run_jobs' 4-byte records: a
+# pipe write of at most this many bytes is atomic
+_PIPE_BUF = 512
 
 # the words of a closure tile, a power of two (256 KiB): a tile's source,
 # odd set and two scratch rows fit in a 2 MiB L2 cache, where a whole
@@ -905,19 +911,110 @@ def _run_stratum_job(job: _StratumJob) -> list[tuple[int, int]]:
 
 
 def _run_jobs(jobs: list[_StratumJob], workers: int) -> list[tuple[int, int]]:
-    if workers > 1 and len(jobs) > 1:
-        import multiprocessing as mp
+    """Every job's rows, in job order, from min(workers, len(jobs))
+    forked children, or in this process for one worker, one job or a
+    platform without os.fork.
 
+    The children pull job indices from one shared pipe, one 4-byte
+    record a read, so jobs are handed out one at a time in job order and
+    the slowest strata do not pile up on one child.  The indices are fed
+    only after every fork, in writes of at most _PIPE_BUF bytes, each
+    atomic and a whole number of records, so a queue longer than the
+    pipe's buffer blocks the parent only while children read it.  Every
+    process but the parent closes the queue's write end, and the parent
+    closes it once fed, so the children see EOF when the queue is empty.
+    Each child then writes one pickle to its own pipe, its (index, rows)
+    list or the exception that stopped it, and leaves by os._exit.
+
+    The parent runs no job: its peak RSS would then hold a K = 0 job's
+    2 MiB map and scratch on top of its own (the benchmark's second n=8
+    census peaked at 34.8 MiB instead of 30.4 when the parent worked
+    beside workers - 1 children), while a child's RSS stays lower, since
+    it shares the parent's pages until it writes them.  The parent
+    reads the result pipes in fork order, re-raises a child's exception
+    and fails with RuntimeError for a child that ended without a result
+    (killed, say, by the OOM killer), and on any way out kills and reaps
+    every child still running, so none outlives the call.
+    """
+    count = min(workers, len(jobs))
+    if count < 2 or not hasattr(os, "fork"):
+        return [row for job in jobs for row in _run_stratum_job(job)]
+    import signal
+
+    queue_r, queue_w = os.pipe()
+    parent_fds = {queue_r, queue_w}
+    children = {}  # pid -> the read end of its result pipe, while unreaped
+    chunks = [None] * len(jobs)
+    try:
+        for _ in range(count):
+            result_r, result_w = os.pipe()
+            parent_fds |= {result_r, result_w}
+            pid = os.fork()
+            if pid == 0:
+                _serve_jobs(jobs, queue_r, queue_w, result_w)
+            children[pid] = result_r
+            os.close(result_w)
+            parent_fds.remove(result_w)
+        os.close(queue_r)
+        parent_fds.remove(queue_r)
+        records = b"".join(i.to_bytes(4, "little") for i in range(len(jobs)))
         try:
-            ctx = mp.get_context("fork")
-        except ValueError:  # platforms without fork; jobs pickle fine either way
-            ctx = mp.get_context()
-        with ctx.Pool(processes=min(workers, len(jobs))) as pool:
-            # one job a task: the slowest stratum shares no chunk
-            chunks = pool.map(_run_stratum_job, jobs, chunksize=1)
-    else:
-        chunks = [_run_stratum_job(j) for j in jobs]
+            for at in range(0, len(records), _PIPE_BUF):
+                os.write(queue_w, records[at:at + _PIPE_BUF])
+        except BrokenPipeError:  # every child ended; their pipes say how
+            pass
+        os.close(queue_w)
+        parent_fds.remove(queue_w)
+        for pid, result_r in list(children.items()):
+            parent_fds.remove(result_r)
+            with open(result_r, "rb") as pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            if not data:
+                code = os.waitstatus_to_exitcode(status)
+                how = (f"was killed by signal {-code} ({signal.strsignal(-code)})"
+                       if code < 0 else f"exited with status {code}")
+                raise RuntimeError(f"census worker {pid} {how} before it sent its result")
+            done = pickle.loads(data)
+            if isinstance(done, BaseException):
+                raise done
+            for i, rows in done:
+                chunks[i] = rows
+    finally:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in parent_fds:
+            os.close(fd)
     return [row for chunk in chunks for row in chunk]
+
+
+def _serve_jobs(jobs: list[_StratumJob], queue: int, feed: int, out: int):
+    """A forked child of _run_jobs: close the queue's write end feed,
+    run the job of each index read from queue until EOF, write one
+    pickle of its (index, rows) list, or of the exception that stopped
+    it, to out, and exit.  It never returns, since its stack is a copy
+    of the parent's; the exception is caught whatever it is and raised
+    again by the parent."""
+    status = 1
+    try:
+        try:
+            os.close(feed)
+            done = []
+            while record := os.read(queue, 4):
+                i = int.from_bytes(record, "little")
+                done.append((i, _run_stratum_job(jobs[i])))
+        except BaseException as exc:
+            done = exc
+        # pickled whole before any byte is sent: a result that cannot be
+        # pickled leaves the pipe empty and the exit status 1
+        data = pickle.dumps(done)
+        with open(out, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _default_workers() -> int:

@@ -2,7 +2,12 @@
 determinism, and the conjugate-count and transport cross-checks."""
 
 import json
+import os
 import random
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,9 +183,12 @@ class TestGuards:
 
 class TestDeterminism:
     def test_json_identical_across_workers(self):
-        spec = ActionSpec(5, ActionKind.FIRST)
-        docs = {enumerate_orbits(spec, workers=w).to_json() for w in (1, 2, 4)}
-        assert len(docs) == 1
+        # first n=5 (lifted) and second n=6 (K = 0, 8 jobs, more workers
+        # than jobs at 8)
+        for spec, counts in [(ActionSpec(5, ActionKind.FIRST), (1, 2, 4)),
+                             (ActionSpec(6, ActionKind.SECOND), (1, 2, 3, 8))]:
+            docs = {enumerate_orbits(spec, workers=w).to_json() for w in counts}
+            assert len(docs) == 1
 
     @pytest.mark.parametrize("workers", [0, -1, 2.5, "2", True, False])
     def test_refuses_a_bad_worker_count(self, workers, monkeypatch):
@@ -384,3 +392,113 @@ class TestSingleJob:
         built = self._count_jobs(monkeypatch)
         orbit_of(ActionSpec(7, ActionKind.FIRST), TriMatrix.from_cells(7, [(1, 2)]))
         assert [j.compact_dim for j in built] == [18]
+
+
+KILLED = """
+import json, os, signal
+from f2orbits import orbits
+from f2orbits.actions import ActionKind, ActionSpec
+parent = os.getpid()
+
+def killed(job):
+    if os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+orbits._run_stratum_job = killed
+try:
+    orbits.enumerate_orbits(ActionSpec(5, ActionKind.FIRST), workers=2)
+    error = None
+except RuntimeError as exc:
+    error = str(exc)
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = True
+except ChildProcessError:
+    left = False
+print(json.dumps({"error": error, "left": left}))
+"""
+
+
+class TestJobRunner:
+    """_run_jobs forks min(workers, jobs) children that pull the jobs
+    from one pipe.  The census process runs none, a child's failure
+    reaches the caller, and no child outlives the call."""
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_census_runs_its_jobs_in_children(self, monkeypatch):
+        spec = ActionSpec(6, ActionKind.FIRST)
+        want = enumerate_orbits(spec, workers=1).to_json()
+        parent, real = os.getpid(), orbits._run_stratum_job
+
+        def job_in_a_child(job):
+            if os.getpid() == parent:
+                raise AssertionError("a stratum job ran in the census process")
+            return real(job)
+
+        monkeypatch.setattr(orbits, "_run_stratum_job", job_in_a_child)
+        assert enumerate_orbits(spec, workers=3).to_json() == want
+        self.assert_no_child_left()
+
+    def test_long_queue_comes_back_in_job_order(self, monkeypatch):
+        # 20,000 4-byte indices overflow a 64 KiB pipe buffer
+        monkeypatch.setattr(orbits, "_run_stratum_job", lambda job: [(job, os.getpid())])
+        rows = orbits._run_jobs(list(range(20000)), 3)
+        assert [job for job, _ in rows] == list(range(20000))
+        pids = {pid for _, pid in rows}
+        assert os.getpid() not in pids and 1 <= len(pids) <= 3
+        self.assert_no_child_left()
+
+    def test_forks_one_child_per_job_at_most(self, monkeypatch):
+        forks = []
+        real_fork = os.fork
+
+        def counting():
+            forks.append(None)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting)
+        monkeypatch.setattr(orbits, "_run_stratum_job", lambda job: [(job, 1)])
+        assert orbits._run_jobs([0, 1, 2, 3], 8) == [(0, 1), (1, 1), (2, 1), (3, 1)]
+        assert len(forks) == 4
+
+    def test_one_job_or_one_worker_never_forks(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        census = enumerate_stratum(ActionSpec(6, ActionKind.FIRST), F2Vector(6, 5), workers=3)
+        assert census.total_states == 1 << 15
+        graph = enumerate_orbits(build(hex_lattice_graph(5)), workers=3)
+        assert graph.total_states == 1 << 10
+        assert enumerate_orbits(ActionSpec(5, ActionKind.FIRST), workers=1).orbit_count == 96
+
+    def test_child_exception_reaches_the_caller(self, monkeypatch):
+        parent = os.getpid()
+
+        def failing(job):
+            if os.getpid() != parent:
+                raise AssertionError("stratum job failed in a child")
+
+        monkeypatch.setattr(orbits, "_run_stratum_job", failing)
+        with pytest.raises(AssertionError, match="^stratum job failed in a child$"):
+            enumerate_orbits(ActionSpec(5, ActionKind.FIRST), workers=2)
+        self.assert_no_child_left()
+
+    def test_killed_child_fails_the_census(self):
+        # in an interpreter of its own, under a timeout: a census whose
+        # worker was killed must raise, not wait for the lost result
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", KILLED], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        run = json.loads(done.stdout)
+        assert run["left"] is False
+        assert run["error"] is not None
+        assert f"was killed by signal {int(signal.SIGKILL)} (" in run["error"]
+        assert run["error"].startswith("census worker ")

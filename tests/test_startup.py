@@ -1,7 +1,7 @@
 """What a fresh interpreter loads and starts: the lazy package namespace,
 set-up that loads no numpy, annotations that resolve although their
-modules load late, and the one-thread OpenBLAS default of the
-command-line front end."""
+modules load late, a census that loads no multiprocessing, and the
+one-thread OpenBLAS default of the command-line front end."""
 
 import ast
 import inspect
@@ -194,7 +194,8 @@ import contextlib, io, json, sys
 import f2orbits.cli as cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes, "classify": "f2orbits.classify" in sys.modules}))
+print(json.dumps({"codes": codes, "classify": "f2orbits.classify" in sys.modules,
+                  "multiprocessing": "multiprocessing" in sys.modules}))
 """
 
 
@@ -209,11 +210,22 @@ class TestCliLoadsClassifyForVerifyAlone:
                                           ["census", "--action", "second", "--n", "5",
                                            "--height", "10"],
                                           ["graph", "--input", str(path)]]))
-        assert run == {"codes": [0, 0, 0], "classify": False}
+        assert run == {"codes": [0, 0, 0], "classify": False, "multiprocessing": False}
 
     def test_verify(self):
         run = fresh(COMMANDS, json.dumps([["verify", "--action", "first", "--n", "4"]]))
-        assert run == {"codes": [0], "classify": True}
+        assert run == {"codes": [0], "classify": True, "multiprocessing": False}
+
+
+class TestCensusLoadsNoMultiprocessing:
+    """A census forks its workers itself and reads their rows from
+    pipes, so no multiprocessing module loads."""
+
+    def test_census_on_two_workers(self, tmp_path):
+        run = fresh(COMMANDS, json.dumps([["census", "--action", "first", "--n", "5",
+                                           "--threads", "2", "--out",
+                                           str(tmp_path / "c5.txt")]]))
+        assert run == {"codes": [0], "classify": False, "multiprocessing": False}
 
 
 BLAS = """
