@@ -17,6 +17,7 @@ regardless of the worker count.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import time
@@ -245,5 +246,15 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def run() -> None:
+    """Exit with main's code: the entry of the console script and of
+    `python -m f2orbits.cli`.  The heap is frozen first (gc.freeze), so
+    the collections of interpreter teardown skip every object the run
+    left, which takes a few milliseconds off each command."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -6,7 +6,7 @@ partition the connected components of an implicit undirected graph.
 Every search floods one component at a time on bitsets, one bit per
 compact state: a visited map and, when K (below) is not 0, the
 component being lifted (reached) and one potential bit-plane per
-dimension of K.  While its frontier is small a flood runs BFS levels,
+dimension of R (below).  While its frontier is small a flood runs BFS levels,
 vectorized with numpy over the whole frontier per generator, that
 gather their moved states and mark them in the visited bitset alone;
 involutivity of the generators keeps each expansion batch
@@ -18,7 +18,7 @@ the planes (or, with no planes, visited itself) are swept in place
 together, generator after generator, with word-wide bit operations over
 the whole stratum, one cache-sized tile of _TILE_WORDS words after
 another, until a sweep adds no state (the tile steps that add none
-collect the cycles, below) or, once the cycles span K, the component
+collect the cycles, below) or, once the cycles span R, the component
 fills what the map has left unvisited.
 
 The search runs on a quotient.  K, the common null space of the
@@ -41,46 +41,70 @@ other job is the plan with its own offset and generator constants
 children that pull them one at a time from a pipe and send their rows
 back, while the census process itself runs none.
 
-The search word of a base state y is pot(y) << compact_dim | y: its
-compact coordinates below its potential, a point of K in K-coordinates
+The potentials are carried in a gauge (Gross and Tucker, Topological
+Graph Theory, 1987, ch. 2, on voltage graphs).  Let f_g be generator
+g's compact footprint and v_g its voltage, the K-component of its
+footprint in K-coordinates (bit i for translations[i]).  A relation is
+a c in F2^G with sum c_g f_g = 0, and R = {sum c_g v_g : c a
+relation}, the image under the voltages of the null space of the
+footprints.  A closed walk in a base orbit returns to its start, so
+the generators it uses, counted mod 2, form a relation (a self-loop,
+f_g = 0, is the relation e_g): every cycle voltage lies in R.  The
+linear alpha on the compact space with alpha(f_g) = reduce_R(v_g) is
+well defined, since a relation maps into R, which reduce_R kills, and
+the section twisted by it, z -> s(z) + alpha(z) with alpha(z) read as
+a translation, gives generator g the voltage v_g + reduce_R(v_g), in
+R.  A state x = s(y) + pot(y) = s'(y) + pot'(y) is the same element of
+V, and a cycle's voltage is unchanged (the twist adds reduce_R of it,
+which is 0 since it lies in R), so the search finds the same spans.
+But a twisted potential changes only inside R, so a search carries its
+R-coordinates alone, and its K/R part, reduce_R(pot'(y)), is one value
+on the whole component.
+
+The search word of a base state y is pot'(y) << compact_dim | y: its
+compact coordinates below the R-coordinates of its twisted potential
 (_search_word builds it for any state of a job's stratum).  A
-generator's voltage is the K-component of its footprint, foot ^
-reduce_K(foot), and it sits above the compact footprint in the
-generator's footprint word, so one XOR moves a state and its potential
-together; the sparse levels keep potentials in the words, the closure
-in the planes.  There a tree edge y -> gy sets pot(gy) = pot(y) ^
-voltage, so pot(y) is the seed's plus the voltage of a walk to y, and
-every edge adds pot(y) ^ voltage ^ pot(gy) to a span S (Schreier
-generators from a spanning tree; Gross and Tucker, Topological Graph
-Theory, 1987, ch. 2, on voltage graphs).  The closure carries the
+generator's twisted voltage, in R-coordinates, sits above its compact
+footprint in its footprint word, so one XOR moves a state and its
+potential together; the sparse levels keep potentials in the words,
+the closure in the planes.  There a tree edge y -> gy sets pot'(gy) =
+pot'(y) ^ voltage, so pot'(y) is the seed's plus the voltage of a walk
+to y, and every edge adds pot'(y) ^ voltage ^ pot'(gy) to a span S of
+R (Schreier generators from a spanning tree).  The closure carries the
 potentials modulo S: each new cycle vector reduces every plane and
 drops the plane of its pivot, so a potential changes only by an element
-of S, and the sweeps move 1 + dim K - rank S rows, reached alone once S
-= K.  A base orbit O' then lifts to 2^(dim K - rank S) orbits of |O'| *
-2^rank S states, one per coset c of S in K, and the representative of
-the one over c is the least reduce_S(section(y) ^ pot(y) ^ c) over y in
-O', read back from reached and the live planes; the minima of all
-cosets come from one sorted chunk of members.  Once S = K there is one
-orbit over O', represented by the section of the least state of O',
-which needs neither.  K = 0 (the second action) is the case of no
-planes, with S = K from the start: the words are compact states.  It
-needs no reached map either: every earlier component on visited is
-closed under the generators, so a closure sweeps visited itself, one
-bitset per job.
+of S, and the sweeps move 1 + dim R - rank S rows, reached alone once S
+= R, after which no cycle can add to S.  A base orbit O' then lifts to
+2^(dim K - rank S) orbits of |O'| * 2^rank S states, one per coset c
+of S in K, spanned by the live R coordinates and a complement of R in
+K, and the representative of the one over c is the least
+reduce_S(s'(y) ^ pot'(y) ^ c) over y in O', read back from reached and
+the live planes through the twisted basis; the minima of all cosets
+come from one sorted chunk of members.  Only where S = R = K is there
+one orbit over O', represented by the section of the least state of
+O', which needs neither (alpha is 0 when R = K).  K = 0 (the second
+action) is the case of no planes, with S = R = K from the start: the
+words are compact states.  It needs no reached map either: every
+earlier component on visited is closed under the generators, so a
+closure sweeps visited itself, one bitset per job.  Where R = 0 < K
+there are no planes either, and the sparse levels mark reached beside
+visited, so that it holds the component for the lift whether or not a
+closure runs.
 
 A flood only marks its component and returns its size and span; the
 caller reads the least state it needs, since only the caller knows
-what visited held before.  Short of S = K the caller lifts.  Once S =
-K, a census's seed scan, ascending in state order, meets each base
-orbit at its minimum, with every earlier word full, and checks that
-the least state a flood added to its seed's word is the seed;
+what visited held before.  Short of S = R = K the caller lifts.  Where
+S = R = K, a census's seed scan, ascending in state order, meets each
+base orbit at its minimum, with every earlier word full, and checks
+that the least state a flood added to its seed's word is the seed;
 orbit_of, whose map starts empty, reads the least visited state.
 Heights are read off the representatives.
 
 Every query runs this one search: a census runs every stratum job of
 V/K, a height stratum the one job that holds it (filtered by height),
-and orbit_of floods the base orbit under its state, seeded with the
-state's K-component as potential, and lifts only the state's orbit.
+and orbit_of floods the base orbit under its state, seeded with its
+twisted potential's R-coordinates, and lifts only the state's orbit,
+the one over the coset of the potential's K/R part.
 Censuses are merged by sorted reduction and are byte-identical for any
 worker count.  The linear algebra (echelon bases, null spaces, coset
 minima and the mask maps between compact and full coordinates) comes
@@ -340,13 +364,12 @@ def _tile_step(tiled: np.ndarray, u: int, s: int, odd: np.ndarray, move: tuple,
     generator's odd set on tile s.  P_foot maps the odd set to itself,
     because cond . foot is even; the plan move = _word_move(foot, width)
     moves the tile's words by the low bits of foot >> 6 and its bits by
-    the low 6 of foot.  Without planes (K = 0) the stack is visited
-    alone, and P_foot(visited & odd) can only grow the current
-    component, since every earlier one on visited is closed under the
-    generators.
+    the low 6 of foot.  When K = 0 the stack is visited alone, and
+    P_foot(visited & odd) can only grow the current component, since
+    every earlier one on visited is closed under the generators.
 
     The step moves reached and the live planes of span, the first 1 +
-    len(span.live) rows (reached alone once S = K).  It writes its
+    len(span.live) rows (reached alone once S = R).  It writes its
     source into src, and _p_foot moves it within src and other and
     returns the one that holds the moved stack; the other one is
     scratch for the fresh states and the cycles.  On a map of one tile
@@ -430,10 +453,11 @@ def _flood(job: _StratumJob, seed: int, maps: np.ndarray) -> tuple[int, _Span]:
     """Flood the component of the search word seed = pot << compact_dim | z
     on the job's maps (see _search) and mark it visited; returns (size,
     span): the component's size and the span S of its cycle voltages in
-    K.  Which state is its least is for the caller to read off the maps,
+    R.  Which state is its least is for the caller to read off the maps,
     since only the caller knows what visited held before the flood.
 
-    Small frontiers take sparse BFS levels that mark visited alone: each
+    Small frontiers take sparse BFS levels that mark visited (and
+    reached too where R = 0 < K, see _search): each
     generator's moved words, potentials above states, are gathered from
     the whole frontier and tested against the bitset.  Each selection
     takes the intp indices of a bool view's nonzero entries, not a
@@ -441,17 +465,22 @@ def _flood(job: _StratumJob, seed: int, maps: np.ndarray) -> tuple[int, _Span]:
     both are numpy's fast paths, and the states keep their order.  Once
     _dense says the frontier is big (after Beamer, Asanovic and Patterson,
     "Direction-optimizing breadth-first search", SC 2012), the flood ends
-    as a closure (_close); a lifted flood (span not full) ends in one
-    from its last nonempty frontier when the frontier empties first.  On
-    return reached, where there are planes, holds the component, for
-    _lift.
+    as a closure (_close); a flood whose span is not full (S short of R)
+    ends in one from its last nonempty frontier when the frontier
+    empties first.  On return reached, where K > 0, holds the component,
+    for _lift.
     """
-    span = _Span(len(job.translations))
+    span = _Span(len(job.cycles))
     zmask = (1 << job.compact_dim) - 1
     visited = maps[0]
+    # the rows the sparse levels mark: visited and, where no plane lies
+    # below it (R = 0 < K), reached, which then holds the component
+    # whether or not a closure runs
+    marks = maps[:2] if len(maps) == 2 else maps[:1]
+    marks[1:].fill(0)
     grown = frontier = np.array([seed], dtype=np.uint32)
     size = 1
-    visited[(seed & zmask) >> 6] |= np.uint64(1) << np.uint64(seed & zmask & 63)
+    marks[:, (seed & zmask) >> 6] |= np.uint64(1) << np.uint64(seed & zmask & 63)
     while not _dense(frontier.size, visited.size):
         parts = [np.empty(0, dtype=np.uint32)]
         for cond, foot, const in job.gens:
@@ -476,7 +505,8 @@ def _flood(job: _StratumJob, seed: int, maps: np.ndarray) -> tuple[int, _Span]:
             del seen, z
             word = word.take(new)
             bit = bit.take(new)
-            np.bitwise_or.at(visited, word, bit)
+            for row in marks:
+                np.bitwise_or.at(row, word, bit)
             parts.append(moved.take(new))
         grown = np.concatenate(parts)
         if not grown.size:
@@ -497,16 +527,16 @@ def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: n
     The closure runs on a stack of bitsets, reached and below it the
     potential planes: reached is cleared of the previous component and
     the words are marked by _scatter, so on return reached holds this
-    component, and visited is ORed with it.  Without planes (K = 0) the
-    stack is visited alone, where the sparse levels have marked the
-    words, and the returned size is the popcount that visited gained on
-    top of the flood's.  A growth sweep moves reached and the live
-    planes by one generator after another, one tile step (_tile_step)
-    per output tile.  The potentials are carried modulo S: each cycle
-    vector that span takes reduces every plane, over the whole map, and
-    drops the plane of its pivot, so a potential changes only by an
-    element of S, and from then on a step moves 1 + dim K - rank S rows,
-    reached alone once S = K.
+    component, and visited is ORed with it.  Without planes (R = 0) the
+    sparse levels have marked the words on the stack: reached alone
+    where K > 0, and visited itself when K = 0, where the returned size
+    is the popcount that visited gained on top of the flood's.  A growth
+    sweep moves reached and the live planes by one generator after
+    another, one tile step (_tile_step) per output tile.  The
+    potentials are carried modulo S: each cycle vector that span takes
+    reduces every plane, over the whole map, and drops the plane of its
+    pivot, so a potential changes only by an element of S, and from then
+    on a step moves 1 + dim R - rank S rows, reached alone once S = R.
     The sweeps alternate direction, forward, then backward after every
     sweep that grew (the symmetric Gauss-Seidel order): a state found by
     a late generator of one sweep is moved on by the first generators of
@@ -528,15 +558,15 @@ def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: n
 
     The sweeps stop when one adds no state: every tile step of that last
     sweep adds none, so it sees every edge and S is complete.  Once S =
-    K (always when K = 0) they also stop as soon as reached and the
-    states visited before this flood cover the map, which skips the
-    confirming sweep of a stratum's last flood; short of S = K that
-    sweep still runs, since it is the one that collects the cycles.  For
-    the same reason only a full span lets a sweep skip the tiles of
-    reached that are full: a read-only check after each tile step sets
-    the tile's flag once S = K, and no later step of the closure moves
-    anything into that tile.  Without planes those are tiles of visited,
-    which earlier components fill too.
+    R (always when R = 0), when no further cycle can add to S, they also
+    stop as soon as reached and the states visited before this flood
+    cover the map, which skips the confirming sweep of a stratum's last
+    flood; short of S = R that sweep still runs, since it is the one
+    that collects the cycles.  For the same reason only a full span lets
+    a sweep skip the tiles of reached that are full: a read-only check
+    after each tile step sets the tile's flag once S = R, and no later
+    step of the closure moves anything into that tile.  When K = 0 those
+    are tiles of visited, which earlier components fill too.
 
     The two scratch stacks, the odd set and its complement are
     tile-sized and allocated once, and the popcounts use src[0] as
@@ -546,9 +576,9 @@ def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: n
     """
     shift = job.compact_dim
     visited = maps[0]
-    # without planes reached is visited itself, which the sparse levels
-    # have marked
-    stack = maps[1:] if span.dim else maps
+    # K = 0: reached is visited itself, which the sparse levels have
+    # marked, as they have marked reached where R = 0 < K
+    stack = maps[1:] if len(maps) > 1 else maps
     reached = stack[0]
     if span.dim:
         reached.fill(0)
@@ -572,10 +602,10 @@ def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: n
         return total
 
     # the states visited before this flood, which reached counts too
-    # without planes
-    outside = popcount(visited) - size if span.dim else 0
+    # when K = 0
+    outside = popcount(visited) - size if len(maps) > 1 else 0
     count = start = popcount(reached)
-    # full[u]: tile u of reached is full, set only once S = K
+    # full[u]: tile u of reached is full, set only once S = R
     full = [False] * tiles
     while count + outside < 1 << shift or not span.full:
         for cond, foot, const, voltage, move in steps:
@@ -593,7 +623,7 @@ def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: n
             break
         count = grown
         steps.reverse()
-    if not span.dim:
+    if len(maps) == 1:
         # what the closure added to visited, on top of the flood's size
         return size + count - start
     visited |= reached
@@ -618,15 +648,27 @@ class _StratumJob:
     order; inside a word the states are compared through basis
     (_least_in_word), the one description of state order.
 
+    cycles is the reduced echelon-high basis of R in V, the span of the
+    voltages of the relations among the compact footprints (combinations
+    of translations, so their pivots are pivots of K), and twisted is
+    the compact basis of the twisted section: basis[s] plus alpha of
+    compact bit s, read as a translation, which puts every generator's
+    voltage in R (see the module docstring).  A state of the stratum is
+    offset ^ _combine(z, twisted) ^ _combine(pot, cycles) ^ c, with pot
+    the R-coordinates of its twisted potential and c a point of K that
+    is zero at R's pivots, one c per component.  The lift reads states
+    through twisted; the seed scan and state order read them through
+    basis, which twisted equals where R = K.
+
     conds are the generators' conditions on V, and gens are (compact
     condition, footprint word, constant) on search words pot <<
     compact_dim | z (_search_word): the footprint word is the
-    generator's voltage (the K-component of its footprint, where bit i
-    of a potential stands for translations[i]) above its compact
+    generator's twisted voltage, in R-coordinates, above its compact
     footprint, and the constant is parity(offset & cond), 0 at offset 0.
     They are Python ints that the flood uses as they are: under numpy >=
     2.0 (NEP 50) a uint32 array combined with an int of at most 32 bits
-    stays uint32.
+    stays uint32.  A flood's span runs over R, and it is full when S =
+    R, after which no cycle can add to it.
     """
 
     gens: tuple[tuple[int, int, int], ...]
@@ -637,6 +679,8 @@ class _StratumJob:
     translations: tuple[int, ...]
     k_pivots: tuple[int, ...]
     functionals: tuple[int, ...]
+    twisted: tuple[int, ...]
+    cycles: tuple[int, ...]
 
     @property
     def compact_dim(self) -> int:
@@ -696,7 +740,7 @@ def _plan(dim: int, masks: tuple, translations=None, functionals=None) -> _Strat
     echelon-high), and their pivots make k_pivots.  functionals defaults
     to the base functionals, the invariants of V/K: they vanish on every
     footprint and on the translations, and each stratum is where they
-    are constant.  A search word holds compact_dim + dim K bits, at most
+    are constant.  A search word holds compact_dim + dim R bits, at most
     32.
 
     The echelon coordinates z of the section, in the reduced echelon-high
@@ -710,6 +754,15 @@ def _plan(dim: int, masks: tuple, translations=None, functionals=None) -> _Strat
     Its readout functionals are the rows of M on the echelon pivots.
     Inside a word the states are compared through the basis; it is the
     echelon basis itself exactly where M is the identity.
+
+    Then the gauge (see the module docstring): R, in K-coordinates, is
+    the image under the voltages of the relations, the null space of the
+    compact footprints.  alpha, with alpha(f) = reduce_R(v) on each
+    generator's footprint f and voltage v, is read off one echelon of f
+    << dim K | reduce_R(v), and is 0 on the compact coordinates that are
+    no pivot of it.  A row of that echelon with a voltage but no
+    footprint raises AssertionError: it is a relation whose voltage lies
+    outside R, the theorem failing.
     """
     if translations is None:
         translations = _nullspace([cond for cond, _ in masks], dim)
@@ -718,9 +771,7 @@ def _plan(dim: int, masks: tuple, translations=None, functionals=None) -> _Strat
         functionals = _nullspace([foot for _, foot in masks] + list(translations), dim)
     k_pivots = tuple(1 << (k.bit_length() - 1) for k in translations)
     echelon = _nullspace([*functionals, *k_pivots], dim)
-    cd = len(echelon)
-    if cd + len(translations) > 32:
-        raise AssertionError("search word exceeds 32 bits")
+    cd, k = len(echelon), len(translations)
     echelon_pivots = [1 << (b.bit_length() - 1) for b in echelon]
     section_feet = [_reduce(foot, translations) for _, foot in masks]
     rows = _inword_rows([_evaluate(f, echelon_pivots) for f in section_feet], cd)
@@ -730,14 +781,29 @@ def _plan(dim: int, masks: tuple, translations=None, functionals=None) -> _Strat
         inverse[t] = _combine(rows[t] ^ 1 << t, inverse) ^ 1 << t
     basis = [_combine(_evaluate(1 << s, inverse), echelon) for s in range(cd)]
     pivots = [_combine(r, echelon_pivots) for r in rows] + echelon_pivots[len(rows):]
-    gens = []
-    for (cond, foot), section_foot in zip(masks, section_feet):
-        cf = _evaluate(section_foot, pivots)
-        if _combine(cf, basis) != section_foot:
-            raise AssertionError("generator footprint leaves the stratum")
-        gens.append((_evaluate(cond, basis), _evaluate(foot, k_pivots) << cd | cf, 0))
-    return _StratumJob(tuple(gens), tuple(cond for cond, _ in masks), tuple(pivots),
-                       tuple(basis), 0, translations, k_pivots, tuple(functionals))
+    feet = [_evaluate(f, pivots) for f in section_feet]
+    if any(_combine(f, basis) != section_foot for f, section_foot in zip(feet, section_feet)):
+        raise AssertionError("generator footprint leaves the stratum")
+    volts = [_evaluate(foot, k_pivots) for _, foot in masks]
+    # R, in K-coordinates: the voltages of the relations among the
+    # compact footprints; then the twist alpha, whose graph over the
+    # footprints' span is the echelon of f << k | reduce_R(v)
+    relations = _nullspace([sum((f >> b & 1) << g for g, f in enumerate(feet))
+                            for b in range(cd)], len(feet))
+    r_basis = _echelon(_combine(c, volts) for c in relations)
+    twist = _echelon(f << k | _reduce(v, r_basis) for f, v in zip(feet, volts))
+    if any(row >> k == 0 for row in twist):
+        raise AssertionError("a relation among the footprints has a voltage outside R")
+    twisted = [b ^ _combine(_reduce(1 << s + k, twist) & (1 << k) - 1, translations)
+               for s, b in enumerate(basis)]
+    cycles = [_combine(r, translations) for r in r_basis]
+    if cd + len(cycles) > 32:
+        raise AssertionError("search word exceeds 32 bits")
+    r_pivots = [1 << (c.bit_length() - 1) for c in cycles]
+    gens = tuple((_evaluate(cond, basis), _evaluate(foot, r_pivots) << cd | f, 0)
+                 for (cond, foot), f in zip(masks, feet))
+    return _StratumJob(gens, tuple(cond for cond, _ in masks), tuple(pivots), tuple(basis), 0,
+                       translations, k_pivots, tuple(functionals), tuple(twisted), tuple(cycles))
 
 
 def _stratum_job(plan: _StratumJob, height_bits: int) -> _StratumJob:
@@ -755,13 +821,16 @@ def _stratum_job(plan: _StratumJob, height_bits: int) -> _StratumJob:
 def _search_word(job: _StratumJob, state: int) -> int:
     """The search word pot << compact_dim | z of a state of the job's
     stratum: z is the compact coordinate of its section (the state
-    reduced by the translations) and pot its K-component, bit i for
-    translations[i], read at k_pivots."""
+    reduced by the translations) and pot the R-coordinates of its
+    twisted potential, state ^ offset ^ _combine(z, twisted), read at
+    the pivots of cycles.  The potential's part off R, reduce_R of it,
+    is one value on the state's whole component, and is left out."""
     section = _reduce(state, job.translations)
     z = _evaluate(section ^ job.offset, job.pivots)
     if job.offset ^ _combine(z, job.basis) != section:
         raise AssertionError("state does not lie in its computed stratum")
-    return _evaluate(state, job.k_pivots) << job.compact_dim | z
+    pot = state ^ job.offset ^ _combine(z, job.twisted)
+    return _evaluate(pot, [1 << (c.bit_length() - 1) for c in job.cycles]) << job.compact_dim | z
 
 
 def _readback(stack: np.ndarray):
@@ -790,28 +859,35 @@ def _readback(stack: np.ndarray):
 
 
 def _lift(job: _StratumJob, stack: np.ndarray, size: int, span: _Span,
-          every: bool = True) -> list[tuple[int, int]]:
+          coset: Optional[int] = None) -> list[tuple[int, int]]:
     """The orbits over one base orbit O' of size states, as (representative,
     size): O' is the bitset stack[0], and the potentials of its states,
     reduced by the span S of its cycle voltages, are in the live planes
     of span below it (see _readback).
 
-    S is a proper subspace of K.  There is one orbit per coset of S in
-    K, with |O'| * 2^rank(S) states; the cosets are c in the span of the
-    live translations, which meets each coset once.  The representative
-    over c is the least section(y) ^ pot(y) ^ c over y in O': it is zero
-    at the pivots of S, so it is the coset minimum reduce_S, which
-    _coset_minima takes from the values section(y) ^ pot(y) in
-    _readback's chunks.  Unless every, only the orbit over coset 0 is
-    computed: the one that holds section(y) ^ pot(y).
+    S lies in R, and short of S = R = K it is a proper subspace of K.
+    There is one orbit per coset of S in K, with |O'| * 2^rank(S)
+    states; the cosets are c in the span of the live cycles and of the
+    translations whose pivots are no pivot of R (a complement of R in
+    K), which meets each coset once.  The representative over c is the
+    least s'(y) ^ pot(y) ^ c over y in O', s' the twisted section: it is
+    zero at the pivots of S (s' and c are zero at R's pivots), so it is
+    the coset minimum reduce_S, which _coset_minima takes from the
+    values s'(y) ^ pot(y) in _readback's chunks.  Given a coset, a point
+    of K that is zero at R's pivots, only the orbit over it is computed,
+    as orbit_of asks.
     """
-    live = [job.translations[j] for j in span.live]
-    cosets = np.array(_span_points(live) if every else [0], dtype=np.uint32)
-    # section states are zero at K's pivots, so section(y) ^ pot(y) ^
-    # offset splits over the word of y, its bit in the word and the bytes
-    # of its potential
-    words = _byte_tables(job.basis[6:])
-    bits = np.array(_span_points(job.basis[:6]), dtype=np.uint32)
+    live = [job.cycles[j] for j in span.live]
+    if coset is None:
+        rmask = sum(1 << (c.bit_length() - 1) for c in job.cycles)
+        cosets = _span_points(live + [t for t in job.translations if not t & rmask])
+    else:
+        cosets = [coset]
+    cosets = np.array(cosets, dtype=np.uint32)
+    # section(y) ^ pot(y) ^ offset splits over the word of y, its bit in
+    # the word and the bytes of its potential
+    words = _byte_tables(job.twisted[6:])
+    bits = np.array(_span_points(job.twisted[:6]), dtype=np.uint32)
     pots = _byte_tables(live)
 
     def values():
@@ -831,15 +907,16 @@ def _lift(job: _StratumJob, stack: np.ndarray, size: int, span: _Span,
 
 
 def _search(job: _StratumJob) -> np.ndarray:
-    """The maps for searching the job: one zeroed uint64 array of dim K +
+    """The maps for searching the job: one zeroed uint64 array of dim R +
     2 bitsets over the 2^compact_dim compact states, or of 1 when K = 0,
     each of max(1, 2^(compact_dim - 6)) words.
 
-    Row 0 is the visited map.  With planes row 1 is reached, the
-    component of the last flood, which _close clears when it starts, and
-    row 2 + j is potential plane j, which holds coordinate live[j] of
-    the flood's span (see _close).  K = 0 is the case of no planes
-    and no reached map: its closures sweep visited itself.
+    Row 0 is the visited map.  Where K > 0 row 1 is reached, the
+    component of the last flood, which _close clears when it starts (or
+    _flood, where R = 0 and its sparse levels mark it), and row 2 + j is
+    potential plane j, which holds coordinate live[j] of the flood's
+    span (see _close).  K = 0 is the case of no planes and no reached
+    map: its closures sweep visited itself.
     Bit p of word w stands for compact state w << 6 | p: word order is
     state order, and inside a word the states are compared through the
     job's compact basis (_least_in_word).  The maps hold states only:
@@ -853,7 +930,7 @@ def _search(job: _StratumJob) -> np.ndarray:
     the cycles by moved states of reached, and _lift reads them only at
     the members of reached.
     """
-    rows = len(job.translations) + 2 if job.translations else 1
+    rows = len(job.cycles) + 2 if job.translations else 1
     return np.zeros((rows, max(1, 1 << job.compact_dim >> 6)), dtype=np.uint64)
 
 
@@ -882,8 +959,8 @@ def _run_stratum_job(job: _StratumJob) -> list[tuple[int, int]]:
     at a position of at least 2^compact_dim, past the last state of a
     map under 64 states.  The seed is the minimum of its base orbit,
     because every smaller state is already visited and every earlier
-    word is full.  So where one orbit lies over the base orbit (S = K,
-    always when K = 0) its representative is the seed's section, of size
+    word is full.  So where one orbit lies over the base orbit (S = R =
+    K, always when K = 0) its representative is the seed's section, of size
     |O'| * 2^dim K, and the scan checks it: the least state that the
     flood added to the seed's word must be the seed.  Otherwise _lift
     reads the base orbit and its potentials modulo S off reached and
@@ -900,7 +977,7 @@ def _run_stratum_job(job: _StratumJob) -> list[tuple[int, int]]:
         # the seed's word before the flood, for the least state it adds
         before = int(maps[0, w])
         size, span = _flood(job, seed, maps)
-        if not span.full:
+        if len(span.basis) < len(job.translations):
             rows.extend(_lift(job, maps[1:], size, span))
         elif w << 6 | _least_in_word(int(maps[0, w]) & ~before, w, job) != seed:
             raise AssertionError("ascending seed scan lost the orbit minimum")
@@ -1126,11 +1203,12 @@ def orbit_of(spec, state) -> OrbitRecord:
 
     The one search of the census: the base orbit of the state's
     projection to V/K is flooded in the job of its stratum, seeded with
-    the state's K-component as its potential.  Once S = K its
-    representative is the section of the least visited state, since the
-    map started empty; otherwise only the orbit that holds the state is
-    lifted, the one over coset 0, since potentials carried modulo S keep
-    each state's coset.  A state is a packed integer, an F2Vector or a
+    the R-coordinates of the state's twisted potential.  Where S = R = K
+    its representative is the section of the least visited state, since
+    the map started empty; otherwise only the orbit that holds the state
+    is lifted, the one over the coset of the potential's part off R
+    (reduce_R of it), since potentials carried modulo S keep each
+    state's coset.  A state is a packed integer, an F2Vector or a
     TriMatrix; one of another dimension than the space is refused.
     """
     dim, masks, functionals, descriptor, _, _ = _family(spec)
@@ -1139,13 +1217,16 @@ def orbit_of(spec, state) -> OrbitRecord:
     plan = _plan(dim, masks, None)
     job = _stratum_job(plan, _evaluate(start, plan.functionals))
     maps = _search(job)
-    size, span = _flood(job, _search_word(job, start), maps)
-    if span.full:
+    word = _search_word(job, start)
+    size, span = _flood(job, word, maps)
+    if len(span.basis) == len(job.translations):
         # the map started empty: its least bit is the orbit's least state
         rows = [(job.offset ^ _combine(_least_bit(maps[0], 0, 0, job), job.basis),
                  size << span.dim)]
     else:
-        rows = _lift(job, maps[1:], size, span, every=False)
+        # the coset of the state's twisted potential modulo R
+        pot = start ^ job.offset ^ _combine(word & (1 << job.compact_dim) - 1, job.twisted)
+        rows = _lift(job, maps[1:], size, span, _reduce(pot, job.cycles))
     return _records(dim, functionals, rows)[0]
 
 

@@ -8,6 +8,7 @@ import hashlib
 import json
 import random
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -570,17 +571,17 @@ LIFTED_SPECS = [ActionSpec(n, kind) for kind in (ActionKind.FIRST, ActionKind.FI
 
 @pytest.mark.parametrize("spec", LIFTED_SPECS, ids=lambda spec: spec.describe())
 def test_lifted_flood_finds_its_class_and_span(spec, forced):
+    # the span S runs over R, the span of the relations' voltages
     job, classes = base_job(spec)
-    k = len(job.translations)
-    assert k and len(classes) >= 2
+    assert job.translations and job.cycles and len(classes) >= 2
     maps = orbits._search(job)
     done = set()
     for members in classes:
         low, size, span = flood_span(job, members[0], maps)
-        assert (low, size) == (members[0], len(members)) and span.dim == k
+        assert (low, size) == (members[0], len(members)) and span.dim == len(job.cycles)
         done |= set(members)
         assert marked(maps[0]) == done
-        # reached holds the class after every flood, whether or not S = K:
+        # reached holds the class after every flood, whether or not S = R:
         # the closure clears it of the previous class when it starts
         assert orbits._members(maps[1]).tolist() == members
         assert read_back(maps[1:]) == list(zip(members, plane_potentials(maps[2:], members)))
@@ -590,11 +591,13 @@ def test_lifted_flood_finds_its_class_and_span(spec, forced):
 
 def test_lifted_closure_allocates_no_map_per_generator(monkeypatch):
     # first n=7 at height 0: a 4096-word base stratum, dim K = 7, whose
-    # planes outweigh the fixed allocations of the numpy calls
+    # potentials move in dim R = 3 planes, which outweigh the fixed
+    # allocations of the numpy calls
     job = height0_job(ActionSpec(7, ActionKind.FIRST))
-    k = len(job.translations)
+    k, r = len(job.translations), len(job.cycles)
+    assert (k, r) == (7, 3)
     maps = orbits._search(job)
-    assert maps.shape == (k + 2, 1 << 12)
+    assert maps.shape == (r + 2, 1 << 12)
     seed = (1 << job.compact_dim) - 1
     expected = flood(job, seed, orbits._search(job))
     monkeypatch.setattr(orbits, "_dense", lambda count, words: True)
@@ -611,56 +614,106 @@ def test_lifted_closure_allocates_no_map_per_generator(monkeypatch):
         lift_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (low, size) == expected and size > 1 << 16 and not span.full
+    # S fills R, and the base orbit lifts to 2^(dim K - rank S) orbits
+    assert (low, size) == expected and size > 1 << 16 and span.full and len(span.basis) < k
     assert len(rows) == 1 << k - len(span.basis)
     # two scratch stacks of reached and the planes, and the fixed buffers
-    # of the numpy calls
-    assert flood_peak < 2.5 * (k + 1) * maps[0].nbytes
+    # of the numpy calls, about 2.6 rows
+    assert flood_peak < (2 * (r + 1) + 4) * maps[0].nbytes
     # below one uint32 per member: the readback goes chunk by chunk, and
     # the lift adds its (member, coset) pairs
     assert readback_peak < 2 * size
     assert lift_peak < 2 * size + 4 * f2la._LIFT_CHUNK
 
 
-@pytest.mark.parametrize("size", [1, 3000, f2la._LIFT_CHUNK + 4000, 2 * f2la._LIFT_CHUNK + 7])
-@pytest.mark.parametrize("rank", range(8))
-def test_lift_takes_the_least_member_of_every_coset(rank, size):
-    # a random base orbit of first n=7's stratum 3 (dim K = 7, 2^18
-    # compact states) with random potentials, reduced by a random span S
-    # of the given rank: 2^(7 - rank) cosets, from 1 (rank 7 is S = K,
-    # which only orbit_of's one coset reaches) to 128, and members on
-    # both sides of _LIFT_CHUNK
-    dim, masks, _, _, _, _ = orbits._family(ActionSpec(7, ActionKind.FIRST))
-    job = orbits._stratum_job(orbits._plan(dim, masks), 3)
-    k = len(job.translations)
-    assert k == 7 and job.offset and job.compact_dim == 18
-    rng = np.random.default_rng(rank * 1000 + size)
-    members = np.sort(rng.choice(1 << 18, size, replace=False)).astype(np.uint32)
-    span = orbits._Span(k)
+def lift_case(job, rank: int, size: int, seed: int):
+    """A random base orbit of size compact states of the job with random
+    potentials, held as _lift reads them: (stack, span, values).  S is
+    a random span of the given rank in R, the potentials are reduced by
+    it and held in its live rows, in a random order, and the rows past
+    them hold garbage.  values are section(y) ^ pot(y) per member,
+    through the twisted basis and the live cycles."""
+    r = len(job.cycles)
+    words = 1 << job.compact_dim >> 6
+    rng = np.random.default_rng(seed)
+    members = np.sort(rng.choice(1 << job.compact_dim, size, replace=False)).astype(np.uint32)
+    span = orbits._Span(r)
     while len(span.basis) < rank:
-        v = _reduce(int(rng.integers(1, 1 << k)), span.basis)
+        v = _reduce(int(rng.integers(1, 1 << r)), span.basis)
         if v:
             span.basis = _insert(span.basis, v)
     pivots = {b.bit_length() - 1 for b in span.basis}
-    span.live = [int(j) for j in rng.permutation([j for j in range(k) if j not in pivots])]
+    span.live = [int(j) for j in rng.permutation([j for j in range(r) if j not in pivots])]
     pots = rng.integers(0, 1 << len(span.live), size, dtype=np.uint32)
-    stack = rng.integers(0, 1 << 63, (k + 1, 1 << 12), dtype=np.uint64)
+    stack = rng.integers(0, 1 << 63, (r + 1, words), dtype=np.uint64)
     stack[:1 + len(span.live)] = 0
-    stack[0] = bitset(members, 1 << 12)
-    for r in range(len(span.live)):
-        stack[1 + r] = bitset(members[pots >> r & 1 == 1], 1 << 12)
-    # section(y) ^ pot(y), through the compact basis and the live
-    # translations, and its minimum over the members for every coset
+    stack[0] = bitset(members, words)
+    for i in range(len(span.live)):
+        stack[1 + i] = bitset(members[pots >> i & 1 == 1], words)
     values = np.full(size, job.offset, dtype=np.uint32)
-    for s, b in enumerate(job.basis):
+    for s, b in enumerate(job.twisted):
         values[members >> s & 1 == 1] ^= b
-    for r, j in enumerate(span.live):
-        values[pots >> r & 1 == 1] ^= job.translations[j]
-    cosets = _span_points([job.translations[j] for j in span.live])
-    expected = sorted((int((values ^ c).min()), size << rank) for c in cosets)
-    if rank < k:
+    for i, j in enumerate(span.live):
+        values[pots >> i & 1 == 1] ^= job.cycles[j]
+    return stack, span, values
+
+
+def coset_minima(job, span, values, cosets) -> list[int]:
+    """The least member of values ^ c + S for each c of cosets, through S
+    in full coordinates (reduced echelon, so a reduced value is its coset
+    minimum), and each sorted set of those minima."""
+    s_basis = _echelon(_combine(b, job.cycles) for b in span.basis)
+    out = set()
+    for c in cosets:
+        v = values ^ np.uint32(c)
+        for b in s_basis:
+            v = np.where(v >> (b.bit_length() - 1) & 1 == 1, v ^ np.uint32(b), v)
+        out.add(int(v.min()))
+    return sorted(out)
+
+
+FIRST7_STRATUM3 = orbits._stratum_job(orbits._plan(*orbits._family(
+    ActionSpec(7, ActionKind.FIRST))[:2]), 3)
+
+
+@pytest.mark.parametrize("size", [1, 3000, f2la._LIFT_CHUNK + 4000, 2 * f2la._LIFT_CHUNK + 7])
+@pytest.mark.parametrize("rank", range(8))
+def test_lift_takes_the_least_member_of_every_coset(rank, size):
+    # the lift in coordinates where the cycles span K and nothing is
+    # twisted, as for second-conj and the graph lattices: first n=7's
+    # stratum 3 (dim K = 7, 2^18 compact states) with R taken as K, a
+    # random span S of the given rank, 2^(7 - rank) cosets, from 1 (rank
+    # 7 is S = K, which only orbit_of's one coset reaches) to 128, and
+    # members on both sides of _LIFT_CHUNK
+    job = replace(FIRST7_STRATUM3, twisted=FIRST7_STRATUM3.basis,
+                  cycles=FIRST7_STRATUM3.translations)
+    assert len(job.cycles) == 7 and job.offset and job.compact_dim == 18
+    stack, span, values = lift_case(job, rank, size, rank * 1000 + size)
+    expected = [(v, size << rank) for v in coset_minima(job, span, values,
+                                                        _span_points(job.translations))]
+    assert len(expected) == 1 << 7 - rank
+    if rank < 7:
         assert sorted(orbits._lift(job, stack, size, span)) == expected
-    assert orbits._lift(job, stack, size, span, every=False) == [(int(values.min()), size << rank)]
+    assert orbits._lift(job, stack, size, span, 0) == [(int(values.min()), size << rank)]
+
+
+@pytest.mark.parametrize("size", [1, 3000, f2la._LIFT_CHUNK + 4000, 2 * f2la._LIFT_CHUNK + 7])
+@pytest.mark.parametrize("rank", range(4))
+def test_twisted_lift_takes_the_least_member_of_every_coset(rank, size):
+    # first n=7's stratum 3 in its own gauge: dim K = 7 and dim R = 3, so
+    # S has rank at most 3 and 2^(7 - rank) cosets, the live cycles times
+    # a complement of R in K; one coset alone, as orbit_of asks, is any
+    # point of K reduced by R
+    job = FIRST7_STRATUM3
+    assert (len(job.translations), len(job.cycles)) == (7, 3)
+    stack, span, values = lift_case(job, rank, size, rank * 1000 + size + 1)
+    expected = [(v, size << rank) for v in coset_minima(job, span, values,
+                                                        _span_points(job.translations))]
+    assert len(expected) == 1 << 7 - rank
+    assert sorted(orbits._lift(job, stack, size, span)) == expected
+    coset = _reduce(_combine(size % 128, job.translations), job.cycles)
+    assert orbits._lift(job, stack, size, span, coset) == \
+        [(coset_minima(job, span, values, [coset])[0], size << rank)]
 
 
 @pytest.mark.parametrize("spec", [ActionSpec(8, ActionKind.SECOND_CONJUGATE),
@@ -694,13 +747,15 @@ def test_small_lifted_closure_skips_unmoved_generators(spec, p_foot_calls, monke
 
 
 @pytest.mark.parametrize("spec,steps", [(ActionSpec(6, ActionKind.SECOND), 329),
-                                        (ActionSpec(6, ActionKind.FIRST), 480),
+                                        (ActionSpec(6, ActionKind.FIRST), 465),
                                         (build(hex_lattice_graph(7)), 105)],
                          ids=["second-6", "first-6", "hex-7"])
 def test_closure_sweeps_alternate_direction(spec, steps, p_foot_calls):
     # forward, then backward after every sweep that grew: fewer steps
-    # than the forward-only order's 465 and 600; the cycles are collected
-    # by the steps that add no state, and hex-7's span fills during growth
+    # than the forward-only order's 386, 570 and 126; the cycles are
+    # collected by the steps that add no state, and hex-7's span fills
+    # during growth.  first-6 took 480 steps while its spans ran over
+    # all of K (dim 6), which they never fill, rather than R (dim 3)
     enumerate_orbits(spec, workers=1)
     assert len(p_foot_calls) == steps
 

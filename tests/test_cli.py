@@ -4,6 +4,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
@@ -579,3 +581,38 @@ class TestThreads:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert orbits._default_workers() == 3
+
+
+class TestEntry:
+    """The two ways a user starts the CLI, `python -m f2orbits.cli` and
+    the console script's entry `run`, in an interpreter of their own:
+    main's document and exit code come through unchanged, and the heap
+    is frozen before the interpreter exits."""
+
+    # an atexit hook runs once run's SystemExit has left, before teardown
+    SCRIPT = ("import atexit, gc, sys\n"
+              "atexit.register(lambda: print(f'frozen={gc.get_freeze_count() > 0}', "
+              "file=sys.stderr))\n"
+              "from f2orbits.cli import run\n"
+              "sys.argv[0] = 'f2orbits'\n"
+              "run()\n")
+
+    @pytest.mark.parametrize("entry", ["module", "script"])
+    @pytest.mark.parametrize("argv,code", [
+        (["census", "--action", "first", "--n", "5", "--format", "json"], cli.EXIT_OK),
+        (["census", "--action", "first-conj", "--n", "3", "--height", "01"], cli.EXIT_USAGE),
+        (["census", "--action", "first", "--n", "9"], cli.EXIT_GUARD),
+    ], ids=["ok", "usage", "guard"])
+    def test_code_and_document(self, capsys, entry, argv, code):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        launch = ["-m", "f2orbits.cli"] if entry == "module" else ["-c", self.SCRIPT]
+        done = subprocess.run([sys.executable, *launch, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        expected = run(capsys, *argv)
+        assert (done.returncode, done.stdout) == expected[:2]
+        if code == cli.EXIT_OK:
+            assert json.loads(done.stdout)["total_states"] == 1 << 15
+        if entry == "script":
+            assert done.stderr.endswith("frozen=True\n")

@@ -211,7 +211,7 @@ QUOTIENT_IDS = [f"lattice-{i}" for i in range(len(QUOTIENT_LATTICES))]
 
 @pytest.fixture
 def closing_ranks(monkeypatch):
-    """A list of (dim K, rank S) at the end of every closure with planes."""
+    """A list of (dim R, rank S) at the end of every closure with planes."""
     ranks = []
     close = orbits._close
 
@@ -234,7 +234,7 @@ def test_quotient_census_equals_the_search_of_v(spec):
 
 
 def test_quotient_lattices_fill_their_spans_and_fall_short(closing_ranks):
-    # the lattices above cover closures whose span S fills K and ones
+    # the lattices above cover closures whose span S fills R and ones
     # where it stays short
     for spec in QUOTIENT_LATTICES:
         enumerate_orbits(spec, workers=1)

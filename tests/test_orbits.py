@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from f2orbits import orbits
-from f2orbits.f2la import F2Vector, _combine, _evaluate
+from f2orbits.f2la import F2Vector, _combine, _evaluate, _reduce
 from f2orbits.actions import ActionKind, ActionSpec, generator_masks, height_first
 from f2orbits.classify import label_orbits, predict_second, verify
 from f2orbits.lattice import Graph, LatticeSpec, build, delta_closure, hex_lattice_graph
@@ -346,13 +346,19 @@ class TestStratumJobs:
             job = orbits._stratum_job(plan, h)
             assert job.basis is plan.basis and job.pivots is plan.pivots
             assert job.translations is plan.translations
+            assert job.twisted is plan.twisted and job.cycles is plan.cycles
         rng = random.Random(25)
         zmask = (1 << plan.compact_dim) - 1
         for x in (rng.getrandbits(dim) for _ in range(50)):
             job = orbits._stratum_job(plan, _evaluate(x, plan.functionals))
             w = orbits._search_word(job, x)
-            assert job.offset ^ _combine(w & zmask, job.basis) ^ \
-                _combine(w >> job.compact_dim, job.translations) == x
+            # the word holds the compact state and the R-coordinates of the
+            # twisted potential; what is left is the state's point of K
+            # reduced by R
+            rest = job.offset ^ _combine(w & zmask, job.twisted) ^ \
+                _combine(w >> job.compact_dim, job.cycles) ^ x
+            assert job.offset ^ _combine(w & zmask, job.basis) == _reduce(x, job.translations)
+            assert not _reduce(rest, job.translations) and _reduce(rest, job.cycles) == rest
 
 
 class TestSingleJob:
