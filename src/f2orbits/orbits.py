@@ -46,18 +46,22 @@ Graph Theory, 1987, ch. 2, on voltage graphs).  Let f_g be generator
 g's compact footprint and v_g its voltage, the K-component of its
 footprint in K-coordinates (bit i for translations[i]).  A relation is
 a c in F2^G with sum c_g f_g = 0, and R = {sum c_g v_g : c a
-relation}, the image under the voltages of the null space of the
-footprints.  A closed walk in a base orbit returns to its start, so
+relation}.  A closed walk in a base orbit returns to its start, so
 the generators it uses, counted mod 2, form a relation (a self-loop,
-f_g = 0, is the relation e_g): every cycle voltage lies in R.  The
-linear alpha on the compact space with alpha(f_g) = reduce_R(v_g) is
-well defined, since a relation maps into R, which reduce_R kills, and
-the section twisted by it, z -> s(z) + alpha(z) with alpha(z) read as
-a translation, gives generator g the voltage v_g + reduce_R(v_g), in
-R.  A state x = s(y) + pot(y) = s'(y) + pot'(y) is the same element of
-V, and a cycle's voltage is unchanged (the twist adds reduce_R of it,
-which is 0 since it lies in R), so the search finds the same spans.
-But a twisted potential changes only inside R, so a search carries its
+f_g = 0, is the relation e_g): every cycle voltage lies in R.  R and
+the twist come from one reduced echelon of the pairs f_g << dim K |
+v_g.  A relation's footprints cancel, so the rows with no footprint
+bits are R's reduced echelon basis.  The other rows are zero at R's
+pivots and form the graph of the linear alpha on the compact space
+with alpha(f_g) = reduce_R(v_g), well defined since a relation maps
+into R, which reduce_R kills: alpha of compact bit s is the low dim K
+bits of 1 << s + dim K reduced by the echelon.  The section twisted
+by alpha, z -> s(z) + alpha(z) with alpha(z) read as a translation,
+gives generator g the voltage v_g + reduce_R(v_g), in R.  A state x =
+s(y) + pot(y) = s'(y) + pot'(y) is the same element of V, and a
+cycle's voltage is unchanged (the twist adds reduce_R of it, which is
+0 since it lies in R), so the search finds the same spans.  But a
+twisted potential changes only inside R, so a search carries its
 R-coordinates alone, and its K/R part, reduce_R(pot'(y)), is one value
 on the whole component.
 
@@ -648,12 +652,11 @@ class _StratumJob:
     order; inside a word the states are compared through basis
     (_least_in_word), the one description of state order.
 
-    cycles is the reduced echelon-high basis of R in V, the span of the
-    voltages of the relations among the compact footprints (combinations
-    of translations, so their pivots are pivots of K), and twisted is
-    the compact basis of the twisted section: basis[s] plus alpha of
-    compact bit s, read as a translation, which puts every generator's
-    voltage in R (see the module docstring).  A state of the stratum is
+    cycles is the reduced echelon-high basis of R in V (combinations of
+    translations, so their pivots are pivots of K), and twisted is the
+    compact basis of the twisted section, basis[s] plus alpha of compact
+    bit s read as a translation; the module docstring defines R and
+    alpha.  A state of the stratum is
     offset ^ _combine(z, twisted) ^ _combine(pot, cycles) ^ c, with pot
     the R-coordinates of its twisted potential and c a point of K that
     is zero at R's pivots, one c per component.  The lift reads states
@@ -755,14 +758,9 @@ def _plan(dim: int, masks: tuple, translations=None, functionals=None) -> _Strat
     Inside a word the states are compared through the basis; it is the
     echelon basis itself exactly where M is the identity.
 
-    Then the gauge (see the module docstring): R, in K-coordinates, is
-    the image under the voltages of the relations, the null space of the
-    compact footprints.  alpha, with alpha(f) = reduce_R(v) on each
-    generator's footprint f and voltage v, is read off one echelon of f
-    << dim K | reduce_R(v), and is 0 on the compact coordinates that are
-    no pivot of it.  A row of that echelon with a voltage but no
-    footprint raises AssertionError: it is a relation whose voltage lies
-    outside R, the theorem failing.
+    Then the gauge: R and the twist are read off one echelon of the
+    generators' compact footprints and voltages (see the module
+    docstring).
     """
     if translations is None:
         translations = _nullspace([cond for cond, _ in masks], dim)
@@ -785,18 +783,10 @@ def _plan(dim: int, masks: tuple, translations=None, functionals=None) -> _Strat
     if any(_combine(f, basis) != section_foot for f, section_foot in zip(feet, section_feet)):
         raise AssertionError("generator footprint leaves the stratum")
     volts = [_evaluate(foot, k_pivots) for _, foot in masks]
-    # R, in K-coordinates: the voltages of the relations among the
-    # compact footprints; then the twist alpha, whose graph over the
-    # footprints' span is the echelon of f << k | reduce_R(v)
-    relations = _nullspace([sum((f >> b & 1) << g for g, f in enumerate(feet))
-                            for b in range(cd)], len(feet))
-    r_basis = _echelon(_combine(c, volts) for c in relations)
-    twist = _echelon(f << k | _reduce(v, r_basis) for f, v in zip(feet, volts))
-    if any(row >> k == 0 for row in twist):
-        raise AssertionError("a relation among the footprints has a voltage outside R")
-    twisted = [b ^ _combine(_reduce(1 << s + k, twist) & (1 << k) - 1, translations)
+    graph = _echelon(f << k | v for f, v in zip(feet, volts))
+    twisted = [b ^ _combine(_reduce(1 << s + k, graph) & (1 << k) - 1, translations)
                for s, b in enumerate(basis)]
-    cycles = [_combine(r, translations) for r in r_basis]
+    cycles = [_combine(r, translations) for r in graph if not r >> k]
     if cd + len(cycles) > 32:
         raise AssertionError("search word exceeds 32 bits")
     r_pivots = [1 << (c.bit_length() - 1) for c in cycles]

@@ -2,7 +2,9 @@
 so that every generator's voltage lies in R, the span of the voltages
 of the relations among the compact footprints, and a search word
 carries a potential's R-coordinates alone.  Checked here: the twist
-itself, the theorem that every orbit's translations S lie in R, census
+itself, R against the voltages of a null space of the footprints (a
+route of its own beside the plan's one echelon), the theorem that
+every orbit's translations S lie in R, census
 bytes of frozen-vertex lattices where R is smaller than K (against the
 search of V and against digests pinned before the gauge), and orbit_of
 answers against digests pinned before it."""
@@ -18,7 +20,7 @@ from hypothesis import given, settings
 
 from f2orbits import orbits
 from f2orbits.actions import ActionKind, ActionSpec
-from f2orbits.f2la import _combine, _echelon, _evaluate, _reduce
+from f2orbits.f2la import _combine, _echelon, _evaluate, _nullspace, _reduce
 from f2orbits.lattice import build, hex_lattice_graph
 from f2orbits.orbits import enumerate_orbits, orbit_of
 from test_bit_flood import forced  # noqa: F401  (a fixture)
@@ -31,9 +33,9 @@ FROZEN = {"hex-4-B0,3": (4, [0, 3], 4, 0), "hex-5-B0,3": (5, [0, 3], 8, 2),
           "hex-6-B0,3": (6, [0, 3], 13, 2), "hex-7-B0-9": (7, list(range(10)), 11, 0),
           "hex-7-B0-17": (7, list(range(18)), 4, 2)}
 
-GAUGED_ACTIONS = [ActionSpec(n, kind) for kind in (ActionKind.FIRST, ActionKind.FIRST_CONJUGATE,
-                                                    ActionKind.SECOND_CONJUGATE)
-                  for n in range(2, 7)]
+# every kind: the second action's K = 0, where R = 0 and nothing is
+# twisted, and the lifted kinds, with R = K or R < K
+GAUGED_ACTIONS = [ActionSpec(n, kind) for kind in ActionKind for n in range(2, 7)]
 
 
 def frozen(key: str):
@@ -72,27 +74,35 @@ def orbits_of_v(dim: int, masks) -> list[np.ndarray]:
 def check_gauge(spec) -> None:
     """The twist of the spec's plan: each generator's twisted voltage
     lies in R and is what its footprint word carries, alpha(f) is
-    reduce_R(v), R is what one echelon of f << dim K | v leaves with no
-    footprint, and the translations S of every orbit of V lie in R."""
+    reduce_R(v), alpha is 0 where R = K, R is the image under the
+    voltages of the relations among the compact footprints (a null space
+    of the transposed footprints, echeloned), and the translations S of
+    every orbit of V lie in R."""
     plan, masks = plan_of(spec)
     k, cd = len(plan.translations), plan.compact_dim
     zmask = (1 << cd) - 1
-    volts = []
+    feet, volts = [], []
     for (cond, foot), (_, word, _) in zip(masks, plan.gens):
         f = word & zmask
         section_foot = _combine(f, plan.basis)
         assert section_foot == _reduce(foot, plan.translations)
         # the voltage of the twisted section, in full coordinates
         twisted = foot ^ _combine(f, plan.twisted)
+        assert word >> cd < 1 << len(plan.cycles)
         assert twisted == _combine(word >> cd, plan.cycles)
         assert not _reduce(twisted, plan.cycles)
         # alpha(f), read as a translation, is the K-part of the voltage
         # reduced by R
         assert _combine(f, plan.twisted) ^ section_foot == \
             _reduce(foot ^ section_foot, plan.cycles)
-        volts.append((f, _evaluate(foot, plan.k_pivots)))
-    rows = _echelon(f << k | v for f, v in volts)
-    assert plan.cycles == tuple(_combine(r, plan.translations) for r in rows if not r >> k)
+        feet.append(f)
+        volts.append(_evaluate(foot, plan.k_pivots))
+    if len(plan.cycles) == k:
+        assert plan.twisted == plan.basis
+    relations = _nullspace([sum((f >> b & 1) << g for g, f in enumerate(feet))
+                            for b in range(cd)], len(feet))
+    r_basis = _echelon(_combine(c, volts) for c in relations)
+    assert plan.cycles == tuple(_combine(r, plan.translations) for r in r_basis)
     # the theorem: a closed walk's generators form a relation, so every
     # translation that keeps a state in its orbit lies in R
     conds = np.array([cond for cond, _ in masks], dtype=np.int64)
@@ -107,6 +117,12 @@ def check_gauge(spec) -> None:
 @pytest.mark.parametrize("spec", GAUGED_ACTIONS, ids=lambda spec: spec.describe())
 def test_gauge_of_the_actions(spec):
     check_gauge(spec)
+
+
+@pytest.mark.parametrize("key", ["hex-4-B0,3", "hex-5-B0,3"])
+def test_gauge_of_frozen_lattices(key):
+    # R = 0 < K, then 0 < R < K
+    check_gauge(frozen(key))
 
 
 @settings(max_examples=60, deadline=None)
