@@ -12,9 +12,14 @@ bit, in ascending pivot order, and every basis grows one way: a vector
 is reduced by it, cleared at its pivots to its coset minimum (_reduce),
 and inserted unless that leaves 0 (_insert).  _echelon folds the two
 over a list of vectors, and a span grown from bit-planes (_Span)
-inserts one reduced value at a time; rank, null spaces, particular
-solutions of parity equations (_solve) and span enumeration are built
-on _echelon.
+inserts one reduced value at a time; rank and span enumeration are
+built on _echelon.  The reads of an echelon basis live here as well:
+_pivots gives the pivot mask of each vector, and _right_inverse the
+columns of a right inverse of a map with independent rows, read off
+the echelon of the rows tagged with their indices.  Null spaces
+(_nullspace) take their free columns through _pivots, and particular
+solutions of parity equations (_solve) combine the columns of
+_right_inverse.
 Linear maps are given by masks: _evaluate reads bit l as
 parity(x & rows[l]), and its transpose _combine sums the columns picked
 by the bits of x, on ints and, through byte lookup tables, on uint32
@@ -298,6 +303,12 @@ def _reduce(x: int, basis) -> int:
     return x
 
 
+def _pivots(basis) -> list[int]:
+    """The pivot mask of each vector of a reduced echelon basis: its
+    highest set bit."""
+    return [1 << b.bit_length() - 1 for b in basis]
+
+
 def _nullspace(rows, dim) -> list[int]:
     """Reduced echelon basis of {x in F2^dim : parity(x & row) = 0 for
     every row}.
@@ -307,30 +318,33 @@ def _nullspace(rows, dim) -> list[int]:
     row with pivot p has bit c.
     """
     basis = _echelon(rows)
-    pivots = {b.bit_length() - 1 for b in basis}
-    free = []
-    for c in range(dim):
-        if c not in pivots:
-            free.append(sum(1 << (b.bit_length() - 1) for b in basis if b >> c & 1) | 1 << c)
-    return _echelon(free)
+    pivots = _pivots(basis)
+    taken = sum(pivots)
+    return _echelon(sum(p for b, p in zip(basis, pivots) if b >> c & 1) | 1 << c
+                    for c in range(dim) if not taken >> c & 1)
 
 
-def _solve(rows, values: int) -> int:
-    """A state x with parity(x & rows[l]) = bit l of values for every l.
+def _right_inverse(rows) -> list[int]:
+    """The columns of a right inverse of the linear map _evaluate(.,
+    rows): column l is a state x with parity(x & rows[m]) = [m == l] for
+    every m.
 
     The echelon of row << t | 1 << l (t rows) keeps in its low bits which
-    rows make up each reduced row; x is the sum of the pivots of the
-    reduced rows whose makeup has odd parity against values.
+    rows make up each reduced row; column l is the sum of the pivots, read
+    above the tag, of the reduced rows whose makeup holds row l.
     """
     t = len(rows)
     tagged = _echelon([row << t | 1 << l for l, row in enumerate(rows)])
     if any(v >> t == 0 for v in tagged):
         raise ValueError("rows are linearly dependent")
-    x = 0
-    for v in tagged:
-        if _parity(v & values & ((1 << t) - 1)):
-            x |= 1 << (v.bit_length() - 1 - t)
-    return x
+    pivots = _pivots(tagged)
+    return [sum(p >> t for v, p in zip(tagged, pivots) if v >> l & 1) for l in range(t)]
+
+
+def _solve(rows, values: int) -> int:
+    """A state x with parity(x & rows[l]) = bit l of values for every l:
+    the columns of _right_inverse picked by values."""
+    return _combine(values, _right_inverse(rows))
 
 
 def _span_points(basis) -> list[int]:

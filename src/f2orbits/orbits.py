@@ -36,10 +36,11 @@ through the compact basis, the one description of state order.  One
 stratum search is one _StratumJob.  A search's plan (_plan, cached)
 derives K, the invariants and the compact basis from the generator
 masks once, and is itself the job of the stratum at offset 0; every
-other job is the plan with its own offset and generator constants
-(_stratum_job).  Strata are independent jobs: _run_jobs forks
-children that pull them one at a time from a pipe and send their rows
-back, while the census process itself runs none.
+other job is the plan with its own offset and generator constants, and
+is named by any state of its stratum (_job_at).  Strata are
+independent jobs: _run_jobs forks children that pull them one at a
+time from a pipe and send their rows back, while the census process
+itself runs none.
 
 The potentials are carried in a gauge (Gross and Tucker, Topological
 Graph Theory, 1987, ch. 2, on voltage graphs).  Let f_g be generator
@@ -110,9 +111,9 @@ and orbit_of floods the base orbit under its state, seeded with its
 twisted potential's R-coordinates, and lifts only the state's orbit,
 the one over the coset of the potential's K/R part.
 Censuses are merged by sorted reduction and are byte-identical for any
-worker count.  The linear algebra (echelon bases, null spaces, coset
-minima and the mask maps between compact and full coordinates) comes
-from f2la.
+worker count.  The linear algebra (echelon bases and their pivot
+masks, null spaces, right inverses, coset minima and the mask maps
+between compact and full coordinates) comes from f2la.
 """
 
 from __future__ import annotations
@@ -129,8 +130,8 @@ from typing import Optional
 import numpy as np
 
 from .f2la import (F2Vector, _Span, _apply_tables, _byte_tables, _combine, _coset_minima,
-                   _echelon, _evaluate, _insert, _nullspace, _parity, _parity_u32, _rank,
-                   _reduce, _solve, _span_points)
+                   _echelon, _evaluate, _insert, _nullspace, _parity, _parity_u32, _pivots,
+                   _rank, _reduce, _right_inverse, _solve, _span_points)
 # the enumeration guard, kept in f2la so that lattice refuses an oversize
 # graph without loading numpy, and re-exported here under its names
 from .f2la import ENUM_DIM_LIMIT, EnumerationGuardError, _check_dim  # noqa: F401
@@ -637,20 +638,20 @@ def _close(job: _StratumJob, seed: int, frontier: np.ndarray, size: int, maps: n
 @dataclass(frozen=True)
 class _StratumJob:
     """One stratum search of V/K, through its section in V: _plan builds
-    the job of a search's stratum at offset 0, and _stratum_job moves it
-    to any other stratum by its offset and its generators' constants,
-    the only fields in which the jobs of a search differ.
+    the job of a search's stratum at offset 0, and _job_at moves it to
+    the stratum of any state by its offset and its generators'
+    constants, the only fields in which the jobs of a search differ.
 
     translations is the reduced echelon-high basis of K (or of the part
-    of K lifted through) and k_pivots are their pivot masks; the section
-    holds the states that are zero at them, and a stratum is where the
-    base functionals read one value.  Compact bit s stands for basis[s],
-    so compact z is the state offset ^ _combine(z, basis), and the
-    readout functionals pivots read it back as _evaluate(state ^ offset,
-    pivots); compact_dim is len(basis).  The bits of z from 6 up, its
-    word in the bitsets, are echelon coordinates, so word order is state
-    order; inside a word the states are compared through basis
-    (_least_in_word), the one description of state order.
+    of K lifted through); the section holds the states that are zero at
+    their pivots, and a stratum is where the base functionals read one
+    value.  Compact bit s stands for basis[s], so compact z is the state
+    offset ^ _combine(z, basis), and the readout functionals pivots read
+    it back as _evaluate(state ^ offset, pivots); compact_dim is
+    len(basis).  The bits of z from 6 up, its word in the bitsets, are
+    echelon coordinates, so word order is state order; inside a word the
+    states are compared through basis (_least_in_word), the one
+    description of state order.
 
     cycles is the reduced echelon-high basis of R in V (combinations of
     translations, so their pivots are pivots of K), and twisted is the
@@ -680,7 +681,6 @@ class _StratumJob:
     basis: tuple[int, ...]
     offset: int
     translations: tuple[int, ...]
-    k_pivots: tuple[int, ...]
     functionals: tuple[int, ...]
     twisted: tuple[int, ...]
     cycles: tuple[int, ...]
@@ -721,7 +721,7 @@ def _inword_rows(feet: list[int], compact_dim: int) -> tuple[int, ...]:
                 g = _reduce(f >> t, taken)
                 if g >> 1:
                     taken = _insert(taken, g)
-            c = 1 | sum(1 << b.bit_length() - 1 for b in taken if b & 1)
+            c = 1 | sum(p for b, p in zip(taken, _pivots(taken)) if b & 1)
             cost = swaps(c << t)
             if cost < fewest:
                 best, fewest = c << t, cost
@@ -735,26 +735,28 @@ def _plan(dim: int, masks: tuple, translations=None, functionals=None) -> _Strat
     its stratum at offset 0, whose generator constants are all 0.  It is
     cached, so the strata of a census and repeated queries of one search
     share it, and every other job of the search is made from it
-    (_stratum_job).
+    (_job_at).
 
     translations defaults to all of K, the common null space of the
     condition masks; any basis of a subspace of K may be given instead,
     and an empty one searches V itself.  They are echeloned (reduced,
-    echelon-high), and their pivots make k_pivots.  functionals defaults
-    to the base functionals, the invariants of V/K: they vanish on every
-    footprint and on the translations, and each stratum is where they
-    are constant.  A search word holds compact_dim + dim R bits, at most
-    32.
+    echelon-high), and the section is zero at their pivots.  functionals
+    defaults to the base functionals, the invariants of V/K: they vanish
+    on every footprint and on the translations, and each stratum is
+    where they are constant.  A search word holds compact_dim + dim R
+    bits, at most 32.
 
     The echelon coordinates z of the section, in the reduced echelon-high
     basis of the null space of the functionals and K's pivots, keep the
     order of the states, so their bits from 6 up keep word order equal
     to state order.  The six below are changed to z'_t = parity(z &
     rows[t]) (_inword_rows), which leaves fewer delta swaps to the
-    closure.  That change, z' = M z, is unitriangular, so the job's basis
-    is the echelon basis times M^-1: basis[s] is the state whose echelon
-    coordinates are column s of M^-1, read through M^-1's rows (inverse).
-    Its readout functionals are the rows of M on the echelon pivots.
+    closure.  That change, z' = M z, is unitriangular (M's rows are the
+    in-word rows, then the unit rows from 6 up), so the job's basis is
+    the echelon basis times M^-1: basis[s] is the state whose echelon
+    coordinates are column s of M^-1, which _right_inverse reads off M's
+    rows.  Its readout functionals are the rows of M on the echelon
+    pivots, and every pivot mask comes from _pivots.
     Inside a word the states are compared through the basis; it is the
     echelon basis itself exactly where M is the identity.
 
@@ -767,18 +769,16 @@ def _plan(dim: int, masks: tuple, translations=None, functionals=None) -> _Strat
     translations = tuple(_echelon(translations))
     if functionals is None:
         functionals = _nullspace([foot for _, foot in masks] + list(translations), dim)
-    k_pivots = tuple(1 << (k.bit_length() - 1) for k in translations)
+    k_pivots = _pivots(translations)
     echelon = _nullspace([*functionals, *k_pivots], dim)
     cd, k = len(echelon), len(translations)
-    echelon_pivots = [1 << (b.bit_length() - 1) for b in echelon]
+    echelon_pivots = _pivots(echelon)
     section_feet = [_reduce(foot, translations) for _, foot in masks]
-    rows = _inword_rows([_evaluate(f, echelon_pivots) for f in section_feet], cd)
-    # inverse[t]: z_t = parity(z' & inverse[t]), from the top row down
-    inverse = [1 << s for s in range(cd)]
-    for t in reversed(range(len(rows))):
-        inverse[t] = _combine(rows[t] ^ 1 << t, inverse) ^ 1 << t
-    basis = [_combine(_evaluate(1 << s, inverse), echelon) for s in range(cd)]
-    pivots = [_combine(r, echelon_pivots) for r in rows] + echelon_pivots[len(rows):]
+    # M's rows: the in-word rows, then the unit rows from 6 up
+    rows = [*_inword_rows([_evaluate(f, echelon_pivots) for f in section_feet], cd),
+            *(1 << s for s in range(6, cd))]
+    basis = [_combine(c, echelon) for c in _right_inverse(rows)]
+    pivots = [_combine(r, echelon_pivots) for r in rows]
     feet = [_evaluate(f, pivots) for f in section_feet]
     if any(_combine(f, basis) != section_foot for f, section_foot in zip(feet, section_feet)):
         raise AssertionError("generator footprint leaves the stratum")
@@ -789,21 +789,27 @@ def _plan(dim: int, masks: tuple, translations=None, functionals=None) -> _Strat
     cycles = [_combine(r, translations) for r in graph if not r >> k]
     if cd + len(cycles) > 32:
         raise AssertionError("search word exceeds 32 bits")
-    r_pivots = [1 << (c.bit_length() - 1) for c in cycles]
+    r_pivots = _pivots(cycles)
     gens = tuple((_evaluate(cond, basis), _evaluate(foot, r_pivots) << cd | f, 0)
                  for (cond, foot), f in zip(masks, feet))
     return _StratumJob(gens, tuple(cond for cond, _ in masks), tuple(pivots), tuple(basis), 0,
-                       translations, k_pivots, tuple(functionals), tuple(twisted), tuple(cycles))
+                       translations, tuple(functionals), tuple(twisted), tuple(cycles))
 
 
-def _stratum_job(plan: _StratumJob, height_bits: int) -> _StratumJob:
-    """The job of the stratum where the plan's functionals read
-    height_bits: the plan (_plan) moved to the stratum's section state,
-    with each generator's constant parity(offset & cond).  Every other
-    field is the plan's own object."""
-    point = _solve([*plan.functionals, *plan.k_pivots], height_bits)
-    # the section state of the stratum: point cleared at the echelon pivots
-    offset = point ^ _combine(_evaluate(point, plan.pivots), plan.basis)
+def _job_at(plan: _StratumJob, state: int) -> _StratumJob:
+    """The job of the stratum that holds state: the plan (_plan) moved
+    to the stratum's section state with compact coordinates 0, with each
+    generator's constant parity(offset & cond).  Every other field is
+    the plan's own object.
+
+    Any state of the stratum names it: reduced by the translations it is
+    a section state, which differs from the offset by the state of its
+    own compact coordinates.  So orbit_of passes its state, a height
+    census a point of its height, and a census of every stratum the
+    point where the base functionals read h, column sum h of their
+    right inverse."""
+    section = _reduce(state, plan.translations)
+    offset = section ^ _combine(_evaluate(section, plan.pivots), plan.basis)
     return replace(plan, offset=offset, gens=tuple(
         (cc, fw, _parity(offset & cond)) for (cc, fw, _), cond in zip(plan.gens, plan.conds)))
 
@@ -820,7 +826,7 @@ def _search_word(job: _StratumJob, state: int) -> int:
     if job.offset ^ _combine(z, job.basis) != section:
         raise AssertionError("state does not lie in its computed stratum")
     pot = state ^ job.offset ^ _combine(z, job.twisted)
-    return _evaluate(pot, [1 << (c.bit_length() - 1) for c in job.cycles]) << job.compact_dim | z
+    return _evaluate(pot, _pivots(job.cycles)) << job.compact_dim | z
 
 
 def _readback(stack: np.ndarray):
@@ -869,7 +875,7 @@ def _lift(job: _StratumJob, stack: np.ndarray, size: int, span: _Span,
     """
     live = [job.cycles[j] for j in span.live]
     if coset is None:
-        rmask = sum(1 << (c.bit_length() - 1) for c in job.cycles)
+        rmask = sum(_pivots(job.cycles))
         cosets = _span_points(live + [t for t in job.translations if not t & rmask])
     else:
         cosets = [coset]
@@ -1153,7 +1159,8 @@ def _census(spec, workers: Optional[int] = None, height: Optional[F2Vector] = No
     t = len(functionals)
     plan = _plan(dim, masks, translations)
     if height is None:
-        jobs = [_stratum_job(plan, h) for h in range(1 << len(plan.functionals))]
+        points = _right_inverse(plan.functionals)
+        jobs = [_job_at(plan, _combine(h, points)) for h in range(1 << len(points))]
         total = 1 << dim
     else:
         if not t:
@@ -1163,8 +1170,7 @@ def _census(spec, workers: Optional[int] = None, height: Optional[F2Vector] = No
                              f"for {kind}, n={n}")
         if _rank([*functionals, *plan.functionals], dim) != t:
             raise AssertionError("a height stratum straddles several strata of V/K")
-        point = _solve(functionals, height.bits)
-        jobs = [_stratum_job(plan, _evaluate(point, plan.functionals))]
+        jobs = [_job_at(plan, _solve(functionals, height.bits))]
         total, descriptor = 1 << (dim - t), f"{descriptor}, height {height.to_string()}"
     rows = [(rep, size) for rep, size in _run_jobs(jobs, workers or _default_workers())
             if height is None or _evaluate(rep, functionals) == height.bits]
@@ -1192,20 +1198,21 @@ def orbit_of(spec, state) -> OrbitRecord:
     """The orbit record containing ``state``, as the census reports it.
 
     The one search of the census: the base orbit of the state's
-    projection to V/K is flooded in the job of its stratum, seeded with
-    the R-coordinates of the state's twisted potential.  Where S = R = K
-    its representative is the section of the least visited state, since
-    the map started empty; otherwise only the orbit that holds the state
-    is lifted, the one over the coset of the potential's part off R
-    (reduce_R of it), since potentials carried modulo S keep each
-    state's coset.  A state is a packed integer, an F2Vector or a
-    TriMatrix; one of another dimension than the space is refused.
+    projection to V/K is flooded in the job of the stratum that the
+    state itself names (_job_at), seeded with the R-coordinates of the
+    state's twisted potential.  Where S = R = K its representative is
+    the section of the least visited state, since the map started empty;
+    otherwise only the orbit that holds the state is lifted, the one
+    over the coset of the potential's part off R (reduce_R of it), since
+    potentials carried modulo S keep each state's coset.  A state is a
+    packed integer, an F2Vector or a TriMatrix; one of another dimension
+    than the space is refused.
     """
     dim, masks, functionals, descriptor, _, _ = _family(spec)
     start = _state_bits(state, dim, descriptor)
     # the census's cache key, so that both share one plan
     plan = _plan(dim, masks, None)
-    job = _stratum_job(plan, _evaluate(start, plan.functionals))
+    job = _job_at(plan, start)
     maps = _search(job)
     word = _search_word(job, start)
     size, span = _flood(job, word, maps)

@@ -188,3 +188,9 @@ class TestEquivariance:
             m = random_state(conj)
             for g in generators(conj):
                 assert phi(apply(conj, g, m)).bits == apply(second, g, phi(m)).bits
+
+
+def test_unknown_action_kind_is_refused():
+    assert [ActionKind.parse(kind.value) for kind in ActionKind] == list(ActionKind)
+    with pytest.raises(ValueError, match="unknown action kind 'third'"):
+        ActionKind.parse("third")

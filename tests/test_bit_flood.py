@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from f2orbits import f2la, orbits
 from f2orbits.actions import ActionKind, ActionSpec, height_functionals
 from f2orbits.f2la import (F2Vector, _combine, _echelon, _evaluate, _insert, _nullspace, _parity,
-                           _reduce, _span_points)
+                           _reduce, _solve, _span_points)
 from f2orbits.lattice import Graph, build, delta_closure, hex_lattice_graph
 from f2orbits.orbits import enumerate_orbits, enumerate_stratum, orbit_of
 from test_engine_properties import union_find_classes
@@ -301,7 +301,7 @@ def test_k0_census_bytes_are_pinned(key):
 def height0_job(spec):
     """The job of the height-0 base stratum of a search."""
     dim, masks, _, _, _, _ = orbits._family(spec)
-    return orbits._stratum_job(orbits._plan(dim, masks), 0)
+    return orbits._job_at(orbits._plan(dim, masks), 0)
 
 
 def k0_job(spec):
@@ -311,7 +311,7 @@ def k0_job(spec):
     dim, masks, _, _, _, _ = orbits._family(spec)
     plan = orbits._plan(dim, masks)
     assert not plan.translations
-    job = orbits._stratum_job(plan, 0)
+    job = orbits._job_at(plan, 0)
     space = SimpleNamespace(state_dim=dim, masked_generators=lambda: masks)
     classes = [[orbits._search_word(job, x) for x in members]
                for members in union_find_classes(space)
@@ -672,8 +672,8 @@ def coset_minima(job, span, values, cosets) -> list[int]:
     return sorted(out)
 
 
-FIRST7_STRATUM3 = orbits._stratum_job(orbits._plan(*orbits._family(
-    ActionSpec(7, ActionKind.FIRST))[:2]), 3)
+FIRST7_PLAN = orbits._plan(*orbits._family(ActionSpec(7, ActionKind.FIRST))[:2])
+FIRST7_STRATUM3 = orbits._job_at(FIRST7_PLAN, _solve(FIRST7_PLAN.functionals, 3))
 
 
 @pytest.mark.parametrize("size", [1, 3000, f2la._LIFT_CHUNK + 4000, 2 * f2la._LIFT_CHUNK + 7])

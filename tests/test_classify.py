@@ -9,7 +9,7 @@ import pytest
 from f2orbits import classify
 from f2orbits.actions import ActionKind, ActionSpec, generator_masks
 from f2orbits.classify import (CheckResult, PredictedCensus, _orbit_count, epsilon, eta_bar,
-                               h_bar, label_orbits, predict_first, predict_second,
+                               h_bar, label_orbits, predict, predict_first, predict_second,
                                sharp, verify, LabelingError,
                                TRIVIAL, STANDARD, TYPE1, TYPE2, TYPE3, TYPE4, TYPE5)
 from f2orbits.orbits import enumerate_orbits, orbit_of
@@ -239,6 +239,36 @@ class TestLabeling:
                                 {h: ((STANDARD, 7),) for h in pred.by_height})
         with pytest.raises(LabelingError):
             label_orbits(census, wrong)
+
+
+def first5_census():
+    return enumerate_orbits(ActionSpec(5, ActionKind.FIRST), workers=1)
+
+
+def without_heights(census):
+    return replace(census, records=tuple(replace(r, height=None) for r in census.records))
+
+
+def without_height_0(pred):
+    return replace(pred, by_height={h: rows for h, rows in pred.by_height.items() if h})
+
+
+@pytest.mark.parametrize("call,error,match", [
+    (lambda: epsilon(0), ValueError, "k must be positive, got 0"),
+    (lambda: sharp(1), ValueError, r"need n\+1 >= 2, got 1"),
+    (lambda: h_bar(5), ValueError, "defined for even n only, got 5"),
+    (lambda: predict_second(4), ValueError, r"no closed form below n=5 \(got 4\)"),
+    (lambda: predict(5, ActionKind.FIRST_CONJUGATE), ValueError,
+     "no closed-form census for first-conj"),
+    (lambda: label_orbits(without_heights(first5_census()), predict_first(5)), LabelingError,
+     "census records carry no heights"),
+    (lambda: label_orbits(first5_census(), without_height_0(predict_first(5))), LabelingError,
+     "no predicted stratum at height 00000"),
+], ids=["epsilon", "sharp", "h-bar", "predict-second", "predict-kind", "no-heights",
+        "missing-height"])
+def test_input_checks(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 class TestPsiSendsOrbitsToSameLabel:

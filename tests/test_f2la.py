@@ -11,10 +11,10 @@ import numpy as np
 from f2orbits import f2la
 from f2orbits.f2la import (ArfClass, BilinearForm, F2Vector, QuadraticSpace, _Span,
                            _apply_tables, _byte_tables, _combine, _coset_minima, _echelon,
-                           _evaluate, _insert, _nullspace, _rank, _reduce, _solve,
-                           _span_points, arf, form_eval, kernel_basis, q_eval,
-                           symplectic_reduce, transvect, value_counts_brute,
-                           value_counts_closed)
+                           _evaluate, _insert, _nullspace, _pivots, _rank, _reduce,
+                           _right_inverse, _solve, _span_points, arf, form_eval,
+                           kernel_basis, q_eval, symplectic_reduce, transvect,
+                           value_counts_brute, value_counts_closed)
 from f2orbits.lattice import build, hex_lattice_graph
 
 
@@ -58,6 +58,14 @@ class TestF2Vector:
         with pytest.raises(ValueError):
             vec("10") ^ vec("100")
 
+    def test_truth_is_a_nonzero_vector(self):
+        assert not F2Vector.zeros(3) and not F2Vector.zeros(0)
+        assert vec("001") and vec("100")
+
+    def test_repr_shows_the_coordinates(self):
+        assert repr(vec("0110")) == "F2Vector('0110')"
+        assert repr(F2Vector.zeros(0)) == "F2Vector('')"
+
     def test_out_of_range_bits(self):
         with pytest.raises(ValueError, match="^bits 0x4 out of range for dim 2$"):
             F2Vector(2, 4)
@@ -75,6 +83,29 @@ class TestF2Vector:
     def test_from_support_out_of_range(self, index):
         with pytest.raises(ValueError, match="out of range"):
             F2Vector.from_support(5, [1, index])
+
+
+@pytest.mark.parametrize("call,error,match", [
+    (lambda: F2Vector(-1, 0), ValueError, "dimension must be nonnegative, got -1"),
+    (lambda: F2Vector.from_string("01x"), ValueError, "bad bit character 'x'"),
+    (lambda: vec("01").bit(2), IndexError, "index 2 out of range for dim 2"),
+    (lambda: vec("01").bit(-1), IndexError, "index -1 out of range for dim 2"),
+    (lambda: BilinearForm(2, (0,)), ValueError, "expected 2 rows, got 1"),
+    (lambda: BilinearForm(2, (0, 4)), ValueError, "row 1 out of range"),
+    (lambda: BilinearForm.from_edges(3, [(1, 1)]), ValueError, r"bad edge \(1, 1\)"),
+    (lambda: transvect(triangle_form(), vec("10"), vec("100")), ValueError,
+     "dimension mismatch: form 3, delta 2, x 3"),
+    (lambda: transvect(triangle_form(), vec("100"), vec("1000")), ValueError,
+     "dimension mismatch: form 3, delta 3, x 4"),
+    (lambda: q_eval(triangle_space(), vec("10")), ValueError, "dimension mismatch: space 3, x 2"),
+    (lambda: QuadraticSpace(triangle_form(), 8), ValueError, "basis_values out of range"),
+    (lambda: symplectic_reduce(triangle_space(), pivot="mid"), ValueError,
+     "unknown pivot order 'mid'"),
+], ids=["vector-dim", "vector-string", "bit-high", "bit-negative", "form-rows", "form-row-range",
+        "form-loop", "transvect-delta", "transvect-x", "q-eval", "basis-values", "pivot-order"])
+def test_input_checks(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 class TestBilinearForm:
@@ -99,6 +130,15 @@ class TestBilinearForm:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             form_eval(triangle_form(), vec("10"), vec("100"))
+
+    def test_row_is_the_pairing_with_a_basis_vector(self):
+        f = BilinearForm.from_edges(4, [(0, 1), (1, 3)])
+        assert [f.row(i) for i in range(4)] == [vec("0100"), vec("1001"), vec("0000"),
+                                                 vec("0100")]
+        for i in range(4):
+            e_i = F2Vector.from_support(4, [i])
+            assert f.row(i).support() == tuple(
+                j for j in range(4) if form_eval(f, e_i, F2Vector.from_support(4, [j])))
 
 
 class TestQEval:
@@ -299,6 +339,17 @@ def vector_systems(draw, max_dim=10, max_rows=8):
     return dim, rows
 
 
+@st.composite
+def independent_rows(draw):
+    """Up to 12 linearly independent vectors of F2^16, in drawn order:
+    each drawn vector is kept when it is outside the span of those kept."""
+    rows: list[int] = []
+    for v in draw(st.lists(st.integers(min_value=0, max_value=(1 << 16) - 1), max_size=12)):
+        if _reduce(v, _echelon(rows)):
+            rows.append(v)
+    return rows
+
+
 def brute_span(vectors) -> set[int]:
     points = {0}
     for v in vectors:
@@ -426,6 +477,53 @@ class TestLinearLayer:
             return
         x = _solve(rows, values)
         assert all((x & r).bit_count() % 2 == values >> l & 1 for l, r in enumerate(rows))
+
+    @settings(max_examples=150, deadline=None)
+    @given(independent_rows())
+    def test_right_inverse_columns_solve_the_unit_equations(self, rows):
+        cols = _right_inverse(rows)
+        assert len(cols) == len(rows)
+        assert all(c < 1 << 16 for c in cols)
+        assert [_evaluate(c, rows) for c in cols] == [1 << l for l in range(len(rows))]
+
+    @settings(max_examples=30, deadline=None)
+    @given(vector_systems(max_dim=8, max_rows=6))
+    def test_solve_agrees_with_a_brute_force_search(self, system):
+        dim, rows = system
+        preimages: dict[int, set[int]] = {}
+        for x in range(1 << dim):
+            preimages.setdefault(_evaluate(x, rows), set()).add(x)
+        if len(preimages) < 1 << len(rows):
+            # the map is onto exactly when the rows are independent
+            for call in (lambda: _right_inverse(rows), lambda: _solve(rows, 0)):
+                with pytest.raises(ValueError, match="rows are linearly dependent"):
+                    call()
+            return
+        for values, states in preimages.items():
+            assert _solve(rows, values) in states
+
+    @pytest.mark.parametrize("rows", [[0], [3, 3], [1, 2, 3], [5, 0, 2]])
+    def test_dependent_rows_are_refused(self, rows):
+        for call in (lambda: _right_inverse(rows), lambda: _solve(rows, 1)):
+            with pytest.raises(ValueError, match="rows are linearly dependent"):
+                call()
+
+    def test_right_inverse_of_no_rows_is_empty(self):
+        assert _right_inverse([]) == []
+        assert _solve([], 0) == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(vector_systems())
+    def test_pivots_are_the_top_bits_of_the_echelon(self, system):
+        _, rows = system
+        basis = _echelon(rows)
+        pivots = _pivots(basis)
+        assert len(pivots) == len(basis)
+        for b, p in zip(basis, pivots):
+            # p is a single bit, b's highest, and no other vector holds it
+            assert p.bit_count() == 1 and b & p and b < 2 * p
+            assert sum(1 for c in basis if c & p) == 1
+        assert pivots == sorted(pivots)
 
     @settings(max_examples=150, deadline=None)
     @given(vector_systems(), st.integers(min_value=0, max_value=(1 << 10) - 1))

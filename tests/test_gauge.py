@@ -81,6 +81,8 @@ def check_gauge(spec) -> None:
     plan, masks = plan_of(spec)
     k, cd = len(plan.translations), plan.compact_dim
     zmask = (1 << cd) - 1
+    # K's pivot masks, read off its echelon-high basis
+    k_pivots = [1 << t.bit_length() - 1 for t in plan.translations]
     feet, volts = [], []
     for (cond, foot), (_, word, _) in zip(masks, plan.gens):
         f = word & zmask
@@ -96,7 +98,7 @@ def check_gauge(spec) -> None:
         assert _combine(f, plan.twisted) ^ section_foot == \
             _reduce(foot ^ section_foot, plan.cycles)
         feet.append(f)
-        volts.append(_evaluate(foot, plan.k_pivots))
+        volts.append(_evaluate(foot, k_pivots))
     if len(plan.cycles) == k:
         assert plan.twisted == plan.basis
     relations = _nullspace([sum((f >> b & 1) << g for g, f in enumerate(feet))

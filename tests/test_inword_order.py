@@ -61,15 +61,15 @@ def random_rows(monkeypatch):
                      for t in range(min(6, compact_dim)))
 
     built = []
-    stratum_job = orbits._stratum_job
+    job_at = orbits._job_at
 
     def recorded(*args):
-        built.append(stratum_job(*args))
+        built.append(job_at(*args))
         return built[-1]
 
     orbits._plan.cache_clear()
     monkeypatch.setattr(orbits, "_inword_rows", rows)
-    monkeypatch.setattr(orbits, "_stratum_job", recorded)
+    monkeypatch.setattr(orbits, "_job_at", recorded)
     yield built
     orbits._plan.cache_clear()
 

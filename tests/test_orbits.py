@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from f2orbits import orbits
-from f2orbits.f2la import F2Vector, _combine, _evaluate, _reduce
+from f2orbits.f2la import F2Vector, _combine, _reduce, _solve
 from f2orbits.actions import ActionKind, ActionSpec, generator_masks, height_first
 from f2orbits.classify import label_orbits, predict_second, verify
 from f2orbits.lattice import Graph, LatticeSpec, build, delta_closure, hex_lattice_graph
@@ -324,7 +324,8 @@ class TestLiftCrossCheck:
     def test_lifted_jobs_search_the_quotient(self):
         spec = ActionSpec(7, ActionKind.FIRST)
         plan = orbits._plan(spec.state_dim, tuple(generator_masks(spec)))
-        jobs = [orbits._stratum_job(plan, h) for h in range(1 << len(plan.functionals))]
+        jobs = [orbits._job_at(plan, _solve(plan.functionals, h))
+                for h in range(1 << len(plan.functionals))]
         assert [j.compact_dim for j in jobs] == [18] * 8
 
 
@@ -341,16 +342,16 @@ class TestStratumJobs:
         dim, masks, _, _, _, _ = orbits._family(spec)
         plan = orbits._plan(dim, masks)
         assert len(plan.translations) == dim_k
-        assert orbits._stratum_job(plan, 0) == plan
+        assert orbits._job_at(plan, 0) == plan
         for h in range(1 << len(plan.functionals)):
-            job = orbits._stratum_job(plan, h)
+            job = orbits._job_at(plan, _solve(plan.functionals, h))
             assert job.basis is plan.basis and job.pivots is plan.pivots
             assert job.translations is plan.translations
             assert job.twisted is plan.twisted and job.cycles is plan.cycles
         rng = random.Random(25)
         zmask = (1 << plan.compact_dim) - 1
         for x in (rng.getrandbits(dim) for _ in range(50)):
-            job = orbits._stratum_job(plan, _evaluate(x, plan.functionals))
+            job = orbits._job_at(plan, x)
             w = orbits._search_word(job, x)
             # the word holds the compact state and the R-coordinates of the
             # twisted potential; what is left is the state's point of K
@@ -364,13 +365,13 @@ class TestStratumJobs:
 class TestSingleJob:
     def _count_jobs(self, monkeypatch):
         built = []
-        real = orbits._stratum_job
+        real = orbits._job_at
 
         def counting(*args):
             built.append(real(*args))
             return built[-1]
 
-        monkeypatch.setattr(orbits, "_stratum_job", counting)
+        monkeypatch.setattr(orbits, "_job_at", counting)
         return built
 
     def test_enumerate_stratum_builds_one_job(self, monkeypatch):

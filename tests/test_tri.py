@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from f2orbits.f2la import BilinearForm, QuadraticSpace, _echelon, _rank, q_eval
+from f2orbits.f2la import BilinearForm, F2Vector, QuadraticSpace, _echelon, _rank, q_eval
 from f2orbits.lattice import hex_lattice_graph
 from f2orbits.tri import (Graph, HexGraph, TriMatrix, TriShape, couple,
                           hex_graph, pattern_E, pattern_P, pattern_Ptilde,
@@ -279,3 +279,31 @@ class TestMaps:
             psi(TriMatrix.zeros(1))
         with pytest.raises(ValueError):
             phi(TriMatrix.zeros(1))
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: TriShape(0), "order must be positive, got 0"),
+    (lambda: TriMatrix(TriShape(2), F2Vector(2, 0)), "vector length 2 does not match shape dim 3"),
+    (lambda: couple(TriMatrix.zeros(2), TriMatrix.zeros(3)), "coupling requires equal orders"),
+    (lambda: Graph(3, ((2, 1),)), r"edge \(2, 1\) must be listed as \(min, max\)"),
+], ids=["shape-order", "matrix-length", "couple-orders", "graph-edge-order"])
+def test_input_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_sum_of_matrices_is_the_xor_of_their_cells():
+    a = TriMatrix.from_cells(3, [(1, 1), (1, 2)])
+    b = TriMatrix.from_cells(3, [(1, 2), (3, 3)])
+    for total in (a ^ b, a + b):
+        assert total.shape == a.shape and total.support() == ((1, 1), (3, 3))
+    assert (a + a).bits == 0 and a ^ TriMatrix.zeros(3) == a
+    for add in (TriMatrix.__xor__, TriMatrix.__add__):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            add(a, TriMatrix.zeros(2))
+
+
+def test_adjacent_reads_each_edge_both_ways():
+    g = Graph.from_edge_list(4, [(0, 1), (2, 1)])
+    assert [(u, v) for u in range(4) for v in range(4) if g.adjacent(u, v)] == \
+        [(0, 1), (1, 0), (1, 2), (2, 1)]
