@@ -83,11 +83,17 @@ of S, and the sweeps move 1 + dim R - rank S rows, reached alone once S
 2^(dim K - rank S) orbits of |O'| * 2^rank S states, one per coset c
 of S in K, spanned by the live R coordinates and a complement of R in
 K, and the representative of the one over c is the least
-reduce_S(s'(y) ^ pot'(y) ^ c) over y in O', read back from reached and
-the live planes through the twisted basis; the minima of all cosets
-come from one sorted chunk of members.  Only where S = R = K is there
-one orbit over O', represented by the section of the least state of
-O', which needs neither (alpha is 0 when R = K).  K = 0 (the second
+reduce_S(s'(y) ^ pot'(y) ^ c) over y in O'.  Those values fill part of
+an affine space, offset ^ c plus the span of the twisted basis and the
+live cycles, whose points the lift walks upward from the least: each
+point decodes into a compact state and a potential, and the first
+point whose state is in reached with that potential on the live planes
+is the minimum.  Only the cosets whose first _WALK points all miss, as
+over a sparse O', read O' back from reached and the live planes
+through the twisted basis, and take their minima from sorted chunks
+of members.  Only where S = R = K is there one orbit over O',
+represented by the section of the least state of O', which needs no
+lift (alpha is 0 when R = K).  K = 0 (the second
 action) is the case of no planes, with S = R = K from the start: the
 words are compact states.  It needs no reached map either: every
 earlier component on visited is closed under the generators, so a
@@ -129,9 +135,10 @@ from typing import Optional
 
 import numpy as np
 
-from .f2la import (F2Vector, _Span, _apply_tables, _byte_tables, _combine, _coset_minima,
-                   _echelon, _evaluate, _insert, _nullspace, _parity, _parity_u32, _pivots,
-                   _rank, _reduce, _right_inverse, _solve, _span_points)
+from .f2la import (_LIFT_CHUNK, F2Vector, _Span, _apply_tables, _byte_tables, _combine,
+                   _coset_minima, _echelon, _evaluate, _evaluate_tables, _insert, _nullspace,
+                   _parity, _parity_u32, _pivots, _rank, _reduce, _reduce_tables,
+                   _right_inverse, _solve, _span_points)
 # the enumeration guard, kept in f2la so that lattice refuses an oversize
 # graph without loading numpy, and re-exported here under its names
 from .f2la import ENUM_DIM_LIMIT, EnumerationGuardError, _check_dim  # noqa: F401
@@ -145,6 +152,10 @@ _PIPE_BUF = 512
 # odd set and two scratch rows fit in a 2 MiB L2 cache, where a whole
 # 2^24-state map streams from L3 on every pass
 _TILE_WORDS = 1 << 15
+
+# the points of each coset's affine space that _lift tests, least first,
+# before it reads back a base orbit's members
+_WALK = 64
 
 
 @dataclass(frozen=True)
@@ -868,38 +879,110 @@ def _lift(job: _StratumJob, stack: np.ndarray, size: int, span: _Span,
     K), which meets each coset once.  The representative over c is the
     least s'(y) ^ pot(y) ^ c over y in O', s' the twisted section: it is
     zero at the pivots of S (s' and c are zero at R's pivots), so it is
-    the coset minimum reduce_S, which _coset_minima takes from the
-    values s'(y) ^ pot(y) in _readback's chunks.  Given a coset, a point
-    of K that is zero at R's pivots, only the orbit over it is computed,
-    as orbit_of asks.
+    the coset minimum reduce_S.  Given a coset, a point of K that is
+    zero at R's pivots, only the orbit over it is computed, as orbit_of
+    asks.
+
+    Each coset is first walked upward.  B, the twisted basis and the
+    live cycles, is independent, and every value s'(y) ^ pot(y) ^ c lies
+    in A_c = offset ^ c + span(B).  With E the reduced echelon of B, in
+    ascending pivot order, the k-th least point of A_c is
+    _reduce(offset ^ c, E) ^ _combine(k, E): the point reads k at E's
+    pivots, k -> _combine(k, E) keeps order, and the other bits are
+    those of _reduce(offset ^ c, E).  So the walk lists the least _WALK
+    points of A_c in ascending order.  A point offset ^ c ^ x reads
+    (z, b) = _evaluate(x, the right inverse of B), and it is the value
+    over c of compact state z exactly when z is in O' (reached) and the
+    live planes hold b at z, since each state of O' has one potential
+    modulo S.  The first point that passes is thus the least value over
+    c.  A dense base orbit answers each coset within a few points,
+    without reading back its members.  The cosets are c = _combine(i,
+    gens) for an index i, and the least point and its code are affine
+    in i, so the walk takes them from tables over i, _LIFT_CHUNK //
+    _WALK cosets at a time: it holds at most _LIFT_CHUNK points.  Only
+    the cosets that none of their _WALK points answers (those of a
+    sparse O', such as a fixed point over many cosets) go to the
+    readback, where _coset_minima takes their minima from the values
+    s'(y) ^ pot(y) in _readback's chunks.  Every representative, walked
+    or read back, is checked in one array pass (_check_lifted).
     """
     live = [job.cycles[j] for j in span.live]
     if coset is None:
         rmask = sum(_pivots(job.cycles))
-        cosets = _span_points(live + [t for t in job.translations if not t & rmask])
+        gens = live + [t for t in job.translations if not t & rmask]
+        index = np.arange(1 << len(gens), dtype=np.uint32)
     else:
-        cosets = [coset]
-    cosets = np.array(cosets, dtype=np.uint32)
-    # section(y) ^ pot(y) ^ offset splits over the word of y, its bit in
-    # the word and the bytes of its potential
-    words = _byte_tables(job.twisted[6:])
-    bits = np.array(_span_points(job.twisted[:6]), dtype=np.uint32)
-    pots = _byte_tables(live)
+        gens, index = [coset], np.ones(1, dtype=np.uint32)
+    planes = stack[:1 + len(live)]
+    basis = [*job.twisted, *live]
+    echelon, inverse = _echelon(basis), _right_inverse(basis)
+    # coset i is c = _combine(i, gens); the least point of A_c and its
+    # code are affine in i, and the k-th point adds _combine(k, echelon)
+    # to the one and that vector's code to the other
+    least = [_reduce(v, echelon) for v in (job.offset, *gens)]
+    codes = [_evaluate(v ^ r, inverse) for v, r in zip((job.offset, *gens), least)]
+    ahead = echelon[:_WALK.bit_length() - 1]
+    steps = np.array(_span_points(ahead), dtype=np.uint32)
+    step_codes = np.array(_span_points([_evaluate(e, inverse) for e in ahead]), dtype=np.uint32)
+    least_tables, code_tables = _byte_tables(least[1:]), _byte_tables(codes[1:])
+    reps = np.empty(index.size, dtype=np.uint32)
+    walked = np.zeros(index.size, dtype=bool)
+    step = _LIFT_CHUNK // _WALK
+    for at in range(0, index.size, step):
+        ids = index[at:at + step]
+        points = (_apply_tables(least_tables, ids) ^ np.uint32(least[0]))[:, None] ^ steps
+        held = _holds(planes, (_apply_tables(code_tables, ids) ^ np.uint32(codes[0]))[:, None]
+                      ^ step_codes, job.compact_dim)
+        first = held.argmax(axis=1)
+        rows = np.arange(first.size)
+        reps[at:at + step] = points[rows, first]
+        walked[at:at + step] = held[rows, first]
+    rest = (~walked).nonzero()[0]
+    if rest.size:
+        # section(y) ^ pot(y) ^ offset splits over the word of y, its bit
+        # in the word and the bytes of its potential
+        words = _byte_tables(job.twisted[6:])
+        bits = np.array(_span_points(job.twisted[:6]), dtype=np.uint32)
+        pots = _byte_tables(live)
 
-    def values():
-        for w, i, pot in _readback(stack[:1 + len(live)]):
-            a = _apply_tables(words, w)[i >> 6] ^ bits[i & 63] ^ job.offset
-            for table, byte in zip(pots, pot):
-                a ^= table[byte]
-            yield a
+        def values():
+            for w, i, pot in _readback(planes):
+                a = _apply_tables(words, w)[i >> 6] ^ bits[i & 63] ^ job.offset
+                for table, byte in zip(pots, pot):
+                    a ^= table[byte]
+                yield a
 
-    out = []
-    for rep in _coset_minima(values(), cosets).tolist():
-        z = _search_word(job, rep) & (1 << job.compact_dim) - 1
-        if not int(stack[0, z >> 6]) >> (z & 63) & 1:
-            raise AssertionError("lifted representative leaves its base orbit")
-        out.append((rep, size << len(span.basis)))
-    return out
+        reps[rest] = _coset_minima(values(), _apply_tables(_byte_tables(gens), index[rest]))
+    _check_lifted(job, stack[0], reps)
+    return [(rep, size << len(span.basis)) for rep in reps.tolist()]
+
+
+def _holds(planes: np.ndarray, codes: np.ndarray, shift: int) -> np.ndarray:
+    """Whether each code b << shift | z of a uint32 array names a state z
+    of the bitset planes[0] whose potential, bit j of it in bit z of
+    planes[1 + j], is b: a bool array of the codes' shape, gathered
+    plane by plane."""
+    z = codes & np.uint32((1 << shift) - 1)
+    word = np.right_shift(z, 6, dtype=np.intp)
+    bit = (z & np.uint32(63)).astype(np.uint8)
+    held = planes[0].take(word) >> bit & np.uint64(1) != 0
+    for j, plane in enumerate(planes[1:]):
+        held &= (plane.take(word) >> bit & np.uint64(1)) == (codes >> shift + j & 1)
+    return held
+
+
+def _check_lifted(job: _StratumJob, reached: np.ndarray, reps: np.ndarray) -> None:
+    """Check the uint32 array of lifted representatives as _search_word
+    checks one state, all in one pass: each is reduced by the
+    translations, read out in compact coordinates and checked to lie in
+    the job's stratum, through _reduce_tables and _evaluate_tables, and
+    its compact state must be in the base orbit, the bitset reached."""
+    section = _apply_tables(_reduce_tables(job.translations), reps)
+    z = _apply_tables(_evaluate_tables(job.pivots), section ^ np.uint32(job.offset))
+    if (_apply_tables(_byte_tables(job.basis), z) ^ np.uint32(job.offset) != section).any():
+        raise AssertionError("state does not lie in its computed stratum")
+    if not (reached.take(z >> 6) >> (z & 63).astype(np.uint64) & np.uint64(1)).all():
+        raise AssertionError("lifted representative leaves its base orbit")
 
 
 def _search(job: _StratumJob) -> np.ndarray:

@@ -628,13 +628,10 @@ def test_lifted_closure_allocates_no_map_per_generator(monkeypatch):
 
 def lift_case(job, rank: int, size: int, seed: int):
     """A random base orbit of size compact states of the job with random
-    potentials, held as _lift reads them: (stack, span, values).  S is
-    a random span of the given rank in R, the potentials are reduced by
-    it and held in its live rows, in a random order, and the rows past
-    them hold garbage.  values are section(y) ^ pot(y) per member,
-    through the twisted basis and the live cycles."""
+    potentials, held as _lift reads them (lift_stack): (stack, span,
+    values).  S is a random span of the given rank in R, and its live
+    rows are in a random order."""
     r = len(job.cycles)
-    words = 1 << job.compact_dim >> 6
     rng = np.random.default_rng(seed)
     members = np.sort(rng.choice(1 << job.compact_dim, size, replace=False)).astype(np.uint32)
     span = orbits._Span(r)
@@ -645,12 +642,22 @@ def lift_case(job, rank: int, size: int, seed: int):
     pivots = {b.bit_length() - 1 for b in span.basis}
     span.live = [int(j) for j in rng.permutation([j for j in range(r) if j not in pivots])]
     pots = rng.integers(0, 1 << len(span.live), size, dtype=np.uint32)
-    stack = rng.integers(0, 1 << 63, (r + 1, words), dtype=np.uint64)
+    return lift_stack(job, span, members, pots, rng)
+
+
+def lift_stack(job, span, members, pots, rng):
+    """(stack, span, values) for the base orbit of the ascending uint32
+    compact states members, with potentials pots, reduced by S, held in
+    the live rows of span: the rows past them hold garbage.  values are
+    section(y) ^ pot(y) per member, through the twisted basis and the
+    live cycles."""
+    words = 1 << job.compact_dim >> 6
+    stack = rng.integers(0, 1 << 63, (len(job.cycles) + 1, words), dtype=np.uint64)
     stack[:1 + len(span.live)] = 0
     stack[0] = bitset(members, words)
     for i in range(len(span.live)):
         stack[1 + i] = bitset(members[pots >> i & 1 == 1], words)
-    values = np.full(size, job.offset, dtype=np.uint32)
+    values = np.full(members.size, job.offset, dtype=np.uint32)
     for s, b in enumerate(job.twisted):
         values[members >> s & 1 == 1] ^= b
     for i, j in enumerate(span.live):
@@ -676,7 +683,8 @@ FIRST7_PLAN = orbits._plan(*orbits._family(ActionSpec(7, ActionKind.FIRST))[:2])
 FIRST7_STRATUM3 = orbits._job_at(FIRST7_PLAN, _solve(FIRST7_PLAN.functionals, 3))
 
 
-@pytest.mark.parametrize("size", [1, 3000, f2la._LIFT_CHUNK + 4000, 2 * f2la._LIFT_CHUNK + 7])
+@pytest.mark.parametrize("size", [1, 3000, f2la._LIFT_CHUNK + 4000, 2 * f2la._LIFT_CHUNK + 7,
+                                  1 << 18])
 @pytest.mark.parametrize("rank", range(8))
 def test_lift_takes_the_least_member_of_every_coset(rank, size):
     # the lift in coordinates where the cycles span K and nothing is
@@ -684,7 +692,8 @@ def test_lift_takes_the_least_member_of_every_coset(rank, size):
     # stratum 3 (dim K = 7, 2^18 compact states) with R taken as K, a
     # random span S of the given rank, 2^(7 - rank) cosets, from 1 (rank
     # 7 is S = K, which only orbit_of's one coset reaches) to 128, and
-    # members on both sides of _LIFT_CHUNK
+    # members on both sides of _LIFT_CHUNK, up to the whole stratum, where
+    # the walk answers every coset
     job = replace(FIRST7_STRATUM3, twisted=FIRST7_STRATUM3.basis,
                   cycles=FIRST7_STRATUM3.translations)
     assert len(job.cycles) == 7 and job.offset and job.compact_dim == 18
@@ -697,7 +706,8 @@ def test_lift_takes_the_least_member_of_every_coset(rank, size):
     assert orbits._lift(job, stack, size, span, 0) == [(int(values.min()), size << rank)]
 
 
-@pytest.mark.parametrize("size", [1, 3000, f2la._LIFT_CHUNK + 4000, 2 * f2la._LIFT_CHUNK + 7])
+@pytest.mark.parametrize("size", [1, 3000, f2la._LIFT_CHUNK + 4000, 2 * f2la._LIFT_CHUNK + 7,
+                                  1 << 18])
 @pytest.mark.parametrize("rank", range(4))
 def test_twisted_lift_takes_the_least_member_of_every_coset(rank, size):
     # first n=7's stratum 3 in its own gauge: dim K = 7 and dim R = 3, so
@@ -714,6 +724,127 @@ def test_twisted_lift_takes_the_least_member_of_every_coset(rank, size):
     coset = _reduce(_combine(size % 128, job.translations), job.cycles)
     assert orbits._lift(job, stack, size, span, coset) == \
         [(coset_minima(job, span, values, [coset])[0], size << rank)]
+
+
+def test_lift_walks_half_its_cosets_and_reads_back_the_others(monkeypatch):
+    # first n=7's stratum 3 with R taken as K, S spanned by its first four
+    # translations and the last three live (pivots 24, 26 and 27, above
+    # every compact basis vector): 8 cosets c, all in the span of B, so
+    # the walk tries the same 64 points for each, and a point with
+    # compact state z and live coordinates b is the value over c where
+    # pot(z) = b ^ c.  The whole stratum, with potentials at those points
+    # that pass the cosets 0..3 and no other, sends the cosets 4..7 to
+    # the readback
+    job = replace(FIRST7_STRATUM3, twisted=FIRST7_STRATUM3.basis,
+                  cycles=FIRST7_STRATUM3.translations)
+    span = orbits._Span(7)
+    span.basis, span.live = [1, 2, 4, 8], [4, 5, 6]
+    rng = np.random.default_rng(46)
+    members = np.arange(1 << job.compact_dim, dtype=np.uint32)
+    pots = rng.integers(0, 8, members.size, dtype=np.uint32)
+    # every point offset ^ section(z) ^ live(b), as z | b << compact_dim,
+    # and the walk's 64 least of them
+    _, _, points = lift_stack(job, orbits._Span(0), members, pots, rng)
+    points = points[:, None] ^ np.array(_span_points([job.cycles[j] for j in span.live]),
+                                        dtype=np.uint32)
+    walk = np.argpartition(points.ravel(), orbits._WALK)[:orbits._WALK]
+    z, b = walk // 8, walk % 8
+    assert np.unique(z).size == orbits._WALK
+    pots[z] = b ^ np.arange(orbits._WALK) % 4
+    stack, span, values = lift_stack(job, span, members, pots, rng)
+    read = []
+    coset_minima_of = orbits._coset_minima
+
+    def counted(chunks, cosets):
+        read.append(cosets.tolist())
+        return coset_minima_of(chunks, cosets)
+
+    monkeypatch.setattr(orbits, "_coset_minima", counted)
+    cosets = _span_points([job.cycles[j] for j in span.live])
+    rows = orbits._lift(job, stack, members.size, span)
+    assert read == [cosets[4:]]
+    assert sorted(rows) == [(v, members.size << 4)
+                            for v in coset_minima(job, span, values, cosets)]
+
+
+
+def test_twisted_lift_reads_back_the_cosets_whose_walk_is_removed(monkeypatch):
+    # first n=7's stratum 3 in its own gauge with S = R: no live planes,
+    # and 16 cosets c = _combine(i, gens), gens the four translations off
+    # R's pivots, each walked through its own space offset ^ c +
+    # span(twisted).  gens[0] and gens[1] move the least point of that
+    # space by a point of the span of its six lowest echelon vectors, so
+    # the 64 least points of the cosets i and i ^ 1, i ^ 2 hold the same
+    # states.  The whole stratum less the states of the 64 least points
+    # of the 8 cosets with bit 2 of i set sends those to the readback,
+    # and the walk answers the other 8
+    job = FIRST7_STRATUM3
+    span = orbits._Span(3)
+    span.basis, span.live = [1, 2, 4], []
+    r_pivots = sum(1 << b.bit_length() - 1 for b in job.cycles)
+    cosets = _span_points([t for t in job.translations if not t & r_pivots])
+    assert len(cosets) == 16
+    rng = np.random.default_rng(146)
+    every = np.arange(1 << job.compact_dim, dtype=np.uint32)
+    # the point of each state over coset 0; over c it is that point ^ c
+    _, _, points = lift_stack(job, span, every, np.zeros(every.size, dtype=np.uint32), rng)
+    cut = [i for i in range(16) if i >> 2 & 1]
+    removed = [np.argpartition(points ^ np.uint32(cosets[i]), orbits._WALK)[:orbits._WALK]
+               for i in cut]
+    members = np.setdiff1d(every, np.concatenate(removed)).astype(np.uint32)
+    stack, span, values = lift_stack(job, span, members, np.zeros(members.size, dtype=np.uint32),
+                                     rng)
+    read = []
+    coset_minima_of = orbits._coset_minima
+
+    def counted(chunks, cosets):
+        read.append(cosets.tolist())
+        return coset_minima_of(chunks, cosets)
+
+    monkeypatch.setattr(orbits, "_coset_minima", counted)
+    rows = orbits._lift(job, stack, members.size, span)
+    assert read == [[cosets[i] for i in cut]]
+    assert sorted(rows) == [(v, members.size << 3)
+                            for v in coset_minima(job, span, values, cosets)]
+
+
+def test_first7_census_reads_back_only_its_fixed_point(monkeypatch):
+    # serial first n=7: the walk answers every coset of nine of its ten
+    # base orbits, and only the fixed point 0 (one member under 128
+    # cosets) is read back
+    read = []
+    readback = orbits._readback
+
+    def counted(stack):
+        read.append(int(np.bitwise_count(stack[0]).sum()))
+        return readback(stack)
+
+    monkeypatch.setattr(orbits, "_readback", counted)
+    assert enumerate_orbits(ActionSpec(7, ActionKind.FIRST), workers=1).orbit_count == 384
+    assert read == [1]
+
+
+@pytest.mark.parametrize("kind", [ActionKind.FIRST, ActionKind.FIRST_CONJUGATE],
+                         ids=lambda kind: kind.value)
+def test_orbit_of_at_n7_answers_with_a_census_record(kind, monkeypatch):
+    # 8 seeded states: each answer is a record of the census at the
+    # state's height, a generator move of the state gets the same
+    # answer, and so does the lift when the walk answers no coset and
+    # every orbit is read back
+    spec = ActionSpec(7, kind)
+    dim, masks, heights, _, _, _ = orbits._family(spec)
+    records = set(enumerate_orbits(spec).records)
+    rng = random.Random(f"orbit_of n=7 {kind.value}")
+    states = [rng.getrandbits(dim) for _ in range(8)]
+    answers = [orbit_of(spec, x) for x in states]
+    for x, record in zip(states, answers):
+        assert record in records
+        assert record.height == (F2Vector(len(heights), _evaluate(x, heights)) if heights else None)
+        moved = next(x ^ foot for cond, foot in masks if _parity(x & cond))
+        assert orbit_of(spec, moved) == record
+    monkeypatch.setattr(orbits, "_holds",
+                        lambda planes, codes, shift: np.zeros(codes.shape, dtype=bool))
+    assert [orbit_of(spec, x) for x in states] == answers
 
 
 @pytest.mark.parametrize("spec", [ActionSpec(8, ActionKind.SECOND_CONJUGATE),
