@@ -2,9 +2,11 @@
 and prediction-vs-enumeration verification reports.
 
 For n >= 5 the full per-stratum layout of both actions is known in
-closed form, the first action's derived from the second's through psi;
-`_orbit_count` gives every expected orbit count, with the observed
-counts tabled below n = 5.
+closed form.  The second action's is derived from the hex lattice's
+quadratic form, whose twist by one solved state splits exactly one
+stratum into its level sets; the first action's is pulled back from it
+through psi.  `_orbit_count` gives every expected orbit count, with the
+observed counts tabled below n = 5.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .f2la import F2Vector
+from .f2la import F2Vector, QuadraticSpace, _evaluate, _solve, value_counts_closed
 from .actions import ActionKind, ActionSpec, height_functionals, psi_height
 from .lattice import build, hex_lattice_graph, predict_census_nonspecial
 from .orbits import OrbitCensus, _record_diff, attach_labels, enumerate_orbits
@@ -125,8 +127,10 @@ def predict_first(n: int) -> PredictedCensus:
     stratum at height h onto the second stratum at psi_height(h).  Over a
     second orbit O of size |O| lie 2^(k-s) first orbits of |O| 2^s each
     (k = n // 2), where s = 0 for the fixed point (which lifts to 2^k
-    singletons), s = k at the degenerate image height (zero for odd n,
-    eta_bar(k) for even n) and s = k - 1 elsewhere.  This gives Table 1:
+    singletons), s = k at the degenerate image height and s = k - 1
+    elsewhere.  The degenerate height is the second action's split
+    height, read off the same solve as `predict_second`'s (`_split`):
+    zero for odd n, eta_bar(k) for even n.  This gives Table 1:
 
     Odd n = 2k+1: each symmetric stratum holds one orbit of
     2^(2k^2+k-1) - eps_k 2^(k^2+k-1), one of
@@ -143,7 +147,7 @@ def predict_first(n: int) -> PredictedCensus:
         raise ValueError(f"no closed form below n=5 (got {n}); enumerate instead")
     k = n // 2
     second = predict_second(n)
-    degenerate = eta_bar(k).bits if n % 2 == 0 else 0
+    degenerate = _split(n)[1]
     by_height: dict[int, tuple[tuple[str, int], ...]] = {}
     for h in range(1 << n):
         eta = psi_height(F2Vector(n, h)).bits
@@ -157,35 +161,60 @@ def predict_first(n: int) -> PredictedCensus:
     return pred
 
 
+def _split(n: int) -> tuple[QuadraticSpace, int]:
+    """q_c, the second action's invariant of order n, and the height of
+    c, its one split stratum (see `predict_second`)."""
+    space = build(hex_lattice_graph(n)).qspace
+    rad = [r.bits for r in space.kernel]
+    c = _solve(rad, sum(space.q_bits(r) << l for l, r in enumerate(rad)))
+    return (QuadraticSpace(space.form, space.basis_values ^ c),
+            _evaluate(c, height_functionals(ActionSpec(n, ActionKind.SECOND))))
+
+
 def predict_second(n: int) -> PredictedCensus:
-    """Per-stratum layout of the second action for n >= 5.
+    """Per-stratum layout of the second action for n >= 5: Table 2, read
+    off the level sets of the hex lattice's twisted quadratic form.
 
-    Odd n = 2k+1: height 0 holds orbits of 2^(2k^2-1) -+ eps_k 2^(k^2-1)
-    (the larger one short by the fixed point, which is its own orbit);
-    every other height is a single orbit of 2^(2k^2).
+    A is the adjacency of hex_graph(n) and B(y, z) = parity(y & A z) its
+    form; q, of `build(hex_lattice_graph(n)).qspace`, refines B and is 1
+    on every vertex.  Its radical rad = ker A has dim k = n // 2.  The
+    generator g_v adds A e_v to x when x_v = 1, so the stratum at height
+    h is c + im A for any state c at height h.  Writing x = c + A y, g_v
+    acts on the preimages by y -> y + (B(y, e_v) + c_v) e_v, and
 
-    Even n = 2k: height 0 holds 2^(2k(k-1)) - 1 plus the fixed point;
-    the distinguished height splits as (2^(k(k-1)) -+ 1) 2^(k(k-1)-1);
-    every other height is a single orbit of 2^(2k(k-1)).
+        q_c(y) = q(y) + parity(c & y)
+
+    is invariant: a step by t e_v, t = B(y, e_v) + c_v, changes it by
+    t (q(e_v) + B(y, e_v) + c_v) = t (1 + t) = 0.  The preimages of x
+    form a coset y + rad, on which q_c(y + r) = q_c(y) + q_c(r), so q_c
+    reads a state exactly when it vanishes on rad: parity(c & r) = q(r)
+    for every r in rad.  Those c form one coset of im A, the annihilator
+    of rad, so exactly one height carries the invariant, the height of
+    any solution (`_split`).  There the stratum splits into the two
+    level sets of q_c, of `value_counts_closed` / 2^k states each; every
+    other stratum is one orbit of 2^(dim - k).  That each class is a
+    single orbit is Table 2 (Wajnryb, Chmutov, Janssen), and
+    `_check_internal` holds the orbit total to `_orbit_count`.
+
+    The fixed point 0 lies at height 0.  At odd n q vanishes on rad, so
+    c = 0 and the split height is 0: type1 is the q_c = 1 level, and
+    type2 the q_c = 0 level less the fixed point (by level, not by size:
+    at k = 4t + 1 type1 is the larger).  At even n the split height is
+    eta_bar(k): height 0 holds the fixed point and type3, the rest of its
+    stratum, and the split height type4, the smaller level, and type5.
     """
     if n < 5:
         raise ValueError(f"no closed form below n=5 (got {n}); enumerate instead")
+    space, split = _split(n)
     k = n // 2
-    if n % 2:
-        eps = epsilon(k)
-        card1 = (1 << (2 * k * k - 1)) - eps * (1 << (k * k - 1))
-        card2 = (1 << (2 * k * k - 1)) + eps * (1 << (k * k - 1)) - 1
-        standard = 1 << (2 * k * k)
-        special = {0: ((TRIVIAL, 1), (TYPE1, card1), (TYPE2, card2))}
-    else:
-        card3 = (1 << (2 * k * (k - 1))) - 1
-        card4 = ((1 << (k * (k - 1))) - 1) << (k * (k - 1) - 1)
-        card5 = ((1 << (k * (k - 1))) + 1) << (k * (k - 1) - 1)
-        standard = 1 << (2 * k * (k - 1))
-        special = {0: ((TRIVIAL, 1), (TYPE3, card3)),
-                   eta_bar(k).bits: ((TYPE4, card4), (TYPE5, card5))}
+    zeros, ones = (count >> k for count in value_counts_closed(space))
+    standard = 1 << space.dim - k
     by_height = dict.fromkeys(range(1 << k), ((STANDARD, standard),))
-    by_height.update(special)
+    if split:
+        by_height[0] = ((TRIVIAL, 1), (TYPE3, standard - 1))
+        by_height[split] = ((TYPE4, min(zeros, ones)), (TYPE5, max(zeros, ones)))
+    else:
+        by_height[0] = ((TRIVIAL, 1), (TYPE1, ones), (TYPE2, zeros - 1))
     pred = PredictedCensus(n, ActionKind.SECOND, by_height)
     _check_internal(pred)
     return pred

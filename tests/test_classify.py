@@ -1,6 +1,7 @@
 """Closed-form censuses, internal consistency, labeling, verification,
 and the coherence between the two actions' predictions."""
 
+import hashlib
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -109,6 +110,19 @@ class TestPredictFirst:
         assert pred.total_states == 1 << pred.state_dim
         assert pred.orbit_count == sharp(n + 1)
 
+    @pytest.mark.parametrize("n,digest", [
+        (9, "907f781ea8805d8edb4f79e4f1a4c3984f107f8c39051ccefd11ba5e10ab2a50"),
+        (10, "139ccd83ff4efe5fa1ac1895468d12a2325b4e0def5621d407bedf017cd8035e"),
+        (11, "1ecaa82edc7ece5a008097c74d1769dc75fb2c88df1ce3f2838413e501c8ce70"),
+        (12, "661c0de6ea2e5f48d0d757ec77d9665037fd9da47e2b71964a17213426be0374"),
+        (13, "15e9e6cecd1d16b7920e867080c94ebf4027a7bdb3dc1cc92b33fbf1a58e01c6"),
+        (14, "0ea2dc2a36205bc0085d7c5c4c203c221fee903c01a4811a40bfebe8fd881f2f")])
+    def test_layout_pinned(self, n, digest):
+        # layouts whose degenerate height was written as eta_bar(k) (0 at odd
+        # n), so the solved height is checked past the rows pinned above
+        layout = repr(sorted(predict_first(n).by_height.items())).encode()
+        assert hashlib.sha256(layout).hexdigest() == digest
+
     def test_refuses_small_n(self):
         with pytest.raises(ValueError):
             predict_first(4)
@@ -120,7 +134,48 @@ class TestPredictFirst:
         assert TYPE3 in even_labels and TYPE1 not in even_labels
 
 
+def table2_formulas(n):
+    """Table 2 as the paper writes it, the reference for the layout that
+    `predict_second` reads off the hex lattice's twisted form.
+
+    Odd n = 2k+1: height 0 holds orbits of 2^(2k^2-1) -+ eps_k 2^(k^2-1)
+    (the larger one short by the fixed point, which is its own orbit);
+    every other height is a single orbit of 2^(2k^2).
+
+    Even n = 2k: height 0 holds 2^(2k(k-1)) - 1 plus the fixed point;
+    the height eta_bar(k) splits as (2^(k(k-1)) -+ 1) 2^(k(k-1)-1);
+    every other height is a single orbit of 2^(2k(k-1)).
+    """
+    k = n // 2
+    if n % 2:
+        eps = epsilon(k)
+        card1 = (1 << (2 * k * k - 1)) - eps * (1 << (k * k - 1))
+        card2 = (1 << (2 * k * k - 1)) + eps * (1 << (k * k - 1)) - 1
+        standard = 1 << (2 * k * k)
+        special = {0: ((TRIVIAL, 1), (TYPE1, card1), (TYPE2, card2))}
+    else:
+        card3 = (1 << (2 * k * (k - 1))) - 1
+        card4 = ((1 << (k * (k - 1))) - 1) << (k * (k - 1) - 1)
+        card5 = ((1 << (k * (k - 1))) + 1) << (k * (k - 1) - 1)
+        standard = 1 << (2 * k * (k - 1))
+        special = {0: ((TRIVIAL, 1), (TYPE3, card3)),
+                   eta_bar(k).bits: ((TYPE4, card4), (TYPE5, card5))}
+    by_height = dict.fromkeys(range(1 << k), ((STANDARD, standard),))
+    by_height.update(special)
+    return by_height
+
+
 class TestPredictSecond:
+    @pytest.mark.parametrize("n", range(5, 21))
+    def test_layout_is_table2(self, n):
+        assert predict_second(n).by_height == table2_formulas(n)
+
+    @pytest.mark.parametrize("n", range(5, 21))
+    def test_split_height(self, n):
+        # the one height whose twist c makes q_c vanish on the radical
+        _, split = classify._split(n)
+        assert split == (0 if n % 2 else eta_bar(n // 2).bits)
+
     def test_n5_layout(self):
         pred = predict_second(5)
         assert set(pred.by_height[0]) == {(TRIVIAL, 1), (TYPE1, 120), (TYPE2, 135)}
