@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from .f2la import F2Vector, QuadraticSpace, _evaluate, _solve, value_counts_closed
@@ -161,9 +161,11 @@ def predict_first(n: int) -> PredictedCensus:
     return pred
 
 
+@lru_cache
 def _split(n: int) -> tuple[QuadraticSpace, int]:
     """q_c, the second action's invariant of order n, and the height of
-    c, its one split stratum (see `predict_second`)."""
+    c, its one split stratum (see `predict_second`).  It is cached, so
+    `predict_first` reads the solve that its `predict_second` made."""
     space = build(hex_lattice_graph(n)).qspace
     rad = [r.bits for r in space.kernel]
     c = _solve(rad, sum(space.q_bits(r) << l for l, r in enumerate(rad)))

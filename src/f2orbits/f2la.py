@@ -23,14 +23,14 @@ _right_inverse.
 Linear maps are given by masks: _evaluate reads bit l as
 parity(x & rows[l]), and its transpose _combine sums the columns picked
 by the bits of x, on ints and, through byte lookup tables, on uint32
-arrays, where _reduce_tables and _evaluate_tables prepare _reduce and
-_evaluate; _coset_minima takes the least v ^ c of many uint32 values v
-for each of many points c.
+arrays (_byte_tables, _apply_tables), where any linear map is a
+_combine of its columns; _coset_minima takes the least v ^ c of many
+uint32 values v for each of many points c.
 Only the array helpers (_parity_u32, _Span.absorb_planes, _byte_tables,
-_reduce_tables, _evaluate_tables, _apply_tables, _coset_minima and
-value_counts_brute) use numpy, and each imports it when called: orbits
-is the one module that imports numpy at load, so building an action's
-masks, heights and patterns loads none.
+_apply_tables, _coset_minima and value_counts_brute) use numpy, and
+each imports it when called: orbits is the one module that imports
+numpy at load, so building an action's masks, heights and patterns
+loads none.
 The enumeration guard (ENUM_DIM_LIMIT, EnumerationGuardError and
 _check_dim) lives here too, so that lattice can refuse an oversize
 graph without loading orbits; orbits re-exports it.
@@ -385,28 +385,9 @@ def _byte_tables(cols) -> list[np.ndarray]:
             for start in range(0, len(cols), 8)]
 
 
-def _reduce_tables(basis) -> list[np.ndarray]:
-    """_reduce by a reduced echelon basis on uint32 arrays, prepared
-    (_byte_tables).  It is linear: each bit is its own image, but for a
-    pivot, whose image is its basis vector less the pivot."""
-    cols = [1 << i for i in range(32)]
-    for b, p in zip(basis, _pivots(basis)):
-        cols[p.bit_length() - 1] ^= b
-    return _byte_tables(cols)
-
-
-def _evaluate_tables(rows) -> list[np.ndarray]:
-    """_evaluate(., rows) on uint32 arrays, prepared (_byte_tables): bit
-    l of its column i is bit i of rows[l]."""
-    import numpy as np
-
-    bits = np.array(rows, dtype=np.uint64)[:, None] >> np.arange(32, dtype=np.uint64) & 1
-    return _byte_tables((bits << np.arange(len(rows), dtype=np.uint64)[:, None])
-                        .sum(axis=0).tolist())
-
-
 def _apply_tables(tables, values: np.ndarray) -> np.ndarray:
-    """_combine of every entry of a uint32 array, through _byte_tables."""
+    """_combine of every entry of a one-dimensional array of unsigned or
+    nonnegative ints, through _byte_tables, as uint32."""
     import numpy as np
 
     out = np.zeros(values.size, dtype=np.uint32)

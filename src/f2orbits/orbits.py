@@ -89,11 +89,13 @@ live cycles, whose points the lift walks upward from the least: each
 point decodes into a compact state and a potential, and the first
 point whose state is in reached with that potential on the live planes
 is the minimum.  Only the cosets whose first _WALK points all miss, as
-over a sparse O', read O' back from reached and the live planes
-through the twisted basis, and take their minima from sorted chunks
-of members.  Only where S = R = K is there one orbit over O',
-represented by the section of the least state of O', which needs no
-lift (alpha is 0 when R = K).  K = 0 (the second
+over a sparse O', read O' back from reached and the live planes,
+block by block, and take their minima from sorted chunks of its
+values.  The bitsets are read at arrays of states one way: _blocks
+lists a bitset's states a block at a time (_members collects them),
+and _bit_at gathers one bit per state.  Only where S = R = K is there
+one orbit over O', represented by the section of the least state of
+O', which needs no lift (alpha is 0 when R = K).  K = 0 (the second
 action) is the case of no planes, with S = R = K from the start: the
 words are compact states.  It needs no reached map either: every
 earlier component on visited is closed under the generators, so a
@@ -136,9 +138,9 @@ from typing import Optional
 import numpy as np
 
 from .f2la import (_LIFT_CHUNK, F2Vector, _Span, _apply_tables, _byte_tables, _combine,
-                   _coset_minima, _echelon, _evaluate, _evaluate_tables, _insert, _nullspace,
-                   _parity, _parity_u32, _pivots, _rank, _reduce, _reduce_tables,
-                   _right_inverse, _solve, _span_points)
+                   _coset_minima, _echelon, _evaluate, _insert, _nullspace, _parity,
+                   _parity_u32, _pivots, _rank, _reduce, _right_inverse, _solve,
+                   _span_points)
 # the enumeration guard, kept in f2la so that lattice refuses an oversize
 # graph without loading numpy, and re-exported here under its names
 from .f2la import ENUM_DIM_LIMIT, EnumerationGuardError, _check_dim  # noqa: F401
@@ -252,9 +254,35 @@ def _record_diff(expected: OrbitCensus, observed: OrbitCensus) -> str:
 # holds the bits i of a word with bit s of i clear.
 _ONES = np.uint64(2**64 - 1)
 _SWAP = tuple(np.uint64(sum(1 << i for i in range(64) if not i >> s & 1)) for s in range(6))
-# _SPREAD[x] holds bit b of the byte x in its byte b
-_SPREAD = np.array([sum((x >> b & 1) << 8 * b for b in range(8)) for x in range(256)], dtype="<u8")
-_UNPACK = 1 << 10
+# the words of a block that _blocks unpacks at a time: at 512 words the
+# lift's readback of a dense base orbit held more than two bytes per
+# member at its peak, and at 128 the calls per block made _members of
+# the hex lattice's closure about a fifth slower
+_UNPACK = 1 << 8
+
+
+def _blocks(bits: np.ndarray):
+    """The states of a bitset, ascending, one block of _UNPACK words at
+    a time: for each block that holds a state, its states as a uint32
+    array.  Bit p of word w is compact state w << 6 | p.  A block of
+    zero words is skipped; every other is unpacked whole, zero words
+    too, since filtering them out first and taking each word's base
+    cost more on the closures' dense maps.  Nothing grows with the
+    bitset: a full block's unpacked bytes, positions and states take
+    208 KiB while it is read, and its states 64 KiB."""
+    for start in range(0, bits.size, _UNPACK):
+        block = bits[start:start + _UNPACK]
+        if np.count_nonzero(block):
+            i = np.unpackbits(np.ascontiguousarray(block, dtype="<u8").view(np.uint8),
+                              bitorder="little").view(np.bool_).nonzero()[0].astype(np.uint32)
+            i += start << 6
+            yield i
+
+
+def _bit_at(row: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Bit z of the bitset row at each entry z of an integer array, as
+    uint64 0 or 1 in the array's shape."""
+    return row.take(z >> 6) >> (z & 63).astype(np.uint64) & np.uint64(1)
 
 
 def _members(bits: np.ndarray) -> np.ndarray:
@@ -263,24 +291,14 @@ def _members(bits: np.ndarray) -> np.ndarray:
     which is the state itself where the compact basis is the standard
     basis, as in the closure's search of the whole space (_closure).
 
-    The bitset is read in place, _UNPACK / 2 words at a time, both to sum
-    the popcount and to write the answer: the set bits of a block
-    starting at word s are its unpacked positions i, so its states are
-    i + 64 s, computed in i itself and copied into the answer.  Beside
-    the answer nothing grows with the bitset, and nothing holds more
-    than one block: the unpacked bytes and i, 256 KiB when the block is
-    full.  Zero words are unpacked too, since filtering them out first
-    and taking each word's base cost more on the closures' dense maps.
+    The popcount is summed a tile of _TILE_WORDS words at a time, and
+    the states are copied in block by block (_blocks), so beside the
+    answer nothing grows with the bitset.
     """
-    step = _UNPACK >> 1
-    blocks = range(0, bits.size, step)
-    out = np.empty(sum(int(np.bitwise_count(bits[s:s + step]).sum()) for s in blocks),
-                   dtype=np.uint32)
+    out = np.empty(sum(int(np.bitwise_count(bits[s:s + _TILE_WORDS]).sum())
+                       for s in range(0, bits.size, _TILE_WORDS)), dtype=np.uint32)
     at = 0
-    for start in blocks:
-        block = np.ascontiguousarray(bits[start:start + step], dtype="<u8")
-        i = np.unpackbits(block.view(np.uint8), bitorder="little").view(np.bool_).nonzero()[0]
-        i += start << 6
+    for i in _blocks(bits):
         out[at:at + i.size] = i
         at += i.size
     return out
@@ -840,37 +858,13 @@ def _search_word(job: _StratumJob, state: int) -> int:
     return _evaluate(pot, _pivots(job.cycles)) << job.compact_dim | z
 
 
-def _readback(stack: np.ndarray):
-    """The states y of the bitset stack[0] with their potentials, whose
-    bit j is bit y of stack[1 + j], ascending, in chunks of the states of
-    _UNPACK / 8 nonzero words, so that no array holds one entry per
-    member of a large bitset.
-
-    A chunk is (w, i, pot): the state y = 64 w[i >> 6] + (i & 63) for
-    each entry of i, and byte r of pot(y) in pot[r].  Each byte of a
-    plane's words is spread to one byte per state with _SPREAD.
-    """
-    step = _UNPACK >> 3
-    for start in range(0, stack.shape[1], _UNPACK):
-        block = stack[:, start:start + _UNPACK]
-        nonzero = np.flatnonzero(block[0])
-        for at in range(0, nonzero.size, step):
-            w = nonzero[at:at + step]
-            words = block[:, w].astype("<u8", order="C")
-            i = np.unpackbits(words[0].view(np.uint8),
-                              bitorder="little").view(np.bool_).nonzero()[0]
-            pot = np.zeros((len(stack) + 6 >> 3, 8 * w.size), dtype="<u8")
-            for j, plane in enumerate(words[1:]):
-                pot[j >> 3] |= _SPREAD[plane.view(np.uint8)] << np.uint64(j & 7)
-            yield start + w, i, pot.view(np.uint8)[:, i]
-
-
 def _lift(job: _StratumJob, stack: np.ndarray, size: int, span: _Span,
           coset: Optional[int] = None) -> list[tuple[int, int]]:
     """The orbits over one base orbit O' of size states, as (representative,
     size): O' is the bitset stack[0], and the potentials of its states,
     reduced by the span S of its cycle voltages, are in the live planes
-    of span below it (see _readback).
+    of span below it: bit j of a state's potential is its bit on live
+    plane j.
 
     S lies in R, and short of S = R = K it is a proper subspace of K.
     There is one orbit per coset of S in K, with |O'| * 2^rank(S)
@@ -902,9 +896,12 @@ def _lift(job: _StratumJob, stack: np.ndarray, size: int, span: _Span,
     _WALK cosets at a time: it holds at most _LIFT_CHUNK points.  Only
     the cosets that none of their _WALK points answers (those of a
     sparse O', such as a fixed point over many cosets) go to the
-    readback, where _coset_minima takes their minima from the values
-    s'(y) ^ pot(y) in _readback's chunks.  Every representative, walked
-    or read back, is checked in one array pass (_check_lifted).
+    readback: O' is read block by block (_blocks), each member's
+    potential gathered bit by bit off the live planes (_bit_at), and
+    _coset_minima takes their minima from the values s'(y) ^ pot(y) ^
+    offset, which are affine in y and pot (_byte_tables).  Every
+    representative, walked or read back, is checked in one array pass
+    (_check_lifted).
     """
     live = [job.cycles[j] for j in span.live]
     if coset is None:
@@ -939,18 +936,16 @@ def _lift(job: _StratumJob, stack: np.ndarray, size: int, span: _Span,
         walked[at:at + step] = held[rows, first]
     rest = (~walked).nonzero()[0]
     if rest.size:
-        # section(y) ^ pot(y) ^ offset splits over the word of y, its bit
-        # in the word and the bytes of its potential
-        words = _byte_tables(job.twisted[6:])
-        bits = np.array(_span_points(job.twisted[:6]), dtype=np.uint32)
-        pots = _byte_tables(live)
+        # the value s'(y) ^ pot(y) ^ offset of each member y, read back
+        # block by block, with bit j of pot(y) at bit y of live plane j
+        twisted, pots = _byte_tables(job.twisted), _byte_tables(live)
 
         def values():
-            for w, i, pot in _readback(planes):
-                a = _apply_tables(words, w)[i >> 6] ^ bits[i & 63] ^ job.offset
-                for table, byte in zip(pots, pot):
-                    a ^= table[byte]
-                yield a
+            for y in _blocks(planes[0]):
+                pot = np.zeros(y.size, dtype=np.uint64)
+                for j, plane in enumerate(planes[1:]):
+                    pot |= _bit_at(plane, y) << np.uint64(j)
+                yield _apply_tables(twisted, y) ^ _apply_tables(pots, pot) ^ np.uint32(job.offset)
 
         reps[rest] = _coset_minima(values(), _apply_tables(_byte_tables(gens), index[rest]))
     _check_lifted(job, stack[0], reps)
@@ -963,25 +958,28 @@ def _holds(planes: np.ndarray, codes: np.ndarray, shift: int) -> np.ndarray:
     planes[1 + j], is b: a bool array of the codes' shape, gathered
     plane by plane."""
     z = codes & np.uint32((1 << shift) - 1)
-    word = np.right_shift(z, 6, dtype=np.intp)
-    bit = (z & np.uint32(63)).astype(np.uint8)
-    held = planes[0].take(word) >> bit & np.uint64(1) != 0
+    held = _bit_at(planes[0], z) != 0
     for j, plane in enumerate(planes[1:]):
-        held &= (plane.take(word) >> bit & np.uint64(1)) == (codes >> shift + j & 1)
+        held &= _bit_at(plane, z) == (codes >> shift + j & 1)
     return held
 
 
 def _check_lifted(job: _StratumJob, reached: np.ndarray, reps: np.ndarray) -> None:
     """Check the uint32 array of lifted representatives as _search_word
-    checks one state, all in one pass: each is reduced by the
-    translations, read out in compact coordinates and checked to lie in
-    the job's stratum, through _reduce_tables and _evaluate_tables, and
-    its compact state must be in the base orbit, the bitset reached."""
-    section = _apply_tables(_reduce_tables(job.translations), reps)
-    z = _apply_tables(_evaluate_tables(job.pivots), section ^ np.uint32(job.offset))
-    if (_apply_tables(_byte_tables(job.basis), z) ^ np.uint32(job.offset) != section).any():
+    checks one state, all in one pass.  Both reads of x = rep ^ offset
+    are linear in x, since the offset is a section state: its compact
+    state z, the readout through pivots of x reduced by the
+    translations, and its distance from the stratum, that reduced x less
+    the state of z.  So each is one _byte_tables set over x's 32 bits.
+    The distance must be 0, and z must be in the base orbit, the bitset
+    reached."""
+    units = [_reduce(1 << i, job.translations) for i in range(32)]
+    readout = [_evaluate(u, job.pivots) for u in units]
+    distance = [u ^ _combine(z, job.basis) for u, z in zip(units, readout)]
+    x = reps ^ np.uint32(job.offset)
+    if _apply_tables(_byte_tables(distance), x).any():
         raise AssertionError("state does not lie in its computed stratum")
-    if not (reached.take(z >> 6) >> (z & 63).astype(np.uint64) & np.uint64(1)).all():
+    if not _bit_at(reached, _apply_tables(_byte_tables(readout), x)).all():
         raise AssertionError("lifted representative leaves its base orbit")
 
 
@@ -1331,7 +1329,7 @@ def _closure(spec, seeds) -> np.ndarray:
     visited = maps[0]
     for seed in seeds:
         z = _search_word(job, seed)
-        if not int(visited[z >> 6]) >> (z & 63) & 1:
+        if not _bit_at(visited, np.uint32(z)):
             _flood(job, z, maps)
     return _members(visited)
 

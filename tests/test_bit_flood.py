@@ -548,17 +548,6 @@ def orbit_size_in_v(spec, state: int) -> int:
     return int(seen.sum())
 
 
-def read_back(stack) -> list[tuple[int, int]]:
-    """(state, potential) of every state of the bitset stack[0], from
-    _readback's chunks."""
-    out = []
-    for w, i, pot in orbits._readback(stack):
-        states = (w[i >> 6] << 6 | i & 63).tolist()
-        pots = sum(pot[r].astype(np.int64) << 8 * r for r in range(len(pot)))
-        out += zip(states, np.asarray(pots).tolist())
-    return out
-
-
 def plane_potentials(planes, states) -> list[int]:
     """The potential of each compact state z: bit j is bit z of planes[j]."""
     return [sum((int(plane[z >> 6]) >> (z & 63) & 1) << j for j, plane in enumerate(planes))
@@ -583,8 +572,12 @@ def test_lifted_flood_finds_its_class_and_span(spec, forced):
         assert marked(maps[0]) == done
         # reached holds the class after every flood, whether or not S = R:
         # the closure clears it of the previous class when it starts
-        assert orbits._members(maps[1]).tolist() == members
-        assert read_back(maps[1:]) == list(zip(members, plane_potentials(maps[2:], members)))
+        states = orbits._members(maps[1])
+        assert states.tolist() == members
+        # the potentials as the lift reads them back, bit by bit
+        pots = sum(orbits._bit_at(plane, states) << np.uint64(j)
+                   for j, plane in enumerate(maps[2:]))
+        assert pots.tolist() == plane_potentials(maps[2:], members)
         section = job.offset ^ _combine(members[0], job.basis)
         assert len(members) << len(span.basis) == orbit_size_in_v(spec, section)
 
@@ -606,8 +599,9 @@ def test_lifted_closure_allocates_no_map_per_generator(monkeypatch):
         low, size, span = flood_span(job, seed, maps)
         flood_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        for _ in orbits._readback(maps[1:]):
-            pass
+        for states in orbits._blocks(maps[1]):
+            for plane in maps[2:]:
+                orbits._bit_at(plane, states)
         readback_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         rows = orbits._lift(job, maps[1:], size, span)
@@ -620,7 +614,7 @@ def test_lifted_closure_allocates_no_map_per_generator(monkeypatch):
     # two scratch stacks of reached and the planes, and the fixed buffers
     # of the numpy calls, about 2.6 rows
     assert flood_peak < (2 * (r + 1) + 4) * maps[0].nbytes
-    # below one uint32 per member: the readback goes chunk by chunk, and
+    # below one uint32 per member: the readback goes block by block, and
     # the lift adds its (member, coset) pairs
     assert readback_peak < 2 * size
     assert lift_peak < 2 * size + 4 * f2la._LIFT_CHUNK
@@ -813,15 +807,74 @@ def test_first7_census_reads_back_only_its_fixed_point(monkeypatch):
     # base orbits, and only the fixed point 0 (one member under 128
     # cosets) is read back
     read = []
-    readback = orbits._readback
+    coset_minima_of = orbits._coset_minima
 
-    def counted(stack):
-        read.append(int(np.bitwise_count(stack[0]).sum()))
-        return readback(stack)
+    def counted(chunks, cosets):
+        chunks = list(chunks)
+        read.append(sum(chunk.size for chunk in chunks))
+        return coset_minima_of(chunks, cosets)
 
-    monkeypatch.setattr(orbits, "_readback", counted)
+    monkeypatch.setattr(orbits, "_coset_minima", counted)
     assert enumerate_orbits(ActionSpec(7, ActionKind.FIRST), workers=1).orbit_count == 384
     assert read == [1]
+
+
+def test_check_lifted_refuses_what_leaves_the_stratum_or_the_base_orbit(monkeypatch):
+    # a lift captured from serial first n=5: its representatives pass,
+    # one moved to another stratum (the base functionals read it
+    # differently) does not, and neither does one whose compact state is
+    # cleared from reached
+    captured = []
+    check_lifted = orbits._check_lifted
+
+    def capture(job, reached, reps):
+        captured.append((job, reached.copy(), reps.copy()))
+        check_lifted(job, reached, reps)
+
+    monkeypatch.setattr(orbits, "_check_lifted", capture)
+    enumerate_orbits(ActionSpec(5, ActionKind.FIRST), workers=1)
+    job, reached, reps = captured[-1]
+    assert reps.size >= 2
+    check_lifted(job, reached, reps)
+    moved = reps.copy()
+    moved[-1] ^= np.uint32(_solve(job.functionals, 1))
+    with pytest.raises(AssertionError, match="state does not lie in its computed stratum"):
+        check_lifted(job, reached, moved)
+    z = orbits._search_word(job, int(reps[-1])) & (1 << job.compact_dim) - 1
+    reached[z >> 6] &= ~np.uint64(1 << (z & 63))
+    with pytest.raises(AssertionError, match="lifted representative leaves its base orbit"):
+        check_lifted(job, reached, reps)
+
+
+# the census digest of a path P7 beside the hex lattice of order 6, as
+# `f2orbits graph --format json` prints it on 1 and 2 workers, computed
+# while the readback spread its potentials through byte tables
+P7_HEX6_SHA256 = "0223b615a249e75c362589051ed034582b2f13e9d407d1f49adda9257a334bcc"
+
+
+def test_disconnected_lattice_reads_back_in_several_fills(monkeypatch):
+    # P7 on vertices 0..6 and the hex lattice of order 6 on 7..21: one
+    # base orbit, too sparse for the walk, reads back 143325 members,
+    # more than two of _coset_minima's fills of _LIFT_CHUNK values
+    hexagons = hex_lattice_graph(6)
+    graph = Graph.from_edge_list(7 + hexagons.vertex_count,
+                                 [(v, v + 1) for v in range(6)]
+                                 + [(u + 7, v + 7) for u, v in hexagons.edges])
+    assert (graph.vertex_count, len(graph.edges)) == (22, 36)
+    spec = build(graph)
+    read = []
+    coset_minima_of = orbits._coset_minima
+
+    def counted(chunks, cosets):
+        chunks = list(chunks)
+        read.append(sum(chunk.size for chunk in chunks))
+        return coset_minima_of(chunks, cosets)
+
+    monkeypatch.setattr(orbits, "_coset_minima", counted)
+    census = enumerate_orbits(spec, workers=1).to_json()
+    assert max(read) == 143325 > 2 * f2la._LIFT_CHUNK
+    assert hashlib.sha256(census.encode()).hexdigest() == P7_HEX6_SHA256
+    assert census == orbits._census(spec, 1, translations=()).to_json()
 
 
 @pytest.mark.parametrize("kind", [ActionKind.FIRST, ActionKind.FIRST_CONJUGATE],

@@ -11,8 +11,8 @@ import numpy as np
 from f2orbits import f2la
 from f2orbits.f2la import (ArfClass, BilinearForm, F2Vector, QuadraticSpace, _Span,
                            _apply_tables, _byte_tables, _combine, _coset_minima, _echelon,
-                           _evaluate, _evaluate_tables, _insert, _nullspace, _pivots,
-                           _rank, _reduce, _reduce_tables, _right_inverse, _solve, _span_points, arf, form_eval,
+                           _evaluate, _insert, _nullspace, _pivots, _rank, _reduce,
+                           _right_inverse, _solve, _span_points, arf, form_eval,
                            kernel_basis, q_eval, symplectic_reduce, transvect,
                            value_counts_brute, value_counts_closed)
 from f2orbits.lattice import build, hex_lattice_graph
@@ -550,17 +550,3 @@ class TestLinearLayer:
         out = _apply_tables(_byte_tables(cols), values)
         assert out.dtype == np.uint32
         assert [int(v) for v in out] == [_combine(int(v), cols) for v in values]
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.integers(min_value=0, max_value=(1 << 32) - 1), max_size=24),
-           st.lists(st.integers(min_value=0, max_value=(1 << 32) - 1), min_size=1, max_size=40))
-    def test_reduce_and_evaluate_tables_apply_to_arrays(self, vectors, values):
-        # _reduce by a reduced echelon basis is linear, and its tables
-        # agree with it on 32-bit values, as _evaluate's do for any rows
-        basis = _echelon(vectors)
-        array = np.array(values, dtype=np.uint32)
-        reduced = _apply_tables(_reduce_tables(basis), array)
-        assert reduced.dtype == np.uint32
-        assert reduced.tolist() == [_reduce(v, basis) for v in values]
-        assert (_apply_tables(_evaluate_tables(vectors), array).tolist()
-                == [_evaluate(v, vectors) for v in values])
